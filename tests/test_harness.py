@@ -206,3 +206,24 @@ def test_golden_csv_regression(tmp_path):
     emit_csv(records, path)
     golden = os.path.join(os.path.dirname(__file__), "golden", "tiny_sweep.csv")
     assert path.read_bytes() == open(golden, "rb").read()
+
+
+def reuse_spec() -> ExperimentSpec:
+    """Two dims, two powers, two kappa values and four schemes: every trial
+    channel is shared by 16 tasks, 8 of them on its perturbed copy."""
+    return ExperimentSpec(scenario="B", n_bs=[4], n_users=[1], n_irs=[4, 9],
+                          power_dbm=[20.0, 30.0], kappa=[0.9, 1.0],
+                          schemes=["vamp_unimodular", "vamp_reactive",
+                                   "random_phase_irs", "no_irs_mmse"],
+                          trials=2, base_seed=7, record_timing=False)
+
+
+def test_golden_reuse_sweep_csv(tmp_path):
+    # pins record order and values across powers, kappa values and schemes
+    # that share one channel; same regeneration rule as tiny_sweep.csv
+    import os
+    records, _ = run_sweep(reuse_spec())
+    path = tmp_path / "reuse_sweep.csv"
+    emit_csv(records, path)
+    golden = os.path.join(os.path.dirname(__file__), "golden", "reuse_sweep.csv")
+    assert path.read_bytes() == open(golden, "rb").read()
