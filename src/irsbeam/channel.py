@@ -135,15 +135,22 @@ def path_loss(d: float, params: PathLossParams) -> float:
     return params.c0 * (d / params.d0) ** (-params.exponent)
 
 
-def ula_response(phi: float, n: int, spacing_ratio: float = 0.5) -> np.ndarray:
-    """Uniform-linear-array steering vector, entry k = exp(2j*pi*ratio*k*cos(phi))."""
+def _steer(n: int, u: np.ndarray, spacing_ratio: float) -> np.ndarray:
+    """Steering vectors exp(2j*pi*ratio*k*u) for every direction cosine in u,
+    one row per entry of u (len(u) x n)."""
+    return np.exp(2j * np.pi * spacing_ratio * np.arange(n) * u[:, None])
+
+
+def _ula_responses(phi: np.ndarray, n: int, spacing_ratio: float) -> np.ndarray:
+    """Uniform-linear-array steering vectors, one row per angle in phi."""
     if n < 1:
         raise ValueError(f"ula_response: need n >= 1, got {n}")
-    return np.exp(2j * np.pi * spacing_ratio * np.arange(n) * np.cos(phi))
+    return _steer(n, np.cos(phi), spacing_ratio)
 
 
-def _steer(n: int, u: float, spacing_ratio: float) -> np.ndarray:
-    return np.exp(2j * np.pi * spacing_ratio * np.arange(n) * u)
+def ula_response(phi: float, n: int, spacing_ratio: float = 0.5) -> np.ndarray:
+    """Uniform-linear-array steering vector, entry k = exp(2j*pi*ratio*k*cos(phi))."""
+    return _ula_responses(np.array([phi]), n, spacing_ratio)[0]
 
 
 def _planar_factors(k: int) -> tuple[int, int]:
@@ -155,12 +162,21 @@ def _planar_factors(k: int) -> tuple[int, int]:
     return r, k // r
 
 
-def _planar_response(phi: float, psi: float, k: int, spacing_ratio: float,
-                     rows: int, cols: int) -> np.ndarray:
+def _planar_responses(phi: np.ndarray, psi: np.ndarray, spacing_ratio: float,
+                      rows: int, cols: int) -> np.ndarray:
+    """Planar responses, one row (rows*cols entries, row-major grid) per
+    (phi, psi) pair."""
     amp = np.sqrt(np.abs(np.cos(phi)))
     v_rows = _steer(rows, np.sin(phi) * np.sin(psi), spacing_ratio)
     v_cols = _steer(cols, np.sin(phi) * np.cos(psi), spacing_ratio)
-    return amp * np.kron(v_rows, v_cols)
+    grid = v_rows[:, :, None] * v_cols[:, None, :]
+    return amp[:, None] * grid.reshape(len(phi), rows * cols)
+
+
+def _irs_responses(phi: np.ndarray, psi: np.ndarray, k: int,
+                   spacing_ratio: float) -> np.ndarray:
+    rows, cols = _planar_factors(k)
+    return _planar_responses(phi, psi, spacing_ratio, rows, cols)
 
 
 def upa_response(phi: float, psi: float, k: int, spacing_ratio: float = 0.5) -> np.ndarray:
@@ -173,14 +189,13 @@ def upa_response(phi: float, psi: float, k: int, spacing_ratio: float = 0.5) -> 
     root = int(np.sqrt(k))
     if root * root != k:
         raise ValueError(f"upa_response: reflector count {k} is not a perfect square")
-    return _planar_response(phi, psi, k, spacing_ratio, root, root)
+    return _planar_responses(np.array([phi]), np.array([psi]), spacing_ratio, root, root)[0]
 
 
 def irs_response(phi: float, psi: float, k: int, spacing_ratio: float = 0.5) -> np.ndarray:
     """Planar response for any K, falling back to a rows x cols grid when K
     is not a perfect square (1 x K at worst)."""
-    rows, cols = _planar_factors(k)
-    return _planar_response(phi, psi, k, spacing_ratio, rows, cols)
+    return _irs_responses(np.array([phi]), np.array([psi]), k, spacing_ratio)[0]
 
 
 def boost_los(path_gains: np.ndarray, margin_db: float = 5.0) -> np.ndarray:
@@ -212,15 +227,14 @@ def synth_bs_irs(rng: np.random.Generator, dims: SystemDims, n_paths: int,
     gains = complex_normal(rng, n_paths)
     if los_boost_db is not None:
         gains = boost_los(gains, los_boost_db)
+    # one row of (elevation, azimuth, departure) per path, in the order the
+    # per-path draws took them; hi * random() equals uniform(0, hi) exactly
+    u = rng.random((n_paths, 3))
+    a_irs = _irs_responses(np.pi * u[:, 0], 2.0 * np.pi * u[:, 1], dims.K, params.spacing)
+    a_bs = _ula_responses(2.0 * np.pi * u[:, 2], dims.N, params.spacing)
     h = np.zeros((dims.K, dims.N), dtype=complex)
     for q in range(n_paths):
-        elev = rng.uniform(0.0, np.pi)
-        azim = rng.uniform(0.0, 2.0 * np.pi)
-        aod = rng.uniform(0.0, 2.0 * np.pi)
-        h += gains[q] * np.outer(
-            irs_response(elev, azim, dims.K, params.spacing),
-            ula_response(aod, dims.N, params.spacing),
-        )
+        h += gains[q] * np.outer(a_irs[q], a_bs[q])
     return np.sqrt(path_loss(distance, params.loss_irs())) * h
 
 
@@ -228,9 +242,10 @@ def synth_bs_user(rng: np.random.Generator, n_bs: int, n_paths: int,
                   distance: float, params: ChannelParams) -> np.ndarray:
     """Direct-link vector for one user: sqrt(L(d)) * sum_q c_q a_bs(phi_q)."""
     gains = complex_normal(rng, n_paths)
+    a_bs = _ula_responses(2.0 * np.pi * rng.random(n_paths), n_bs, params.spacing)
     h = np.zeros(n_bs, dtype=complex)
     for q in range(n_paths):
-        h += gains[q] * ula_response(rng.uniform(0.0, 2.0 * np.pi), n_bs, params.spacing)
+        h += gains[q] * a_bs[q]
     return np.sqrt(path_loss(distance, params.loss_direct())) * h
 
 
@@ -241,11 +256,12 @@ def synth_irs_user(rng: np.random.Generator, n_irs: int, n_paths: int,
     gains = complex_normal(rng, n_paths)
     if los_boost_db is not None:
         gains = boost_los(gains, los_boost_db)
+    # one row of (elevation, azimuth) per path, drawn as in synth_bs_irs
+    u = rng.random((n_paths, 2))
+    a_irs = _irs_responses(np.pi * u[:, 0], 2.0 * np.pi * u[:, 1], n_irs, params.spacing)
     h = np.zeros(n_irs, dtype=complex)
     for q in range(n_paths):
-        h += gains[q] * irs_response(
-            rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi), n_irs, params.spacing
-        )
+        h += gains[q] * a_irs[q]
     return np.sqrt(path_loss(distance, params.loss_irs())) * h
 
 

@@ -35,7 +35,6 @@ def _base_parser() -> argparse.ArgumentParser:
     common.add_argument("--preset", choices=("desk", "paper"), default="desk",
                         help="built-in spec used when --spec is absent")
     common.add_argument("--out", metavar="DIR", default="out", help="output directory")
-    common.add_argument("--threads", type=int, default=1, metavar="N")
     common.add_argument("--seed", type=int, default=None, metavar="U64",
                         help="override the spec's base seed")
     return common
@@ -63,7 +62,7 @@ def cmd_run(args) -> int:
         if done["n"] % max(1, total // 20) == 0:
             print(f"  {done['n']}/{total} trials", file=sys.stderr)
 
-    records, aggregates = run_sweep(spec, threads=args.threads, progress=progress)
+    records, aggregates = run_sweep(spec, progress=progress)
     emit_csv(records, os.path.join(args.out, "trials.csv"))
     emit_aggregate_csv(aggregates, os.path.join(args.out, "aggregate.csv"))
     for x_key, values in (("K", spec.n_irs), ("power_dbm", spec.power_dbm),

@@ -5,17 +5,18 @@ quality, schemes); run_sweep expands it into cells, runs seeded trials, and
 returns per-trial records plus per-cell aggregates. Every trial derives its
 generators from (base_seed, cell indices, trial index), so a sweep is a pure
 function of the spec: reruns produce identical records (byte-identical CSV
-when timing capture is off). Channels are shared across schemes, powers and
-CSI qualities at a fixed (dims, trial), which pairs the comparisons.
+when timing capture is off). Each true channel is drawn once per (dims,
+trial) and reused across powers, CSI qualities and schemes, which pairs the
+comparisons.
 
-When kappa < 1 the optimizer sees the perturbed channels and all metrics are
-evaluated on the true ones.
+When kappa < 1 the true channel is perturbed once per (kappa, trial); the
+optimizer sees the perturbed channels and all metrics are evaluated on the
+true ones.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -75,6 +76,17 @@ class ExperimentSpec:
             raise ValueError(f"spec.trials: must be >= 1, got {self.trials}")
         if self.base_seed < 0:
             raise ValueError("spec.base_seed: must be non-negative")
+        ch = self.channel
+        user_min, user_max = ch.user_range
+        if not user_min > 0.0:
+            raise ValueError(f"spec.user_min: must be positive, got {user_min}")
+        if not user_max >= user_min:
+            raise ValueError(f"spec.user_max: must be >= user_min ({user_min}), got {user_max}")
+        if not ch.d_irs > 0.0:
+            raise ValueError(f"spec.d_irs: must be positive, got {ch.d_irs}")
+        for key in ("q_irs", "q_direct", "q_irs_user"):
+            if getattr(ch, key) < 1:
+                raise ValueError(f"spec.{key}: must be >= 1, got {getattr(ch, key)}")
 
     def optimizer_config(self, constraint: str, collect_trace: bool = False) -> OptimizerConfig:
         return OptimizerConfig(
@@ -154,6 +166,8 @@ def parse_spec(text: str) -> ExperimentSpec:
         elif key == "user_max":
             channel_kwargs["user_range"] = (channel_kwargs.get("user_range", (10.0, 50.0))[0],
                                             _parse_value(key, raw, float))
+        elif key == "user_range":
+            raise ValueError("spec.user_range: not a spec key; set user_min and user_max")
         elif key == "c0_db":
             channel_kwargs["c0"] = 10.0 ** (_parse_value(key, raw, float) / 10.0)
         elif key in _CHANNEL_KEYS:
@@ -218,23 +232,20 @@ def baseline_no_irs(ch: ChannelSet, power: float, noise_var: float) -> Beamformi
                                True, [], VampDiagnostics())
 
 
-def run_trial(spec: ExperimentSpec, scheme: str, dims: SystemDims, power_dbm: float,
-              kappa: float, cell_idx: tuple, trial: int) -> TrialRecord:
-    """One seeded trial of one scheme in one sweep cell."""
+def run_trial(spec: ExperimentSpec, scheme: str, ch: ChannelSet, ch_known: ChannelSet,
+              power_dbm: float, kappa: float, cell_idx: tuple, trial: int) -> TrialRecord:
+    """One seeded trial of one scheme in one sweep cell.
+
+    The scheme designs on ch_known (the estimated channels, or ch itself when
+    kappa = 1); sum-rate and NRMSE are evaluated on the true channels ch.
+    """
     import time
 
-    i_n, i_m, i_k, i_p, i_q = cell_idx
+    i_n, i_m, i_k = cell_idx[:3]
+    n, m, k = ch.dims
     power = dbm_to_watts(power_dbm)
     noise_var = dbm_to_watts(spec.noise_dbm)
     scheme_id = SCHEMES.index(scheme)
-
-    channel_rng = _stream(spec.base_seed, 11, i_n, i_m, i_k, trial)
-    ch = sample_channel_set(channel_rng, dims, spec.channel, spec.scenario)
-    if kappa < 1.0:
-        csi_rng = _stream(spec.base_seed, 13, i_n, i_m, i_k, i_q, trial)
-        ch_known = perturb_csi(ch, kappa, csi_rng, spec.channel)
-    else:
-        ch_known = ch
     opt_rng = _stream(spec.base_seed, 17, i_n, i_m, i_k, scheme_id, trial)
 
     start = time.perf_counter()
@@ -264,7 +275,7 @@ def run_trial(spec: ExperimentSpec, scheme: str, dims: SystemDims, power_dbm: fl
 
     rate = sum_rate(eval_ch, sol.upsilon, sol.F, noise_var)
     err = nrmse(sol.alpha, sol.upsilon, sol.F, eval_ch, noise_var)
-    return TrialRecord(scheme, trial, dims.N, dims.M, dims.K, power_dbm, kappa,
+    return TrialRecord(scheme, trial, n, m, k, power_dbm, kappa,
                        rate, err, sol.iterations,
                        elapsed_ms if spec.record_timing else 0.0)
 
@@ -278,31 +289,37 @@ def _cells(spec: ExperimentSpec):
                         yield (i_n, i_m, i_k, i_p, i_q), SystemDims(n, m, k), p, q
 
 
-def run_sweep(spec: ExperimentSpec, threads: int = 1, progress=None):
+def run_sweep(spec: ExperimentSpec, progress=None):
     """Run every (cell, scheme, trial) task; returns (records, aggregates).
 
-    Record order is deterministic and independent of thread scheduling.
+    Each true channel is drawn once per (dims, trial) and, when kappa < 1,
+    perturbed once per (kappa, trial); every power, kappa and scheme of that
+    dims then runs on it before the next channel is drawn. Records come back
+    in the canonical (cell, scheme, trial) order whatever the run order;
+    `progress` is called with each record as it completes, in run order.
     """
     spec.validate()
-    tasks = [
-        (scheme, dims, power_dbm, kappa, cell_idx, trial)
-        for cell_idx, dims, power_dbm, kappa in _cells(spec)
-        for scheme in spec.schemes
-        for trial in range(spec.trials)
-    ]
-
-    def work(args):
-        scheme, dims, power_dbm, kappa, cell_idx, trial = args
-        rec = run_trial(spec, scheme, dims, power_dbm, kappa, cell_idx, trial)
-        if progress is not None:
-            progress(rec)
-        return rec
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(work, tasks))
-    else:
-        records = [work(t) for t in tasks]
+    cells = list(_cells(spec))
+    n_schemes, n_trials = len(spec.schemes), spec.trials
+    per_dims = len(spec.power_dbm) * len(spec.kappa)
+    records: list = [None] * (len(cells) * n_schemes * n_trials)
+    for first in range(0, len(cells), per_dims):
+        group = cells[first:first + per_dims]
+        (i_n, i_m, i_k, _, _), dims, _, _ = group[0]
+        for trial in range(n_trials):
+            ch = sample_channel_set(_stream(spec.base_seed, 11, i_n, i_m, i_k, trial),
+                                    dims, spec.channel, spec.scenario)
+            known = [perturb_csi(ch, kappa,
+                                 _stream(spec.base_seed, 13, i_n, i_m, i_k, i_q, trial),
+                                 spec.channel) if kappa < 1.0 else ch
+                     for i_q, kappa in enumerate(spec.kappa)]
+            for c, (cell_idx, _, power_dbm, kappa) in enumerate(group, start=first):
+                for i_s, scheme in enumerate(spec.schemes):
+                    rec = run_trial(spec, scheme, ch, known[cell_idx[4]], power_dbm, kappa,
+                                    cell_idx, trial)
+                    records[(c * n_schemes + i_s) * n_trials + trial] = rec
+                    if progress is not None:
+                        progress(rec)
     return records, aggregate(records)
 
 

@@ -160,6 +160,60 @@ def test_synth_reproducible():
     assert np.array_equal(a, b)
 
 
+def _per_path_reference(rng, link: str, n: int, k: int, n_paths: int,
+                        distance: float, params: ChannelParams, boost):
+    """The synthesis as one loop over paths, drawing each path's angles with
+    its own uniform calls and building its responses one at a time."""
+    gains = complex_normal(rng, n_paths)
+    if boost is not None:
+        gains = boost_los(gains, boost)
+    if link == "bs_irs":
+        h = np.zeros((k, n), dtype=complex)
+        for q in range(n_paths):
+            elev = rng.uniform(0.0, np.pi)
+            azim = rng.uniform(0.0, 2.0 * np.pi)
+            aod = rng.uniform(0.0, 2.0 * np.pi)
+            h += gains[q] * np.outer(irs_response(elev, azim, k, params.spacing),
+                                     ula_response(aod, n, params.spacing))
+        return np.sqrt(path_loss(distance, params.loss_irs())) * h
+    if link == "bs_user":
+        h = np.zeros(n, dtype=complex)
+        for q in range(n_paths):
+            h += gains[q] * ula_response(rng.uniform(0.0, 2.0 * np.pi), n, params.spacing)
+        return np.sqrt(path_loss(distance, params.loss_direct())) * h
+    h = np.zeros(k, dtype=complex)
+    for q in range(n_paths):
+        h += gains[q] * irs_response(rng.uniform(0.0, np.pi),
+                                     rng.uniform(0.0, 2.0 * np.pi), k, params.spacing)
+    return np.sqrt(path_loss(distance, params.loss_irs())) * h
+
+
+@pytest.mark.parametrize("k", [4, 7, 12, 64])
+def test_synthesis_matches_per_path_reference(k):
+    # K = 7 and 12 take the non-square grid; the generator must also be left
+    # in the same state, so later draws of a channel set line up
+    params = ChannelParams()
+    dims = SystemDims(6, 2, k)
+    links = {
+        "bs_irs": lambda rng, boost: synth_bs_irs(rng, dims, params.q_irs, 500.0,
+                                                  params, boost),
+        "bs_user": lambda rng, boost: synth_bs_user(rng, dims.N, 3, 120.0, params),
+        "irs_user": lambda rng, boost: synth_irs_user(rng, k, 4, 30.0, params, boost),
+    }
+    n_paths = {"bs_irs": params.q_irs, "bs_user": 3, "irs_user": 4}
+    distance = {"bs_irs": 500.0, "bs_user": 120.0, "irs_user": 30.0}
+    for link, synth in links.items():
+        for seed in range(6):
+            boost = 5.0 if seed % 2 else None
+            rng_got, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = synth(rng_got, boost)
+            ref = _per_path_reference(rng_ref, link, dims.N, k, n_paths[link],
+                                      distance[link], params,
+                                      None if link == "bs_user" else boost)
+            assert np.array_equal(got, ref), (link, seed)
+            assert rng_got.random() == rng_ref.random()
+
+
 def test_synth_users_independent():
     params = ChannelParams()
     rng = np.random.default_rng(8)

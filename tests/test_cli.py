@@ -45,13 +45,6 @@ def test_run_seed_override_changes_results(spec_file, tmp_path):
     assert a == (out_c / "trials.csv").read_bytes()
 
 
-def test_run_threaded_matches_serial(spec_file, tmp_path):
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    main(["run", "--spec", str(spec_file), "--out", str(out_a)])
-    main(["run", "--spec", str(spec_file), "--out", str(out_b), "--threads", "3"])
-    assert (out_a / "trials.csv").read_bytes() == (out_b / "trials.csv").read_bytes()
-
-
 def test_trace_verb(spec_file, tmp_path, capsys):
     out = tmp_path / "tr"
     rc = main(["trace", "--spec", str(spec_file), "--out", str(out),

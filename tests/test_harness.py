@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,17 @@ def test_parse_spec_errors_name_the_field():
         parse_spec("schemes = warp_drive")
     with pytest.raises(ValueError, match="line 1"):
         parse_spec("no equals sign here")
+    with pytest.raises(ValueError, match="spec.user_range.*user_min.*user_max"):
+        parse_spec("user_range = 20")
+    with pytest.raises(ValueError, match="spec.user_min"):
+        parse_spec("user_min = 0")
+    with pytest.raises(ValueError, match="spec.user_max"):
+        parse_spec("user_min = 30\nuser_max = 20")
+    with pytest.raises(ValueError, match="spec.d_irs"):
+        parse_spec("d_irs = -5")
+    for key in ("q_irs", "q_direct", "q_irs_user"):
+        with pytest.raises(ValueError, match=f"spec.{key}"):
+            parse_spec(f"{key} = 0")
 
 
 def test_presets_validate():
@@ -87,15 +100,6 @@ def test_run_sweep_deterministic_csv(tmp_path):
     lines = p1.read_text().splitlines()
     assert lines[0] == CSV_HEADER
     assert len(lines) == 1 + 3 * 3  # schemes x trials
-
-
-def test_run_sweep_threaded_matches_serial(tmp_path):
-    spec = tiny_spec()
-    rec1, _ = run_sweep(spec)
-    rec2, _ = run_sweep(spec, threads=4)
-    emit_csv(rec1, tmp_path / "a.csv")
-    emit_csv(rec2, tmp_path / "b.csv")
-    assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 def test_no_irs_scheme_ignores_reflector_path():
@@ -216,6 +220,28 @@ def reuse_spec() -> ExperimentSpec:
                           schemes=["vamp_unimodular", "vamp_reactive",
                                    "random_phase_irs", "no_irs_mmse"],
                           trials=2, base_seed=7, record_timing=False)
+
+
+def test_run_sweep_draws_each_channel_once(monkeypatch):
+    import irsbeam.harness as harness
+    draws, perturbs = Counter(), Counter()
+    sample, perturb = harness.sample_channel_set, harness.perturb_csi
+
+    def counted_sample(rng, dims, *args, **kwargs):
+        draws[dims.K] += 1
+        return sample(rng, dims, *args, **kwargs)
+
+    def counted_perturb(ch, kappa, *args, **kwargs):
+        perturbs[ch.dims[2], kappa] += 1
+        return perturb(ch, kappa, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "sample_channel_set", counted_sample)
+    monkeypatch.setattr(harness, "perturb_csi", counted_perturb)
+    records, _ = run_sweep(reuse_spec())
+    assert len(records) == 2 * 2 * 2 * 4 * 2
+    # one draw per (dims, trial); one perturbation per (dims, kappa < 1, trial)
+    assert draws == {4: 2, 9: 2}
+    assert perturbs == {(4, 0.9): 2, (9, 0.9): 2}
 
 
 def test_golden_reuse_sweep_csv(tmp_path):
