@@ -194,22 +194,19 @@ def test_synthesis_matches_per_path_reference(k):
     # in the same state, so later draws of a channel set line up
     params = ChannelParams()
     dims = SystemDims(6, 2, k)
-    links = {
-        "bs_irs": lambda rng, boost: synth_bs_irs(rng, dims, params.q_irs, 500.0,
-                                                  params, boost),
-        "bs_user": lambda rng, boost: synth_bs_user(rng, dims.N, 3, 120.0, params),
-        "irs_user": lambda rng, boost: synth_irs_user(rng, k, 4, 30.0, params, boost),
+    synth = {
+        "bs_irs": lambda rng, q, d, b: synth_bs_irs(rng, dims, q, d, params, b),
+        "bs_user": lambda rng, q, d, b: synth_bs_user(rng, dims.N, q, d, params),
+        "irs_user": lambda rng, q, d, b: synth_irs_user(rng, k, q, d, params, b),
     }
-    n_paths = {"bs_irs": params.q_irs, "bs_user": 3, "irs_user": 4}
-    distance = {"bs_irs": 500.0, "bs_user": 120.0, "irs_user": 30.0}
-    for link, synth in links.items():
+    for link, n_paths, distance in (("bs_irs", params.q_irs, 500.0),
+                                    ("bs_user", 3, 120.0), ("irs_user", 4, 30.0)):
         for seed in range(6):
-            boost = 5.0 if seed % 2 else None
+            boost = 5.0 if seed % 2 and link != "bs_user" else None
             rng_got, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = synth(rng_got, boost)
-            ref = _per_path_reference(rng_ref, link, dims.N, k, n_paths[link],
-                                      distance[link], params,
-                                      None if link == "bs_user" else boost)
+            got = synth[link](rng_got, n_paths, distance, boost)
+            ref = _per_path_reference(rng_ref, link, dims.N, k, n_paths, distance,
+                                      params, boost)
             assert np.array_equal(got, ref), (link, seed)
             assert rng_got.random() == rng_ref.random()
 
