@@ -2,15 +2,15 @@
 
 Each outer iteration refreshes the quadratic system the phase solver sees
 (the precoder and receiver scale enter its matrices), runs one or more
-message-passing passes on it, re-projects the damped iterate onto the
-constraint set, and re-solves the precoder in closed form for the new
-phases. The loop stops when the sum-MSE objective changes by less than a
-relative tolerance, or at the iteration cap.
+message-passing steps (vamp.vamp_step) on it, re-projects the damped iterate
+onto the constraint set, and builds the effective channel of the new phases
+once: the closed-form precoder and the objective both take it. The loop
+stops when the sum-MSE objective changes by less than a relative tolerance,
+or at the iteration cap.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,9 +18,9 @@ import numpy as np
 from .channel import ChannelSet
 from .metrics import fit_error, nrmse, sum_rate
 from .precoding import effective_channel, mmse_precoder
-from .projectors import Projector, get_projector
-from .vamp import (ExtrinsicMessage, VampConfig, VampDiagnostics, _LoopState,
-                   _vamp_pass, prepare_system)
+from .projectors import get_projector
+from .vamp import (ExtrinsicMessage, VampConfig, VampDiagnostics, VampState,
+                   prepare_system, vamp_step)
 
 
 @dataclass
@@ -29,7 +29,6 @@ class OptimizerConfig:
     epsilon_outer: float = 1e-3
     t_max_outer: int = 100
     constraint: str = "unimodular"
-    init_mode: str = "default"      # "default": random phases / flat reactance
     inner_iters: int = 1            # message-passing passes per outer iteration
     carryover: str = "extrinsic"    # "extrinsic" | "restart"
     collect_trace: bool = True
@@ -60,13 +59,6 @@ class BeamformingSolution:
     converged: bool
     trace: list[TraceRow]
     diagnostics: VampDiagnostics
-    wall_time_s: float = 0.0
-
-
-def objective_error(alpha: float, upsilon: np.ndarray, f: np.ndarray,
-                    ch: ChannelSet, noise_var: float) -> float:
-    """Sum-MSE objective the loop tracks; identical to metrics.fit_error."""
-    return fit_error(alpha, upsilon, f, ch, noise_var)
 
 
 def vamp_setup(ch: ChannelSet, f: np.ndarray, alpha: float):
@@ -78,15 +70,6 @@ def vamp_setup(ch: ChannelSet, f: np.ndarray, alpha: float):
     m = f.shape[1]
     z = np.eye(m) - alpha * ch.H_bu.conj().T @ f
     return a, b, z
-
-
-def initial_phases(projector: Projector, k: int, rng: np.random.Generator,
-                   init_mode: str = "default") -> np.ndarray:
-    if init_mode == "default":
-        return projector.initial_point(k, rng)
-    if init_mode == "flat":
-        return projector.g(np.ones(k, dtype=complex), 1.0)
-    raise ValueError(f"initial_phases: unknown init_mode {init_mode!r}")
 
 
 def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
@@ -105,38 +88,31 @@ def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
     projector = get_projector(cfg.constraint)
     vcfg = cfg.vamp
 
-    start = time.perf_counter()
-    upsilon = initial_phases(projector, k, rng, cfg.init_mode)
-    sol = mmse_precoder(effective_channel(ch, upsilon), power, noise_var)
-    err_prev = objective_error(sol.alpha, upsilon, sol.F, ch, noise_var)
+    upsilon = projector.initial_point(k, rng)
+    state = VampState(ExtrinsicMessage(upsilon.copy(), max(vcfg.gamma_0, vcfg.gamma_floor)),
+                      upsilon.copy())
     diag = VampDiagnostics()
     trace: list[TraceRow] = []
-    if cfg.collect_trace:
-        trace.append(TraceRow(0, err_prev, sum_rate(ch, upsilon, sol.F, noise_var),
-                              nrmse(sol.alpha, upsilon, sol.F, ch, noise_var)))
-
-    state = _LoopState(ExtrinsicMessage(upsilon.copy(), max(vcfg.gamma_0, vcfg.gamma_floor)),
-                       upsilon.copy())
     converged = False
-    t = 0
-    for t in range(1, cfg.t_max_outer + 1):
-        a, b, z = vamp_setup(ch, sol.F, sol.alpha)
-        svd, z_tilde = prepare_system(a, b, z)
-        if cfg.carryover == "restart" and t > 1:
-            state.msg = ExtrinsicMessage(upsilon.copy(), max(vcfg.gamma_0, vcfg.gamma_floor))
-        for _ in range(cfg.inner_iters):
-            _vamp_pass(svd, z_tilde, state, projector, vcfg, k, diag)
-        upsilon = np.asarray(projector.g(state.x_damped, state.gamma_tilde_prev or 1.0))
-        sol = mmse_precoder(effective_channel(ch, upsilon), power, noise_var)
-        err = objective_error(sol.alpha, upsilon, sol.F, ch, noise_var)
+    # iteration 0 evaluates the initial phases; each later one first updates them
+    for t in range(cfg.t_max_outer + 1):
+        if t > 0:
+            a, b, z = vamp_setup(ch, sol.F, sol.alpha)
+            svd, z_tilde = prepare_system(a, b, z)
+            if cfg.carryover == "restart" and t > 1:
+                state.msg = ExtrinsicMessage(upsilon.copy(), max(vcfg.gamma_0, vcfg.gamma_floor))
+            for _ in range(cfg.inner_iters):
+                vamp_step(svd, z_tilde, state, projector, vcfg, k, diag)
+            upsilon = np.asarray(projector.g(state.x_damped, state.gamma_tilde_prev or 1.0))
+        h = effective_channel(ch, upsilon)
+        sol = mmse_precoder(h, power, noise_var)
+        err = fit_error(sol.alpha, h, sol.F, noise_var)
         if cfg.collect_trace:
             trace.append(TraceRow(t, err, sum_rate(ch, upsilon, sol.F, noise_var),
                                   nrmse(sol.alpha, upsilon, sol.F, ch, noise_var)))
-        if abs(err - err_prev) < cfg.epsilon_outer * err_prev:
-            err_prev = err
+        if t > 0 and abs(err - err_prev) < cfg.epsilon_outer * err_prev:
             converged = True
             break
         err_prev = err
 
-    return BeamformingSolution(upsilon, sol.F, sol.alpha, t, converged, trace, diag,
-                               wall_time_s=time.perf_counter() - start)
+    return BeamformingSolution(upsilon, sol.F, sol.alpha, t, converged, trace, diag)

@@ -75,17 +75,6 @@ class ChannelParams:
         return PathLossParams(self.c0, self.d0, self.eta_direct)
 
 
-@dataclass(frozen=True)
-class CsiQuality:
-    """Channel-estimation accuracy, kappa = 1 meaning perfect knowledge."""
-
-    kappa: float
-
-    def __post_init__(self):
-        if not 0.0 <= self.kappa <= 1.0:
-            raise ValueError(f"CsiQuality: kappa must lie in [0, 1], got {self.kappa}")
-
-
 @dataclass
 class ChannelSet:
     """One channel realization plus the geometry it was drawn at.
@@ -162,39 +151,27 @@ def _planar_factors(k: int) -> tuple[int, int]:
     return r, k // r
 
 
-def _planar_responses(phi: np.ndarray, psi: np.ndarray, spacing_ratio: float,
-                      rows: int, cols: int) -> np.ndarray:
-    """Planar responses, one row (rows*cols entries, row-major grid) per
+def _irs_responses(phi: np.ndarray, psi: np.ndarray, k: int,
+                   spacing_ratio: float) -> np.ndarray:
+    """Planar responses, one row (K entries, row-major rows x cols grid) per
     (phi, psi) pair."""
+    rows, cols = _planar_factors(k)
     amp = np.sqrt(np.abs(np.cos(phi)))
     v_rows = _steer(rows, np.sin(phi) * np.sin(psi), spacing_ratio)
     v_cols = _steer(cols, np.sin(phi) * np.cos(psi), spacing_ratio)
     grid = v_rows[:, :, None] * v_cols[:, None, :]
-    return amp[:, None] * grid.reshape(len(phi), rows * cols)
-
-
-def _irs_responses(phi: np.ndarray, psi: np.ndarray, k: int,
-                   spacing_ratio: float) -> np.ndarray:
-    rows, cols = _planar_factors(k)
-    return _planar_responses(phi, psi, spacing_ratio, rows, cols)
-
-
-def upa_response(phi: float, psi: float, k: int, spacing_ratio: float = 0.5) -> np.ndarray:
-    """Square uniform-planar-array response with the cosine element pattern.
-
-    sqrt|cos phi| times the Kronecker product of two sqrt(K)-element steering
-    vectors (elevation phi against the array normal, azimuth psi). Every entry
-    has modulus sqrt|cos phi|; the pattern nulls out at phi = pi/2.
-    """
-    root = int(np.sqrt(k))
-    if root * root != k:
-        raise ValueError(f"upa_response: reflector count {k} is not a perfect square")
-    return _planar_responses(np.array([phi]), np.array([psi]), spacing_ratio, root, root)[0]
+    return amp[:, None] * grid.reshape(len(phi), k)
 
 
 def irs_response(phi: float, psi: float, k: int, spacing_ratio: float = 0.5) -> np.ndarray:
-    """Planar response for any K, falling back to a rows x cols grid when K
-    is not a perfect square (1 x K at worst)."""
+    """Uniform-planar-array response with the cosine element pattern.
+
+    sqrt|cos phi| times the Kronecker product of a rows- and a cols-element
+    steering vector (elevation phi against the array normal, azimuth psi).
+    The grid is sqrt(K) x sqrt(K) when K is a perfect square, otherwise the
+    most-square divisor pair (1 x K at worst). Every entry has modulus
+    sqrt|cos phi|; the pattern nulls out at phi = pi/2.
+    """
     return _irs_responses(np.array([phi]), np.array([psi]), k, spacing_ratio)[0]
 
 
@@ -299,15 +276,16 @@ def sample_channel_set(rng: np.random.Generator, dims: SystemDims,
     return ChannelSet(h_bs, h_bu, h_su, params.d_irs, d_users, d_irs_users)
 
 
-def perturb_csi(ch: ChannelSet, quality: CsiQuality | float,
-                rng: np.random.Generator,
+def perturb_csi(ch: ChannelSet, kappa: float, rng: np.random.Generator,
                 params: ChannelParams | None = None) -> ChannelSet:
     """Estimated channels: kappa*H + sqrt((1-kappa^2)*L) * unit complex noise.
 
-    The error variance of each link scales with that link's path loss.
-    kappa = 1 returns the input unchanged (and consumes no randomness).
+    kappa in [0, 1] is the channel-estimation accuracy, 1 meaning perfect
+    knowledge. The error variance of each link scales with that link's path
+    loss. kappa = 1 returns the input unchanged (and consumes no randomness).
     """
-    kappa = quality.kappa if isinstance(quality, CsiQuality) else CsiQuality(quality).kappa
+    if not 0.0 <= kappa <= 1.0:
+        raise ValueError(f"perturb_csi: kappa must lie in [0, 1], got {kappa}")
     if kappa == 1.0:
         return ch
     params = params or ChannelParams()

@@ -29,8 +29,6 @@ from .oracles import grid_phase_search
 from .precoding import effective_channel, mmse_precoder
 from .vamp import VampConfig, VampDiagnostics
 
-SCHEMES = ("vamp_unimodular", "vamp_reactive", "random_phase_irs",
-           "no_irs_mmse", "grid_oracle_tiny")
 CSV_HEADER = "scheme,seed,N,M,K,power_dbm,kappa,sum_rate,nrmse,iters,ms"
 
 
@@ -82,8 +80,17 @@ class ExperimentSpec:
             raise ValueError(f"spec.user_min: must be positive, got {user_min}")
         if not user_max >= user_min:
             raise ValueError(f"spec.user_max: must be >= user_min ({user_min}), got {user_max}")
-        if not ch.d_irs > 0.0:
-            raise ValueError(f"spec.d_irs: must be positive, got {ch.d_irs}")
+        if not 0.0 < ch.c0 < np.inf:
+            raise ValueError(f"spec.c0/c0_db: must be positive and finite, got c0 = {ch.c0}")
+        for key in ("d0", "spacing", "d_irs"):
+            if not 0.0 < getattr(ch, key) < np.inf:
+                raise ValueError(f"spec.{key}: must be positive and finite, got {getattr(ch, key)}")
+        for key in ("eta_irs", "eta_direct"):
+            if not 0.0 <= getattr(ch, key) < np.inf:
+                raise ValueError(f"spec.{key}: must be non-negative and finite, "
+                                 f"got {getattr(ch, key)}")
+        if not np.isfinite(ch.los_margin_db):
+            raise ValueError(f"spec.los_margin_db: must be finite, got {ch.los_margin_db}")
         for key in ("q_irs", "q_direct", "q_irs_user"):
             if getattr(ch, key) < 1:
                 raise ValueError(f"spec.{key}: must be >= 1, got {getattr(ch, key)}")
@@ -232,6 +239,29 @@ def baseline_no_irs(ch: ChannelSet, power: float, noise_var: float) -> Beamformi
                                True, [], VampDiagnostics())
 
 
+def baseline_grid_oracle(ch: ChannelSet, power: float, noise_var: float) -> BeamformingSolution:
+    """Exhaustive phase-grid search (tiny K only) with the closed-form precoder."""
+    ups, _ = grid_phase_search(ch, power, noise_var)
+    sol = mmse_precoder(effective_channel(ch, ups), power, noise_var)
+    return BeamformingSolution(ups, sol.F, sol.alpha, 0, True, [], VampDiagnostics())
+
+
+# scheme -> design(spec, ch_known, power, noise_var, rng). The position of a
+# scheme seeds its optimizer stream, so the order is fixed. The designs look
+# joint_optimize and the baselines up when they run, not when the table is
+# built, so a rebinding of those module attributes reaches every call.
+_DESIGNS = {
+    "vamp_unimodular": lambda spec, ch, p, nv, rng: joint_optimize(
+        ch, p, nv, spec.optimizer_config("unimodular"), rng),
+    "vamp_reactive": lambda spec, ch, p, nv, rng: joint_optimize(
+        ch, p, nv, spec.optimizer_config("reactive"), rng),
+    "random_phase_irs": lambda spec, ch, p, nv, rng: baseline_random_phase(ch, p, nv, rng),
+    "no_irs_mmse": lambda spec, ch, p, nv, rng: baseline_no_irs(ch, p, nv),
+    "grid_oracle_tiny": lambda spec, ch, p, nv, rng: baseline_grid_oracle(ch, p, nv),
+}
+SCHEMES = tuple(_DESIGNS)
+
+
 def run_trial(spec: ExperimentSpec, scheme: str, ch: ChannelSet, ch_known: ChannelSet,
               power_dbm: float, kappa: float, cell_idx: tuple, trial: int) -> TrialRecord:
     """One seeded trial of one scheme in one sweep cell.
@@ -249,30 +279,10 @@ def run_trial(spec: ExperimentSpec, scheme: str, ch: ChannelSet, ch_known: Chann
     opt_rng = _stream(spec.base_seed, 17, i_n, i_m, i_k, scheme_id, trial)
 
     start = time.perf_counter()
-    if scheme == "vamp_unimodular":
-        sol = joint_optimize(ch_known, power, noise_var,
-                             spec.optimizer_config("unimodular"), opt_rng)
-        eval_ch = ch
-    elif scheme == "vamp_reactive":
-        sol = joint_optimize(ch_known, power, noise_var,
-                             spec.optimizer_config("reactive"), opt_rng)
-        eval_ch = ch
-    elif scheme == "random_phase_irs":
-        sol = baseline_random_phase(ch_known, power, noise_var, opt_rng)
-        eval_ch = ch
-    elif scheme == "no_irs_mmse":
-        sol = baseline_no_irs(ch_known, power, noise_var)
-        eval_ch = ch.without_irs()
-    elif scheme == "grid_oracle_tiny":
-        ups, _ = grid_phase_search(ch_known, power, noise_var)
-        psol = mmse_precoder(effective_channel(ch_known, ups), power, noise_var)
-        sol = BeamformingSolution(ups, psol.F, psol.alpha, 0, True, [],
-                                  VampDiagnostics())
-        eval_ch = ch
-    else:
-        raise ValueError(f"run_trial: unknown scheme {scheme!r}")
+    sol = _DESIGNS[scheme](spec, ch_known, power, noise_var, opt_rng)
     elapsed_ms = (time.perf_counter() - start) * 1e3
 
+    eval_ch = ch.without_irs() if scheme == "no_irs_mmse" else ch
     rate = sum_rate(eval_ch, sol.upsilon, sol.F, noise_var)
     err = nrmse(sol.alpha, sol.upsilon, sol.F, eval_ch, noise_var)
     return TrialRecord(scheme, trial, n, m, k, power_dbm, kappa,

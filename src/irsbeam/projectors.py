@@ -127,9 +127,6 @@ class Projector:
     g_prime: Callable
     initial_point: Callable
 
-    def project(self, r_tilde, gamma_tilde: float = 1.0):
-        return self.g(r_tilde, gamma_tilde)
-
 
 def _uni_init(k: int, rng: np.random.Generator) -> np.ndarray:
     return np.exp(2j * np.pi * rng.random(k))
@@ -154,15 +151,7 @@ REACTIVE = Projector(
     initial_point=_reactive_init,
 )
 
-# Pass-through projector; handy for exercising the message updates alone.
-IDENTITY = Projector(
-    name="identity",
-    g=lambda r, gamma_tilde=1.0: np.asarray(r, dtype=complex),
-    g_prime=lambda r, gamma_tilde=1.0: np.ones(np.shape(r)),
-    initial_point=lambda k, rng: np.zeros(k, dtype=complex),
-)
-
-_BY_NAME = {p.name: p for p in (UNIMODULAR, REACTIVE, IDENTITY)}
+_BY_NAME = {p.name: p for p in (UNIMODULAR, REACTIVE)}
 
 
 def get_projector(name: str) -> Projector:

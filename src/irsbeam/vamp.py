@@ -73,8 +73,7 @@ def damp_update(current, previous, rho: float):
     return rho * current + (1.0 - rho) * previous
 
 
-def prepare_system(a: np.ndarray, b: np.ndarray, z: np.ndarray,
-                   rank_tol: float = 1e-12):
+def prepare_system(a: np.ndarray, b: np.ndarray, z: np.ndarray):
     """SVD triple and weighted observation for D = B * A against vec(Z).
 
     Uses the product-form SVD assembled from the factor SVDs so D is never
@@ -89,15 +88,15 @@ def prepare_system(a: np.ndarray, b: np.ndarray, z: np.ndarray,
     if z.shape != (a.shape[0], b.shape[0]):
         raise ValueError(f"prepare_system: Z is {z.shape}, expected {(a.shape[0], b.shape[0])}")
     k = a.shape[1]
-    svd_a = economy_svd(a, rank_tol)
-    svd_b = economy_svd(b, rank_tol)
+    svd_a = economy_svd(a)
+    svd_b = economy_svd(b)
     if svd_a.rank * svd_b.rank > k:
-        svd = economy_svd(khatri_rao_columns(b, a), rank_tol)
+        svd = economy_svd(khatri_rao_columns(b, a))
         if svd.rank == 0:
             raise ValueError("prepare_system: zero system (A or B vanishes)")
         z_tilde = (svd.U.conj().T @ z.flatten(order="F")) / svd.omega
         return svd, z_tilde
-    svd = structured_svd(svd_a, svd_b, rank_tol=rank_tol)
+    svd = structured_svd(svd_a, svd_b)
     if svd.rank == 0:
         raise ValueError("prepare_system: zero system (A or B vanishes)")
     z_tilde = kron_transform(svd.U_a, svd.U_b, z)[svd.kept] / svd.omega
@@ -138,44 +137,11 @@ def lmmse_extrinsic(svd: EconomySVD | StructuredSVD, z_tilde: np.ndarray,
     return ExtrinsicMessage(r_out, gamma_out)
 
 
-def _projector_pass(projector: Projector, r_tilde: np.ndarray, gamma_tilde: float,
-                    gamma_floor: float, x_prev: np.ndarray | None, rho: float,
-                    diag: VampDiagnostics | None):
-    """One projector pass with optional damping of the iterate.
-
-    Returns (x_damped, gamma_hat, extrinsic message). The extrinsic mean uses
-    the damped iterate; when the extrinsic precision would be nonpositive it
-    is clamped to gamma_floor and the mean falls back to the iterate itself
-    (the closed-form mean divided by the clamped precision would blow up).
-    """
-    x_raw = np.asarray(projector.g(r_tilde, gamma_tilde))
-    x_hat = damp_update(x_raw, x_prev, rho) if x_prev is not None else x_raw
-    gamma_hat = float(np.mean(projector.g_prime(r_tilde, gamma_tilde))) / gamma_tilde
-    gamma_out = gamma_hat - gamma_tilde
-    if gamma_out <= 0 or not np.isfinite(gamma_out):
-        gamma_out = gamma_floor
-        r_out = x_hat.copy()
-        if diag is not None:
-            diag.projector_clamps += 1
-    else:
-        r_out = (gamma_hat * x_hat - gamma_tilde * r_tilde) / gamma_out
-    return x_hat, gamma_hat, ExtrinsicMessage(r_out, gamma_out)
-
-
-def project_step(projector: Projector, r_tilde: np.ndarray, gamma_tilde: float,
-                 gamma_floor: float = 1e-11,
-                 diag: VampDiagnostics | None = None):
-    """Undamped projector pass: x = g(r_tilde), gamma_hat = <g'>/gamma_tilde,
-    extrinsic precision gamma_hat - gamma_tilde (clamped positive)."""
-    if gamma_tilde <= 0:
-        raise ValueError(f"project_step: gamma_tilde must be positive, got {gamma_tilde}")
-    return _projector_pass(projector, np.asarray(r_tilde, dtype=complex),
-                           float(gamma_tilde), gamma_floor, None, 1.0, diag)
-
-
 @dataclass
-class _LoopState:
-    """Message and damping memory carried between solver passes."""
+class VampState:
+    """Message and damping memory carried from one vamp_step to the next:
+    the message the next linear pass takes, the damped iterate, the last
+    damped linear-pass precision and the number of steps taken."""
 
     msg: ExtrinsicMessage
     x_damped: np.ndarray
@@ -183,18 +149,37 @@ class _LoopState:
     passes: int = 0
 
 
-def _vamp_pass(svd, z_tilde, state: _LoopState, projector: Projector,
-               cfg: VampConfig, dim_x: int, diag: VampDiagnostics):
-    """One linear-estimator plus projector pass with damping for passes > 1."""
+def vamp_step(svd: EconomySVD | StructuredSVD, z_tilde: np.ndarray, state: VampState,
+              projector: Projector, cfg: VampConfig, dim_x: int,
+              diag: VampDiagnostics) -> tuple[float, float]:
+    """One linear-estimator pass plus one projector pass; updates state in place.
+
+    From the second step on, the linear-pass precision and the iterate
+    x = g(r_tilde) are damped with cfg.rho. The projector pass emits
+    precision gamma_hat - gamma_tilde, gamma_hat = <g'>/gamma_tilde, with the
+    extrinsic mean built from the damped iterate; a nonpositive precision is
+    clamped to gamma_floor and the mean falls back to the iterate itself (the
+    closed-form mean divided by the clamped precision would blow up).
+    Returns (gamma_tilde, gamma_hat).
+    """
     tilde = lmmse_extrinsic(svd, z_tilde, state.msg, cfg, dim_x, diag)
     gamma_tilde = tilde.gamma
-    if state.passes > 0 and state.gamma_tilde_prev is not None:
+    damped = state.passes > 0
+    if damped:
         gamma_tilde = max(damp_update(gamma_tilde, state.gamma_tilde_prev, cfg.rho),
                           cfg.gamma_floor)
-    x_prev = state.x_damped if state.passes > 0 else None
-    x_hat, gamma_hat, msg = _projector_pass(projector, tilde.r, gamma_tilde,
-                                            cfg.gamma_floor, x_prev, cfg.rho, diag)
-    state.msg = msg
+    x_hat = np.asarray(projector.g(tilde.r, gamma_tilde))
+    if damped:
+        x_hat = damp_update(x_hat, state.x_damped, cfg.rho)
+    gamma_hat = float(np.mean(projector.g_prime(tilde.r, gamma_tilde))) / gamma_tilde
+    gamma_out = gamma_hat - gamma_tilde
+    if gamma_out <= 0 or not np.isfinite(gamma_out):
+        gamma_out = cfg.gamma_floor
+        r_out = x_hat.copy()
+        diag.projector_clamps += 1
+    else:
+        r_out = (gamma_hat * x_hat - gamma_tilde * tilde.r) / gamma_out
+    state.msg = ExtrinsicMessage(r_out, gamma_out)
     state.x_damped = x_hat
     state.gamma_tilde_prev = gamma_tilde
     state.passes += 1
@@ -202,8 +187,7 @@ def _vamp_pass(svd, z_tilde, state: _LoopState, projector: Projector,
 
 
 def run_vamp(a: np.ndarray, b: np.ndarray, z: np.ndarray, projector: Projector,
-             cfg: VampConfig | None = None, init: ExtrinsicMessage | None = None,
-             rng: np.random.Generator | None = None,
+             cfg: VampConfig | None = None, rng: np.random.Generator | None = None,
              collect_trace: bool = False) -> VampResult:
     """Solve min ||A Diag(x) B^T - Z||_F^2 under the projector's constraint.
 
@@ -218,19 +202,15 @@ def run_vamp(a: np.ndarray, b: np.ndarray, z: np.ndarray, projector: Projector,
     z = np.asarray(z, dtype=complex)
     dim_x = a.shape[1]
     svd, z_tilde = prepare_system(a, b, z)
-    if init is None:
-        x0 = projector.initial_point(dim_x, rng or np.random.default_rng())
-        init = ExtrinsicMessage(x0.copy(), cfg.gamma_0)
-    state = _LoopState(ExtrinsicMessage(init.r.copy(), max(init.gamma, cfg.gamma_floor)),
-                       init.r.copy())
+    x0 = projector.initial_point(dim_x, rng or np.random.default_rng())
+    state = VampState(ExtrinsicMessage(x0.copy(), max(cfg.gamma_0, cfg.gamma_floor)), x0.copy())
     diag = VampDiagnostics()
     trace: list = []
     converged = False
     t = 0
     for t in range(1, cfg.t_max + 1):
-        x_before = state.x_damped.copy()
-        gamma_tilde, gamma_hat = _vamp_pass(svd, z_tilde, state, projector, cfg,
-                                            dim_x, diag)
+        x_before = state.x_damped
+        gamma_tilde, gamma_hat = vamp_step(svd, z_tilde, state, projector, cfg, dim_x, diag)
         if collect_trace:
             obj = float(np.linalg.norm(a @ (state.x_damped[:, None] * b.T) - z) ** 2)
             trace.append((t, obj, gamma_tilde, gamma_hat, diag.clamped))
@@ -241,11 +221,3 @@ def run_vamp(a: np.ndarray, b: np.ndarray, z: np.ndarray, projector: Projector,
     x_out = np.asarray(projector.g(state.x_damped, state.gamma_tilde_prev or 1.0))
     return VampResult(x_out, t, converged, diag, trace)
 
-
-def trace_to_csv(trace, path) -> None:
-    """Write a per-pass trace as CSV: iter, objective, gamma_tilde, gamma_hat, clamped."""
-    with open(path, "w") as fh:
-        fh.write("iter,objective,gamma_tilde,gamma_hat,clamped\n")
-        for row in trace:
-            t, obj, gt, gh, clamped = row
-            fh.write(f"{t},{obj!r},{gt!r},{gh!r},{int(clamped)}\n")

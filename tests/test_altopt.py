@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from irsbeam.altopt import (OptimizerConfig, joint_optimize, objective_error,
-                            vamp_setup)
+from irsbeam.altopt import OptimizerConfig, joint_optimize, vamp_setup
 from irsbeam.channel import ChannelSet, SystemDims, sample_channel_set
 from irsbeam.metrics import fit_error
 from irsbeam.oracles import grid_phase_search, sum_mse_reference
@@ -23,15 +22,15 @@ def toy_channel(rng, n, m, k):
 def test_objective_error_zero_solution():
     rng = np.random.default_rng(0)
     ch = toy_channel(rng, 4, 3, 6)
-    assert objective_error(0.0, np.ones(6, complex), np.zeros((4, 3), complex),
-                           ch, 0.0) == pytest.approx(3.0, rel=1e-12)
+    h = effective_channel(ch, np.ones(6, complex))
+    assert fit_error(0.0, h, np.zeros((4, 3), complex), 0.0) == pytest.approx(3.0, rel=1e-12)
 
 
 def test_objective_error_perfect_equalization():
     ch = ChannelSet(np.zeros((2, 1), complex), np.array([[2.0 + 0j]]),
                     np.zeros((2, 1), complex))
-    assert objective_error(1.0, np.zeros(2, complex), np.array([[0.5 + 0j]]),
-                           ch, 0.0) == pytest.approx(0.0, abs=1e-14)
+    h = effective_channel(ch, np.zeros(2, complex))
+    assert fit_error(1.0, h, np.array([[0.5 + 0j]]), 0.0) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_objective_error_matches_per_user_expansion():
@@ -40,8 +39,9 @@ def test_objective_error_matches_per_user_expansion():
     ups = np.exp(2j * np.pi * rng.random(7))
     f = cplx(rng, 5, 3)
     alpha = 0.6
-    got = objective_error(alpha, ups, f, ch, 0.04)
-    want = sum_mse_reference(alpha, f, effective_channel(ch, ups), 0.04)
+    h = effective_channel(ch, ups)
+    got = fit_error(alpha, h, f, 0.04)
+    want = sum_mse_reference(alpha, f, h, 0.04)
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
@@ -73,7 +73,8 @@ def test_vamp_setup_objective_equality():
     for _ in range(100):
         ups = np.exp(2j * np.pi * rng.random(8))
         lhs = np.linalg.norm(a @ np.diag(ups) @ b.T - z) ** 2
-        rhs = objective_error(sol.alpha, ups, sol.F, ch, 0.01) - 2 * sol.alpha**2 * 0.01
+        rhs = (fit_error(sol.alpha, effective_channel(ch, ups), sol.F, 0.01)
+               - 2 * sol.alpha**2 * 0.01)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
 
 
@@ -87,7 +88,7 @@ def test_joint_optimize_scalar_instance_hits_mmse_bound():
     cfg = OptimizerConfig(vamp=VampConfig(), epsilon_outer=1e-9, t_max_outer=200)
     sol = joint_optimize(ch, power, noise, cfg, np.random.default_rng(0))
     want = noise / (power + noise)
-    got = objective_error(sol.alpha, sol.upsilon, sol.F, ch, noise)
+    got = fit_error(sol.alpha, effective_channel(ch, sol.upsilon), sol.F, noise)
     assert got == pytest.approx(want, rel=1e-6)
     assert abs(abs(sol.upsilon[0]) - 1.0) < 1e-12
 
@@ -172,7 +173,8 @@ def test_trace_nrmse_consistency():
     sol = joint_optimize(ch, 1.0, 1e-13, OptimizerConfig(), np.random.default_rng(12))
     last = sol.trace[-1]
     np.testing.assert_allclose(last.error,
-                               fit_error(sol.alpha, sol.upsilon, sol.F, ch, 1e-13),
+                               fit_error(sol.alpha, effective_channel(ch, sol.upsilon),
+                                         sol.F, 1e-13),
                                rtol=1e-12)
     np.testing.assert_allclose(last.nrmse**2 * 2, last.error, rtol=1e-12)
 

@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from irsbeam.channel import (ChannelParams, ChannelSet, CsiQuality,
-                             PathLossParams, SystemDims, boost_los,
-                             complex_normal, irs_response, load_channel_set,
-                             path_loss, perturb_csi, sample_channel_set,
-                             save_channel_set, synth_bs_irs, synth_bs_user,
-                             synth_irs_user, ula_response, upa_response)
+from irsbeam.channel import (ChannelParams, PathLossParams, SystemDims,
+                             boost_los, complex_normal, irs_response,
+                             load_channel_set, path_loss, perturb_csi,
+                             sample_channel_set, save_channel_set, synth_bs_irs,
+                             synth_bs_user, synth_irs_user, ula_response)
 
 
 def test_dims_validation():
@@ -38,16 +37,16 @@ def test_ula_unit_modulus():
 
 
 def test_upa_normal_incidence():
-    assert np.allclose(upa_response(0.0, 0.7, 4), np.ones(4))
+    assert np.allclose(irs_response(0.0, 0.7, 4), np.ones(4))
 
 
 def test_upa_pattern_null():
     # float pi/2 leaves cos at ~6e-17, so the amplitude sits at sqrt of that
-    assert np.abs(upa_response(np.pi / 2, 0.3, 9)).max() < 1e-8
+    assert np.abs(irs_response(np.pi / 2, 0.3, 9)).max() < 1e-8
 
 
 def test_upa_derived_value():
-    got = upa_response(np.pi / 4, 0.0, 4, 0.5)
+    got = irs_response(np.pi / 4, 0.0, 4, 0.5)
     u = np.sin(np.pi / 4)
     want = 2.0 ** -0.25 * np.kron([1.0, 1.0], [1.0, np.exp(1j * np.pi * u)])
     assert np.allclose(got, want, atol=1e-14)
@@ -57,13 +56,8 @@ def test_upa_modulus_invariant():
     rng = np.random.default_rng(1)
     for _ in range(20):
         phi = rng.uniform(0, np.pi)
-        out = upa_response(phi, rng.uniform(0, 2 * np.pi), 16)
+        out = irs_response(phi, rng.uniform(0, 2 * np.pi), 16)
         assert np.allclose(np.abs(out), np.sqrt(np.abs(np.cos(phi))), atol=1e-14)
-
-
-def test_upa_rejects_nonsquare():
-    with pytest.raises(ValueError):
-        upa_response(0.1, 0.2, 6)
 
 
 def test_irs_response_nonsquare_fallback():
@@ -247,10 +241,10 @@ def test_scenarios_differ_only_in_user_link_boost():
 
 
 def test_csi_quality_range():
-    with pytest.raises(ValueError):
-        CsiQuality(1.5)
-    with pytest.raises(ValueError):
-        CsiQuality(-0.1)
+    ch = sample_channel_set(np.random.default_rng(11), SystemDims(4, 2, 9))
+    for kappa in (1.5, -0.1, float("nan")):
+        with pytest.raises(ValueError, match="kappa"):
+            perturb_csi(ch, kappa, np.random.default_rng(0))
 
 
 def test_perturb_identity_at_kappa_one():

@@ -80,6 +80,17 @@ def test_parse_spec_errors_name_the_field():
     for key in ("q_irs", "q_direct", "q_irs_user"):
         with pytest.raises(ValueError, match=f"spec.{key}"):
             parse_spec(f"{key} = 0")
+    for line, key in (("c0 = 0", "spec.c0"), ("c0 = nan", "spec.c0"),
+                      ("c0 = inf", "spec.c0"), ("c0_db = nan", "c0_db"),
+                      ("d0 = 0", "spec.d0"), ("d0 = nan", "spec.d0"), ("d0 = inf", "spec.d0"),
+                      ("eta_irs = -2", "spec.eta_irs"), ("eta_direct = -1", "spec.eta_direct"),
+                      ("eta_irs = nan", "spec.eta_irs"), ("eta_irs = inf", "spec.eta_irs"),
+                      ("spacing = -1", "spec.spacing"), ("spacing = 0", "spec.spacing"),
+                      ("spacing = inf", "spec.spacing"), ("d_irs = inf", "spec.d_irs"),
+                      ("los_margin_db = nan", "spec.los_margin_db"),
+                      ("los_margin_db = inf", "spec.los_margin_db")):
+        with pytest.raises(ValueError, match=key):
+            parse_spec(line)
 
 
 def test_presets_validate():

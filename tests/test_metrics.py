@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from irsbeam.altopt import objective_error
 from irsbeam.channel import ChannelSet
 from irsbeam.metrics import fit_error, nrmse, per_user_sinr, sum_rate
+from irsbeam.precoding import effective_channel
 
 
 def cplx(rng, *shape):
@@ -56,7 +56,7 @@ def test_sum_rate_invariant_to_common_phase():
 def test_per_user_sinr_positive():
     rng = np.random.default_rng(3)
     ch = toy_channel(rng, 4, 2, 6)
-    sinr = per_user_sinr(ch, np.ones(6, complex), cplx(rng, 4, 2), 0.1)
+    sinr = per_user_sinr(effective_channel(ch, np.ones(6, complex)), cplx(rng, 4, 2), 0.1)
     assert sinr.shape == (2,)
     assert np.all(sinr >= 0)
 
@@ -70,7 +70,8 @@ def test_nrmse_zero_solution():
 def test_fit_error_zero_solution_is_user_count():
     rng = np.random.default_rng(5)
     ch = toy_channel(rng, 4, 3, 6)
-    assert fit_error(0.0, np.ones(6, complex), np.zeros((4, 3), complex), ch, 0.0) == pytest.approx(3.0, rel=1e-12)
+    h = effective_channel(ch, np.ones(6, complex))
+    assert fit_error(0.0, h, np.zeros((4, 3), complex), 0.0) == pytest.approx(3.0, rel=1e-12)
 
 
 def test_nrmse_perfect_equalization():
@@ -87,20 +88,7 @@ def test_nrmse_identity_with_objective():
     ups = np.exp(2j * np.pi * rng.random(7))
     f = cplx(rng, 5, 3)
     alpha = 0.77
-    err = objective_error(alpha, ups, f, ch, 0.02)
+    err = fit_error(alpha, effective_channel(ch, ups), f, 0.02)
     val = nrmse(alpha, ups, f, ch, 0.02)
     np.testing.assert_allclose(val**2 * 3, err, rtol=1e-12)
 
-
-def test_exclude_direct_flag():
-    rng = np.random.default_rng(7)
-    ch = toy_channel(rng, 4, 2, 6)
-    ups = np.exp(2j * np.pi * rng.random(6))
-    f = cplx(rng, 4, 2)
-    bare = ch.without_direct_link()
-    np.testing.assert_allclose(
-        sum_rate(ch, ups, f, 0.01, include_direct=False),
-        sum_rate(bare, ups, f, 0.01), rtol=1e-14)
-    np.testing.assert_allclose(
-        nrmse(0.9, ups, f, ch, 0.01, include_direct=False),
-        nrmse(0.9, ups, f, bare, 0.01), rtol=1e-14)

@@ -4,7 +4,7 @@ import pytest
 from irsbeam.channel import ChannelSet, SystemDims, sample_channel_set
 from irsbeam.oracles import (precoder_objective, precoder_reference,
                              random_precoder_search)
-from irsbeam.precoding import alpha_opt, effective_channel, mmse_precoder
+from irsbeam.precoding import effective_channel, mmse_precoder
 
 
 def cplx(rng, *shape):
@@ -49,11 +49,11 @@ def test_effective_channel_shape_check():
 
 
 def test_alpha_scalar_hand_case():
-    assert alpha_opt(np.array([[1.0 + 0j]]), 1.0, 1.0) == pytest.approx(0.5)
+    assert mmse_precoder(np.array([[1.0 + 0j]]), 1.0, 1.0).alpha == pytest.approx(0.5)
 
 
 def test_alpha_noiseless_limit():
-    assert alpha_opt(np.array([[1.0 + 0j]]), 1.0, 0.0) == pytest.approx(1.0)
+    assert mmse_precoder(np.array([[1.0 + 0j]]), 1.0, 0.0).alpha == pytest.approx(1.0)
 
 
 def test_alpha_scale_law():
@@ -62,11 +62,9 @@ def test_alpha_scale_law():
     rng = np.random.default_rng(3)
     h = cplx(rng, 4, 2)
     c = 3.7
-    a1 = alpha_opt(h, 2.0, 0.02)
-    a2 = alpha_opt(c * h, 2.0, c**2 * 0.02)
-    assert a2 * c == pytest.approx(a1, rel=1e-12)
     s1 = mmse_precoder(h, 2.0, 0.02)
     s2 = mmse_precoder(c * h, 2.0, c**2 * 0.02)
+    assert s2.alpha * c == pytest.approx(s1.alpha, rel=1e-12)
     e1 = np.linalg.norm(s1.alpha * h.conj().T @ s1.F - np.eye(2)) ** 2 + 2 * s1.alpha**2 * 0.02
     e2 = (np.linalg.norm(s2.alpha * (c * h).conj().T @ s2.F - np.eye(2)) ** 2
           + 2 * s2.alpha**2 * c**2 * 0.02)
@@ -118,10 +116,10 @@ def test_precoder_zero_noise_pseudoinverse_path():
 
 
 def test_precoder_rejects_zero_channel():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="all-zero"):
         mmse_precoder(np.zeros((3, 2), dtype=complex), 1.0, 0.1)
-    with pytest.raises(ValueError):
-        alpha_opt(np.zeros((3, 2), dtype=complex), 1.0, 0.1)
+    with pytest.raises(ValueError, match="power"):
+        mmse_precoder(np.ones((3, 2), dtype=complex), 0.0, 0.1)
 
 
 def test_precoder_on_synthesized_channel_scale():

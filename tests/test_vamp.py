@@ -3,14 +3,27 @@ import pytest
 
 from irsbeam.linalg import EconomySVD, StructuredSVD, economy_svd, khatri_rao_columns
 from irsbeam.oracles import dense_lmmse
-from irsbeam.projectors import IDENTITY, REACTIVE, UNIMODULAR
-from irsbeam.vamp import (ExtrinsicMessage, VampConfig, VampDiagnostics,
-                          damp_update, lmmse_extrinsic, prepare_system,
-                          project_step, run_vamp, trace_to_csv)
+from irsbeam.projectors import REACTIVE, UNIMODULAR
+from irsbeam.vamp import (ExtrinsicMessage, VampConfig, VampDiagnostics, VampState,
+                          damp_update, lmmse_extrinsic, prepare_system, run_vamp,
+                          vamp_step)
 
 
 def cplx(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
+
+
+def first_step(z_tilde, cfg, diag=None):
+    """One vamp_step on D = I from a random start. With every singular value
+    1 the linear pass hands on r_tilde = z_tilde with precision gamma_w, so
+    the projector pass sees (z_tilde, gamma_w) up to rounding."""
+    n = z_tilde.size
+    svd = EconomySVD(np.eye(n, dtype=complex), np.ones(n), np.eye(n, dtype=complex))
+    x0 = cplx(np.random.default_rng(11), n)
+    state = VampState(ExtrinsicMessage(x0, 0.5), x0.copy())
+    gamma_tilde, gamma_hat = vamp_step(svd, np.asarray(z_tilde, dtype=complex), state,
+                                       UNIMODULAR, cfg, n, diag or VampDiagnostics())
+    return state, gamma_tilde, gamma_hat
 
 
 def test_lmmse_identity_hand_case():
@@ -84,44 +97,43 @@ def test_lmmse_shape_checks():
                         ExtrinsicMessage(np.zeros(4, complex), 1.0), VampConfig(), 3)
 
 
-def test_project_step_identity_passthrough():
-    rng = np.random.default_rng(4)
-    r_tilde = cplx(rng, 6)
-    x_hat, gamma_hat, _ = project_step(IDENTITY, r_tilde, 0.5)
-    assert np.allclose(x_hat, r_tilde)
-    assert gamma_hat == pytest.approx(1 / 0.5)
-
-
 def test_project_step_unimodular_fixed_point():
+    # the projector pass of the first (undamped) step leaves a unit-modulus
+    # observation where it is
     rng = np.random.default_rng(5)
     u = np.exp(2j * np.pi * rng.random(8))
-    x_hat, _, _ = project_step(UNIMODULAR, u, 0.3)
-    assert np.allclose(x_hat, u, atol=1e-14)
+    state, _, _ = first_step(u, VampConfig(gamma_w=0.3))
+    assert np.allclose(state.x_damped, u, atol=1e-14)
+    assert state.passes == 1
 
 
 def test_project_step_derived_values():
-    gamma_tilde = 0.7
-    x_hat, gamma_hat, msg = project_step(UNIMODULAR, np.array([2.0, 2.0j]), gamma_tilde)
-    assert np.allclose(x_hat, [1.0, 1.0j])
-    assert gamma_hat == pytest.approx(0.25 / gamma_tilde)
-    assert msg.gamma > 0
+    # gamma_tilde = gamma_w = 0.3; |r| = 2 gives <g'> = 1/4, so
+    # gamma_hat = 0.25/0.3 > gamma_tilde and nothing clamps
+    z_tilde = np.array([2.0, 2.0j])
+    diag = VampDiagnostics()
+    state, gamma_tilde, gamma_hat = first_step(z_tilde, VampConfig(gamma_w=0.3), diag)
+    assert gamma_tilde == pytest.approx(0.3)
+    assert gamma_hat == pytest.approx(0.25 / 0.3)
+    assert np.allclose(state.x_damped, [1.0, 1.0j])
+    assert state.msg.gamma == pytest.approx(gamma_hat - gamma_tilde)
+    want = (gamma_hat * state.x_damped - gamma_tilde * z_tilde) / (gamma_hat - gamma_tilde)
+    assert np.allclose(state.msg.r, want)
+    assert state.gamma_tilde_prev == gamma_tilde
+    assert diag.projector_clamps == 0
 
 
 def test_project_step_clamp_path():
-    # unit-modulus inputs give <g'> = 1/2; gamma_tilde = 2 makes
+    # unit-modulus inputs give <g'> = 1/2; gamma_tilde = gamma_w = 2 makes
     # gamma_hat = 1/4 < gamma_tilde, so the extrinsic precision clamps
     diag = VampDiagnostics()
     u = np.array([1.0 + 0j, 1j])
-    x_hat, gamma_hat, msg = project_step(UNIMODULAR, u, 2.0, diag=diag)
+    state, gamma_tilde, gamma_hat = first_step(u, VampConfig(gamma_w=2.0), diag)
+    assert gamma_tilde == pytest.approx(2.0)
     assert gamma_hat == pytest.approx(0.25)
-    assert msg.gamma == pytest.approx(1e-11)
-    assert np.allclose(msg.r, x_hat)
+    assert state.msg.gamma == pytest.approx(1e-11)
+    assert np.array_equal(state.msg.r, state.x_damped)
     assert diag.projector_clamps == 1
-
-
-def test_project_step_rejects_bad_precision():
-    with pytest.raises(ValueError):
-        project_step(UNIMODULAR, np.array([1.0 + 0j]), 0.0)
 
 
 def test_damp_update():
@@ -205,18 +217,6 @@ def test_run_vamp_near_grid_optimum_small_instance():
     assert achieved <= 1.05 * best
 
 
-def test_trace_csv(tmp_path):
-    rng = np.random.default_rng(10)
-    a, b, z = cplx(rng, 2, 8), cplx(rng, 2, 8), cplx(rng, 2, 2)
-    res = run_vamp(a, b, z, UNIMODULAR, rng=np.random.default_rng(5),
-                   collect_trace=True)
-    path = tmp_path / "trace.csv"
-    trace_to_csv(res.trace, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "iter,objective,gamma_tilde,gamma_hat,clamped"
-    assert len(lines) == len(res.trace) + 1
-
-
 def test_vamp_config_validation():
     with pytest.raises(ValueError):
         VampConfig(rho=0.0)
@@ -224,3 +224,5 @@ def test_vamp_config_validation():
         VampConfig(epsilon=-1.0)
     with pytest.raises(ValueError):
         VampConfig(gamma_floor=0.0)
+    with pytest.raises(ValueError):
+        VampConfig(gamma_0=-0.1)
