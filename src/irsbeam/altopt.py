@@ -4,9 +4,9 @@ Each outer iteration refreshes the quadratic system the phase solver sees
 (the precoder and receiver scale enter its matrices), runs one or more
 message-passing steps (vamp.vamp_step) on it, re-projects the damped iterate
 onto the constraint set, and builds the effective channel of the new phases
-once: the closed-form precoder and the objective both take it. The loop
-stops when the sum-MSE objective changes by less than a relative tolerance,
-or at the iteration cap.
+once: the closed-form precoder, the objective and the trace row all take
+it. The loop stops when the sum-MSE objective changes by less than a
+relative tolerance, or at the iteration cap.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelSet
-from .metrics import fit_error, nrmse, sum_rate
+from .metrics import fit_error, per_user_sinr
 from .precoding import effective_channel, mmse_precoder
 from .projectors import get_projector
 from .vamp import (ExtrinsicMessage, VampConfig, VampDiagnostics, VampState,
@@ -102,14 +102,14 @@ def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
             if cfg.carryover == "restart" and t > 1:
                 state.msg = ExtrinsicMessage(upsilon.copy(), max(vcfg.gamma_0, vcfg.gamma_floor))
             for _ in range(cfg.inner_iters):
-                vamp_step(svd, z_tilde, state, projector, vcfg, k, diag)
-            upsilon = np.asarray(projector.g(state.x_damped, state.gamma_tilde_prev or 1.0))
+                vamp_step(svd, z_tilde, state, projector, vcfg, diag)
+            upsilon = np.asarray(projector.g(state.x_damped))
         h = effective_channel(ch, upsilon)
         sol = mmse_precoder(h, power, noise_var)
         err = fit_error(sol.alpha, h, sol.F, noise_var)
         if cfg.collect_trace:
-            trace.append(TraceRow(t, err, sum_rate(ch, upsilon, sol.F, noise_var),
-                                  nrmse(sol.alpha, upsilon, sol.F, ch, noise_var)))
+            rate = float(np.sum(np.log2(1.0 + per_user_sinr(h, sol.F, noise_var))))
+            trace.append(TraceRow(t, err, rate, float(np.sqrt(err / m))))
         if t > 0 and abs(err - err_prev) < cfg.epsilon_outer * err_prev:
             converged = True
             break

@@ -10,12 +10,9 @@ numpy Generator, so a trial is a deterministic function of its seed.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-
-from .linalg import load_matrix, save_matrix
 
 
 @dataclass(frozen=True)
@@ -304,27 +301,3 @@ def perturb_csi(ch: ChannelSet, kappa: float, rng: np.random.Generator,
         ) * complex_normal(rng, ch.H_su.shape[0])
     return replace(ch, H_bs=h_bs, H_bu=h_bu, H_su=h_su)
 
-
-def save_channel_set(directory, ch: ChannelSet) -> None:
-    """Write the three matrices in the text matrix format plus a geometry file."""
-    os.makedirs(directory, exist_ok=True)
-    save_matrix(os.path.join(directory, "h_bs.txt"), ch.H_bs)
-    save_matrix(os.path.join(directory, "h_bu.txt"), ch.H_bu)
-    save_matrix(os.path.join(directory, "h_su.txt"), ch.H_su)
-    with open(os.path.join(directory, "geometry.txt"), "w") as fh:
-        fh.write(f"{float(ch.d_irs)!r}\n")
-        fh.write(" ".join(repr(float(d)) for d in ch.d_users) + "\n")
-        fh.write(" ".join(repr(float(d)) for d in ch.d_irs_users) + "\n")
-
-
-def load_channel_set(directory) -> ChannelSet:
-    h_bs = load_matrix(os.path.join(directory, "h_bs.txt"))
-    h_bu = load_matrix(os.path.join(directory, "h_bu.txt"))
-    h_su = load_matrix(os.path.join(directory, "h_su.txt"))
-    with open(os.path.join(directory, "geometry.txt")) as fh:
-        d_irs = float(fh.readline())
-        d_users = np.array([float(t) for t in fh.readline().split()])
-        d_irs_users = np.array([float(t) for t in fh.readline().split()])
-    ch = ChannelSet(h_bs, h_bu, h_su, d_irs, d_users, d_irs_users)
-    ch.validate()
-    return ch

@@ -118,7 +118,7 @@ def cmd_oracle(args) -> int:
     z = cplx(6)
     msg = ExtrinsicMessage(cplx(7), 0.7)
     z_tilde = (svd_d.U.conj().T @ z) / svd_d.omega
-    got = lmmse_extrinsic(svd_d, z_tilde, msg, VampConfig(gamma_w=1.3), 7)
+    got = lmmse_extrinsic(svd_d, z_tilde, msg, VampConfig(gamma_w=1.3))
     _, _, r_ref, g_ref = dense_lmmse(d, z, msg.r, msg.gamma, 1.3)
     diff = max(float(np.abs(got.r - r_ref).max()), abs(got.gamma - g_ref))
     ok &= _check("SVD-form linear pass matches dense form", diff < 1e-8, f"abs {diff:.2e}")

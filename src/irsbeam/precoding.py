@@ -45,10 +45,15 @@ def mmse_precoder(h: np.ndarray, power: float, noise_var: float) -> PrecodingSol
     if power <= 0:
         raise ValueError(f"precoder: power must be positive, got {power}")
     gram = h @ h.conj().T + (m * noise_var / power) * np.eye(n)
+    x = None
     if noise_var > 0:
-        x = np.linalg.solve(gram, h)
-    else:
-        # noise-free edge: gram may be rank deficient, fall back to pseudo-inverse
+        try:
+            x = np.linalg.solve(gram, h)
+        except np.linalg.LinAlgError:
+            pass
+    if x is None:
+        # gram is singular when noise-free, or when M < N and its regularizer
+        # falls below rounding against ||h||^2: use the pseudo-inverse
         x = np.linalg.pinv(gram) @ h
     alpha = float(np.linalg.norm(x) / np.sqrt(power))
     return PrecodingSolution(x / alpha, alpha)

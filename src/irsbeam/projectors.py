@@ -115,12 +115,8 @@ def reactive_derivative(r_tilde):
 
 @dataclass(frozen=True)
 class Projector:
-    """Separable constraint map g and its real scalar derivative g_prime.
-
-    Both take (r_tilde, gamma_tilde) so that soft (precision-dependent)
-    projectors fit the same contract; the two hard projectors here ignore
-    gamma_tilde. `initial_point` returns a feasible start vector.
-    """
+    """Separable constraint map g(r) and its real scalar derivative g_prime(r);
+    `initial_point(k, rng)` returns a feasible start vector."""
 
     name: str
     g: Callable
@@ -139,15 +135,15 @@ def _reactive_init(k: int, rng: np.random.Generator) -> np.ndarray:
 
 UNIMODULAR = Projector(
     name="unimodular",
-    g=lambda r, gamma_tilde=1.0: unimodular_project(r),
-    g_prime=lambda r, gamma_tilde=1.0: unimodular_derivative(r),
+    g=unimodular_project,
+    g_prime=unimodular_derivative,
     initial_point=_uni_init,
 )
 
 REACTIVE = Projector(
     name="reactive",
-    g=lambda r, gamma_tilde=1.0: reactive_project(r),
-    g_prime=lambda r, gamma_tilde=1.0: reactive_derivative(r),
+    g=reactive_project,
+    g_prime=reactive_derivative,
     initial_point=_reactive_init,
 )
 

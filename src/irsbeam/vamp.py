@@ -14,8 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (EconomySVD, StructuredSVD, economy_svd, khatri_rao_columns,
-                     kron_transform, structured_svd)
+from .linalg import EconomySVD, economy_svd, khatri_rao_columns, structured_svd
 from .projectors import Projector
 
 
@@ -74,54 +73,49 @@ def damp_update(current, previous, rho: float):
 
 
 def prepare_system(a: np.ndarray, b: np.ndarray, z: np.ndarray):
-    """SVD triple and weighted observation for D = B * A against vec(Z).
+    """SVD triple and weighted observation z_tilde = U^H vec(Z) / omega for
+    D = B * A against vec(Z).
 
-    Uses the product-form SVD assembled from the factor SVDs so D is never
-    formed, except when the component count R_a*R_b would exceed the unknown
-    count K: there the product form stops being a usable surrogate for an SVD
-    (the precision update needs K/R >= 1) and forming the small dense D is
-    cheaper anyway.
+    Uses the product-form SVD assembled from the factor SVDs, except when the
+    component count R_a*R_b would exceed the unknown count K: there the
+    product form stops being a usable surrogate for an SVD (the precision
+    update needs K/R >= 1) and the SVD of the small dense D is cheaper anyway.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     z = np.asarray(z, dtype=complex)
     if z.shape != (a.shape[0], b.shape[0]):
         raise ValueError(f"prepare_system: Z is {z.shape}, expected {(a.shape[0], b.shape[0])}")
-    k = a.shape[1]
     svd_a = economy_svd(a)
     svd_b = economy_svd(b)
-    if svd_a.rank * svd_b.rank > k:
+    if svd_a.rank * svd_b.rank > a.shape[1]:
         svd = economy_svd(khatri_rao_columns(b, a))
-        if svd.rank == 0:
-            raise ValueError("prepare_system: zero system (A or B vanishes)")
-        z_tilde = (svd.U.conj().T @ z.flatten(order="F")) / svd.omega
-        return svd, z_tilde
-    svd = structured_svd(svd_a, svd_b)
+    else:
+        svd = structured_svd(svd_a, svd_b)
     if svd.rank == 0:
         raise ValueError("prepare_system: zero system (A or B vanishes)")
-    z_tilde = kron_transform(svd.U_a, svd.U_b, z)[svd.kept] / svd.omega
-    return svd, z_tilde
+    return svd, (svd.U.conj().T @ z.flatten(order="F")) / svd.omega
 
 
-def lmmse_extrinsic(svd: EconomySVD | StructuredSVD, z_tilde: np.ndarray,
-                    msg: ExtrinsicMessage, cfg: VampConfig, dim_x: int,
-                    diag: VampDiagnostics | None = None) -> ExtrinsicMessage:
+def lmmse_extrinsic(svd: EconomySVD, z_tilde: np.ndarray, msg: ExtrinsicMessage,
+                    cfg: VampConfig, diag: VampDiagnostics | None = None) -> ExtrinsicMessage:
     """Extrinsic output of the linear pass, computed in SVD form.
 
+    With K = svd.Vh.shape[1] unknowns and R components:
     d = gamma_w*omega^2 / (gamma_w*omega^2 + gamma);
-    r_out = r + (dim_x/R) V Diag(d/<d>) (z_tilde - V^H r);
-    gamma_out = gamma*<d> / (dim_x/R - <d>), clamped to gamma_floor when the
-    denominator vanishes or goes negative (possible when R > dim_x).
+    r_out = r + (K/R) V Diag(d/<d>) (z_tilde - V^H r);
+    gamma_out = gamma*<d> / (K/R - <d>), clamped to gamma_floor when the
+    denominator vanishes or goes negative (possible when R > K).
     """
     omega, vh = svd.omega, svd.Vh
-    rank = omega.size
+    rank, k = vh.shape
     if z_tilde.shape != (rank,):
         raise ValueError(f"lmmse_extrinsic: z_tilde has length {z_tilde.size}, rank is {rank}")
-    if msg.r.shape != (dim_x,):
-        raise ValueError(f"lmmse_extrinsic: message mean has length {msg.r.size}, expected {dim_x}")
+    if msg.r.shape != (k,):
+        raise ValueError(f"lmmse_extrinsic: message mean has length {msg.r.size}, expected {k}")
     d = cfg.gamma_w * omega**2 / (cfg.gamma_w * omega**2 + msg.gamma)
     d_mean = float(np.mean(d))
-    ratio = dim_x / rank
+    ratio = k / rank
     r_out = msg.r + ratio * (vh.conj().T @ ((d / d_mean) * (z_tilde - vh @ msg.r)))
     denom = ratio - d_mean
     if denom <= 0 or not np.isfinite(denom):
@@ -149,9 +143,8 @@ class VampState:
     passes: int = 0
 
 
-def vamp_step(svd: EconomySVD | StructuredSVD, z_tilde: np.ndarray, state: VampState,
-              projector: Projector, cfg: VampConfig, dim_x: int,
-              diag: VampDiagnostics) -> tuple[float, float]:
+def vamp_step(svd: EconomySVD, z_tilde: np.ndarray, state: VampState, projector: Projector,
+              cfg: VampConfig, diag: VampDiagnostics) -> tuple[float, float]:
     """One linear-estimator pass plus one projector pass; updates state in place.
 
     From the second step on, the linear-pass precision and the iterate
@@ -162,16 +155,16 @@ def vamp_step(svd: EconomySVD | StructuredSVD, z_tilde: np.ndarray, state: VampS
     closed-form mean divided by the clamped precision would blow up).
     Returns (gamma_tilde, gamma_hat).
     """
-    tilde = lmmse_extrinsic(svd, z_tilde, state.msg, cfg, dim_x, diag)
+    tilde = lmmse_extrinsic(svd, z_tilde, state.msg, cfg, diag)
     gamma_tilde = tilde.gamma
     damped = state.passes > 0
     if damped:
         gamma_tilde = max(damp_update(gamma_tilde, state.gamma_tilde_prev, cfg.rho),
                           cfg.gamma_floor)
-    x_hat = np.asarray(projector.g(tilde.r, gamma_tilde))
+    x_hat = np.asarray(projector.g(tilde.r))
     if damped:
         x_hat = damp_update(x_hat, state.x_damped, cfg.rho)
-    gamma_hat = float(np.mean(projector.g_prime(tilde.r, gamma_tilde))) / gamma_tilde
+    gamma_hat = float(np.mean(projector.g_prime(tilde.r))) / gamma_tilde
     gamma_out = gamma_hat - gamma_tilde
     if gamma_out <= 0 or not np.isfinite(gamma_out):
         gamma_out = cfg.gamma_floor
@@ -200,9 +193,8 @@ def run_vamp(a: np.ndarray, b: np.ndarray, z: np.ndarray, projector: Projector,
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    dim_x = a.shape[1]
     svd, z_tilde = prepare_system(a, b, z)
-    x0 = projector.initial_point(dim_x, rng or np.random.default_rng())
+    x0 = projector.initial_point(a.shape[1], rng or np.random.default_rng())
     state = VampState(ExtrinsicMessage(x0.copy(), max(cfg.gamma_0, cfg.gamma_floor)), x0.copy())
     diag = VampDiagnostics()
     trace: list = []
@@ -210,7 +202,7 @@ def run_vamp(a: np.ndarray, b: np.ndarray, z: np.ndarray, projector: Projector,
     t = 0
     for t in range(1, cfg.t_max + 1):
         x_before = state.x_damped
-        gamma_tilde, gamma_hat = vamp_step(svd, z_tilde, state, projector, cfg, dim_x, diag)
+        gamma_tilde, gamma_hat = vamp_step(svd, z_tilde, state, projector, cfg, diag)
         if collect_trace:
             obj = float(np.linalg.norm(a @ (state.x_damped[:, None] * b.T) - z) ** 2)
             trace.append((t, obj, gamma_tilde, gamma_hat, diag.clamped))
@@ -218,6 +210,6 @@ def run_vamp(a: np.ndarray, b: np.ndarray, z: np.ndarray, projector: Projector,
         if t > 1 and delta <= cfg.epsilon * float(np.linalg.norm(x_before) ** 2):
             converged = True
             break
-    x_out = np.asarray(projector.g(state.x_damped, state.gamma_tilde_prev or 1.0))
+    x_out = np.asarray(projector.g(state.x_damped))
     return VampResult(x_out, t, converged, diag, trace)
 

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from irsbeam import altopt, metrics
 from irsbeam.altopt import OptimizerConfig, joint_optimize, vamp_setup
 from irsbeam.channel import ChannelSet, SystemDims, sample_channel_set
-from irsbeam.metrics import fit_error
+from irsbeam.metrics import fit_error, nrmse, sum_rate
 from irsbeam.oracles import grid_phase_search, sum_mse_reference
 from irsbeam.precoding import effective_channel, mmse_precoder
 from irsbeam.vamp import VampConfig
@@ -177,6 +178,25 @@ def test_trace_nrmse_consistency():
                                          sol.F, 1e-13),
                                rtol=1e-12)
     np.testing.assert_allclose(last.nrmse**2 * 2, last.error, rtol=1e-12)
+
+
+def test_traced_solve_builds_one_effective_channel_per_iteration(monkeypatch):
+    dims = SystemDims(8, 2, 16)
+    ch = sample_channel_set(np.random.default_rng(13), dims)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return effective_channel(*args)
+
+    for module in (altopt, metrics):
+        monkeypatch.setattr(module, "effective_channel", counted)
+    sol = joint_optimize(ch, 1.0, 1e-13, OptimizerConfig(), np.random.default_rng(14))
+    assert len(calls) == sol.iterations + 1 == len(sol.trace)
+    # the rows equal the metrics evaluated from the channel set
+    last = sol.trace[-1]
+    assert last.sum_rate == sum_rate(ch, sol.upsilon, sol.F, 1e-13)
+    assert last.nrmse == nrmse(sol.alpha, sol.upsilon, sol.F, ch, 1e-13)
 
 
 def test_optimizer_config_validation():

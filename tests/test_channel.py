@@ -3,8 +3,7 @@ import pytest
 
 from irsbeam.channel import (ChannelParams, PathLossParams, SystemDims,
                              boost_los, complex_normal, irs_response,
-                             load_channel_set, path_loss, perturb_csi,
-                             sample_channel_set, save_channel_set, synth_bs_irs,
+                             path_loss, perturb_csi, sample_channel_set, synth_bs_irs,
                              synth_bs_user, synth_irs_user, ula_response)
 
 
@@ -283,19 +282,6 @@ def test_perturb_error_variance_tracks_kappa():
         acc += np.mean(np.abs(out.H_bs - kappa * ch.H_bs) ** 2)
     want = (1 - kappa**2) * path_loss(ch.d_irs, params.loss_irs())
     assert abs(acc / draws - want) < 0.05 * want
-
-
-def test_channel_set_roundtrip(tmp_path):
-    dims = SystemDims(8, 2, 16)
-    ch = sample_channel_set(np.random.default_rng(16), dims)
-    save_channel_set(tmp_path / "ch", ch)
-    back = load_channel_set(tmp_path / "ch")
-    assert np.array_equal(back.H_bs, ch.H_bs)
-    assert np.array_equal(back.H_bu, ch.H_bu)
-    assert np.array_equal(back.H_su, ch.H_su)
-    assert back.d_irs == ch.d_irs
-    assert np.array_equal(back.d_users, ch.d_users)
-    assert np.array_equal(back.d_irs_users, ch.d_irs_users)
 
 
 def test_without_direct_link():

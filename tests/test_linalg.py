@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from irsbeam.linalg import (EconomySVD, economy_svd, khatri_rao_columns,
-                            kron_transform, load_matrix, orthonormality_defect,
-                            save_matrix, structured_svd)
+                            orthonormality_defect, structured_svd)
 
 
 def cplx(rng, *shape):
@@ -116,15 +115,6 @@ def test_structured_svd_zero_column_drops_component():
     assert err < 1e-9
 
 
-def test_structured_svd_sort_flag():
-    rng = np.random.default_rng(7)
-    a, b = cplx(rng, 3, 5), cplx(rng, 3, 5)
-    svd = structured_svd(economy_svd(a), economy_svd(b), sort=True)
-    assert np.all(np.diff(svd.omega) <= 0)
-    d = khatri_rao_columns(b, a)
-    assert np.linalg.norm(svd.reconstruct() - d) < 1e-9 * np.linalg.norm(d)
-
-
 def test_orthonormality_defect_zero_for_true_svd():
     rng = np.random.default_rng(8)
     svd = economy_svd(cplx(rng, 4, 6))
@@ -134,51 +124,18 @@ def test_orthonormality_defect_zero_for_true_svd():
     assert np.isfinite(orthonormality_defect(structured_svd(economy_svd(a), economy_svd(b)).Vh))
 
 
-def test_kron_transform_identity_factors():
-    out = kron_transform(np.eye(2), np.eye(2), np.eye(2))
-    assert np.allclose(out, [1.0, 0.0, 0.0, 1.0])
-
-
-def test_kron_transform_scalars():
-    z = np.array([[2.0 + 1.0j]])
-    assert np.allclose(kron_transform(np.eye(1), np.eye(1), z), [2.0 + 1.0j])
-
-
-def test_kron_transform_matches_dense_kron():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        m, q = rng.integers(1, 9, size=2)
-        ra, rb = rng.integers(1, m + 1), rng.integers(1, q + 1)
-        u_a, u_b, z = cplx(rng, m, ra), cplx(rng, q, rb), cplx(rng, m, q)
-        got = kron_transform(u_a, u_b, z)
-        want = np.kron(u_b, u_a).conj().T @ z.flatten(order="F")
-        assert np.abs(got - want).max() < 1e-12
-
-
-def test_kron_transform_shape_mismatch():
-    with pytest.raises(ValueError):
-        kron_transform(np.eye(2), np.eye(3), np.eye(2))
-
-
-def test_matrix_text_roundtrip(tmp_path):
-    rng = np.random.default_rng(10)
-    m = cplx(rng, 3, 5)
-    path = tmp_path / "m.txt"
-    save_matrix(path, m)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "3 5"
-    assert len(lines) == 1 + 15
-    back = load_matrix(path)
-    assert back.shape == (3, 5)
-    assert np.array_equal(back, m)
-
-
 def test_structured_svd_materialized_u_is_orthonormal():
     rng = np.random.default_rng(11)
-    a, b = cplx(rng, 2, 6), cplx(rng, 3, 6)
-    svd = structured_svd(economy_svd(a), economy_svd(b))
-    u = svd.materialize_u()
-    assert np.allclose(u.conj().T @ u, np.eye(svd.rank), atol=1e-12)
-    eco = svd.to_economy()
-    assert isinstance(eco, EconomySVD)
-    assert np.allclose(eco.reconstruct(), svd.reconstruct())
+    # (A, B, kept columns of the kron grid); None keeps every column
+    cases = [(cplx(rng, m, k), cplx(rng, q, k), None) for m, q, k in [(2, 3, 6), (3, 2, 4),
+                                                                        (1, 4, 5)]]
+    # disjoint row supports make the Khatri-Rao rows (0, 1) and (1, 0) of the
+    # right factors vanish, so only components 0 and 3 of the grid are kept
+    cases.append((np.diag([2.0, 1.0]), np.diag([3.0, 1.0]), [0, 3]))
+    for a, b, kept in cases:
+        svd_a, svd_b = economy_svd(a), economy_svd(b)
+        svd = structured_svd(svd_a, svd_b)
+        assert isinstance(svd, EconomySVD)
+        assert np.allclose(svd.U.conj().T @ svd.U, np.eye(svd.rank), atol=1e-12)
+        full = np.kron(svd_b.U, svd_a.U)
+        assert np.array_equal(svd.U, full if kept is None else full[:, kept])

@@ -1,7 +1,7 @@
 """Property tests of the solver step and the precoder on random small systems."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irsbeam.precoding import mmse_precoder
@@ -37,20 +37,23 @@ def test_vamp_step_invariants(seed, m, q, k, steps, constraint, rho, gamma_0):
     state = VampState(ExtrinsicMessage(x0.copy(), max(cfg.gamma_0, cfg.gamma_floor)), x0.copy())
     diag = VampDiagnostics()
     for step in range(1, steps + 1):
-        gamma_tilde, gamma_hat = vamp_step(svd, z_tilde, state, projector, cfg, k, diag)
+        gamma_tilde, gamma_hat = vamp_step(svd, z_tilde, state, projector, cfg, diag)
         assert state.passes == step
         assert np.isfinite(gamma_tilde) and gamma_tilde >= cfg.gamma_floor
         assert state.gamma_tilde_prev == gamma_tilde
         assert np.isfinite(gamma_hat)
         assert np.isfinite(state.msg.gamma) and state.msg.gamma > 0
         assert np.all(np.isfinite(state.msg.r)) and np.all(np.isfinite(state.x_damped))
-        assert on_set(constraint, projector.g(state.x_damped, gamma_tilde)) <= 1e-12
+        assert on_set(constraint, projector.g(state.x_damped)) <= 1e-12
 
 
 @settings(max_examples=100, deadline=None)
 @given(seed=SEEDS, n=st.integers(2, 8), m_frac=st.floats(0.0, 1.0),
        power=st.floats(1e-3, 1e3), noise_var=st.sampled_from([0.0, 1e-13, 1e-6, 0.1, 1.0]),
        scale=st.floats(-6.0, 1.0))
+# M < N with M*noise_var/P below rounding against ||h||^2: the Gram matrix is
+# singular to working precision
+@example(seed=2, n=2, m_frac=0.0, power=601.0, noise_var=1e-13, scale=0.39453125)
 def test_precoder_power_is_exact(seed, n, m_frac, power, noise_var, scale):
     m = 1 + int(m_frac * (n - 2))
     h = 10.0**scale * cplx(np.random.default_rng(seed), n, m)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from irsbeam.linalg import EconomySVD, StructuredSVD, economy_svd, khatri_rao_columns
+from irsbeam.linalg import EconomySVD, economy_svd, khatri_rao_columns
 from irsbeam.oracles import dense_lmmse
 from irsbeam.projectors import REACTIVE, UNIMODULAR
 from irsbeam.vamp import (ExtrinsicMessage, VampConfig, VampDiagnostics, VampState,
@@ -22,7 +22,7 @@ def first_step(z_tilde, cfg, diag=None):
     x0 = cplx(np.random.default_rng(11), n)
     state = VampState(ExtrinsicMessage(x0, 0.5), x0.copy())
     gamma_tilde, gamma_hat = vamp_step(svd, np.asarray(z_tilde, dtype=complex), state,
-                                       UNIMODULAR, cfg, n, diag or VampDiagnostics())
+                                       UNIMODULAR, cfg, diag or VampDiagnostics())
     return state, gamma_tilde, gamma_hat
 
 
@@ -34,7 +34,7 @@ def test_lmmse_identity_hand_case():
     rng = np.random.default_rng(0)
     z_tilde = cplx(rng, n)
     msg = ExtrinsicMessage(cplx(rng, n), 1.0)
-    out = lmmse_extrinsic(svd, z_tilde, msg, VampConfig(gamma_w=1.0), n)
+    out = lmmse_extrinsic(svd, z_tilde, msg, VampConfig(gamma_w=1.0))
     assert np.allclose(out.r, z_tilde, atol=1e-12)
     assert out.gamma == pytest.approx(1.0)
 
@@ -48,7 +48,7 @@ def test_lmmse_prior_dominated_limit():
     svd = economy_svd(d)
     z_tilde = (svd.U.conj().T @ cplx(rng, 3)) / svd.omega
     r = cplx(rng, 5)
-    out = lmmse_extrinsic(svd, z_tilde, ExtrinsicMessage(r, 1e12), VampConfig(), 5)
+    out = lmmse_extrinsic(svd, z_tilde, ExtrinsicMessage(r, 1e12), VampConfig())
     w2 = svd.omega**2
     step = (5 / svd.rank) * (svd.Vh.conj().T @ ((w2 / w2.mean()) * (z_tilde - svd.Vh @ r)))
     assert np.abs(out.r - (r + step)).max() < 1e-9
@@ -69,20 +69,20 @@ def test_lmmse_matches_dense_oracle():
         gamma_w = float(rng.uniform(0.2, 3.0))
         z_tilde = (svd.U.conj().T @ z) / svd.omega
         got = lmmse_extrinsic(svd, z_tilde, ExtrinsicMessage(r, gamma),
-                              VampConfig(gamma_w=gamma_w), k)
+                              VampConfig(gamma_w=gamma_w))
         _, _, r_ref, gamma_ref = dense_lmmse(d, z, r, gamma, gamma_w)
         worst = max(worst, float(np.abs(got.r - r_ref).max()), abs(got.gamma - gamma_ref))
     assert worst < 1e-8
 
 
 def test_lmmse_clamps_when_components_exceed_unknowns():
-    # R = 4 components against dim_x = 2 makes dim_x/R - <d> go negative
+    # R = 4 components against K = 2 unknowns makes K/R - <d> go negative
     rng = np.random.default_rng(3)
     vh = cplx(rng, 4, 2)
     svd = EconomySVD(np.eye(4), np.array([5.0, 4.0, 3.0, 2.0]), vh)
     diag = VampDiagnostics()
     out = lmmse_extrinsic(svd, cplx(rng, 4), ExtrinsicMessage(cplx(rng, 2), 1e-6),
-                          VampConfig(), 2, diag)
+                          VampConfig(), diag)
     assert out.gamma == pytest.approx(1e-11)
     assert diag.lmmse_clamps == 1
 
@@ -91,10 +91,10 @@ def test_lmmse_shape_checks():
     svd = economy_svd(np.eye(3))
     msg = ExtrinsicMessage(np.zeros(3, complex), 1.0)
     with pytest.raises(ValueError):
-        lmmse_extrinsic(svd, np.zeros(2, complex), msg, VampConfig(), 3)
+        lmmse_extrinsic(svd, np.zeros(2, complex), msg, VampConfig())
     with pytest.raises(ValueError):
         lmmse_extrinsic(svd, np.zeros(3, complex),
-                        ExtrinsicMessage(np.zeros(4, complex), 1.0), VampConfig(), 3)
+                        ExtrinsicMessage(np.zeros(4, complex), 1.0), VampConfig())
 
 
 def test_project_step_unimodular_fixed_point():
@@ -147,14 +147,15 @@ def test_damp_update():
 
 def test_prepare_system_structured_vs_dense_paths():
     rng = np.random.default_rng(6)
-    # K = 8 >= R_a*R_b = 4: product form
-    svd, z_tilde = prepare_system(cplx(rng, 2, 8), cplx(rng, 2, 8), cplx(rng, 2, 2))
-    assert isinstance(svd, StructuredSVD)
-    assert z_tilde.shape == (svd.rank,)
-    # K = 3 < R_a*R_b = 4: dense fallback
-    svd, z_tilde = prepare_system(cplx(rng, 2, 3), cplx(rng, 2, 3), cplx(rng, 2, 2))
-    assert isinstance(svd, EconomySVD)
-    assert z_tilde.shape == (svd.rank,)
+    # K = 8 >= R_a*R_b = 4: product form; K = 3 < R_a*R_b = 4: dense SVD of D
+    for k in (8, 3):
+        a, b, z = cplx(rng, 2, k), cplx(rng, 2, k), cplx(rng, 2, 2)
+        svd, z_tilde = prepare_system(a, b, z)
+        assert isinstance(svd, EconomySVD)
+        assert np.allclose(svd.U.conj().T @ svd.U, np.eye(svd.rank), atol=1e-12)
+        assert np.array_equal(z_tilde, (svd.U.conj().T @ z.flatten(order="F")) / svd.omega)
+        d = khatri_rao_columns(b, a)
+        assert np.linalg.norm(svd.reconstruct() - d) < 1e-9 * np.linalg.norm(d)
     with pytest.raises(ValueError):
         prepare_system(np.zeros((2, 4)), cplx(rng, 2, 4), np.zeros((2, 2)))
 
