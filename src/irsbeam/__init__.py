@@ -5,9 +5,8 @@ closed-form sum-MMSE precoding, and a seeded Monte Carlo harness."""
 __version__ = "0.1.0"
 
 from .altopt import BeamformingSolution, OptimizerConfig, joint_optimize, vamp_setup
-from .channel import (ChannelParams, ChannelSet, PathLossParams, SystemDims,
-                      boost_los, irs_response, path_loss, perturb_csi,
-                      sample_channel_set, ula_response)
+from .channel import (ChannelParams, ChannelSet, SystemDims, boost_los, irs_response,
+                      perturb_csi, sample_channel_set, ula_response)
 from .harness import (ExperimentSpec, TrialRecord, desk_spec, load_spec,
                       paper_spec, parse_spec, run_sweep)
 from .linalg import EconomySVD, economy_svd, khatri_rao_columns, structured_svd
@@ -16,7 +15,7 @@ from .precoding import PrecodingSolution, effective_channel, mmse_precoder
 from .projectors import (REACTIVE, UNIMODULAR, Projector, get_projector,
                          reactance_opt, reactive_derivative, reactive_project,
                          unimodular_derivative, unimodular_project)
-from .vamp import (ExtrinsicMessage, VampConfig, VampResult, VampState, damp_update,
-                   lmmse_extrinsic, run_vamp, vamp_step)
+from .vamp import (ExtrinsicMessage, VampConfig, VampResult, VampState, lmmse_extrinsic,
+                   run_vamp, vamp_step)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

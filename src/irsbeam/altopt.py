@@ -34,12 +34,14 @@ class OptimizerConfig:
     collect_trace: bool = True
 
     def __post_init__(self):
-        if self.epsilon_outer <= 0 or self.t_max_outer < 1:
-            raise ValueError("OptimizerConfig: epsilon_outer > 0 and t_max_outer >= 1 required")
-        if self.inner_iters < 1:
-            raise ValueError("OptimizerConfig: inner_iters >= 1 required")
-        if self.carryover not in ("extrinsic", "restart"):
-            raise ValueError(f"OptimizerConfig: unknown carryover {self.carryover!r}")
+        # each rule is written so that NaN fails it
+        for name, ok, rule in (
+                ("epsilon_outer", 0.0 < self.epsilon_outer < np.inf, "positive and finite"),
+                ("t_max_outer", self.t_max_outer >= 1, ">= 1"),
+                ("inner_iters", self.inner_iters >= 1, ">= 1"),
+                ("carryover", self.carryover in ("extrinsic", "restart"), "extrinsic or restart")):
+            if not ok:
+                raise ValueError(f"{name}: must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass

@@ -31,21 +31,8 @@ class SystemDims:
 
 
 @dataclass(frozen=True)
-class PathLossParams:
-    """Decaying power law: gain(d) = c0 * (d/d0)**(-exponent)."""
-
-    c0: float = 1e-3
-    d0: float = 1.0
-    exponent: float = 2.5
-
-    def __post_init__(self):
-        if self.c0 <= 0 or self.d0 <= 0 or self.exponent < 0:
-            raise ValueError("PathLossParams: c0, d0 must be positive and exponent >= 0")
-
-
-@dataclass(frozen=True)
 class ChannelParams:
-    """Propagation constants for the three links.
+    """Propagation constants for the three links; the spec file's channel keys.
 
     Defaults: -30 dB reference gain at 1 m, exponent 2.5 on both reflector
     links and 3.7 on the direct link, 10/2/2 paths, base station 500 m from
@@ -61,15 +48,33 @@ class ChannelParams:
     q_direct: int = 2
     q_irs_user: int = 2
     d_irs: float = 500.0
-    user_range: tuple[float, float] = (10.0, 50.0)
+    user_min: float = 10.0
+    user_max: float = 50.0
     spacing: float = 0.5
     los_margin_db: float = 5.0
 
-    def loss_irs(self) -> PathLossParams:
-        return PathLossParams(self.c0, self.d0, self.eta_irs)
+    def __post_init__(self):
+        # each rule is written so that NaN fails it
+        rules = (
+            (("c0", "d0", "spacing", "d_irs", "user_min"),
+             lambda v: 0.0 < v < np.inf, "positive and finite"),
+            (("user_max",), lambda v: self.user_min <= v < np.inf, ">= user_min and finite"),
+            (("eta_irs", "eta_direct"), lambda v: 0.0 <= v < np.inf, "non-negative and finite"),
+            (("los_margin_db",), lambda v: -np.inf < v < np.inf, "finite"),
+            (("q_irs", "q_direct", "q_irs_user"), lambda v: v >= 1, ">= 1"),
+        )
+        for names, ok, rule in rules:
+            for name in names:
+                value = getattr(self, name)
+                if not ok(value):
+                    label = "c0/c0_db" if name == "c0" else name
+                    raise ValueError(f"{label}: must be {rule}, got {name} = {value}")
 
-    def loss_direct(self) -> PathLossParams:
-        return PathLossParams(self.c0, self.d0, self.eta_direct)
+    def path_loss(self, d: float, exponent: float) -> float:
+        """Linear power gain c0 * (d/d0)**(-exponent) at distance d > 0."""
+        if d <= 0:
+            raise ValueError(f"path_loss: distance must be positive, got {d}")
+        return self.c0 * (d / self.d0) ** (-exponent)
 
 
 @dataclass
@@ -112,13 +117,6 @@ class ChannelSet:
 def complex_normal(rng: np.random.Generator, *shape) -> np.ndarray:
     """Circularly symmetric unit-variance complex Gaussian draws."""
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0)
-
-
-def path_loss(d: float, params: PathLossParams) -> float:
-    """Linear power gain at distance d, decaying with the exponent."""
-    if d <= 0:
-        raise ValueError(f"path_loss: distance must be positive, got {d}")
-    return params.c0 * (d / params.d0) ** (-params.exponent)
 
 
 def _steer(n: int, u: np.ndarray, spacing_ratio: float) -> np.ndarray:
@@ -209,7 +207,7 @@ def synth_bs_irs(rng: np.random.Generator, dims: SystemDims, n_paths: int,
     h = np.zeros((dims.K, dims.N), dtype=complex)
     for q in range(n_paths):
         h += gains[q] * np.outer(a_irs[q], a_bs[q])
-    return np.sqrt(path_loss(distance, params.loss_irs())) * h
+    return np.sqrt(params.path_loss(distance, params.eta_irs)) * h
 
 
 def synth_bs_user(rng: np.random.Generator, n_bs: int, n_paths: int,
@@ -220,7 +218,7 @@ def synth_bs_user(rng: np.random.Generator, n_bs: int, n_paths: int,
     h = np.zeros(n_bs, dtype=complex)
     for q in range(n_paths):
         h += gains[q] * a_bs[q]
-    return np.sqrt(path_loss(distance, params.loss_direct())) * h
+    return np.sqrt(params.path_loss(distance, params.eta_direct)) * h
 
 
 def synth_irs_user(rng: np.random.Generator, n_irs: int, n_paths: int,
@@ -236,7 +234,7 @@ def synth_irs_user(rng: np.random.Generator, n_irs: int, n_paths: int,
     h = np.zeros(n_irs, dtype=complex)
     for q in range(n_paths):
         h += gains[q] * a_irs[q]
-    return np.sqrt(path_loss(distance, params.loss_irs())) * h
+    return np.sqrt(params.path_loss(distance, params.eta_irs)) * h
 
 
 def sample_channel_set(rng: np.random.Generator, dims: SystemDims,
@@ -261,7 +259,7 @@ def sample_channel_set(rng: np.random.Generator, dims: SystemDims,
     h_su = np.empty((dims.K, dims.M), dtype=complex)
     su_boost = params.los_margin_db if scenario == "B" else None
     for m in range(dims.M):
-        d_prime = rng.uniform(*params.user_range)
+        d_prime = rng.uniform(params.user_min, params.user_max)
         angle = rng.uniform(0.0, 2.0 * np.pi)
         d_m = np.sqrt(params.d_irs**2 + d_prime**2
                       - 2.0 * params.d_irs * d_prime * np.cos(angle))
@@ -288,16 +286,16 @@ def perturb_csi(ch: ChannelSet, kappa: float, rng: np.random.Generator,
     params = params or ChannelParams()
     scale = np.sqrt(1.0 - kappa**2)
     h_bs = kappa * ch.H_bs + scale * np.sqrt(
-        path_loss(ch.d_irs, params.loss_irs())
+        params.path_loss(ch.d_irs, params.eta_irs)
     ) * complex_normal(rng, *ch.H_bs.shape)
     h_bu = np.empty_like(ch.H_bu)
     h_su = np.empty_like(ch.H_su)
     for m in range(ch.H_bu.shape[1]):
         h_bu[:, m] = kappa * ch.H_bu[:, m] + scale * np.sqrt(
-            path_loss(ch.d_users[m], params.loss_direct())
+            params.path_loss(ch.d_users[m], params.eta_direct)
         ) * complex_normal(rng, ch.H_bu.shape[0])
         h_su[:, m] = kappa * ch.H_su[:, m] + scale * np.sqrt(
-            path_loss(ch.d_irs_users[m], params.loss_irs())
+            params.path_loss(ch.d_irs_users[m], params.eta_irs)
         ) * complex_normal(rng, ch.H_su.shape[0])
     return replace(ch, H_bs=h_bs, H_bu=h_bu, H_su=h_su)
 

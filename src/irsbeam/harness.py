@@ -17,7 +17,9 @@ true ones.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
+from itertools import product
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -25,11 +27,9 @@ from .altopt import BeamformingSolution, OptimizerConfig, joint_optimize
 from .channel import (ChannelParams, ChannelSet, SystemDims, perturb_csi,
                       sample_channel_set)
 from .metrics import nrmse, sum_rate
-from .oracles import grid_phase_search
+from .oracles import GRID_MAX_K, grid_phase_search
 from .precoding import effective_channel, mmse_precoder
 from .vamp import VampConfig, VampDiagnostics
-
-CSV_HEADER = "scheme,seed,N,M,K,power_dbm,kappa,sum_rate,nrmse,iters,ms"
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -38,13 +38,15 @@ def dbm_to_watts(dbm: float) -> float:
 
 @dataclass
 class ExperimentSpec:
+    """A sweep; its fields, those of `channel` inlined, are the spec keys."""
+
     scenario: str = "B"
-    n_bs: list = field(default_factory=lambda: [8])
-    n_users: list = field(default_factory=lambda: [2])
-    n_irs: list = field(default_factory=lambda: [16, 36, 64])
-    power_dbm: list = field(default_factory=lambda: [30.0])
-    kappa: list = field(default_factory=lambda: [1.0])
-    schemes: list = field(default_factory=lambda: ["vamp_unimodular", "random_phase_irs"])
+    n_bs: list[int] = field(default_factory=lambda: [8])
+    n_users: list[int] = field(default_factory=lambda: [2])
+    n_irs: list[int] = field(default_factory=lambda: [16, 36, 64])
+    power_dbm: list[float] = field(default_factory=lambda: [30.0])
+    kappa: list[float] = field(default_factory=lambda: [1.0])
+    schemes: list[str] = field(default_factory=lambda: ["vamp_unimodular", "random_phase_irs"])
     trials: int = 100
     base_seed: int = 7
     noise_dbm: float = -100.0
@@ -59,41 +61,31 @@ class ExperimentSpec:
     record_timing: bool = True
 
     def validate(self) -> None:
-        if self.scenario not in ("A", "B"):
-            raise ValueError(f"spec.scenario: must be A or B, got {self.scenario!r}")
+        """Reject a spec that cannot run, naming the key; ChannelParams checks its own."""
         for name in ("n_bs", "n_users", "n_irs", "power_dbm", "kappa", "schemes"):
             if not getattr(self, name):
                 raise ValueError(f"spec.{name}: must be a non-empty list")
-        for s in self.schemes:
-            if s not in SCHEMES:
-                raise ValueError(f"spec.schemes: unknown scheme {s!r}; have {SCHEMES}")
-        for k in self.kappa:
-            if not 0.0 <= k <= 1.0:
-                raise ValueError(f"spec.kappa: values must lie in [0, 1], got {k}")
-        if self.trials < 1:
-            raise ValueError(f"spec.trials: must be >= 1, got {self.trials}")
-        if self.base_seed < 0:
-            raise ValueError("spec.base_seed: must be non-negative")
-        ch = self.channel
-        user_min, user_max = ch.user_range
-        if not user_min > 0.0:
-            raise ValueError(f"spec.user_min: must be positive, got {user_min}")
-        if not user_max >= user_min:
-            raise ValueError(f"spec.user_max: must be >= user_min ({user_min}), got {user_max}")
-        if not 0.0 < ch.c0 < np.inf:
-            raise ValueError(f"spec.c0/c0_db: must be positive and finite, got c0 = {ch.c0}")
-        for key in ("d0", "spacing", "d_irs"):
-            if not 0.0 < getattr(ch, key) < np.inf:
-                raise ValueError(f"spec.{key}: must be positive and finite, got {getattr(ch, key)}")
-        for key in ("eta_irs", "eta_direct"):
-            if not 0.0 <= getattr(ch, key) < np.inf:
-                raise ValueError(f"spec.{key}: must be non-negative and finite, "
-                                 f"got {getattr(ch, key)}")
-        if not np.isfinite(ch.los_margin_db):
-            raise ValueError(f"spec.los_margin_db: must be finite, got {ch.los_margin_db}")
-        for key in ("q_irs", "q_direct", "q_irs_user"):
-            if getattr(ch, key) < 1:
-                raise ValueError(f"spec.{key}: must be >= 1, got {getattr(ch, key)}")
+        for key, ok, rule in (
+                ("scenario", self.scenario in ("A", "B"), "A or B"),
+                ("schemes", all(s in SCHEMES for s in self.schemes), f"among {SCHEMES}"),
+                ("kappa", all(0.0 <= k <= 1.0 for k in self.kappa), "values in [0, 1]"),
+                ("power_dbm", all(np.isfinite(self.power_dbm)), "finite values"),
+                ("noise_dbm", np.isfinite(self.noise_dbm), "finite"),
+                ("trials", self.trials >= 1, ">= 1"),
+                ("base_seed", self.base_seed >= 0, "non-negative"),
+                ("n_irs", "grid_oracle_tiny" not in self.schemes or max(self.n_irs) <= GRID_MAX_K,
+                 f"<= {GRID_MAX_K} with grid_oracle_tiny")):
+            if not ok:
+                raise ValueError(f"spec.{key}: must be {rule}, got {getattr(self, key)!r}")
+        for n, m, k in product(self.n_bs, self.n_users, self.n_irs):
+            try:
+                SystemDims(n, m, k)
+            except ValueError as exc:
+                raise ValueError(f"spec.n_bs/n_users/n_irs: {exc}") from None
+        try:
+            self.optimizer_config("unimodular")
+        except ValueError as exc:
+            raise ValueError(f"spec.{exc}") from None
 
     def optimizer_config(self, constraint: str, collect_trace: bool = False) -> OptimizerConfig:
         return OptimizerConfig(
@@ -122,17 +114,15 @@ class TrialRecord:
     ms: float
 
 
-_SPEC_LIST_KEYS = {
-    "n_bs": int, "n_users": int, "n_irs": int,
-    "power_dbm": float, "kappa": float, "schemes": str,
-}
-_SPEC_SCALAR_KEYS = {
-    "scenario": str, "trials": int, "base_seed": int, "noise_dbm": float,
-    "epsilon_outer": float, "t_max_outer": int, "inner_iters": int,
-    "carryover": str, "rho": float, "gamma_w": float, "gamma_0": float,
-    "record_timing": bool,
-}
-_CHANNEL_KEYS = {f.name: f.type for f in fields(ChannelParams)}
+CSV_HEADER = ",".join(f.name for f in fields(TrialRecord))
+
+
+def spec_keys() -> dict:
+    """Spec key -> type, in field order, ChannelParams's fields in place of `channel`."""
+    keys = {}
+    for name, typ in get_type_hints(ExperimentSpec).items():
+        keys.update(get_type_hints(ChannelParams) if name == "channel" else {name: typ})
+    return keys
 
 
 def _parse_value(key: str, raw: str, typ):
@@ -152,8 +142,9 @@ def _parse_value(key: str, raw: str, typ):
 def parse_spec(text: str) -> ExperimentSpec:
     """Parse the flat key/value spec format (one `key = value` per line,
     comma-separated lists, # comments)."""
-    spec = ExperimentSpec()
-    channel_kwargs = {}
+    keys = spec_keys()
+    channel_keys = {f.name for f in fields(ChannelParams)}
+    spec_kwargs, channel_kwargs = {}, {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -161,29 +152,23 @@ def parse_spec(text: str) -> ExperimentSpec:
         if "=" not in line:
             raise ValueError(f"spec line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key in _SPEC_LIST_KEYS:
-            typ = _SPEC_LIST_KEYS[key]
-            values = [_parse_value(key, tok, typ) for tok in raw.split(",") if tok.strip()]
-            setattr(spec, key, values)
-        elif key in _SPEC_SCALAR_KEYS:
-            setattr(spec, key, _parse_value(key, raw, _SPEC_SCALAR_KEYS[key]))
-        elif key == "user_min":
-            channel_kwargs["user_range"] = (_parse_value(key, raw, float),
-                                            channel_kwargs.get("user_range", (10.0, 50.0))[1])
-        elif key == "user_max":
-            channel_kwargs["user_range"] = (channel_kwargs.get("user_range", (10.0, 50.0))[0],
-                                            _parse_value(key, raw, float))
-        elif key == "user_range":
-            raise ValueError("spec.user_range: not a spec key; set user_min and user_max")
-        elif key == "c0_db":
+        if key == "c0_db":
             channel_kwargs["c0"] = 10.0 ** (_parse_value(key, raw, float) / 10.0)
-        elif key in _CHANNEL_KEYS:
-            typ = int if key.startswith("q_") else float
-            channel_kwargs[key] = _parse_value(key, raw, typ)
+            continue
+        if key not in keys:
+            raise ValueError(f"spec.{key}: unknown key; have {', '.join(keys)}, c0_db")
+        typ = keys[key]
+        if get_origin(typ) is list:
+            value = [_parse_value(key, tok, get_args(typ)[0])
+                     for tok in raw.split(",") if tok.strip()]
         else:
-            raise ValueError(f"spec.{key}: unknown key")
-    if channel_kwargs:
-        spec.channel = replace(ChannelParams(), **channel_kwargs)
+            value = _parse_value(key, raw, typ)
+        (channel_kwargs if key in channel_keys else spec_kwargs)[key] = value
+    try:
+        channel = ChannelParams(**channel_kwargs)
+    except ValueError as exc:
+        raise ValueError(f"spec.{exc}") from None
+    spec = ExperimentSpec(**spec_kwargs, channel=channel)
     spec.validate()
     return spec
 
@@ -360,30 +345,28 @@ def aggregate(records: list) -> list[dict]:
     return out
 
 
-def emit_csv(records: list, path) -> None:
-    """Trial records as CSV with the fixed schema; floats use repr so reruns
-    of a timing-free sweep are byte-identical."""
-    if not records:
-        raise ValueError("emit_csv: no records")
+def _write_csv(path, columns: list[str], rows) -> None:
+    """Header, then one line per row; floats as repr, so reruns are byte-identical."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for r in records:
-            fh.write(f"{r.scheme},{r.seed},{r.N},{r.M},{r.K},{r.power_dbm!r},"
-                     f"{r.kappa!r},{r.sum_rate!r},{r.nrmse!r},{r.iters},{r.ms!r}\n")
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+
+
+def emit_csv(records: list, path) -> None:
+    """Trial records as CSV with the fixed schema CSV_HEADER."""
+    if not records:
+        raise ValueError("emit_csv: no records")
+    columns = CSV_HEADER.split(",")
+    _write_csv(path, columns, ([getattr(r, c) for c in columns] for r in records))
 
 
 def emit_aggregate_csv(aggregates: list[dict], path) -> None:
     if not aggregates:
         raise ValueError("emit_aggregate_csv: no aggregates")
-    os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    cols = list(aggregates[0])
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in aggregates:
-            fh.write(",".join(
-                repr(row[c]) if isinstance(row[c], float) else str(row[c])
-                for c in cols) + "\n")
+    columns = list(aggregates[0])
+    _write_csv(path, columns, ([row[c] for c in columns] for row in aggregates))
 
 
 def load_aggregate_csv(path) -> list[dict]:

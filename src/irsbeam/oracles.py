@@ -12,6 +12,7 @@ import numpy as np
 from .channel import ChannelSet
 
 ORACLE_DIM_CAP = 64
+GRID_MAX_K = 3
 
 
 def dense_lmmse(d: np.ndarray, z: np.ndarray, r: np.ndarray, gamma: float,
@@ -87,12 +88,12 @@ def grid_phase_search(ch: ChannelSet, power: float, noise_var: float,
                       points_per_phase: int = 64, batch: int = 8192):
     """Exhaustive unimodular phase grid with the precoder re-solved per point.
 
-    Returns (best phase vector, best objective). Guarded to K <= 3 and at
-    most 1e6 grid points.
+    Returns (best phase vector, best objective). Guarded to K <= GRID_MAX_K
+    and at most 1e6 grid points.
     """
     _, _, k = ch.dims
-    if k > 3:
-        raise ValueError(f"grid_phase_search: exhaustive search capped at K <= 3, got {k}")
+    if k > GRID_MAX_K:
+        raise ValueError(f"grid_phase_search: exhaustive search needs K <= {GRID_MAX_K}, got {k}")
     if points_per_phase**k > 1_000_000:
         raise ValueError("grid_phase_search: grid budget exceeded")
     theta = 2.0 * np.pi * np.arange(points_per_phase) / points_per_phase

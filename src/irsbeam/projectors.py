@@ -32,10 +32,12 @@ def _as_complex(r):
 
 
 def unimodular_project(r_tilde):
-    """Nearest unit-modulus point, r/|r|; the tie at r = 0 resolves to 1."""
+    """Nearest unit-modulus point, r/|r|. Below the smallest normal |r|, where
+    1/|r| overflows, the result is 1: every unit point is nearest to 1e-308."""
     r, scalar = _as_complex(r_tilde)
     mag = np.abs(r)
-    out = np.where(mag > 0, r / np.where(mag > 0, mag, 1.0), 1.0 + 0j)
+    normal = mag >= np.finfo(float).tiny
+    out = np.where(normal, r / np.where(normal, mag, 1.0), 1.0 + 0j)
     return complex(out) if scalar else out
 
 
@@ -51,17 +53,17 @@ def reactance_opt(r_tilde):
     """Reactance minimizing |r + 1/(1 + j*chi)|^2 over real chi.
 
     For b = Im(r) != 0 this is the positive-curvature root
-    (c + sqrt(c^2 + 4 b^2)) / (2 b) with c = 1 + 2*Re(r). On the b = 0 branch
-    the objective is monotone in chi^2: chi = 0 when c < 0 (the minimum sits
-    at upsilon = -1), otherwise chi = CHI_LIMIT standing in for |chi| -> inf.
+    (c + sqrt(c^2 + 4 b^2)) / (2 b) with c = 1 + 2*Re(r). On the b = 0 branch,
+    taken too where that root overflows, the objective is monotone in chi^2:
+    chi = 0 when c < 0 (upsilon = -1), else CHI_LIMIT stands in for |chi| -> inf.
     """
     r, scalar = _as_complex(r_tilde)
     a, b = r.real, r.imag
     c = 1.0 + 2.0 * a
     s = np.sqrt(c * c + 4.0 * b * b)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         chi = (c + s) / (2.0 * b)
-    chi = np.where(b == 0.0, np.where(c < 0.0, 0.0, CHI_LIMIT), chi)
+    chi = np.where((b == 0.0) | np.isinf(chi), np.where(c < 0.0, 0.0, CHI_LIMIT), chi)
     return float(chi) if scalar else chi
 
 

@@ -36,12 +36,16 @@ class VampConfig:
     gamma_0: float = 0.1        # initial message precision
 
     def __post_init__(self):
-        if self.gamma_w <= 0 or self.epsilon <= 0 or self.t_max < 1:
-            raise ValueError("VampConfig: gamma_w, epsilon must be positive, t_max >= 1")
-        if not 0.0 < self.rho <= 1.0:
-            raise ValueError(f"VampConfig: rho must lie in (0, 1], got {self.rho}")
-        if self.gamma_floor <= 0 or self.gamma_0 < 0:
-            raise ValueError("VampConfig: gamma_floor must be positive, gamma_0 >= 0")
+        # each rule is written so that NaN fails it
+        for name, ok, rule in (
+                ("gamma_w", 0.0 < self.gamma_w < np.inf, "positive and finite"),
+                ("epsilon", 0.0 < self.epsilon < np.inf, "positive and finite"),
+                ("t_max", self.t_max >= 1, ">= 1"),
+                ("rho", 0.0 < self.rho <= 1.0, "in (0, 1]"),
+                ("gamma_floor", 0.0 < self.gamma_floor < np.inf, "positive and finite"),
+                ("gamma_0", 0.0 <= self.gamma_0 < np.inf, "non-negative and finite")):
+            if not ok:
+                raise ValueError(f"{name}: must be {rule}, got {getattr(self, name)!r}")
 
 
 @dataclass
@@ -63,13 +67,6 @@ class VampResult:
     converged: bool
     diagnostics: VampDiagnostics
     trace: list = field(default_factory=list)
-
-
-def damp_update(current, previous, rho: float):
-    """Convex blend rho*current + (1-rho)*previous, elementwise for vectors."""
-    if not 0.0 < rho <= 1.0:
-        raise ValueError(f"damp_update: rho must lie in (0, 1], got {rho}")
-    return rho * current + (1.0 - rho) * previous
 
 
 def prepare_system(a: np.ndarray, b: np.ndarray, z: np.ndarray):
@@ -157,13 +154,11 @@ def vamp_step(svd: EconomySVD, z_tilde: np.ndarray, state: VampState, projector:
     """
     tilde = lmmse_extrinsic(svd, z_tilde, state.msg, cfg, diag)
     gamma_tilde = tilde.gamma
-    damped = state.passes > 0
-    if damped:
-        gamma_tilde = max(damp_update(gamma_tilde, state.gamma_tilde_prev, cfg.rho),
-                          cfg.gamma_floor)
     x_hat = np.asarray(projector.g(tilde.r))
-    if damped:
-        x_hat = damp_update(x_hat, state.x_damped, cfg.rho)
+    if state.passes > 0:
+        gamma_tilde = max(cfg.rho * gamma_tilde + (1.0 - cfg.rho) * state.gamma_tilde_prev,
+                          cfg.gamma_floor)
+        x_hat = cfg.rho * x_hat + (1.0 - cfg.rho) * state.x_damped
     gamma_hat = float(np.mean(projector.g_prime(tilde.r))) / gamma_tilde
     gamma_out = gamma_hat - gamma_tilde
     if gamma_out <= 0 or not np.isfinite(gamma_out):

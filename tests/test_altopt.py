@@ -200,9 +200,8 @@ def test_traced_solve_builds_one_effective_channel_per_iteration(monkeypatch):
 
 
 def test_optimizer_config_validation():
-    with pytest.raises(ValueError):
-        OptimizerConfig(epsilon_outer=0.0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(inner_iters=0)
-    with pytest.raises(ValueError):
-        OptimizerConfig(carryover="sometimes")
+    for key, bad in (("epsilon_outer", 0.0), ("epsilon_outer", float("nan")),
+                     ("epsilon_outer", float("inf")), ("t_max_outer", 0),
+                     ("inner_iters", 0), ("carryover", "sometimes")):
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            OptimizerConfig(**{key: bad})

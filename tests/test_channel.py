@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from irsbeam.channel import (ChannelParams, PathLossParams, SystemDims,
-                             boost_los, complex_normal, irs_response,
-                             path_loss, perturb_csi, sample_channel_set, synth_bs_irs,
+from irsbeam.channel import (ChannelParams, SystemDims, boost_los, complex_normal,
+                             irs_response, perturb_csi, sample_channel_set, synth_bs_irs,
                              synth_bs_user, synth_irs_user, ula_response)
 
 
@@ -66,24 +65,24 @@ def test_irs_response_nonsquare_fallback():
 
 
 def test_path_loss_reference_anchor():
-    params = PathLossParams(c0=1e-3, d0=1.0, exponent=2.5)
-    assert path_loss(1.0, params) == pytest.approx(1e-3)
+    params = ChannelParams(c0=1e-3, d0=1.0)
+    assert params.path_loss(1.0, 2.5) == pytest.approx(1e-3)
 
 
 def test_path_loss_decays():
-    params = PathLossParams(c0=1e-3, d0=1.0, exponent=2.5)
-    assert path_loss(10.0, params) == pytest.approx(3.1622776601683794e-06)
+    params = ChannelParams(c0=1e-3, d0=1.0)
+    assert params.path_loss(10.0, 2.5) == pytest.approx(3.1622776601683794e-06)
 
 
 def test_path_loss_zero_exponent():
-    params = PathLossParams(c0=1e-3, d0=1.0, exponent=0.0)
+    params = ChannelParams(c0=1e-3, d0=1.0)
     for d in (0.5, 1.0, 100.0):
-        assert path_loss(d, params) == pytest.approx(1e-3)
+        assert params.path_loss(d, 0.0) == pytest.approx(1e-3)
 
 
 def test_path_loss_rejects_nonpositive_distance():
     with pytest.raises(ValueError):
-        path_loss(0.0, PathLossParams())
+        ChannelParams().path_loss(0.0, 2.5)
 
 
 def test_boost_single_path_unchanged():
@@ -136,7 +135,7 @@ def test_synth_bs_irs_frobenius_expectation():
     for s in range(trials):
         h = synth_bs_irs(np.random.default_rng(s), dims, 10, 500.0, params)
         total += np.linalg.norm(h) ** 2
-    expect = path_loss(500.0, params.loss_irs()) * 10 * 16 * 8 * (2 / np.pi)
+    expect = params.path_loss(500.0, params.eta_irs) * 10 * 16 * 8 * (2 / np.pi)
     assert abs(total / trials - expect) < 0.10 * expect
 
 
@@ -168,17 +167,17 @@ def _per_path_reference(rng, link: str, n: int, k: int, n_paths: int,
             aod = rng.uniform(0.0, 2.0 * np.pi)
             h += gains[q] * np.outer(irs_response(elev, azim, k, params.spacing),
                                      ula_response(aod, n, params.spacing))
-        return np.sqrt(path_loss(distance, params.loss_irs())) * h
+        return np.sqrt(params.path_loss(distance, params.eta_irs)) * h
     if link == "bs_user":
         h = np.zeros(n, dtype=complex)
         for q in range(n_paths):
             h += gains[q] * ula_response(rng.uniform(0.0, 2.0 * np.pi), n, params.spacing)
-        return np.sqrt(path_loss(distance, params.loss_direct())) * h
+        return np.sqrt(params.path_loss(distance, params.eta_direct)) * h
     h = np.zeros(k, dtype=complex)
     for q in range(n_paths):
         h += gains[q] * irs_response(rng.uniform(0.0, np.pi),
                                      rng.uniform(0.0, 2.0 * np.pi), k, params.spacing)
-    return np.sqrt(path_loss(distance, params.loss_irs())) * h
+    return np.sqrt(params.path_loss(distance, params.eta_irs)) * h
 
 
 @pytest.mark.parametrize("k", [4, 7, 12, 64])
@@ -265,7 +264,7 @@ def test_perturb_kappa_zero_variance():
     for _ in range(draws):
         out = perturb_csi(ch, 0.0, rng, params)
         acc += np.mean(np.abs(out.H_bs) ** 2)
-    level = path_loss(ch.d_irs, params.loss_irs())
+    level = params.path_loss(ch.d_irs, params.eta_irs)
     assert abs(acc / draws - level) < 0.05 * level
 
 
@@ -280,7 +279,7 @@ def test_perturb_error_variance_tracks_kappa():
     for _ in range(draws):
         out = perturb_csi(ch, kappa, rng, params)
         acc += np.mean(np.abs(out.H_bs - kappa * ch.H_bs) ** 2)
-    want = (1 - kappa**2) * path_loss(ch.d_irs, params.loss_irs())
+    want = (1 - kappa**2) * params.path_loss(ch.d_irs, params.eta_irs)
     assert abs(acc / draws - want) < 0.05 * want
 
 

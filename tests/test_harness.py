@@ -1,4 +1,5 @@
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from irsbeam.charts import emit_chart, render_chart
 from irsbeam.harness import (CSV_HEADER, ExperimentSpec, aggregate, dbm_to_watts,
                              desk_spec, emit_aggregate_csv, emit_csv,
                              load_aggregate_csv, paper_spec, parse_spec,
-                             run_sweep)
+                             run_sweep, spec_keys)
 
 
 def tiny_spec(**overrides) -> ExperimentSpec:
@@ -54,7 +55,7 @@ def test_parse_spec_full():
     assert spec.rho == 0.8
     assert spec.epsilon_outer == 1e-4
     assert spec.channel.c0 == pytest.approx(1e-3)
-    assert spec.channel.user_range == (10.0, 50.0)
+    assert (spec.channel.user_min, spec.channel.user_max) == (10.0, 50.0)
     assert spec.record_timing is False
 
 
@@ -88,9 +89,28 @@ def test_parse_spec_errors_name_the_field():
                       ("spacing = -1", "spec.spacing"), ("spacing = 0", "spec.spacing"),
                       ("spacing = inf", "spec.spacing"), ("d_irs = inf", "spec.d_irs"),
                       ("los_margin_db = nan", "spec.los_margin_db"),
-                      ("los_margin_db = inf", "spec.los_margin_db")):
+                      ("los_margin_db = inf", "spec.los_margin_db"),
+                      ("epsilon_outer = nan", "spec.epsilon_outer"),
+                      ("gamma_w = nan", "spec.gamma_w"), ("gamma_0 = nan", "spec.gamma_0"),
+                      ("rho = nan", "spec.rho"), ("t_max_outer = 0", "spec.t_max_outer"),
+                      ("carryover = sometimes", "spec.carryover"),
+                      ("power_dbm = 10, nan", "spec.power_dbm"),
+                      ("power_dbm = inf", "spec.power_dbm"),
+                      ("noise_dbm = nan", "spec.noise_dbm"),
+                      ("n_bs = 4\nn_users = 4", "spec.n_bs/n_users/n_irs"),
+                      ("n_users = 2\nn_irs = 2", "spec.n_bs/n_users/n_irs"),
+                      ("schemes = grid_oracle_tiny\nn_irs = 2, 4", "spec.n_irs")):
         with pytest.raises(ValueError, match=key):
             parse_spec(line)
+
+
+def test_readme_spec_block_lists_every_key():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("### Spec file format", 1)[1].split("```", 2)[1]
+    parse_spec(block)
+    shown = {line.split("=", 1)[0].strip() for line in block.splitlines()
+             if "=" in line.split("#", 1)[0]}
+    assert [key for key in spec_keys() if key not in shown] == []
 
 
 def test_presets_validate():

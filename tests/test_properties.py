@@ -1,15 +1,22 @@
-"""Property tests of the solver step and the precoder on random small systems."""
+"""Property tests of the projectors, the solver step and the precoder."""
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irsbeam.precoding import mmse_precoder
-from irsbeam.projectors import get_projector
+from irsbeam.projectors import CHI_LIMIT, get_projector
 from irsbeam.vamp import (ExtrinsicMessage, VampConfig, VampDiagnostics, VampState,
                           prepare_system, vamp_step)
 
 SEEDS = st.integers(0, 2**32 - 1)
+# Dense samples of each constraint set: unit phases, and -1/(1 + j chi) over the
+# chi grid tan(angle / 2), which spaces the points evenly around the circle, plus
+# +-CHI_LIMIT. The projector's reactance never exceeds CHI_LIMIT in magnitude, so
+# the grid stays inside that range (angle -pi, chi -> -inf, is left out).
+_ANGLES = np.linspace(-np.pi, np.pi, 2**14, endpoint=False)
+_CHI = np.append(np.tan(_ANGLES[1:] / 2), [-CHI_LIMIT, CHI_LIMIT])
+SET_SAMPLES = {"unimodular": np.exp(1j * _ANGLES), "reactive": -1.0 / (1.0 + 1j * _CHI)}
 
 
 def cplx(rng, *shape):
@@ -21,6 +28,23 @@ def on_set(constraint, x):
     if constraint == "unimodular":
         return float(np.max(np.abs(np.abs(x) - 1.0)))
     return float(np.max(np.abs(np.abs(x + 0.5) - 0.5)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(constraint=st.sampled_from(["unimodular", "reactive"]), re=st.floats(-100.0, 100.0),
+       im=st.one_of(st.just(0.0), st.floats(-100.0, 100.0)))
+# the Im(r) = 0 branch of the reactive projector, on both sides of Re(r) = -1/2
+@example(constraint="reactive", re=0.3, im=0.0)
+@example(constraint="reactive", re=-0.8, im=0.0)
+@example(constraint="unimodular", re=0.0, im=0.0)
+# magnitudes where 1/|r| and the reactance root overflow
+@example(constraint="unimodular", re=5e-324, im=0.0)
+@example(constraint="reactive", re=2.0, im=1e-309)
+def test_projector_is_a_nearest_point(constraint, re, im):
+    r = complex(re, im)
+    dist = abs(r - get_projector(constraint).g(r)) ** 2
+    nearest = float(np.min(np.abs(r - SET_SAMPLES[constraint]) ** 2))
+    assert dist <= nearest + 1e-12 * (1.0 + abs(r) ** 2)
 
 
 @settings(max_examples=60, deadline=None)

@@ -5,8 +5,7 @@ from irsbeam.linalg import EconomySVD, economy_svd, khatri_rao_columns
 from irsbeam.oracles import dense_lmmse
 from irsbeam.projectors import REACTIVE, UNIMODULAR
 from irsbeam.vamp import (ExtrinsicMessage, VampConfig, VampDiagnostics, VampState,
-                          damp_update, lmmse_extrinsic, prepare_system, run_vamp,
-                          vamp_step)
+                          lmmse_extrinsic, prepare_system, run_vamp, vamp_step)
 
 
 def cplx(rng, *shape):
@@ -136,15 +135,6 @@ def test_project_step_clamp_path():
     assert diag.projector_clamps == 1
 
 
-def test_damp_update():
-    assert damp_update(2.0, 0.0, 1.0) == 2.0
-    assert damp_update(2.0, 0.0, 0.5) == 1.0
-    v = damp_update(np.array([2.0, 4.0]), np.array([0.0, 0.0]), 0.5)
-    assert np.allclose(v, [1.0, 2.0])
-    with pytest.raises(ValueError):
-        damp_update(1.0, 0.0, 0.0)
-
-
 def test_prepare_system_structured_vs_dense_paths():
     rng = np.random.default_rng(6)
     # K = 8 >= R_a*R_b = 4: product form; K = 3 < R_a*R_b = 4: dense SVD of D
@@ -219,11 +209,11 @@ def test_run_vamp_near_grid_optimum_small_instance():
 
 
 def test_vamp_config_validation():
-    with pytest.raises(ValueError):
-        VampConfig(rho=0.0)
-    with pytest.raises(ValueError):
-        VampConfig(epsilon=-1.0)
-    with pytest.raises(ValueError):
-        VampConfig(gamma_floor=0.0)
-    with pytest.raises(ValueError):
-        VampConfig(gamma_0=-0.1)
+    nan, inf = float("nan"), float("inf")
+    for key, bad in (("rho", 0.0), ("rho", 1.5), ("rho", nan),
+                     ("epsilon", -1.0), ("epsilon", nan), ("t_max", 0),
+                     ("gamma_w", 0.0), ("gamma_w", nan), ("gamma_w", inf),
+                     ("gamma_floor", 0.0), ("gamma_floor", nan),
+                     ("gamma_0", -0.1), ("gamma_0", nan), ("gamma_0", inf)):
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            VampConfig(**{key: bad})
