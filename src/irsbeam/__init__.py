@@ -12,9 +12,7 @@ from .harness import (ExperimentSpec, TrialRecord, desk_spec, load_spec,
 from .linalg import EconomySVD, economy_svd, khatri_rao_columns, structured_svd
 from .metrics import fit_error, nrmse, per_user_sinr, sum_rate
 from .precoding import PrecodingSolution, effective_channel, mmse_precoder
-from .projectors import (REACTIVE, UNIMODULAR, Projector, get_projector,
-                         reactance_opt, reactive_derivative, reactive_project,
-                         unimodular_derivative, unimodular_project)
+from .projectors import REACTIVE, UNIMODULAR, Projector, get_projector
 from .vamp import (ExtrinsicMessage, VampConfig, VampResult, VampState, lmmse_extrinsic,
                    run_vamp, vamp_step)
 

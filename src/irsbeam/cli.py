@@ -24,7 +24,7 @@ from .harness import (dbm_to_watts, desk_spec, emit_aggregate_csv, emit_csv,
 from .linalg import economy_svd, khatri_rao_columns, structured_svd
 from .oracles import (dense_lmmse, grid_reactance, precoder_reference,
                       random_precoder_search)
-from .projectors import (reactance_opt, reactive_project, unimodular_project)
+from .projectors import REACTIVE, UNIMODULAR
 from .precoding import mmse_precoder
 from .vamp import ExtrinsicMessage, VampConfig, lmmse_extrinsic
 
@@ -126,17 +126,16 @@ def cmd_oracle(args) -> int:
     r = 1.3 - 0.4j
     theta = 2 * np.pi * np.arange(10_000) / 10_000
     grid_best = np.min(np.abs(r - np.exp(1j * theta)) ** 2)
-    proj = abs(r - unimodular_project(r)) ** 2
+    proj = abs(r - UNIMODULAR.g(r)) ** 2
     ok &= _check("unimodular projector beats its phase grid", proj <= grid_best + 1e-12)
 
-    chi_grid = grid_reactance(1 + 1j, points=100_000)
-    chi = reactance_opt(1 + 1j)
-    obj = lambda c: abs((1 + 1j) + 1 / (1 + 1j * c)) ** 2
-    ok &= _check("reactance closed form beats its grid",
-                 obj(chi) <= obj(chi_grid) + 1e-12,
-                 f"chi {chi:.4f} vs grid {chi_grid:.4f}")
-    ok &= _check("reactive output keeps the sign of Im",
-                 np.imag(reactive_project(1 + 1j)) > 0)
+    r = 1 + 1j
+    v = REACTIVE.g(r)
+    chi_grid = grid_reactance(r, points=100_000)
+    ok &= _check("reactive projector beats its reactance grid",
+                 abs(r - v) ** 2 <= abs(r + 1 / (1 + 1j * chi_grid)) ** 2 + 1e-12,
+                 f"chi {-(1 / v).imag:.4f} vs grid {chi_grid:.4f}")
+    ok &= _check("reactive output keeps the sign of Im", v.imag > 0)
 
     h = cplx(4, 2)
     sol = mmse_precoder(h, 2.0, 0.05)

@@ -116,6 +116,17 @@ class TrialRecord:
 
 CSV_HEADER = ",".join(f.name for f in fields(TrialRecord))
 
+# Aggregate rows: the cell key, typed as in TrialRecord, the trial count, then
+# each statistic of each metric. The one declaration of the aggregate columns,
+# their order and their types; aggregate() builds rows from it and
+# load_aggregate_csv() parses with it.
+_CELL_KEY = ("scheme", "N", "M", "K", "power_dbm", "kappa")
+_METRICS = ("sum_rate", "nrmse")
+_STATS = {"mean": np.mean, "median": np.median,
+          "p10": lambda x: np.percentile(x, 10), "p90": lambda x: np.percentile(x, 90)}
+AGGREGATE_COLUMNS = {**{c: get_type_hints(TrialRecord)[c] for c in _CELL_KEY}, "trials": int,
+                     **{f"{m}_{s}": float for m in _METRICS for s in _STATS}}
+
 
 def spec_keys() -> dict:
     """Spec key -> type, in field order, ChannelParams's fields in place of `channel`."""
@@ -319,29 +330,19 @@ def run_sweep(spec: ExperimentSpec, progress=None):
 
 
 def aggregate(records: list) -> list[dict]:
-    """Per-cell mean/median/p10/p90 of sum-rate and fit error."""
+    """Per-cell mean/median/p10/p90 of sum-rate and fit error, one row per cell
+    in cell-key order, with the columns and types of AGGREGATE_COLUMNS."""
     cells: dict[tuple, list[TrialRecord]] = {}
     for rec in records:
-        key = (rec.scheme, rec.N, rec.M, rec.K, rec.power_dbm, rec.kappa)
-        cells.setdefault(key, []).append(rec)
+        cells.setdefault(tuple(getattr(rec, c) for c in _CELL_KEY), []).append(rec)
     out = []
-    for key in sorted(cells, key=lambda k: (k[0], k[1], k[2], k[3], k[4], k[5])):
+    for key in sorted(cells):
         group = cells[key]
-        rates = np.array([r.sum_rate for r in group])
-        errs = np.array([r.nrmse for r in group])
-        scheme, n, m, k, power_dbm, kappa = key
-        out.append({
-            "scheme": scheme, "N": n, "M": m, "K": k,
-            "power_dbm": power_dbm, "kappa": kappa, "trials": len(group),
-            "sum_rate_mean": float(rates.mean()),
-            "sum_rate_median": float(np.median(rates)),
-            "sum_rate_p10": float(np.percentile(rates, 10)),
-            "sum_rate_p90": float(np.percentile(rates, 90)),
-            "nrmse_mean": float(errs.mean()),
-            "nrmse_median": float(np.median(errs)),
-            "nrmse_p10": float(np.percentile(errs, 10)),
-            "nrmse_p90": float(np.percentile(errs, 90)),
-        })
+        values = [*key, len(group)]
+        for metric in _METRICS:
+            x = np.array([getattr(r, metric) for r in group])
+            values += [stat(x) for stat in _STATS.values()]
+        out.append({c: typ(v) for (c, typ), v in zip(AGGREGATE_COLUMNS.items(), values)})
     return out
 
 
@@ -365,23 +366,15 @@ def emit_csv(records: list, path) -> None:
 def emit_aggregate_csv(aggregates: list[dict], path) -> None:
     if not aggregates:
         raise ValueError("emit_aggregate_csv: no aggregates")
-    columns = list(aggregates[0])
+    columns = list(AGGREGATE_COLUMNS)
     _write_csv(path, columns, ([row[c] for c in columns] for row in aggregates))
 
 
 def load_aggregate_csv(path) -> list[dict]:
     with open(path) as fh:
         header = fh.readline().strip().split(",")
-        rows = []
-        for line in fh:
-            vals = line.strip().split(",")
-            row = {}
-            for key, val in zip(header, vals):
-                if key in ("scheme",):
-                    row[key] = val
-                elif key in ("N", "M", "K", "trials"):
-                    row[key] = int(val)
-                else:
-                    row[key] = float(val)
-            rows.append(row)
-    return rows
+        if header != list(AGGREGATE_COLUMNS):
+            raise ValueError(f"{path}: header is not {','.join(AGGREGATE_COLUMNS)}")
+        return [{c: typ(v) for (c, typ), v in zip(AGGREGATE_COLUMNS.items(),
+                                                  line.strip().split(","))}
+                for line in fh]

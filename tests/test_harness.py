@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from irsbeam.charts import emit_chart, render_chart
-from irsbeam.harness import (CSV_HEADER, ExperimentSpec, aggregate, dbm_to_watts,
-                             desk_spec, emit_aggregate_csv, emit_csv,
+from irsbeam.harness import (AGGREGATE_COLUMNS, CSV_HEADER, ExperimentSpec, aggregate,
+                             dbm_to_watts, desk_spec, emit_aggregate_csv, emit_csv,
                              load_aggregate_csv, paper_spec, parse_spec,
                              run_sweep, spec_keys)
 
@@ -192,10 +192,17 @@ def test_aggregate_stats_and_roundtrip(tmp_path):
     for row in aggs:
         assert row["trials"] == 6
         assert row["sum_rate_p10"] <= row["sum_rate_median"] <= row["sum_rate_p90"]
+    expected = {"scheme": str, "N": int, "M": int, "K": int, "trials": int}
+    for row in aggs:
+        assert {k: type(v) for k, v in row.items()} == {
+            k: expected.get(k, float) for k in AGGREGATE_COLUMNS}
     path = tmp_path / "agg.csv"
     emit_aggregate_csv(aggs, path)
     back = load_aggregate_csv(path)
     assert back == aggs
+    # equality alone lets 6 == 6.0 pass; the types must survive the round trip
+    assert [[type(v) for v in row.values()] for row in back] == \
+        [[type(v) for v in row.values()] for row in aggs]
 
 
 def test_render_chart_structure(tmp_path):
