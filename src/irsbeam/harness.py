@@ -116,10 +116,9 @@ class TrialRecord:
 
 CSV_HEADER = ",".join(f.name for f in fields(TrialRecord))
 
-# Aggregate rows: the cell key, typed as in TrialRecord, the trial count, then
-# each statistic of each metric. The one declaration of the aggregate columns,
-# their order and their types; aggregate() builds rows from it and
-# load_aggregate_csv() parses with it.
+# The aggregate columns in order, with their types: the cell key, typed as in
+# TrialRecord, the trial count, then each statistic of each metric.
+# aggregate() builds its rows from this and load_aggregate_csv() parses with it.
 _CELL_KEY = ("scheme", "N", "M", "K", "power_dbm", "kappa")
 _METRICS = ("sum_rate", "nrmse")
 _STATS = {"mean": np.mean, "median": np.median,

@@ -203,6 +203,10 @@ def test_aggregate_stats_and_roundtrip(tmp_path):
     # equality alone lets 6 == 6.0 pass; the types must survive the round trip
     assert [[type(v) for v in row.values()] for row in back] == \
         [[type(v) for v in row.values()] for row in aggs]
+    # the columns are parsed by position, so any other header is refused
+    path.write_text(path.read_text().replace("N,M", "M,N", 1))
+    with pytest.raises(ValueError, match="header"):
+        load_aggregate_csv(path)
 
 
 def test_render_chart_structure(tmp_path):

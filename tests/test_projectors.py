@@ -37,6 +37,7 @@ def test_unimodular_derivative_values():
 
 def test_unimodular_derivative_capped_at_origin():
     assert UNIMODULAR.g_prime(0.0) == pytest.approx(1e12)
+    assert REACTIVE.g_prime(-0.5) == pytest.approx(0.5e12)   # radius times the cap
 
 
 def test_unimodular_minimality_against_grid():

@@ -36,7 +36,7 @@ def on_set(constraint, x):
 @example(constraint="reactive", re=0.3, im=0.0)
 @example(constraint="reactive", re=-0.8, im=0.0)
 @example(constraint="unimodular", re=0.0, im=0.0)
-# distances from the center whose reciprocal, or whose square, over- or underflows
+# a subnormal distance from the center, and imaginary parts whose square underflows
 @example(constraint="unimodular", re=5e-324, im=0.0)
 @example(constraint="reactive", re=2.0, im=1e-309)
 @example(constraint="reactive", re=0.3, im=1e-170)
