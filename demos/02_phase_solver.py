@@ -10,7 +10,7 @@ against the global grid optimum.
 import numpy as np
 
 from irsbeam.projectors import UNIMODULAR
-from irsbeam.vamp import VampConfig, run_vamp
+from irsbeam.vamp import run_vamp
 
 rng = np.random.default_rng(1)
 
@@ -25,8 +25,8 @@ print("\nsmall dense instance vs the exhaustive 64^3 phase grid:")
 a = (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))) / np.sqrt(2)
 b = (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))) / np.sqrt(2)
 z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
-res = run_vamp(a, b, z, UNIMODULAR, cfg=VampConfig(epsilon=1e-6, t_max=500),
-               rng=np.random.default_rng(0), collect_trace=True)
+res = run_vamp(a, b, z, UNIMODULAR, rng=np.random.default_rng(0), collect_trace=True,
+               epsilon=1e-6, t_max=500)
 achieved = np.linalg.norm(a @ np.diag(res.x) @ b.T - z) ** 2
 
 theta = np.exp(2j * np.pi * np.arange(64) / 64)

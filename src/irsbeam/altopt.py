@@ -1,8 +1,8 @@
 """Alternating optimization of the transmit precoder and the phase shifts.
 
 Each outer iteration refreshes the quadratic system the phase solver sees
-(the precoder and receiver scale enter its matrices), runs one or more
-message-passing steps (vamp.vamp_step) on it, re-projects the damped iterate
+(the precoder and receiver scale enter its matrices), runs one
+message-passing step (vamp.vamp_step) on it, re-projects the damped iterate
 onto the constraint set, and builds the effective channel of the new phases
 once: the closed-form precoder, the objective and the trace row all take
 it. The loop stops when the sum-MSE objective changes by less than a
@@ -19,8 +19,8 @@ from .channel import ChannelSet
 from .metrics import fit_error, per_user_sinr
 from .precoding import effective_channel, mmse_precoder
 from .projectors import get_projector
-from .vamp import (ExtrinsicMessage, VampConfig, VampDiagnostics, VampState,
-                   prepare_system, vamp_step)
+from .vamp import (GAMMA_FLOOR, ExtrinsicMessage, VampConfig, VampDiagnostics,
+                   VampState, prepare_system, vamp_step)
 
 
 @dataclass
@@ -29,17 +29,13 @@ class OptimizerConfig:
     epsilon_outer: float = 1e-3
     t_max_outer: int = 100
     constraint: str = "unimodular"
-    inner_iters: int = 1            # message-passing passes per outer iteration
-    carryover: str = "extrinsic"    # "extrinsic" | "restart"
     collect_trace: bool = True
 
     def __post_init__(self):
         # each rule is written so that NaN fails it
         for name, ok, rule in (
                 ("epsilon_outer", 0.0 < self.epsilon_outer < np.inf, "positive and finite"),
-                ("t_max_outer", self.t_max_outer >= 1, ">= 1"),
-                ("inner_iters", self.inner_iters >= 1, ">= 1"),
-                ("carryover", self.carryover in ("extrinsic", "restart"), "extrinsic or restart")):
+                ("t_max_outer", self.t_max_outer >= 1, ">= 1")):
             if not ok:
                 raise ValueError(f"{name}: must be {rule}, got {getattr(self, name)!r}")
 
@@ -91,7 +87,7 @@ def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
     vcfg = cfg.vamp
 
     upsilon = projector.initial_point(k, rng)
-    state = VampState(ExtrinsicMessage(upsilon.copy(), max(vcfg.gamma_0, vcfg.gamma_floor)),
+    state = VampState(ExtrinsicMessage(upsilon.copy(), max(vcfg.gamma_0, GAMMA_FLOOR)),
                       upsilon.copy())
     diag = VampDiagnostics()
     trace: list[TraceRow] = []
@@ -101,10 +97,7 @@ def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
         if t > 0:
             a, b, z = vamp_setup(ch, sol.F, sol.alpha)
             svd, z_tilde = prepare_system(a, b, z)
-            if cfg.carryover == "restart" and t > 1:
-                state.msg = ExtrinsicMessage(upsilon.copy(), max(vcfg.gamma_0, vcfg.gamma_floor))
-            for _ in range(cfg.inner_iters):
-                vamp_step(svd, z_tilde, state, projector, vcfg, diag)
+            vamp_step(svd, z_tilde, state, projector, vcfg, diag)
             upsilon = np.asarray(projector.g(state.x_damped))
         h = effective_channel(ch, upsilon)
         sol = mmse_precoder(h, power, noise_var)

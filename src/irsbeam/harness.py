@@ -51,20 +51,22 @@ class ExperimentSpec:
     base_seed: int = 7
     noise_dbm: float = -100.0
     channel: ChannelParams = field(default_factory=ChannelParams)
-    epsilon_outer: float = 1e-3
-    t_max_outer: int = 100
-    inner_iters: int = 1
-    carryover: str = "extrinsic"
-    rho: float = 0.9
-    gamma_w: float = 1.0
-    gamma_0: float = 0.1
+    epsilon_outer: float = OptimizerConfig.epsilon_outer
+    t_max_outer: int = OptimizerConfig.t_max_outer
+    rho: float = VampConfig.rho
+    gamma_w: float = VampConfig.gamma_w
+    gamma_0: float = VampConfig.gamma_0
     record_timing: bool = True
 
     def validate(self) -> None:
         """Reject a spec that cannot run, naming the key; ChannelParams checks its own."""
         for name in ("n_bs", "n_users", "n_irs", "power_dbm", "kappa", "schemes"):
-            if not getattr(self, name):
+            values = getattr(self, name)
+            if not values:
                 raise ValueError(f"spec.{name}: must be a non-empty list")
+            # aggregate() keys cells by value, so a repeat would merge two cells
+            if len(set(values)) < len(values):
+                raise ValueError(f"spec.{name}: must not repeat a value, got {values!r}")
         for key, ok, rule in (
                 ("scenario", self.scenario in ("A", "B"), "A or B"),
                 ("schemes", all(s in SCHEMES for s in self.schemes), f"among {SCHEMES}"),
@@ -93,8 +95,6 @@ class ExperimentSpec:
             epsilon_outer=self.epsilon_outer,
             t_max_outer=self.t_max_outer,
             constraint=constraint,
-            inner_iters=self.inner_iters,
-            carryover=self.carryover,
             collect_trace=collect_trace,
         )
 

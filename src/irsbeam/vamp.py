@@ -17,6 +17,9 @@ import numpy as np
 from .linalg import EconomySVD, economy_svd, khatri_rao_columns, structured_svd
 from .projectors import Projector
 
+# Floor for the emitted precisions; a nonpositive or smaller one is clamped to it.
+GAMMA_FLOOR = 1e-11
+
 
 @dataclass
 class ExtrinsicMessage:
@@ -29,20 +32,14 @@ class ExtrinsicMessage:
 @dataclass
 class VampConfig:
     gamma_w: float = 1.0        # quadratic-term weight in the linear pass
-    epsilon: float = 1e-3       # relative squared-change stopping tolerance
-    t_max: int = 100
     rho: float = 0.9            # damping factor in (0, 1]
-    gamma_floor: float = 1e-11  # clamp for nonpositive precisions
     gamma_0: float = 0.1        # initial message precision
 
     def __post_init__(self):
         # each rule is written so that NaN fails it
         for name, ok, rule in (
                 ("gamma_w", 0.0 < self.gamma_w < np.inf, "positive and finite"),
-                ("epsilon", 0.0 < self.epsilon < np.inf, "positive and finite"),
-                ("t_max", self.t_max >= 1, ">= 1"),
                 ("rho", 0.0 < self.rho <= 1.0, "in (0, 1]"),
-                ("gamma_floor", 0.0 < self.gamma_floor < np.inf, "positive and finite"),
                 ("gamma_0", 0.0 <= self.gamma_0 < np.inf, "non-negative and finite")):
             if not ok:
                 raise ValueError(f"{name}: must be {rule}, got {getattr(self, name)!r}")
@@ -101,7 +98,7 @@ def lmmse_extrinsic(svd: EconomySVD, z_tilde: np.ndarray, msg: ExtrinsicMessage,
     With K = svd.Vh.shape[1] unknowns and R components:
     d = gamma_w*omega^2 / (gamma_w*omega^2 + gamma);
     r_out = r + (K/R) V Diag(d/<d>) (z_tilde - V^H r);
-    gamma_out = gamma*<d> / (K/R - <d>), clamped to gamma_floor when the
+    gamma_out = gamma*<d> / (K/R - <d>), clamped to GAMMA_FLOOR when the
     denominator vanishes or goes negative (possible when R > K).
     """
     omega, vh = svd.omega, svd.Vh
@@ -116,13 +113,13 @@ def lmmse_extrinsic(svd: EconomySVD, z_tilde: np.ndarray, msg: ExtrinsicMessage,
     r_out = msg.r + ratio * (vh.conj().T @ ((d / d_mean) * (z_tilde - vh @ msg.r)))
     denom = ratio - d_mean
     if denom <= 0 or not np.isfinite(denom):
-        gamma_out = cfg.gamma_floor
+        gamma_out = GAMMA_FLOOR
         if diag is not None:
             diag.lmmse_clamps += 1
     else:
         gamma_out = msg.gamma * d_mean / denom
-        if gamma_out < cfg.gamma_floor:
-            gamma_out = cfg.gamma_floor
+        if gamma_out < GAMMA_FLOOR:
+            gamma_out = GAMMA_FLOOR
             if diag is not None:
                 diag.lmmse_clamps += 1
     return ExtrinsicMessage(r_out, gamma_out)
@@ -148,7 +145,7 @@ def vamp_step(svd: EconomySVD, z_tilde: np.ndarray, state: VampState, projector:
     x = g(r_tilde) are damped with cfg.rho. The projector pass emits
     precision gamma_hat - gamma_tilde, gamma_hat = <g'>/gamma_tilde, with the
     extrinsic mean built from the damped iterate; a nonpositive precision is
-    clamped to gamma_floor and the mean falls back to the iterate itself (the
+    clamped to GAMMA_FLOOR and the mean falls back to the iterate itself (the
     closed-form mean divided by the clamped precision would blow up).
     Returns (gamma_tilde, gamma_hat).
     """
@@ -157,12 +154,12 @@ def vamp_step(svd: EconomySVD, z_tilde: np.ndarray, state: VampState, projector:
     x_hat = np.asarray(projector.g(tilde.r))
     if state.passes > 0:
         gamma_tilde = max(cfg.rho * gamma_tilde + (1.0 - cfg.rho) * state.gamma_tilde_prev,
-                          cfg.gamma_floor)
+                          GAMMA_FLOOR)
         x_hat = cfg.rho * x_hat + (1.0 - cfg.rho) * state.x_damped
     gamma_hat = float(np.mean(projector.g_prime(tilde.r))) / gamma_tilde
     gamma_out = gamma_hat - gamma_tilde
     if gamma_out <= 0 or not np.isfinite(gamma_out):
-        gamma_out = cfg.gamma_floor
+        gamma_out = GAMMA_FLOOR
         r_out = x_hat.copy()
         diag.projector_clamps += 1
     else:
@@ -176,7 +173,8 @@ def vamp_step(svd: EconomySVD, z_tilde: np.ndarray, state: VampState, projector:
 
 def run_vamp(a: np.ndarray, b: np.ndarray, z: np.ndarray, projector: Projector,
              cfg: VampConfig | None = None, rng: np.random.Generator | None = None,
-             collect_trace: bool = False) -> VampResult:
+             collect_trace: bool = False, *, epsilon: float = 1e-3,
+             t_max: int = 100) -> VampResult:
     """Solve min ||A Diag(x) B^T - Z||_F^2 under the projector's constraint.
 
     Iterates until the squared iterate change falls under epsilon times the
@@ -184,25 +182,30 @@ def run_vamp(a: np.ndarray, b: np.ndarray, z: np.ndarray, projector: Projector,
     through g, so every entry lies exactly in the constraint set even though
     damped intermediate iterates need not.
     """
+    # each rule is written so that NaN fails it
+    if not 0.0 < epsilon < np.inf:
+        raise ValueError(f"epsilon: must be positive and finite, got {epsilon!r}")
+    if not t_max >= 1:
+        raise ValueError(f"t_max: must be >= 1, got {t_max!r}")
     cfg = cfg or VampConfig()
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     z = np.asarray(z, dtype=complex)
     svd, z_tilde = prepare_system(a, b, z)
     x0 = projector.initial_point(a.shape[1], rng or np.random.default_rng())
-    state = VampState(ExtrinsicMessage(x0.copy(), max(cfg.gamma_0, cfg.gamma_floor)), x0.copy())
+    state = VampState(ExtrinsicMessage(x0.copy(), max(cfg.gamma_0, GAMMA_FLOOR)), x0.copy())
     diag = VampDiagnostics()
     trace: list = []
     converged = False
     t = 0
-    for t in range(1, cfg.t_max + 1):
+    for t in range(1, t_max + 1):
         x_before = state.x_damped
         gamma_tilde, gamma_hat = vamp_step(svd, z_tilde, state, projector, cfg, diag)
         if collect_trace:
             obj = float(np.linalg.norm(a @ (state.x_damped[:, None] * b.T) - z) ** 2)
             trace.append((t, obj, gamma_tilde, gamma_hat, diag.clamped))
         delta = float(np.linalg.norm(state.x_damped - x_before) ** 2)
-        if t > 1 and delta <= cfg.epsilon * float(np.linalg.norm(x_before) ** 2):
+        if t > 1 and delta <= epsilon * float(np.linalg.norm(x_before) ** 2):
             converged = True
             break
     x_out = np.asarray(projector.g(state.x_damped))

@@ -158,16 +158,6 @@ def test_stopping_rule_relative_change():
             assert abs(b - a) >= 1e-3 * a
 
 
-def test_carryover_restart_and_inner_iters_run():
-    dims = SystemDims(4, 1, 9)
-    ch = sample_channel_set(np.random.default_rng(9), dims)
-    for cfg in (OptimizerConfig(carryover="restart"),
-                OptimizerConfig(inner_iters=3)):
-        sol = joint_optimize(ch, 1.0, 1e-13, cfg, np.random.default_rng(10))
-        assert np.allclose(np.abs(sol.upsilon), 1.0, atol=1e-12)
-        assert sol.trace[-1].error <= sol.trace[0].error
-
-
 def test_trace_nrmse_consistency():
     dims = SystemDims(4, 2, 9)
     ch = sample_channel_set(np.random.default_rng(11), dims)
@@ -201,7 +191,6 @@ def test_traced_solve_builds_one_effective_channel_per_iteration(monkeypatch):
 
 def test_optimizer_config_validation():
     for key, bad in (("epsilon_outer", 0.0), ("epsilon_outer", float("nan")),
-                     ("epsilon_outer", float("inf")), ("t_max_outer", 0),
-                     ("inner_iters", 0), ("carryover", "sometimes")):
+                     ("epsilon_outer", float("inf")), ("t_max_outer", 0)):
         with pytest.raises(ValueError, match=f"^{key}: "):
             OptimizerConfig(**{key: bad})

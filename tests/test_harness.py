@@ -93,7 +93,13 @@ def test_parse_spec_errors_name_the_field():
                       ("epsilon_outer = nan", "spec.epsilon_outer"),
                       ("gamma_w = nan", "spec.gamma_w"), ("gamma_0 = nan", "spec.gamma_0"),
                       ("rho = nan", "spec.rho"), ("t_max_outer = 0", "spec.t_max_outer"),
-                      ("carryover = sometimes", "spec.carryover"),
+                      ("carryover = sometimes", "spec.carryover: unknown key"),
+                      ("carryover = restart", "spec.carryover: unknown key"),
+                      ("inner_iters = 1", "spec.inner_iters: unknown key"),
+                      ("n_irs = 16, 16", "spec.n_irs"), ("n_bs = 8, 8", "spec.n_bs"),
+                      ("n_users = 2, 2", "spec.n_users"), ("power_dbm = 30, 30", "spec.power_dbm"),
+                      ("power_dbm = 30, 30.0", "spec.power_dbm"), ("kappa = 1, 1.0", "spec.kappa"),
+                      ("schemes = random_phase_irs, random_phase_irs", "spec.schemes"),
                       ("power_dbm = 10, nan", "spec.power_dbm"),
                       ("power_dbm = inf", "spec.power_dbm"),
                       ("noise_dbm = nan", "spec.noise_dbm"),

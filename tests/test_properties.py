@@ -5,9 +5,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from irsbeam.precoding import mmse_precoder
-from irsbeam.projectors import get_projector
-from irsbeam.vamp import (ExtrinsicMessage, VampConfig, VampDiagnostics, VampState,
-                          prepare_system, vamp_step)
+from irsbeam.projectors import UNIMODULAR, get_projector
+from irsbeam.vamp import (GAMMA_FLOOR, ExtrinsicMessage, VampConfig, VampDiagnostics,
+                          VampState, prepare_system, vamp_step)
 
 SEEDS = st.integers(0, 2**32 - 1)
 # Dense samples of each constraint set: unit phases, and -1/(1 + j chi) over the
@@ -58,17 +58,77 @@ def test_vamp_step_invariants(seed, m, q, k, steps, constraint, rho, gamma_0):
     projector = get_projector(constraint)
     cfg = VampConfig(rho=rho, gamma_0=gamma_0)
     x0 = projector.initial_point(k, rng)
-    state = VampState(ExtrinsicMessage(x0.copy(), max(cfg.gamma_0, cfg.gamma_floor)), x0.copy())
+    state = VampState(ExtrinsicMessage(x0.copy(), max(cfg.gamma_0, GAMMA_FLOOR)), x0.copy())
     diag = VampDiagnostics()
     for step in range(1, steps + 1):
         gamma_tilde, gamma_hat = vamp_step(svd, z_tilde, state, projector, cfg, diag)
         assert state.passes == step
-        assert np.isfinite(gamma_tilde) and gamma_tilde >= cfg.gamma_floor
+        assert np.isfinite(gamma_tilde) and gamma_tilde >= GAMMA_FLOOR
         assert state.gamma_tilde_prev == gamma_tilde
         assert np.isfinite(gamma_hat)
         assert np.isfinite(state.msg.gamma) and state.msg.gamma > 0
         assert np.all(np.isfinite(state.msg.r)) and np.all(np.isfinite(state.x_damped))
         assert on_set(constraint, projector.g(state.x_damped)) <= 1e-12
+
+
+def step_history(a, b, z, projector, cfg, x0, steps):
+    """(gamma_tilde, gamma_hat, message mean, message precision, damped iterate)
+    after each of `steps` vamp_steps on the system (A, B, Z) from x0."""
+    svd, z_tilde = prepare_system(a, b, z)
+    state = VampState(ExtrinsicMessage(x0.copy(), max(cfg.gamma_0, GAMMA_FLOOR)), x0.copy())
+    diag = VampDiagnostics()
+    history = []
+    for _ in range(steps):
+        gamma_tilde, gamma_hat = vamp_step(svd, z_tilde, state, projector, cfg, diag)
+        history.append((gamma_tilde, gamma_hat, state.msg.r, state.msg.gamma, state.x_damped))
+    return history
+
+
+def assert_same_history(got, want, rotation=1.0):
+    """`got` equals `want` to 1e-9 relative, its vectors multiplied by `rotation`."""
+    def close(u, v):
+        return np.linalg.norm(u - v) <= 1e-9 * np.linalg.norm(v)
+
+    for (gt, gh, r, g, x), (wt, wh, wr, wg, wx) in zip(got, want, strict=True):
+        assert close(gt, wt) and close(gh, wh) and close(g, wg)
+        assert close(r, rotation * wr) and close(x, rotation * wx)
+
+
+SYSTEMS = dict(seed=SEEDS, m=st.integers(1, 3), q=st.integers(1, 3), k=st.integers(2, 12),
+               steps=st.integers(1, 6), rho=st.floats(0.3, 1.0), gamma_0=st.floats(0.0, 10.0))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**SYSTEMS, constraint=st.sampled_from(["unimodular", "reactive"]),
+       log_gamma_w=st.floats(-2.0, 2.0), log_c=st.floats(-3.0, 3.0))
+def test_vamp_step_is_scale_invariant(seed, m, q, k, steps, rho, gamma_0, constraint,
+                                      log_gamma_w, log_c):
+    # (cA, B, cZ) scales every singular value and leaves z_tilde alone, so with
+    # gamma_w / c^2 the linear pass sees the same d; m*q > k takes the dense branch
+    rng = np.random.default_rng(seed)
+    a, b, z = cplx(rng, m, k), cplx(rng, q, k), cplx(rng, m, q)
+    projector = get_projector(constraint)
+    x0 = projector.initial_point(k, rng)
+    gamma_w, c = 10.0**log_gamma_w, 10.0**log_c
+    want = step_history(a, b, z, projector, VampConfig(gamma_w, rho, gamma_0), x0, steps)
+    got = step_history(c * a, b, c * z, projector, VampConfig(gamma_w / c**2, rho, gamma_0),
+                       x0, steps)
+    assert_same_history(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(**SYSTEMS, theta=st.floats(-np.pi, np.pi))
+def test_unimodular_vamp_step_is_rotation_invariant(seed, m, q, k, steps, rho, gamma_0, theta):
+    # the linear pass is linear in (Z, r) and the unit-circle projector commutes
+    # with a rotation, so rotating Z and the start rotates every iterate
+    rng = np.random.default_rng(seed)
+    a, b, z = cplx(rng, m, k), cplx(rng, q, k), cplx(rng, m, q)
+    x0 = UNIMODULAR.initial_point(k, rng)
+    cfg = VampConfig(rho=rho, gamma_0=gamma_0)
+    turn = np.exp(1j * theta)
+    want = step_history(a, b, z, UNIMODULAR, cfg, x0, steps)
+    got = step_history(a, b, turn * z, UNIMODULAR, cfg, turn * x0, steps)
+    assert_same_history(got, want, rotation=turn)
 
 
 @settings(max_examples=100, deadline=None)

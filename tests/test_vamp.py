@@ -4,8 +4,8 @@ import pytest
 from irsbeam.linalg import EconomySVD, economy_svd, khatri_rao_columns
 from irsbeam.oracles import dense_lmmse
 from irsbeam.projectors import REACTIVE, UNIMODULAR
-from irsbeam.vamp import (ExtrinsicMessage, VampConfig, VampDiagnostics, VampState,
-                          lmmse_extrinsic, prepare_system, run_vamp, vamp_step)
+from irsbeam.vamp import (GAMMA_FLOOR, ExtrinsicMessage, VampConfig, VampDiagnostics,
+                          VampState, lmmse_extrinsic, prepare_system, run_vamp, vamp_step)
 
 
 def cplx(rng, *shape):
@@ -164,8 +164,7 @@ def test_run_vamp_diagonal_system_projects_phases():
     diag_z = cplx(rng, 4) + np.array([1.5, -2.0, 0.5j, 1 - 1j])
     z = np.diag(diag_z)
     res = run_vamp(np.eye(4), np.eye(4), z, UNIMODULAR,
-                   cfg=VampConfig(epsilon=1e-10, t_max=200),
-                   rng=np.random.default_rng(1), collect_trace=True)
+                   rng=np.random.default_rng(1), collect_trace=True, epsilon=1e-10, t_max=200)
     assert np.abs(res.x - diag_z / np.abs(diag_z)).max() < 1e-6
     objs = [row[1] for row in res.trace]
     assert all(b <= a + 1e-9 for a, b in zip(objs, objs[1:]))
@@ -183,10 +182,10 @@ def test_run_vamp_output_feasible():
 def test_run_vamp_emitted_precisions_respect_floor():
     rng = np.random.default_rng(9)
     a, b, z = cplx(rng, 2, 10), cplx(rng, 2, 10), cplx(rng, 2, 2)
-    res = run_vamp(a, b, z, UNIMODULAR, cfg=VampConfig(t_max=50),
-                   rng=np.random.default_rng(4), collect_trace=True)
+    res = run_vamp(a, b, z, UNIMODULAR, rng=np.random.default_rng(4), collect_trace=True,
+                   t_max=50)
     for _, _, gamma_tilde, gamma_hat, _ in res.trace:
-        assert gamma_tilde >= 1e-11
+        assert gamma_tilde >= GAMMA_FLOOR
         assert np.isfinite(gamma_hat)
 
 
@@ -194,8 +193,7 @@ def test_run_vamp_near_grid_optimum_small_instance():
     # frozen instance; the exhaustive 64^3 phase grid is the oracle
     rng = np.random.default_rng(103)
     a, b, z = cplx(rng, 2, 3), cplx(rng, 2, 3), cplx(rng, 2, 2)
-    res = run_vamp(a, b, z, UNIMODULAR, cfg=VampConfig(epsilon=1e-6, t_max=500),
-                   rng=np.random.default_rng(0))
+    res = run_vamp(a, b, z, UNIMODULAR, rng=np.random.default_rng(0), epsilon=1e-6, t_max=500)
     achieved = np.linalg.norm(a @ np.diag(res.x) @ b.T - z) ** 2
     theta = np.exp(2j * np.pi * np.arange(64) / 64)
     best = np.inf
@@ -211,9 +209,15 @@ def test_run_vamp_near_grid_optimum_small_instance():
 def test_vamp_config_validation():
     nan, inf = float("nan"), float("inf")
     for key, bad in (("rho", 0.0), ("rho", 1.5), ("rho", nan),
-                     ("epsilon", -1.0), ("epsilon", nan), ("t_max", 0),
                      ("gamma_w", 0.0), ("gamma_w", nan), ("gamma_w", inf),
-                     ("gamma_floor", 0.0), ("gamma_floor", nan),
                      ("gamma_0", -0.1), ("gamma_0", nan), ("gamma_0", inf)):
         with pytest.raises(ValueError, match=f"^{key}: "):
             VampConfig(**{key: bad})
+
+
+def test_run_vamp_stopping_rule_validation():
+    nan, inf = float("nan"), float("inf")
+    for key, bad in (("epsilon", 0.0), ("epsilon", -1.0), ("epsilon", nan), ("epsilon", inf),
+                     ("t_max", 0)):
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            run_vamp(np.eye(1), np.eye(1), np.eye(1), UNIMODULAR, **{key: bad})
