@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from irsbeam.linalg import EconomySVD, economy_svd, khatri_rao_columns
+from irsbeam.linalg import RANK_CUTOFF, EconomySVD, economy_svd, khatri_rao_columns
 from irsbeam.oracles import dense_lmmse
 from irsbeam.projectors import REACTIVE, UNIMODULAR
 from irsbeam.vamp import (GAMMA_FLOOR, ExtrinsicMessage, VampConfig, VampDiagnostics,
@@ -148,6 +148,74 @@ def test_prepare_system_structured_vs_dense_paths():
         assert np.linalg.norm(svd.reconstruct() - d) < 1e-9 * np.linalg.norm(d)
     with pytest.raises(ValueError):
         prepare_system(np.zeros((2, 4)), cplx(rng, 2, 4), np.zeros((2, 2)))
+
+
+# Reference assembly for the bit-identity test below: the economy SVD and the
+# product form as first written, column by column from the kron grid indices.
+def _reference_economy_svd(a):
+    u, omega, vh = np.linalg.svd(a, full_matrices=False)
+    if omega.size and omega[0] > 0:
+        keep = omega > RANK_CUTOFF * omega[0]
+        u, omega, vh = u[:, keep], omega[keep], vh[keep]
+    else:
+        u, omega, vh = u[:, :0], omega[:0], vh[:0]
+    return EconomySVD(u, omega, vh)
+
+
+def _reference_structured_svd(svd_a, svd_b):
+    vh_kr = khatri_rao_columns(svd_b.Vh, svd_a.Vh)
+    v_n = np.linalg.norm(vh_kr, axis=1)
+    omega_full = np.kron(svd_b.omega, svd_a.omega) * v_n
+    if omega_full.size and omega_full.max() > 0:
+        kept = np.flatnonzero(omega_full > RANK_CUTOFF * omega_full.max())
+    else:
+        kept = np.zeros(0, dtype=np.intp)
+    i, j = np.divmod(kept, svd_a.rank)
+    u = khatri_rao_columns(svd_b.U[:, i], svd_a.U[:, j])
+    return EconomySVD(u, omega_full[kept], vh_kr[kept] / v_n[kept, None])
+
+
+def _reference_prepare_system(a, b, z):
+    svd_a, svd_b = _reference_economy_svd(a), _reference_economy_svd(b)
+    if svd_a.rank * svd_b.rank > a.shape[1]:
+        svd = _reference_economy_svd(khatri_rao_columns(b, a))
+    else:
+        svd = _reference_structured_svd(svd_a, svd_b)
+    return svd, (svd.U.conj().T @ z.flatten(order="F")) / svd.omega
+
+
+def test_prepare_system_bits_match_reference_assembly():
+    # U and Vh reach gemv in z_tilde and the linear pass, where their memory
+    # order picks the BLAS kernel, so their layout is pinned as well as their bits
+    rng = np.random.default_rng(12)
+
+    def factor(m, k):  # M x K and Fortran-ordered, as altopt.vamp_setup builds A and B
+        return cplx(rng, k, m).T
+
+    # disjoint row supports: Khatri-Rao rows (0, 1) and (1, 0) of the right
+    # factors vanish, so the structured branch keeps 2 of its 4 components
+    blocks = np.zeros((2, 4), dtype=complex)
+    blocks[0, :2], blocks[1, 2:] = cplx(rng, 2), cplx(rng, 2)
+    cases = [("structured", factor(2, 16), factor(2, 16), cplx(rng, 2, 2)),
+             ("structured", factor(4, 256), factor(4, 256), cplx(rng, 4, 4)),
+             ("dense", factor(4, 9), factor(4, 9), cplx(rng, 4, 4)),
+             ("dropped", blocks.copy(order="F"), (blocks * cplx(rng, 1, 4)).copy(order="F"),
+              cplx(rng, 2, 2))]
+    for branch, a, b, z in cases:
+        svd, z_tilde = prepare_system(a, b, z)
+        ref, ref_z = _reference_prepare_system(a, b, z)
+        n_components = a.shape[0] * b.shape[0]
+        assert {"structured": svd.rank == n_components <= a.shape[1],
+                "dense": n_components > a.shape[1],
+                "dropped": svd.rank == 2}[branch]
+        for name, got, want in (("U", svd.U, ref.U), ("omega", svd.omega, ref.omega),
+                                ("Vh", svd.Vh, ref.Vh), ("z_tilde", z_tilde, ref_z)):
+            assert got.shape == want.shape, (branch, name)
+            assert got.tobytes() == want.tobytes(), (branch, name)
+            assert got.strides == want.strides, (branch, name)
+            assert (got.flags.c_contiguous, got.flags.f_contiguous) == \
+                (want.flags.c_contiguous, want.flags.f_contiguous), (branch, name)
+        assert svd.U.flags.f_contiguous, branch
 
 
 def test_run_vamp_scalar_identity():
