@@ -5,7 +5,10 @@ product-form SVD of D = B * A assembled from the factor SVDs without
 factoring D itself. The product form is exact as a factorization and its
 left factor has orthonormal columns; its right factor is row-normalized but
 not orthonormal in general, so `orthonormality_defect` is provided as a
-diagnostic.
+diagnostic. Past the factor SVDs the product form takes a few whole-array
+numpy calls, and each entry is the same single product or quotient as in an
+entry-by-entry assembly. U is Fortran- and Vh C-ordered: their layout picks
+the BLAS kernel, and so the rounding, of the products that use them.
 """
 
 from __future__ import annotations
@@ -36,17 +39,14 @@ class EconomySVD:
 
 def economy_svd(a: np.ndarray) -> EconomySVD:
     """Economy-size SVD of a dense complex matrix, truncated at RANK_CUTOFF
-    relative to the largest singular value."""
+    relative to the largest singular value. U is Fortran-ordered."""
     a = np.asarray(a)
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise ValueError("economy_svd: input contains non-finite entries")
     u, omega, vh = np.linalg.svd(a, full_matrices=False)
-    if omega.size and omega[0] > 0:
-        keep = omega > RANK_CUTOFF * omega[0]
-        u, omega, vh = u[:, keep], omega[keep], vh[keep]
-    else:
-        u, omega, vh = u[:, :0], omega[:0], vh[:0]
-    return EconomySVD(u, omega, vh)
+    # omega is sorted in descending order, so the kept components lead
+    rank = np.count_nonzero(omega > RANK_CUTOFF * omega[0]) if omega.size else 0
+    return EconomySVD(np.asfortranarray(u[:, :rank]), omega[:rank], vh[:rank])
 
 
 def khatri_rao_columns(b: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -68,23 +68,21 @@ def khatri_rao_columns(b: np.ndarray, a: np.ndarray) -> np.ndarray:
 def structured_svd(svd_a: EconomySVD, svd_b: EconomySVD) -> EconomySVD:
     """Assemble the SVD-form triple of D = B * A from the factor SVDs.
 
-    U = kron(U_b, U_a) restricted to the kept columns,
-    omega = (omega_b kron omega_a) * v_n and Vh = row-normalized Khatri-Rao
-    of the factor Vh's, where v_n holds the row norms being normalized away.
-    Components whose omega falls under the rank cutoff are dropped, and the
-    rest keep the order of the kron grid. Reconstruction is exact.
+    U = kron(U_b, U_a), omega = (omega_b kron omega_a) * v_n and Vh = the
+    row-normalized Khatri-Rao product of the factor Vh's, where v_n holds the
+    row norms being normalized away. One boolean mask over the kron grid drops
+    the components whose omega falls under the rank cutoff; the rest keep the
+    grid's order. U is the full kron from one broadcast, masked, so it is
+    bit-equal to np.kron(U_b, U_a)[:, kept]. Reconstruction is exact.
     """
     vh_kr = khatri_rao_columns(svd_b.Vh, svd_a.Vh)
-    v_n = np.linalg.norm(vh_kr, axis=1)
-    omega_full = np.kron(svd_b.omega, svd_a.omega) * v_n
-    if omega_full.size and omega_full.max() > 0:
-        kept = np.flatnonzero(omega_full > RANK_CUTOFF * omega_full.max())
-    else:
-        kept = np.zeros(0, dtype=np.intp)
-    # column p = i*R_a + j of kron(U_b, U_a) is U_b[:, i] kron U_a[:, j]
-    i, j = np.divmod(kept, svd_a.rank)
-    u = khatri_rao_columns(svd_b.U[:, i], svd_a.U[:, j])
-    return EconomySVD(u, omega_full[kept], vh_kr[kept] / v_n[kept, None])
+    # np.linalg.norm(vh_kr, axis=1) without its dispatch
+    v_n = np.sqrt(np.add.reduce((vh_kr.conj() * vh_kr).real, axis=1))
+    omega_full = (svd_b.omega[:, None] * svd_a.omega).ravel() * v_n
+    kept = omega_full > RANK_CUTOFF * omega_full.max(initial=0.0)
+    u = svd_b.U[:, None, :, None] * svd_a.U[None, :, None, :]
+    u = u.reshape(u.shape[0] * u.shape[1], omega_full.size)[:, kept]
+    return EconomySVD(np.asfortranarray(u), omega_full[kept], vh_kr[kept] / v_n[kept, None])
 
 
 def orthonormality_defect(vh: np.ndarray) -> float:

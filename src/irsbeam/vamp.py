@@ -108,7 +108,7 @@ def lmmse_extrinsic(svd: EconomySVD, z_tilde: np.ndarray, msg: ExtrinsicMessage,
     if msg.r.shape != (k,):
         raise ValueError(f"lmmse_extrinsic: message mean has length {msg.r.size}, expected {k}")
     d = cfg.gamma_w * omega**2 / (cfg.gamma_w * omega**2 + msg.gamma)
-    d_mean = float(np.mean(d))
+    d_mean = float(d.sum() / d.size)
     ratio = k / rank
     r_out = msg.r + ratio * (vh.conj().T @ ((d / d_mean) * (z_tilde - vh @ msg.r)))
     denom = ratio - d_mean
@@ -156,7 +156,8 @@ def vamp_step(svd: EconomySVD, z_tilde: np.ndarray, state: VampState, projector:
         gamma_tilde = max(cfg.rho * gamma_tilde + (1.0 - cfg.rho) * state.gamma_tilde_prev,
                           GAMMA_FLOOR)
         x_hat = cfg.rho * x_hat + (1.0 - cfg.rho) * state.x_damped
-    gamma_hat = float(np.mean(projector.g_prime(tilde.r))) / gamma_tilde
+    g_prime = projector.g_prime(tilde.r)
+    gamma_hat = float(g_prime.sum() / g_prime.size) / gamma_tilde
     gamma_out = gamma_hat - gamma_tilde
     if gamma_out <= 0 or not np.isfinite(gamma_out):
         gamma_out = GAMMA_FLOOR
