@@ -112,16 +112,12 @@ def lmmse_extrinsic(svd: EconomySVD, z_tilde: np.ndarray, msg: ExtrinsicMessage,
     ratio = k / rank
     r_out = msg.r + ratio * (vh.conj().T @ ((d / d_mean) * (z_tilde - vh @ msg.r)))
     denom = ratio - d_mean
-    if denom <= 0 or not np.isfinite(denom):
+    # a vanishing, negative or non-finite denominator clamps once, like a small precision
+    gamma_out = msg.gamma * d_mean / denom if 0 < denom < np.inf else 0.0
+    if gamma_out < GAMMA_FLOOR:
         gamma_out = GAMMA_FLOOR
         if diag is not None:
             diag.lmmse_clamps += 1
-    else:
-        gamma_out = msg.gamma * d_mean / denom
-        if gamma_out < GAMMA_FLOOR:
-            gamma_out = GAMMA_FLOOR
-            if diag is not None:
-                diag.lmmse_clamps += 1
     return ExtrinsicMessage(r_out, gamma_out)
 
 
