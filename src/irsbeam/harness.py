@@ -374,6 +374,10 @@ def load_aggregate_csv(path) -> list[dict]:
         header = fh.readline().strip().split(",")
         if header != list(AGGREGATE_COLUMNS):
             raise ValueError(f"{path}: header is not {','.join(AGGREGATE_COLUMNS)}")
-        return [{c: typ(v) for (c, typ), v in zip(AGGREGATE_COLUMNS.items(),
-                                                  line.strip().split(","))}
-                for line in fh]
+        rows = [line.strip().split(",") for line in fh]
+    for lineno, values in enumerate(rows, start=2):
+        if len(values) != len(AGGREGATE_COLUMNS):
+            raise ValueError(f"{path}:{lineno}: {len(values)} fields, the header has "
+                             f"{len(AGGREGATE_COLUMNS)}")
+    return [{c: typ(v) for (c, typ), v in zip(AGGREGATE_COLUMNS.items(), values)}
+            for values in rows]

@@ -204,6 +204,7 @@ def test_aggregate_stats_and_roundtrip(tmp_path):
             k: expected.get(k, float) for k in AGGREGATE_COLUMNS}
     path = tmp_path / "agg.csv"
     emit_aggregate_csv(aggs, path)
+    lines = path.read_text().splitlines()
     back = load_aggregate_csv(path)
     assert back == aggs
     # equality alone lets 6 == 6.0 pass; the types must survive the round trip
@@ -213,6 +214,14 @@ def test_aggregate_stats_and_roundtrip(tmp_path):
     path.write_text(path.read_text().replace("N,M", "M,N", 1))
     with pytest.raises(ValueError, match="header"):
         load_aggregate_csv(path)
+    # a row with another field count, a blank line included, is refused by line
+    header, row = lines[:2]
+    for body, lineno, count in (("vamp_unimodular,8,2\n\n", 2, 3), ("\n", 2, 1),
+                                (row + "\n\n", 3, 1),
+                                (row + ",1.0\n", 2, len(AGGREGATE_COLUMNS) + 1)):
+        path.write_text(header + "\n" + body)
+        with pytest.raises(ValueError, match=f"agg.csv:{lineno}: {count} fields"):
+            load_aggregate_csv(path)
 
 
 def test_render_chart_structure(tmp_path):
