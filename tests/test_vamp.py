@@ -150,8 +150,9 @@ def test_prepare_system_structured_vs_dense_paths():
         prepare_system(np.zeros((2, 4)), cplx(rng, 2, 4), np.zeros((2, 2)))
 
 
-# Reference assembly for the bit-identity test below: the economy SVD and the
-# product form as first written, column by column from the kron grid indices.
+# Column-by-column reference for the bit-identity test below: the kept columns
+# of kron(U_b, U_a) are gathered from their grid indices, and the row norms and
+# the kron of the omegas are numpy's own.
 def _reference_economy_svd(a):
     u, omega, vh = np.linalg.svd(a, full_matrices=False)
     if omega.size and omega[0] > 0:
