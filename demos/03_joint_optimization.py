@@ -9,8 +9,9 @@ import numpy as np
 
 from irsbeam.altopt import OptimizerConfig, joint_optimize
 from irsbeam.channel import SystemDims, sample_channel_set
-from irsbeam.harness import baseline_random_phase, dbm_to_watts
+from irsbeam.harness import dbm_to_watts, fixed_phase_design
 from irsbeam.metrics import sum_rate
+from irsbeam.projectors import UNIMODULAR
 
 dims = SystemDims(N=8, M=2, K=64)
 power = dbm_to_watts(30.0)       # 1 W
@@ -31,6 +32,7 @@ for constraint in ("unimodular", "reactive"):
     print("  error trace:", " ".join(f"{row.error:.3f}" for row in sol.trace[:10]),
           "...")
 
-base = baseline_random_phase(ch, power, noise, np.random.default_rng(11))
+base = fixed_phase_design(ch, UNIMODULAR.initial_point(dims.K, np.random.default_rng(11)),
+                          power, noise)
 print(f"\nrandom phases, same channel: sum-rate "
       f"{sum_rate(ch, base.upsilon, base.F, noise):.2f} bits/s/Hz")

@@ -4,8 +4,9 @@ Three links are modeled: the reflector-array-to-base-station matrix H_bs
 (K x N), the direct base-station-to-user matrix H_bu (N x M), and the
 reflector-array-to-user matrix H_su (K x M). Each link is a sum of a few
 paths, one path optionally boosted to sit a fixed margin above the rest to
-act as the line-of-sight component. All randomness flows through an explicit
-numpy Generator, so a trial is a deterministic function of its seed.
+act as the line-of-sight component; one synthesizer builds every link. All
+randomness flows through an explicit numpy Generator, so a trial is a
+deterministic function of its seed.
 """
 
 from __future__ import annotations
@@ -109,10 +110,6 @@ class ChannelSet:
         """Copy with the base-station-to-user block zeroed."""
         return replace(self, H_bu=np.zeros_like(self.H_bu))
 
-    def without_irs(self) -> "ChannelSet":
-        """Copy with the reflector-to-user block zeroed (direct link only)."""
-        return replace(self, H_su=np.zeros_like(self.H_su))
-
 
 def complex_normal(rng: np.random.Generator, *shape) -> np.ndarray:
     """Circularly symmetric unit-variance complex Gaussian draws."""
@@ -125,16 +122,11 @@ def _steer(n: int, u: np.ndarray, spacing_ratio: float) -> np.ndarray:
     return np.exp(2j * np.pi * spacing_ratio * np.arange(n) * u[:, None])
 
 
-def _ula_responses(phi: np.ndarray, n: int, spacing_ratio: float) -> np.ndarray:
-    """Uniform-linear-array steering vectors, one row per angle in phi."""
-    if n < 1:
-        raise ValueError(f"ula_response: need n >= 1, got {n}")
-    return _steer(n, np.cos(phi), spacing_ratio)
-
-
 def ula_response(phi: float, n: int, spacing_ratio: float = 0.5) -> np.ndarray:
     """Uniform-linear-array steering vector, entry k = exp(2j*pi*ratio*k*cos(phi))."""
-    return _ula_responses(np.array([phi]), n, spacing_ratio)[0]
+    if n < 1:
+        raise ValueError(f"ula_response: need n >= 1, got {n}")
+    return _steer(n, np.cos(np.array([phi])), spacing_ratio)[0]
 
 
 def _planar_factors(k: int) -> tuple[int, int]:
@@ -185,56 +177,22 @@ def boost_los(path_gains: np.ndarray, margin_db: float = 5.0) -> np.ndarray:
     return gains
 
 
-def synth_bs_irs(rng: np.random.Generator, dims: SystemDims, n_paths: int,
-                 distance: float, params: ChannelParams,
-                 los_boost_db: float | None = None) -> np.ndarray:
-    """Base-station-to-reflector matrix: sqrt(L(d)) * sum_q c_q a_irs a_bs^T.
+def _synth_link(rng: np.random.Generator, n_paths: int, n_angles: int, respond,
+                loss: float, los_boost_db: float | None = None) -> np.ndarray:
+    """One link, sqrt(loss) * sum_q c_q a_q over n_paths paths.
 
-    Path gains are unit complex normal (gain 0 boosted by los_boost_db when
-    given), azimuths and departure angles uniform on [0, 2pi), elevations
-    uniform on [0, pi). Numerical rank is at most n_paths.
+    The gains c_q are unit complex normal (gain 0 boosted by los_boost_db
+    when given). Then one row of n_angles uniform [0, 1) draws per path is
+    drawn, and `respond` maps those rows to the responses a_q, one per row.
     """
-    if n_paths < 1:
-        raise ValueError("synth_bs_irs: need at least one path")
     gains = complex_normal(rng, n_paths)
     if los_boost_db is not None:
         gains = boost_los(gains, los_boost_db)
-    # one row of (elevation, azimuth, departure) per path, in the order the
-    # per-path draws took them; hi * random() equals uniform(0, hi) exactly
-    u = rng.random((n_paths, 3))
-    a_irs = _irs_responses(np.pi * u[:, 0], 2.0 * np.pi * u[:, 1], dims.K, params.spacing)
-    a_bs = _ula_responses(2.0 * np.pi * u[:, 2], dims.N, params.spacing)
-    h = np.zeros((dims.K, dims.N), dtype=complex)
+    a = respond(rng.random((n_paths, n_angles)))
+    h = np.zeros(a.shape[1:], dtype=complex)
     for q in range(n_paths):
-        h += gains[q] * np.outer(a_irs[q], a_bs[q])
-    return np.sqrt(params.path_loss(distance, params.eta_irs)) * h
-
-
-def synth_bs_user(rng: np.random.Generator, n_bs: int, n_paths: int,
-                  distance: float, params: ChannelParams) -> np.ndarray:
-    """Direct-link vector for one user: sqrt(L(d)) * sum_q c_q a_bs(phi_q)."""
-    gains = complex_normal(rng, n_paths)
-    a_bs = _ula_responses(2.0 * np.pi * rng.random(n_paths), n_bs, params.spacing)
-    h = np.zeros(n_bs, dtype=complex)
-    for q in range(n_paths):
-        h += gains[q] * a_bs[q]
-    return np.sqrt(params.path_loss(distance, params.eta_direct)) * h
-
-
-def synth_irs_user(rng: np.random.Generator, n_irs: int, n_paths: int,
-                   distance: float, params: ChannelParams,
-                   los_boost_db: float | None = None) -> np.ndarray:
-    """Reflector-to-user vector for one user, optionally with a boosted path."""
-    gains = complex_normal(rng, n_paths)
-    if los_boost_db is not None:
-        gains = boost_los(gains, los_boost_db)
-    # one row of (elevation, azimuth) per path, drawn as in synth_bs_irs
-    u = rng.random((n_paths, 2))
-    a_irs = _irs_responses(np.pi * u[:, 0], 2.0 * np.pi * u[:, 1], n_irs, params.spacing)
-    h = np.zeros(n_irs, dtype=complex)
-    for q in range(n_paths):
-        h += gains[q] * a_irs[q]
-    return np.sqrt(params.path_loss(distance, params.eta_irs)) * h
+        h += gains[q] * a[q]
+    return np.sqrt(loss) * h
 
 
 def sample_channel_set(rng: np.random.Generator, dims: SystemDims,
@@ -251,8 +209,18 @@ def sample_channel_set(rng: np.random.Generator, dims: SystemDims,
     params = params or ChannelParams()
     if scenario not in ("A", "B"):
         raise ValueError(f"sample_channel_set: unknown scenario {scenario!r}")
-    h_bs = synth_bs_irs(rng, dims, params.q_irs, params.d_irs, params,
-                        los_boost_db=params.los_margin_db)
+
+    # draws in [0, 1) scale to elevations on [0, pi), azimuths and departure
+    # angles on [0, 2pi); hi * random() equals uniform(0, hi) exactly
+    def irs(u):
+        return _irs_responses(np.pi * u[:, 0], 2.0 * np.pi * u[:, 1], dims.K, params.spacing)
+
+    def bs(u):
+        # the departure angle is the last draw of a row
+        return _steer(dims.N, np.cos(2.0 * np.pi * u[:, -1]), params.spacing)
+
+    h_bs = _synth_link(rng, params.q_irs, 3, lambda u: irs(u)[:, :, None] * bs(u)[:, None, :],
+                       params.path_loss(params.d_irs, params.eta_irs), params.los_margin_db)
     d_users = np.empty(dims.M)
     d_irs_users = np.empty(dims.M)
     h_bu = np.empty((dims.N, dims.M), dtype=complex)
@@ -265,25 +233,27 @@ def sample_channel_set(rng: np.random.Generator, dims: SystemDims,
                       - 2.0 * params.d_irs * d_prime * np.cos(angle))
         d_users[m] = d_m
         d_irs_users[m] = d_prime
-        h_bu[:, m] = synth_bs_user(rng, dims.N, params.q_direct, d_m, params)
-        h_su[:, m] = synth_irs_user(rng, dims.K, params.q_irs_user, d_prime, params,
-                                    los_boost_db=su_boost)
+        h_bu[:, m] = _synth_link(rng, params.q_direct, 1, bs,
+                                 params.path_loss(d_m, params.eta_direct))
+        h_su[:, m] = _synth_link(rng, params.q_irs_user, 2, irs,
+                                 params.path_loss(d_prime, params.eta_irs), su_boost)
     return ChannelSet(h_bs, h_bu, h_su, params.d_irs, d_users, d_irs_users)
 
 
 def perturb_csi(ch: ChannelSet, kappa: float, rng: np.random.Generator,
-                params: ChannelParams | None = None) -> ChannelSet:
+                params: ChannelParams) -> ChannelSet:
     """Estimated channels: kappa*H + sqrt((1-kappa^2)*L) * unit complex noise.
 
     kappa in [0, 1] is the channel-estimation accuracy, 1 meaning perfect
     knowledge. The error variance of each link scales with that link's path
-    loss. kappa = 1 returns the input unchanged (and consumes no randomness).
+    loss, taken from the propagation constants `params` the channel was
+    drawn with. kappa = 1 returns the input unchanged (and consumes no
+    randomness).
     """
     if not 0.0 <= kappa <= 1.0:
         raise ValueError(f"perturb_csi: kappa must lie in [0, 1], got {kappa}")
     if kappa == 1.0:
         return ch
-    params = params or ChannelParams()
     scale = np.sqrt(1.0 - kappa**2)
     h_bs = kappa * ch.H_bs + scale * np.sqrt(
         params.path_loss(ch.d_irs, params.eta_irs)

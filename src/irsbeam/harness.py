@@ -1,23 +1,25 @@
 """Seeded Monte Carlo experiment runner.
 
 An ExperimentSpec describes a sweep (array sizes, transmit powers, CSI
-quality, schemes); run_sweep expands it into cells, runs seeded trials, and
-returns per-trial records plus per-cell aggregates. Every trial derives its
-generators from (base_seed, cell indices, trial index), so a sweep is a pure
-function of the spec: reruns produce identical records (byte-identical CSV
-when timing capture is off). Each true channel is drawn once per (dims,
+quality, schemes); run_sweep runs one seeded trial per (cell, scheme, trial)
+and returns per-trial records plus per-cell aggregates. Every trial derives
+its generators from (base_seed, cell indices, trial index), so a sweep is a
+pure function of the spec: reruns produce identical records (byte-identical
+CSV when timing capture is off). Each true channel is drawn once per (dims,
 trial) and reused across powers, CSI qualities and schemes, which pairs the
 comparisons.
 
 When kappa < 1 the true channel is perturbed once per (kappa, trial); the
 optimizer sees the perturbed channels and all metrics are evaluated on the
-true ones.
+true ones. The baselines are the closed-form precoder at fixed reflection
+coefficients (fixed_phase_design): random phases, all zeros (no reflector)
+or the best point of the exhaustive phase grid.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from itertools import product
 from typing import get_args, get_origin, get_type_hints
 
@@ -29,6 +31,7 @@ from .channel import (ChannelParams, ChannelSet, SystemDims, perturb_csi,
 from .metrics import nrmse, sum_rate
 from .oracles import GRID_MAX_K, grid_phase_search
 from .precoding import effective_channel, mmse_precoder
+from .projectors import UNIMODULAR
 from .vamp import VampConfig, VampDiagnostics
 
 
@@ -162,18 +165,20 @@ def parse_spec(text: str) -> ExperimentSpec:
         if "=" not in line:
             raise ValueError(f"spec line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key == "c0_db":
-            channel_kwargs["c0"] = 10.0 ** (_parse_value(key, raw, float) / 10.0)
-            continue
-        if key not in keys:
+        name = "c0" if key == "c0_db" else key
+        if name not in keys:
             raise ValueError(f"spec.{key}: unknown key; have {', '.join(keys)}, c0_db")
-        typ = keys[key]
+        if name in spec_kwargs or name in channel_kwargs:
+            raise ValueError(f"spec.{'c0/c0_db' if name == 'c0' else key}: given twice")
+        typ = keys[name]
         if get_origin(typ) is list:
             value = [_parse_value(key, tok, get_args(typ)[0])
                      for tok in raw.split(",") if tok.strip()]
         else:
             value = _parse_value(key, raw, typ)
-        (channel_kwargs if key in channel_keys else spec_kwargs)[key] = value
+        if key == "c0_db":
+            value = 10.0 ** (value / 10.0)
+        (channel_kwargs if name in channel_keys else spec_kwargs)[name] = value
     try:
         channel = ChannelParams(**channel_kwargs)
     except ValueError as exc:
@@ -202,57 +207,36 @@ def desk_spec() -> ExperimentSpec:
 
 def paper_spec() -> ExperimentSpec:
     """Full-size sweep (N=32, M=8, K=256, 1000 trials); hours of compute."""
-    return ExperimentSpec(
-        scenario="B", n_bs=[32], n_users=[8], n_irs=[256],
-        power_dbm=[10.0, 20.0, 30.0], kappa=[1.0],
-        schemes=["vamp_unimodular", "vamp_reactive", "random_phase_irs", "no_irs_mmse"],
-        trials=1000,
-    )
+    return replace(desk_spec(), n_bs=[32], n_users=[8], n_irs=[256], trials=1000)
 
 
 def _stream(base_seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([base_seed, *key]))
 
 
-def baseline_random_phase(ch: ChannelSet, power: float, noise_var: float,
-                          rng: np.random.Generator) -> BeamformingSolution:
-    """Unoptimized reflector phases (i.i.d. uniform) with the closed-form precoder."""
-    k = ch.H_bs.shape[0]
-    upsilon = np.exp(2j * np.pi * rng.random(k))
+def fixed_phase_design(ch: ChannelSet, upsilon: np.ndarray, power: float,
+                       noise_var: float) -> BeamformingSolution:
+    """The closed-form precoder at given reflection coefficients upsilon. All
+    zeros leave exactly the direct link: the reflector term adds signed zeros."""
     sol = mmse_precoder(effective_channel(ch, upsilon), power, noise_var)
-    return BeamformingSolution(upsilon, sol.F, sol.alpha, 0, True, [],
-                               VampDiagnostics())
-
-
-def baseline_no_irs(ch: ChannelSet, power: float, noise_var: float) -> BeamformingSolution:
-    """Closed-form precoder on the direct link only (reflector path zeroed)."""
-    bare = ch.without_irs()
-    k = ch.H_bs.shape[0]
-    sol = mmse_precoder(effective_channel(bare, np.ones(k, dtype=complex)),
-                        power, noise_var)
-    return BeamformingSolution(np.ones(k, dtype=complex), sol.F, sol.alpha, 0,
-                               True, [], VampDiagnostics())
-
-
-def baseline_grid_oracle(ch: ChannelSet, power: float, noise_var: float) -> BeamformingSolution:
-    """Exhaustive phase-grid search (tiny K only) with the closed-form precoder."""
-    ups, _ = grid_phase_search(ch, power, noise_var)
-    sol = mmse_precoder(effective_channel(ch, ups), power, noise_var)
-    return BeamformingSolution(ups, sol.F, sol.alpha, 0, True, [], VampDiagnostics())
+    return BeamformingSolution(upsilon, sol.F, sol.alpha, 0, True, [], VampDiagnostics())
 
 
 # scheme -> design(spec, ch_known, power, noise_var, rng). The position of a
 # scheme seeds its optimizer stream, so the order is fixed. The designs look
-# joint_optimize and the baselines up when they run, not when the table is
-# built, so a rebinding of those module attributes reaches every call.
+# joint_optimize up when they run, not when the table is built, so a
+# rebinding of that module attribute reaches every call.
 _DESIGNS = {
     "vamp_unimodular": lambda spec, ch, p, nv, rng: joint_optimize(
         ch, p, nv, spec.optimizer_config("unimodular"), rng),
     "vamp_reactive": lambda spec, ch, p, nv, rng: joint_optimize(
         ch, p, nv, spec.optimizer_config("reactive"), rng),
-    "random_phase_irs": lambda spec, ch, p, nv, rng: baseline_random_phase(ch, p, nv, rng),
-    "no_irs_mmse": lambda spec, ch, p, nv, rng: baseline_no_irs(ch, p, nv),
-    "grid_oracle_tiny": lambda spec, ch, p, nv, rng: baseline_grid_oracle(ch, p, nv),
+    "random_phase_irs": lambda spec, ch, p, nv, rng: fixed_phase_design(
+        ch, UNIMODULAR.initial_point(ch.dims[2], rng), p, nv),
+    "no_irs_mmse": lambda spec, ch, p, nv, rng: fixed_phase_design(
+        ch, np.zeros(ch.dims[2], dtype=complex), p, nv),
+    "grid_oracle_tiny": lambda spec, ch, p, nv, rng: fixed_phase_design(
+        ch, grid_phase_search(ch, p, nv)[0], p, nv),
 }
 SCHEMES = tuple(_DESIGNS)
 
@@ -277,54 +261,42 @@ def run_trial(spec: ExperimentSpec, scheme: str, ch: ChannelSet, ch_known: Chann
     sol = _DESIGNS[scheme](spec, ch_known, power, noise_var, opt_rng)
     elapsed_ms = (time.perf_counter() - start) * 1e3
 
-    eval_ch = ch.without_irs() if scheme == "no_irs_mmse" else ch
-    rate = sum_rate(eval_ch, sol.upsilon, sol.F, noise_var)
-    err = nrmse(sol.alpha, sol.upsilon, sol.F, eval_ch, noise_var)
+    rate = sum_rate(ch, sol.upsilon, sol.F, noise_var)
+    err = nrmse(sol.alpha, sol.upsilon, sol.F, ch, noise_var)
     return TrialRecord(scheme, trial, n, m, k, power_dbm, kappa,
                        rate, err, sol.iterations,
                        elapsed_ms if spec.record_timing else 0.0)
-
-
-def _cells(spec: ExperimentSpec):
-    for i_n, n in enumerate(spec.n_bs):
-        for i_m, m in enumerate(spec.n_users):
-            for i_k, k in enumerate(spec.n_irs):
-                for i_p, p in enumerate(spec.power_dbm):
-                    for i_q, q in enumerate(spec.kappa):
-                        yield (i_n, i_m, i_k, i_p, i_q), SystemDims(n, m, k), p, q
 
 
 def run_sweep(spec: ExperimentSpec, progress=None):
     """Run every (cell, scheme, trial) task; returns (records, aggregates).
 
     Each true channel is drawn once per (dims, trial) and, when kappa < 1,
-    perturbed once per (kappa, trial); every power, kappa and scheme of that
-    dims then runs on it before the next channel is drawn. Records come back
-    in the canonical (cell, scheme, trial) order whatever the run order;
-    `progress` is called with each record as it completes, in run order.
+    perturbed once per (kappa, trial); every power and scheme then runs on
+    it. Records come back in the canonical (cell, scheme, trial) order
+    whatever the run order; `progress` is called with each record as it
+    completes, in run order.
     """
     spec.validate()
-    cells = list(_cells(spec))
-    n_schemes, n_trials = len(spec.schemes), spec.trials
-    per_dims = len(spec.power_dbm) * len(spec.kappa)
-    records: list = [None] * (len(cells) * n_schemes * n_trials)
-    for first in range(0, len(cells), per_dims):
-        group = cells[first:first + per_dims]
-        (i_n, i_m, i_k, _, _), dims, _, _ = group[0]
-        for trial in range(n_trials):
+    records = {}
+    for (i_n, n), (i_m, m), (i_k, k) in product(
+            enumerate(spec.n_bs), enumerate(spec.n_users), enumerate(spec.n_irs)):
+        dims = SystemDims(n, m, k)
+        for trial in range(spec.trials):
             ch = sample_channel_set(_stream(spec.base_seed, 11, i_n, i_m, i_k, trial),
                                     dims, spec.channel, spec.scenario)
-            known = [perturb_csi(ch, kappa,
-                                 _stream(spec.base_seed, 13, i_n, i_m, i_k, i_q, trial),
-                                 spec.channel) if kappa < 1.0 else ch
-                     for i_q, kappa in enumerate(spec.kappa)]
-            for c, (cell_idx, _, power_dbm, kappa) in enumerate(group, start=first):
-                for i_s, scheme in enumerate(spec.schemes):
-                    rec = run_trial(spec, scheme, ch, known[cell_idx[4]], power_dbm, kappa,
-                                    cell_idx, trial)
-                    records[(c * n_schemes + i_s) * n_trials + trial] = rec
+            for i_q, kappa in enumerate(spec.kappa):
+                known = perturb_csi(ch, kappa,
+                                    _stream(spec.base_seed, 13, i_n, i_m, i_k, i_q, trial),
+                                    spec.channel) if kappa < 1.0 else ch
+                for (i_p, power_dbm), (i_s, scheme) in product(
+                        enumerate(spec.power_dbm), enumerate(spec.schemes)):
+                    rec = run_trial(spec, scheme, ch, known, power_dbm, kappa,
+                                    (i_n, i_m, i_k, i_p, i_q), trial)
+                    records[i_n, i_m, i_k, i_p, i_q, i_s, trial] = rec
                     if progress is not None:
                         progress(rec)
+    records = [records[key] for key in sorted(records)]
     return records, aggregate(records)
 
 
@@ -375,9 +347,17 @@ def load_aggregate_csv(path) -> list[dict]:
         if header != list(AGGREGATE_COLUMNS):
             raise ValueError(f"{path}: header is not {','.join(AGGREGATE_COLUMNS)}")
         rows = [line.strip().split(",") for line in fh]
+    out = []
     for lineno, values in enumerate(rows, start=2):
         if len(values) != len(AGGREGATE_COLUMNS):
             raise ValueError(f"{path}:{lineno}: {len(values)} fields, the header has "
                              f"{len(AGGREGATE_COLUMNS)}")
-    return [{c: typ(v) for (c, typ), v in zip(AGGREGATE_COLUMNS.items(), values)}
-            for values in rows]
+        row = {}
+        for (c, typ), v in zip(AGGREGATE_COLUMNS.items(), values):
+            try:
+                row[c] = typ(v)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: column {c}: cannot parse {v!r} as "
+                                 f"{typ.__name__}") from None
+        out.append(row)
+    return out

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from irsbeam.channel import (ChannelParams, SystemDims, boost_los, complex_normal,
-                             irs_response, perturb_csi, sample_channel_set, synth_bs_irs,
-                             synth_bs_user, synth_irs_user, ula_response)
+                             irs_response, perturb_csi, sample_channel_set, ula_response)
 
 
 def test_dims_validation():
@@ -107,111 +106,127 @@ def test_boost_property_random():
             assert np.angle(out[0]) == pytest.approx(np.angle(gains[0]))
 
 
-def test_synth_bs_irs_single_path_rank_one():
-    rng = np.random.default_rng(3)
-    h = synth_bs_irs(rng, SystemDims(8, 2, 16), 1, 500.0, ChannelParams())
+def _rank(h: np.ndarray) -> int:
     w = np.linalg.svd(h, compute_uv=False)
-    assert (w > 1e-12 * w[0]).sum() == 1
+    return int((w > 1e-12 * w[0]).sum())
+
+
+def test_synth_bs_irs_single_path_rank_one():
+    ch = sample_channel_set(np.random.default_rng(3), SystemDims(8, 2, 16),
+                            ChannelParams(q_irs=1))
+    assert _rank(ch.H_bs) == 1
 
 
 def test_synth_bs_irs_rank_is_path_count():
     # rank caps at min(n_paths, K, N); with N=12 > 10 paths the cap is 10
-    rng = np.random.default_rng(4)
-    h = synth_bs_irs(rng, SystemDims(12, 2, 16), 10, 500.0, ChannelParams())
-    w = np.linalg.svd(h, compute_uv=False)
-    assert (w > 1e-12 * w[0]).sum() == 10
-    h = synth_bs_irs(np.random.default_rng(5), SystemDims(8, 2, 16), 10, 500.0,
-                     ChannelParams())
-    w = np.linalg.svd(h, compute_uv=False)
-    assert (w > 1e-12 * w[0]).sum() == min(10, 16, 8)
+    ch = sample_channel_set(np.random.default_rng(4), SystemDims(12, 2, 16))
+    assert _rank(ch.H_bs) == 10
+    ch = sample_channel_set(np.random.default_rng(5), SystemDims(8, 2, 16))
+    assert _rank(ch.H_bs) == min(10, 16, 8)
 
 
 def test_synth_bs_irs_frobenius_expectation():
-    # E||H||_F^2 = L * Q * K * N * E|cos(phi)| with E|cos| = 2/pi, boost off
+    # E||H||_F^2 = L * K * N * E|cos(phi)| * sum_q E|c_q|^2 with E|cos| = 2/pi.
+    # The boosted gain 0 has E|c_0|^2 = 10^(margin/10) * E max_{q>0} |c_q|^2,
+    # and the largest of Q-1 unit exponentials has mean H_{Q-1} = sum_j 1/j.
     params = ChannelParams()
     dims = SystemDims(8, 2, 16)
     total = 0.0
     trials = 1000
     for s in range(trials):
-        h = synth_bs_irs(np.random.default_rng(s), dims, 10, 500.0, params)
-        total += np.linalg.norm(h) ** 2
-    expect = params.path_loss(500.0, params.eta_irs) * 10 * 16 * 8 * (2 / np.pi)
+        ch = sample_channel_set(np.random.default_rng(s), dims, params)
+        total += np.linalg.norm(ch.H_bs) ** 2
+    q = params.q_irs
+    gain_power = q - 1 + 10 ** (params.los_margin_db / 10) * sum(1 / j for j in range(1, q))
+    expect = params.path_loss(500.0, params.eta_irs) * 16 * 8 * (2 / np.pi) * gain_power
     assert abs(total / trials - expect) < 0.10 * expect
 
 
 def test_synth_user_single_path_constant_modulus():
-    rng = np.random.default_rng(6)
-    h = synth_bs_user(rng, 8, 1, 500.0, ChannelParams())
-    assert np.allclose(np.abs(h), np.abs(h[0]))
+    # one path per user link: a single steering vector, so every entry of a
+    # user's column has the same modulus
+    ch = sample_channel_set(np.random.default_rng(6), SystemDims(8, 2, 16),
+                            ChannelParams(q_direct=1, q_irs_user=1))
+    for h in (ch.H_bu, ch.H_su):
+        assert np.allclose(np.abs(h), np.abs(h[:1]))
 
 
 def test_synth_reproducible():
-    params = ChannelParams()
-    a = synth_irs_user(np.random.default_rng(7), 16, 2, 30.0, params, 5.0)
-    b = synth_irs_user(np.random.default_rng(7), 16, 2, 30.0, params, 5.0)
-    assert np.array_equal(a, b)
+    # a set takes a fixed run of draws: reseeding replays consecutive sets
+    dims, params = SystemDims(6, 2, 12), ChannelParams()
+    rng = np.random.default_rng(7)
+    first = [sample_channel_set(rng, dims, params, "A") for _ in range(2)]
+    rng = np.random.default_rng(7)
+    again = [sample_channel_set(rng, dims, params, "A") for _ in range(2)]
+    for a, b in zip(first, again):
+        for name in ("H_bs", "H_bu", "H_su", "d_users", "d_irs_users"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+    assert not np.array_equal(first[0].H_bs, first[1].H_bs)
 
 
-def _per_path_reference(rng, link: str, n: int, k: int, n_paths: int,
-                        distance: float, params: ChannelParams, boost):
-    """The synthesis as one loop over paths, drawing each path's angles with
-    its own uniform calls and building its responses one at a time."""
-    gains = complex_normal(rng, n_paths)
-    if boost is not None:
-        gains = boost_los(gains, boost)
-    if link == "bs_irs":
-        h = np.zeros((k, n), dtype=complex)
+def _per_path_reference(rng, dims: SystemDims, params: ChannelParams, scenario: str):
+    """sample_channel_set as loops over users and paths: each path draws its
+    angles with its own uniform calls and builds its responses one at a time."""
+    def link(n_paths, loss, boost, shape, response):
+        gains = complex_normal(rng, n_paths)
+        if boost is not None:
+            gains = boost_los(gains, boost)
+        h = np.zeros(shape, dtype=complex)
         for q in range(n_paths):
-            elev = rng.uniform(0.0, np.pi)
-            azim = rng.uniform(0.0, 2.0 * np.pi)
-            aod = rng.uniform(0.0, 2.0 * np.pi)
-            h += gains[q] * np.outer(irs_response(elev, azim, k, params.spacing),
-                                     ula_response(aod, n, params.spacing))
-        return np.sqrt(params.path_loss(distance, params.eta_irs)) * h
-    if link == "bs_user":
-        h = np.zeros(n, dtype=complex)
-        for q in range(n_paths):
-            h += gains[q] * ula_response(rng.uniform(0.0, 2.0 * np.pi), n, params.spacing)
-        return np.sqrt(params.path_loss(distance, params.eta_direct)) * h
-    h = np.zeros(k, dtype=complex)
-    for q in range(n_paths):
-        h += gains[q] * irs_response(rng.uniform(0.0, np.pi),
-                                     rng.uniform(0.0, 2.0 * np.pi), k, params.spacing)
-    return np.sqrt(params.path_loss(distance, params.eta_irs)) * h
+            h += gains[q] * response()
+        return np.sqrt(loss) * h
+
+    def irs():
+        return irs_response(rng.uniform(0.0, np.pi), rng.uniform(0.0, 2.0 * np.pi), dims.K,
+                            params.spacing)
+
+    def ula():
+        return ula_response(rng.uniform(0.0, 2.0 * np.pi), dims.N, params.spacing)
+
+    h_bs = link(params.q_irs, params.path_loss(params.d_irs, params.eta_irs),
+                params.los_margin_db, (dims.K, dims.N), lambda: np.outer(irs(), ula()))
+    h_bu = np.empty((dims.N, dims.M), dtype=complex)
+    h_su = np.empty((dims.K, dims.M), dtype=complex)
+    d_users, d_irs_users = np.empty(dims.M), np.empty(dims.M)
+    for m in range(dims.M):
+        d_prime = rng.uniform(params.user_min, params.user_max)
+        angle = rng.uniform(0.0, 2.0 * np.pi)
+        d_m = np.sqrt(params.d_irs**2 + d_prime**2
+                      - 2.0 * params.d_irs * d_prime * np.cos(angle))
+        d_users[m], d_irs_users[m] = d_m, d_prime
+        h_bu[:, m] = link(params.q_direct, params.path_loss(d_m, params.eta_direct), None,
+                          dims.N, ula)
+        h_su[:, m] = link(params.q_irs_user, params.path_loss(d_prime, params.eta_irs),
+                          params.los_margin_db if scenario == "B" else None, dims.K, irs)
+    return h_bs, h_bu, h_su, d_users, d_irs_users
 
 
 @pytest.mark.parametrize("k", [4, 7, 12, 64])
 def test_synthesis_matches_per_path_reference(k):
     # K = 7 and 12 take the non-square grid; the generator must also be left
-    # in the same state, so later draws of a channel set line up
-    params = ChannelParams()
-    dims = SystemDims(6, 2, k)
-    synth = {
-        "bs_irs": lambda rng, q, d, b: synth_bs_irs(rng, dims, q, d, params, b),
-        "bs_user": lambda rng, q, d, b: synth_bs_user(rng, dims.N, q, d, params),
-        "irs_user": lambda rng, q, d, b: synth_irs_user(rng, k, q, d, params, b),
-    }
-    for link, n_paths, distance in (("bs_irs", params.q_irs, 500.0),
-                                    ("bs_user", 3, 120.0), ("irs_user", 4, 30.0)):
-        for seed in range(6):
-            boost = 5.0 if seed % 2 and link != "bs_user" else None
-            rng_got, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-            got = synth[link](rng_got, n_paths, distance, boost)
-            ref = _per_path_reference(rng_ref, link, dims.N, k, n_paths, distance,
-                                      params, boost)
-            assert np.array_equal(got, ref), (link, seed)
-            assert rng_got.random() == rng_ref.random()
+    # in the same state, so the next draw from it lines up
+    dims = SystemDims(6, 3, k)
+    for params in (ChannelParams(), ChannelParams(q_irs=3, q_direct=1, q_irs_user=4)):
+        for scenario in ("A", "B"):
+            for seed in range(6):
+                rng_got, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+                ch = sample_channel_set(rng_got, dims, params, scenario)
+                ref = _per_path_reference(rng_ref, dims, params, scenario)
+                got = (ch.H_bs, ch.H_bu, ch.H_su, ch.d_users, ch.d_irs_users)
+                for name, a, b in zip(("H_bs", "H_bu", "H_su", "d_users", "d_irs_users"),
+                                      got, ref):
+                    assert np.array_equal(a, b), (name, scenario, seed)
+                assert rng_got.bit_generator.state == rng_ref.bit_generator.state
 
 
 def test_synth_users_independent():
-    params = ChannelParams()
-    rng = np.random.default_rng(8)
+    # the direct links of two users of one set are uncorrelated
+    dims = SystemDims(8, 2, 16)
     trials = 400
     acc = 0.0
-    for _ in range(trials):
-        h1 = synth_bs_user(rng, 8, 2, 500.0, params)
-        h2 = synth_bs_user(rng, 8, 2, 500.0, params)
-        acc += np.vdot(h1, h2) / (np.linalg.norm(h1) * np.linalg.norm(h2))
+    for s in range(trials):
+        h = sample_channel_set(np.random.default_rng(s), dims).H_bu
+        acc += np.vdot(h[:, 0], h[:, 1]) / (np.linalg.norm(h[:, 0]) * np.linalg.norm(h[:, 1]))
     assert abs(acc / trials) < 4 / np.sqrt(trials)
 
 
@@ -242,13 +257,13 @@ def test_csi_quality_range():
     ch = sample_channel_set(np.random.default_rng(11), SystemDims(4, 2, 9))
     for kappa in (1.5, -0.1, float("nan")):
         with pytest.raises(ValueError, match="kappa"):
-            perturb_csi(ch, kappa, np.random.default_rng(0))
+            perturb_csi(ch, kappa, np.random.default_rng(0), ChannelParams())
 
 
 def test_perturb_identity_at_kappa_one():
     dims = SystemDims(8, 2, 16)
     ch = sample_channel_set(np.random.default_rng(11), dims)
-    out = perturb_csi(ch, 1.0, np.random.default_rng(0))
+    out = perturb_csi(ch, 1.0, np.random.default_rng(0), ChannelParams())
     assert np.array_equal(out.H_bs, ch.H_bs)
     assert np.array_equal(out.H_bu, ch.H_bu)
     assert np.array_equal(out.H_su, ch.H_su)
@@ -269,18 +284,20 @@ def test_perturb_kappa_zero_variance():
 
 
 def test_perturb_error_variance_tracks_kappa():
-    params = ChannelParams()
+    # the error variance follows the path loss of the constants the channel
+    # was drawn with, the non-default reference gain included
     dims = SystemDims(4, 2, 9)
-    ch = sample_channel_set(np.random.default_rng(14), dims, params)
-    kappa = 0.85
-    rng = np.random.default_rng(15)
-    acc = 0.0
-    draws = 1000
-    for _ in range(draws):
-        out = perturb_csi(ch, kappa, rng, params)
-        acc += np.mean(np.abs(out.H_bs - kappa * ch.H_bs) ** 2)
-    want = (1 - kappa**2) * params.path_loss(ch.d_irs, params.eta_irs)
-    assert abs(acc / draws - want) < 0.05 * want
+    for params in (ChannelParams(), ChannelParams(c0=1e-2)):
+        ch = sample_channel_set(np.random.default_rng(14), dims, params)
+        kappa = 0.85
+        rng = np.random.default_rng(15)
+        acc = 0.0
+        draws = 1000
+        for _ in range(draws):
+            out = perturb_csi(ch, kappa, rng, params)
+            acc += np.mean(np.abs(out.H_bs - kappa * ch.H_bs) ** 2)
+        want = (1 - kappa**2) * params.path_loss(ch.d_irs, params.eta_irs)
+        assert abs(acc / draws - want) < 0.05 * want
 
 
 def test_without_direct_link():
@@ -289,4 +306,3 @@ def test_without_direct_link():
     bare = ch.without_direct_link()
     assert not np.any(bare.H_bu)
     assert np.array_equal(bare.H_bs, ch.H_bs)
-    assert not np.any(ch.without_irs().H_su)

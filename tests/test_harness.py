@@ -1,14 +1,18 @@
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from irsbeam.charts import emit_chart, render_chart
+from irsbeam.channel import SystemDims, complex_normal, perturb_csi, sample_channel_set
 from irsbeam.harness import (AGGREGATE_COLUMNS, CSV_HEADER, ExperimentSpec, aggregate,
                              dbm_to_watts, desk_spec, emit_aggregate_csv, emit_csv,
                              load_aggregate_csv, paper_spec, parse_spec,
-                             run_sweep, spec_keys)
+                             run_sweep, run_trial, spec_keys)
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def tiny_spec(**overrides) -> ExperimentSpec:
@@ -105,7 +109,13 @@ def test_parse_spec_errors_name_the_field():
                       ("noise_dbm = nan", "spec.noise_dbm"),
                       ("n_bs = 4\nn_users = 4", "spec.n_bs/n_users/n_irs"),
                       ("n_users = 2\nn_irs = 2", "spec.n_bs/n_users/n_irs"),
-                      ("schemes = grid_oracle_tiny\nn_irs = 2, 4", "spec.n_irs")):
+                      ("schemes = grid_oracle_tiny\nn_irs = 2, 4", "spec.n_irs"),
+                      ("trials = 5\ntrials = 7", "spec.trials: given twice"),
+                      ("n_irs = 16\nn_irs = 36", "spec.n_irs: given twice"),
+                      ("d_irs = 400\nd_irs = 400", "spec.d_irs: given twice"),
+                      ("c0 = 1e-3\nc0_db = -20", "spec.c0/c0_db: given twice"),
+                      ("c0_db = -20\nc0 = 1e-3", "spec.c0/c0_db: given twice"),
+                      ("c0_db = -20\nc0_db = -30", "spec.c0/c0_db: given twice")):
         with pytest.raises(ValueError, match=key):
             parse_spec(line)
 
@@ -150,6 +160,22 @@ def test_no_irs_scheme_ignores_reflector_path():
     for a, b in zip(rec1, no_irs):
         assert a.sum_rate == b.sum_rate
         assert a.nrmse == b.nrmse
+
+
+def test_no_irs_trial_ignores_reflector_links():
+    # all-zero reflection coefficients leave the direct link to the bit: new
+    # reflector links, known and true, must not move any field of the record
+    spec = tiny_spec(n_bs=[6], n_users=[2], n_irs=[16])
+    ch = sample_channel_set(np.random.default_rng(3), SystemDims(6, 2, 16), spec.channel)
+    rng = np.random.default_rng(4)
+    other = replace(ch, H_bs=complex_normal(rng, 16, 6), H_su=complex_normal(rng, 16, 2))
+    for kappa in (1.0, 0.9):
+        known = perturb_csi(ch, kappa, np.random.default_rng(5), spec.channel)
+        known_other = replace(known, H_bs=other.H_bs, H_su=other.H_su)
+        want = run_trial(spec, "no_irs_mmse", ch, known, 30.0, kappa, (0, 0, 0, 0, 0), 1)
+        got = run_trial(spec, "no_irs_mmse", other, known_other, 30.0, kappa,
+                        (0, 0, 0, 0, 0), 1)
+        assert got == want
 
 
 def test_grid_oracle_scheme_runs_and_dominates(tmp_path):
@@ -222,6 +248,16 @@ def test_aggregate_stats_and_roundtrip(tmp_path):
         path.write_text(header + "\n" + body)
         with pytest.raises(ValueError, match=f"agg.csv:{lineno}: {count} fields"):
             load_aggregate_csv(path)
+    # a value that does not parse is refused by line and column
+    fields = row.split(",")
+    for column, bad, typ in (("N", "x", "int"), ("trials", "6.0", "int"),
+                             ("sum_rate_p90", "fast", "float")):
+        broken = list(fields)
+        broken[list(AGGREGATE_COLUMNS).index(column)] = bad
+        path.write_text("\n".join([header, row, ",".join(broken)]) + "\n")
+        with pytest.raises(ValueError,
+                           match=f"agg.csv:3: column {column}: cannot parse '{bad}' as {typ}"):
+            load_aggregate_csv(path)
 
 
 def test_render_chart_structure(tmp_path):
@@ -253,11 +289,56 @@ def test_spec_validation_paths():
         ExperimentSpec(scenario="C").validate()
 
 
+def _relative_gap(a: str, b: str) -> float:
+    """Largest relative difference of the numeric fields two CSV lines share."""
+    gap = 0.0
+    for x, y in zip(a.split(","), b.split(",")):
+        try:
+            x, y = float(x), float(y)
+        except ValueError:
+            continue
+        if x != y:
+            gap = max(gap, abs(x - y) / max(abs(x), abs(y)))
+    return gap
+
+
+def assert_matches_golden(path: Path, name: str) -> None:
+    """Byte equality with tests/golden/<name>. A mismatch reports the first
+    differing line and the largest relative difference of its numeric
+    fields, which tells last-bit rounding (about 1e-16) from a behaviour
+    change."""
+    got, want = path.read_bytes(), (GOLDEN / name).read_bytes()
+    if got == want:
+        return
+    got_lines = got.decode().splitlines(keepends=True)
+    want_lines = want.decode().splitlines(keepends=True)
+    for lineno, (a, b) in enumerate(zip(got_lines, want_lines), start=1):
+        if a != b:
+            pytest.fail(f"{name}:{lineno} differs (largest relative difference "
+                        f"{_relative_gap(a, b):.3g}):\n  got  {a!r}\n  want {b!r}")
+    pytest.fail(f"{name}: {len(got_lines)} lines, the golden file has {len(want_lines)}")
+
+
+def test_golden_diff_report_names_line_and_gap(tmp_path):
+    golden = (GOLDEN / "tiny_sweep.csv").read_text().splitlines()
+    header, first = golden[:2]
+    fields = first.split(",")
+    i = CSV_HEADER.split(",").index("sum_rate")
+    fields[i] = repr(float(fields[i]) * (1 + 1e-9))
+    path = tmp_path / "x.csv"
+    path.write_text("\n".join([header, ",".join(fields), *golden[2:]]) + "\n")
+    with pytest.raises(pytest.fail.Exception,
+                       match=r"tiny_sweep.csv:2 differs \(largest relative difference 1e-09\)"):
+        assert_matches_golden(path, "tiny_sweep.csv")
+    path.write_text("\n".join(golden[:-1]) + "\n")
+    with pytest.raises(pytest.fail.Exception, match=f"{len(golden) - 1} lines"):
+        assert_matches_golden(path, "tiny_sweep.csv")
+
+
 def test_golden_csv_regression(tmp_path):
     # frozen on first run; if a different BLAS/LAPACK build shifts last-bit
     # float behavior, regenerate by rerunning this spec and overwriting
     # tests/golden/tiny_sweep.csv
-    import os
     spec = ExperimentSpec(scenario="B", n_bs=[4], n_users=[1], n_irs=[4],
                           power_dbm=[30.0], kappa=[1.0],
                           schemes=["vamp_unimodular", "random_phase_irs"],
@@ -265,8 +346,7 @@ def test_golden_csv_regression(tmp_path):
     records, _ = run_sweep(spec)
     path = tmp_path / "tiny_sweep.csv"
     emit_csv(records, path)
-    golden = os.path.join(os.path.dirname(__file__), "golden", "tiny_sweep.csv")
-    assert path.read_bytes() == open(golden, "rb").read()
+    assert_matches_golden(path, "tiny_sweep.csv")
 
 
 def reuse_spec() -> ExperimentSpec:
@@ -304,9 +384,7 @@ def test_run_sweep_draws_each_channel_once(monkeypatch):
 def test_golden_reuse_sweep_csv(tmp_path):
     # pins record order and values across powers, kappa values and schemes
     # that share one channel; same regeneration rule as tiny_sweep.csv
-    import os
     records, _ = run_sweep(reuse_spec())
     path = tmp_path / "reuse_sweep.csv"
     emit_csv(records, path)
-    golden = os.path.join(os.path.dirname(__file__), "golden", "reuse_sweep.csv")
-    assert path.read_bytes() == open(golden, "rb").read()
+    assert_matches_golden(path, "reuse_sweep.csv")
