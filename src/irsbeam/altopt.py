@@ -4,9 +4,12 @@ Each outer iteration refreshes the quadratic system the phase solver sees
 (the precoder and receiver scale enter its matrices), runs one
 message-passing step (vamp.vamp_step) on it, re-projects the damped iterate
 onto the constraint set, and builds the effective channel of the new phases
-once: the closed-form precoder, the objective and the trace row all take
-it. The loop stops when the sum-MSE objective changes by less than a
-relative tolerance, or at the iteration cap.
+once: the closed-form precoder and the trace row take it. The surface-user
+factor A = alpha H_su^H changes only through the scalar alpha, so H_su^H is
+factored once per solve and each iteration rescales its singular values.
+The precoder returns the sum-MSE objective from its own M x M Gram matrix;
+the loop stops when that objective changes by less than a relative
+tolerance, or at the iteration cap.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelSet
+from .linalg import EconomySVD, economy_svd
 from .metrics import fit_error, per_user_sinr
 from .precoding import effective_channel, mmse_precoder
 from .projectors import get_projector
@@ -42,6 +46,10 @@ class OptimizerConfig:
 
 @dataclass
 class TraceRow:
+    """One outer iteration: the objective the stopping rule compared, and
+    the sum-rate and NRMSE that metrics.sum_rate and metrics.nrmse give for
+    the iteration's design on the same channel."""
+
     iteration: int
     error: float
     sum_rate: float
@@ -59,11 +67,15 @@ class BeamformingSolution:
     diagnostics: VampDiagnostics
 
 
-def vamp_setup(ch: ChannelSet, f: np.ndarray, alpha: float):
+def vamp_setup(ch: ChannelSet, svd_su: EconomySVD, f: np.ndarray, alpha: float):
     """Matrices (A, B, Z) of the phase subproblem at the current precoder:
     A = alpha H_su^H, B = (H_bs F)^T, Z = I - alpha H_bu^H F, so that
-    ||A Diag(upsilon) B^T - Z||_F^2 equals the phase part of the objective."""
-    a = alpha * ch.H_su.conj().T
+    ||A Diag(upsilon) B^T - Z||_F^2 equals the phase part of the objective.
+
+    A is returned as its economy SVD: svd_su, the SVD of H_su^H, with its
+    singular values scaled by alpha. The rank cutoff is relative, so the
+    scaling keeps the same components."""
+    a = EconomySVD(svd_su.U, alpha * svd_su.omega, svd_su.Vh)
     b = (ch.H_bs @ f).T
     m = f.shape[1]
     z = np.eye(m) - alpha * ch.H_bu.conj().T @ f
@@ -86,6 +98,7 @@ def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
     projector = get_projector(cfg.constraint)
     vcfg = cfg.vamp
 
+    svd_su = economy_svd(ch.H_su.conj().T)
     upsilon = projector.initial_point(k, rng)
     state = VampState(ExtrinsicMessage(upsilon.copy(), max(vcfg.gamma_0, GAMMA_FLOOR)),
                       upsilon.copy())
@@ -95,16 +108,17 @@ def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
     # iteration 0 evaluates the initial phases; each later one first updates them
     for t in range(cfg.t_max_outer + 1):
         if t > 0:
-            a, b, z = vamp_setup(ch, sol.F, sol.alpha)
-            svd, z_tilde = prepare_system(a, b, z)
+            svd_a, b, z = vamp_setup(ch, svd_su, sol.F, sol.alpha)
+            svd, z_tilde = prepare_system(svd_a, b, z)
             vamp_step(svd, z_tilde, state, projector, vcfg, diag)
             upsilon = np.asarray(projector.g(state.x_damped))
         h = effective_channel(ch, upsilon)
         sol = mmse_precoder(h, power, noise_var)
-        err = fit_error(sol.alpha, h, sol.F, noise_var)
+        err = sol.error
         if cfg.collect_trace:
             rate = float(np.sum(np.log2(1.0 + per_user_sinr(h, sol.F, noise_var))))
-            trace.append(TraceRow(t, err, rate, float(np.sqrt(err / m))))
+            scored = fit_error(sol.alpha, h, sol.F, noise_var)
+            trace.append(TraceRow(t, err, rate, float(np.sqrt(scored / m))))
         if t > 0 and abs(err - err_prev) < cfg.epsilon_outer * err_prev:
             converged = True
             break

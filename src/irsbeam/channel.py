@@ -83,7 +83,9 @@ class ChannelSet:
     """One channel realization plus the geometry it was drawn at.
 
     H_bs: K x N, H_bu: N x M, H_su: K x M. d_users and d_irs_users hold the
-    per-user base-station and reflector-array distances used for path loss.
+    per-user base-station and reflector-array distances used for path loss;
+    params holds the propagation constants of sample_channel_set, None for a
+    set built by hand.
     """
 
     H_bs: np.ndarray
@@ -92,6 +94,7 @@ class ChannelSet:
     d_irs: float = 500.0
     d_users: np.ndarray = field(default_factory=lambda: np.zeros(0))
     d_irs_users: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    params: ChannelParams | None = None
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -159,6 +162,8 @@ def irs_response(phi: float, psi: float, k: int, spacing_ratio: float = 0.5) -> 
     most-square divisor pair (1 x K at worst). Every entry has modulus
     sqrt|cos phi|; the pattern nulls out at phi = pi/2.
     """
+    if k < 1:
+        raise ValueError(f"irs_response: need k >= 1, got {k}")
     return _irs_responses(np.array([phi]), np.array([psi]), k, spacing_ratio)[0]
 
 
@@ -237,23 +242,26 @@ def sample_channel_set(rng: np.random.Generator, dims: SystemDims,
                                  params.path_loss(d_m, params.eta_direct))
         h_su[:, m] = _synth_link(rng, params.q_irs_user, 2, irs,
                                  params.path_loss(d_prime, params.eta_irs), su_boost)
-    return ChannelSet(h_bs, h_bu, h_su, params.d_irs, d_users, d_irs_users)
+    return ChannelSet(h_bs, h_bu, h_su, params.d_irs, d_users, d_irs_users, params)
 
 
-def perturb_csi(ch: ChannelSet, kappa: float, rng: np.random.Generator,
-                params: ChannelParams) -> ChannelSet:
+def perturb_csi(ch: ChannelSet, kappa: float, rng: np.random.Generator) -> ChannelSet:
     """Estimated channels: kappa*H + sqrt((1-kappa^2)*L) * unit complex noise.
 
     kappa in [0, 1] is the channel-estimation accuracy, 1 meaning perfect
     knowledge. The error variance of each link scales with that link's path
-    loss, taken from the propagation constants `params` the channel was
-    drawn with. kappa = 1 returns the input unchanged (and consumes no
-    randomness).
+    loss, taken from the propagation constants the channel set records
+    (ch.params), so a set without them is refused for kappa < 1. kappa = 1
+    returns the input unchanged (and consumes no randomness).
     """
     if not 0.0 <= kappa <= 1.0:
         raise ValueError(f"perturb_csi: kappa must lie in [0, 1], got {kappa}")
     if kappa == 1.0:
         return ch
+    params = ch.params
+    if params is None:
+        raise ValueError("perturb_csi: the channel set records no propagation constants "
+                         "(ChannelSet.params), so the error variance is unknown")
     scale = np.sqrt(1.0 - kappa**2)
     h_bs = kappa * ch.H_bs + scale * np.sqrt(
         params.path_loss(ch.d_irs, params.eta_irs)

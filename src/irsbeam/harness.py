@@ -286,9 +286,8 @@ def run_sweep(spec: ExperimentSpec, progress=None):
             ch = sample_channel_set(_stream(spec.base_seed, 11, i_n, i_m, i_k, trial),
                                     dims, spec.channel, spec.scenario)
             for i_q, kappa in enumerate(spec.kappa):
-                known = perturb_csi(ch, kappa,
-                                    _stream(spec.base_seed, 13, i_n, i_m, i_k, i_q, trial),
-                                    spec.channel) if kappa < 1.0 else ch
+                known = perturb_csi(ch, kappa, _stream(
+                    spec.base_seed, 13, i_n, i_m, i_k, i_q, trial)) if kappa < 1.0 else ch
                 for (i_p, power_dbm), (i_s, scheme) in product(
                         enumerate(spec.power_dbm), enumerate(spec.schemes)):
                     rec = run_trial(spec, scheme, ch, known, power_dbm, kappa,

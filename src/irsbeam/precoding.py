@@ -2,7 +2,11 @@
 
 The precoder and its receiver scale come from the Lagrangian of the sum-MSE
 objective under the total-power constraint; the normalization makes
-||F||_F^2 = P hold exactly, not just to rounding.
+||F||_F^2 = P hold exactly, not just to rounding. Every kernel works in the
+user dimension M: the push-through identity
+(H H^H + c I_N)^-1 H = H (H^H H + c I_M)^-1 turns the N x N regularized
+solve into an M x M one, and the same M x M Gram matrix gives the sum-MSE
+objective at the precoder.
 """
 
 from __future__ import annotations
@@ -18,42 +22,55 @@ from .channel import ChannelSet
 class PrecodingSolution:
     F: np.ndarray       # N x M
     alpha: float        # receiver scale
+    error: float        # sum-MSE objective at (F, alpha) on the channel it was built for
 
 
 def effective_channel(ch: ChannelSet, upsilon: np.ndarray) -> np.ndarray:
-    """N x M effective channel H with H^H = H_su^H Diag(upsilon) H_bs + H_bu^H."""
+    """N x M effective channel H with H^H = H_su^H Diag(upsilon) H_bs + H_bu^H.
+
+    The phases scale the M x K factor H_su^H rather than the K x N H_bs.
+    """
     upsilon = np.asarray(upsilon)
     k = ch.H_bs.shape[0]
     if upsilon.shape != (k,):
         raise ValueError(f"effective_channel: phase vector has shape {upsilon.shape}, expected ({k},)")
-    h_h = ch.H_su.conj().T @ (upsilon[:, None] * ch.H_bs) + ch.H_bu.conj().T
+    h_h = (ch.H_su.conj().T * upsilon) @ ch.H_bs + ch.H_bu.conj().T
     return h_h.conj().T
 
 
 def mmse_precoder(h: np.ndarray, power: float, noise_var: float) -> PrecodingSolution:
     """Closed-form sum-MMSE precoder F = alpha^-1 [HH^H + M s^2 I/P]^-1 H.
 
-    The receiver scale alpha = sqrt(Tr([HH^H + M s^2 I/P]^-2 HH^H) / P) is
-    evaluated as ||G^-1 H||_F / sqrt(P) with G the regularized Gram matrix,
-    which is the same quantity without forming G^-2. The shared
-    normalization by alpha makes ||F||_F^2 = P an algebraic identity.
+    Evaluated in push-through form: with the M x M Gram matrix
+    G = H^H H + (M s^2/P) I_M and X = G^-1, the regularized solve is
+    [HH^H + M s^2 I/P]^-1 H = H X. The receiver scale
+    alpha = sqrt(Tr([HH^H + M s^2 I/P]^-2 HH^H) / P) is ||H X||_F / sqrt(P),
+    and the shared normalization F = H X / alpha makes ||F||_F^2 = P an
+    algebraic identity. Since alpha H^H F = (H^H H) X, the sum-MSE objective
+    ||alpha H^H F - I||_F^2 + M alpha^2 s^2 is returned as `error` from
+    M x M matrices alone.
     """
     h = np.asarray(h, dtype=complex)
-    n, m = h.shape
+    m = h.shape[1]
     if not np.any(h):
         raise ValueError("precoder: all-zero channel, no signal path")
     if power <= 0:
         raise ValueError(f"precoder: power must be positive, got {power}")
-    gram = h @ h.conj().T + (m * noise_var / power) * np.eye(n)
+    hh = h.conj().T @ h
+    eye = np.eye(m)
+    gram = hh + (m * noise_var / power) * eye
     x = None
     if noise_var > 0:
         try:
-            x = np.linalg.solve(gram, h)
+            x = np.linalg.solve(gram, eye)
         except np.linalg.LinAlgError:
             pass
     if x is None:
-        # gram is singular when noise-free, or when M < N and its regularizer
-        # falls below rounding against ||h||^2: use the pseudo-inverse
-        x = np.linalg.pinv(gram) @ h
-    alpha = float(np.linalg.norm(x) / np.sqrt(power))
-    return PrecodingSolution(x / alpha, alpha)
+        # gram is singular when the user columns of h are dependent and the
+        # regularizer is zero or below rounding against ||h||^2: use the
+        # pseudo-inverse, for which pinv(HH^H) H = H pinv(H^H H) holds too
+        x = np.linalg.pinv(gram)
+    f = h @ x
+    alpha = float(np.linalg.norm(f) / np.sqrt(power))
+    error = float(np.linalg.norm(hh @ x - eye) ** 2 + m * alpha**2 * noise_var)
+    return PrecodingSolution(f / alpha, alpha, error)

@@ -5,7 +5,9 @@ by alternating an SVD-form linear estimator pass on the equivalent system
 D x = vec(Z), D = B * A (column-wise Khatri-Rao), with a separable projector
 pass. The two passes exchange extrinsic messages (mean vector, scalar
 precision). Damping blends successive precision and iterate values to keep
-the fixed-point iteration from oscillating.
+the fixed-point iteration from oscillating. The system is set up from the
+SVD of A rather than A itself, so a caller whose A changes only by a scalar
+factors it once.
 """
 
 from __future__ import annotations
@@ -66,24 +68,26 @@ class VampResult:
     trace: list = field(default_factory=list)
 
 
-def prepare_system(a: np.ndarray, b: np.ndarray, z: np.ndarray):
+def prepare_system(svd_a: EconomySVD, b: np.ndarray, z: np.ndarray):
     """SVD triple and weighted observation z_tilde = U^H vec(Z) / omega for
-    D = B * A against vec(Z).
+    D = B * A against vec(Z), given the economy SVD of A.
 
-    Uses the product-form SVD assembled from the factor SVDs, except when the
+    A comes factored because the alternating loop factors its A once per
+    solve and only rescales it; this call takes the SVD of B alone. It uses
+    the product-form SVD assembled from the factor SVDs, except when the
     component count R_a*R_b would exceed the unknown count K: there the
     product form stops being a usable surrogate for an SVD (the precision
-    update needs K/R >= 1) and the SVD of the small dense D is cheaper anyway.
+    update needs K/R >= 1) and the SVD of the small dense D, with A rebuilt
+    from its factors, is cheaper anyway.
     """
-    a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    if z.shape != (a.shape[0], b.shape[0]):
-        raise ValueError(f"prepare_system: Z is {z.shape}, expected {(a.shape[0], b.shape[0])}")
-    svd_a = economy_svd(a)
+    m = svd_a.U.shape[0]
+    if z.shape != (m, b.shape[0]):
+        raise ValueError(f"prepare_system: Z is {z.shape}, expected {(m, b.shape[0])}")
     svd_b = economy_svd(b)
-    if svd_a.rank * svd_b.rank > a.shape[1]:
-        svd = economy_svd(khatri_rao_columns(b, a))
+    if svd_a.rank * svd_b.rank > svd_a.Vh.shape[1]:
+        svd = economy_svd(khatri_rao_columns(b, svd_a.reconstruct()))
     else:
         svd = structured_svd(svd_a, svd_b)
     if svd.rank == 0:
@@ -188,7 +192,7 @@ def run_vamp(a: np.ndarray, b: np.ndarray, z: np.ndarray, projector: Projector,
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     z = np.asarray(z, dtype=complex)
-    svd, z_tilde = prepare_system(a, b, z)
+    svd, z_tilde = prepare_system(economy_svd(a), b, z)
     x0 = projector.initial_point(a.shape[1], rng or np.random.default_rng())
     state = VampState(ExtrinsicMessage(x0.copy(), max(cfg.gamma_0, GAMMA_FLOOR)), x0.copy())
     diag = VampDiagnostics()

@@ -4,10 +4,11 @@ import pytest
 from irsbeam import altopt, metrics
 from irsbeam.altopt import OptimizerConfig, joint_optimize, vamp_setup
 from irsbeam.channel import ChannelSet, SystemDims, sample_channel_set
+from irsbeam.linalg import economy_svd
 from irsbeam.metrics import fit_error, nrmse, sum_rate
 from irsbeam.oracles import grid_phase_search, sum_mse_reference
 from irsbeam.precoding import effective_channel, mmse_precoder
-from irsbeam.vamp import VampConfig
+from irsbeam.vamp import VampConfig, prepare_system
 
 
 def cplx(rng, *shape):
@@ -46,10 +47,16 @@ def test_objective_error_matches_per_user_expansion():
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
+def setup_dense(ch, f, alpha):
+    """vamp_setup from the once-per-solve SVD of H_su^H, with A rebuilt dense."""
+    a, b, z = vamp_setup(ch, economy_svd(ch.H_su.conj().T), f, alpha)
+    return a.reconstruct(), b, z
+
+
 def test_vamp_setup_identity_toy():
     ch = ChannelSet(np.eye(3, dtype=complex), np.zeros((3, 3), complex),
                     np.eye(3, dtype=complex))
-    a, b, z = vamp_setup(ch, np.eye(3, dtype=complex), 1.0)
+    a, b, z = setup_dense(ch, np.eye(3, dtype=complex), 1.0)
     assert np.allclose(a, np.eye(3))
     assert np.allclose(b, np.eye(3))
     assert np.allclose(z, np.eye(3))
@@ -58,7 +65,7 @@ def test_vamp_setup_identity_toy():
 def test_vamp_setup_scalar_chain():
     ch = ChannelSet(np.array([[3.0 + 0j]]), np.array([[2.0 + 0j]]),
                     np.array([[5.0 + 0j]]))
-    a, b, z = vamp_setup(ch, np.array([[4.0 + 0j]]), 0.5)
+    a, b, z = setup_dense(ch, np.array([[4.0 + 0j]]), 0.5)
     assert np.allclose(a, [[0.5 * 5.0]])
     assert np.allclose(b, [[3.0 * 4.0]])
     assert np.allclose(z, [[1.0 - 0.5 * 2.0 * 4.0]])
@@ -70,13 +77,32 @@ def test_vamp_setup_objective_equality():
     rng = np.random.default_rng(2)
     ch = toy_channel(rng, 5, 2, 8)
     sol = mmse_precoder(effective_channel(ch, np.ones(8, complex)), 2.0, 0.01)
-    a, b, z = vamp_setup(ch, sol.F, sol.alpha)
+    a, b, z = setup_dense(ch, sol.F, sol.alpha)
     for _ in range(100):
         ups = np.exp(2j * np.pi * rng.random(8))
         lhs = np.linalg.norm(a @ np.diag(ups) @ b.T - z) ** 2
         rhs = (fit_error(sol.alpha, effective_channel(ch, ups), sol.F, 0.01)
                - 2 * sol.alpha**2 * 0.01)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
+
+
+def test_rescaled_surface_svd_matches_fresh_svd():
+    # the loop factors H_su^H once and scales its singular values by alpha;
+    # a fresh SVD of alpha H_su^H keeps the same components, and the linear
+    # system built from either agrees to rounding, at physical scale
+    for seed, dims in ((20, SystemDims(8, 2, 16)), (21, SystemDims(32, 4, 256))):
+        ch = sample_channel_set(np.random.default_rng(seed), dims)
+        ups = np.exp(2j * np.pi * np.random.default_rng(seed + 100).random(dims.K))
+        sol = mmse_precoder(effective_channel(ch, ups), 1.0, 1e-13)
+        a, b, z = vamp_setup(ch, economy_svd(ch.H_su.conj().T), sol.F, sol.alpha)
+        fresh = economy_svd(sol.alpha * ch.H_su.conj().T)
+        assert a.rank == fresh.rank == dims.M
+        np.testing.assert_allclose(a.omega, fresh.omega, rtol=1e-12)
+        svd, z_tilde = prepare_system(a, b, z)
+        svd_ref, z_ref = prepare_system(fresh, b, z)
+        assert svd.rank == svd_ref.rank
+        np.testing.assert_allclose(svd.omega, svd_ref.omega, rtol=1e-12)
+        assert np.linalg.norm(z_tilde - z_ref) <= 1e-12 * np.linalg.norm(z_ref)
 
 
 def test_joint_optimize_scalar_instance_hits_mmse_bound():

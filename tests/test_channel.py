@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from irsbeam.channel import (ChannelParams, SystemDims, boost_los, complex_normal,
+from irsbeam.channel import (ChannelParams, ChannelSet, SystemDims, boost_los, complex_normal,
                              irs_response, perturb_csi, sample_channel_set, ula_response)
 
 
@@ -61,6 +61,13 @@ def test_irs_response_nonsquare_fallback():
     out = irs_response(0.3, 0.4, 2)
     assert out.shape == (2,)
     assert np.allclose(np.abs(out), np.sqrt(np.abs(np.cos(0.3))))
+
+
+def test_responses_reject_empty_arrays():
+    with pytest.raises(ValueError, match=r"^irs_response: need k >= 1, got 0$"):
+        irs_response(0.3, 0.4, 0)
+    with pytest.raises(ValueError, match=r"^ula_response: need n >= 1, got 0$"):
+        ula_response(0.3, 0)
 
 
 def test_path_loss_reference_anchor():
@@ -257,30 +264,44 @@ def test_csi_quality_range():
     ch = sample_channel_set(np.random.default_rng(11), SystemDims(4, 2, 9))
     for kappa in (1.5, -0.1, float("nan")):
         with pytest.raises(ValueError, match="kappa"):
-            perturb_csi(ch, kappa, np.random.default_rng(0), ChannelParams())
+            perturb_csi(ch, kappa, np.random.default_rng(0))
 
 
 def test_perturb_identity_at_kappa_one():
     dims = SystemDims(8, 2, 16)
     ch = sample_channel_set(np.random.default_rng(11), dims)
-    out = perturb_csi(ch, 1.0, np.random.default_rng(0), ChannelParams())
+    out = perturb_csi(ch, 1.0, np.random.default_rng(0))
     assert np.array_equal(out.H_bs, ch.H_bs)
     assert np.array_equal(out.H_bu, ch.H_bu)
     assert np.array_equal(out.H_su, ch.H_su)
 
 
 def test_perturb_kappa_zero_variance():
-    params = ChannelParams()
+    # the error variance at kappa = 0 is the path loss of the constants the
+    # set was drawn with: 1.79e-10 for H_bs by default, 1.79e-9 at c0 = 1e-2
     dims = SystemDims(4, 2, 9)
-    ch = sample_channel_set(np.random.default_rng(12), dims, params)
-    rng = np.random.default_rng(13)
-    acc = 0.0
-    draws = 800
-    for _ in range(draws):
-        out = perturb_csi(ch, 0.0, rng, params)
-        acc += np.mean(np.abs(out.H_bs) ** 2)
-    level = params.path_loss(ch.d_irs, params.eta_irs)
-    assert abs(acc / draws - level) < 0.05 * level
+    for params, level in ((ChannelParams(), 1.789e-10), (ChannelParams(c0=1e-2), 1.789e-9)):
+        ch = sample_channel_set(np.random.default_rng(12), dims, params)
+        assert ch.params == params
+        assert params.path_loss(ch.d_irs, params.eta_irs) == pytest.approx(level, rel=1e-3)
+        rng = np.random.default_rng(13)
+        acc = 0.0
+        draws = 800
+        for _ in range(draws):
+            out = perturb_csi(ch, 0.0, rng)
+            assert out.params == params
+            acc += np.mean(np.abs(out.H_bs) ** 2)
+        assert abs(acc / draws - level) < 0.05 * level
+
+
+def test_perturb_refuses_a_set_without_constants():
+    rng = np.random.default_rng(18)
+    ch = ChannelSet(complex_normal(rng, 9, 4), complex_normal(rng, 4, 2),
+                    complex_normal(rng, 9, 2), 500.0, np.full(2, 500.0), np.full(2, 30.0))
+    with pytest.raises(ValueError, match="propagation constants"):
+        perturb_csi(ch, 0.9, np.random.default_rng(0))
+    # perfect knowledge needs no error variance
+    assert perturb_csi(ch, 1.0, np.random.default_rng(0)) is ch
 
 
 def test_perturb_error_variance_tracks_kappa():
@@ -294,7 +315,7 @@ def test_perturb_error_variance_tracks_kappa():
         acc = 0.0
         draws = 1000
         for _ in range(draws):
-            out = perturb_csi(ch, kappa, rng, params)
+            out = perturb_csi(ch, kappa, rng)
             acc += np.mean(np.abs(out.H_bs - kappa * ch.H_bs) ** 2)
         want = (1 - kappa**2) * params.path_loss(ch.d_irs, params.eta_irs)
         assert abs(acc / draws - want) < 0.05 * want

@@ -170,7 +170,7 @@ def test_no_irs_trial_ignores_reflector_links():
     rng = np.random.default_rng(4)
     other = replace(ch, H_bs=complex_normal(rng, 16, 6), H_su=complex_normal(rng, 16, 2))
     for kappa in (1.0, 0.9):
-        known = perturb_csi(ch, kappa, np.random.default_rng(5), spec.channel)
+        known = perturb_csi(ch, kappa, np.random.default_rng(5))
         known_other = replace(known, H_bs=other.H_bs, H_su=other.H_su)
         want = run_trial(spec, "no_irs_mmse", ch, known, 30.0, kappa, (0, 0, 0, 0, 0), 1)
         got = run_trial(spec, "no_irs_mmse", other, known_other, 30.0, kappa,

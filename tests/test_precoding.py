@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from irsbeam.channel import ChannelSet, SystemDims, sample_channel_set
+from irsbeam.metrics import fit_error
 from irsbeam.oracles import (precoder_objective, precoder_reference,
                              random_precoder_search)
 from irsbeam.precoding import effective_channel, mmse_precoder
@@ -130,3 +131,33 @@ def test_precoder_on_synthesized_channel_scale():
     sol = mmse_precoder(effective_channel(ch, ups), 1.0, 1e-13)
     assert abs(np.linalg.norm(sol.F) ** 2 - 1.0) < 1e-10
     assert np.isfinite(sol.alpha) and sol.alpha > 0
+
+
+def test_push_through_precoder_matches_reference_at_paper_scale():
+    # N = 32, M = 4 at physical path loss: the M x M push-through solve gives
+    # the N x N closed form of the literal reference
+    dims = SystemDims(32, 4, 256)
+    for seed in (21, 22, 23):
+        ch = sample_channel_set(np.random.default_rng(seed), dims)
+        ups = np.exp(2j * np.pi * np.random.default_rng(seed + 100).random(dims.K))
+        h = effective_channel(ch, ups)
+        sol = mmse_precoder(h, 1.0, 1e-13)
+        alpha_ref, f_ref = precoder_reference(h, 1.0, 1e-13)
+        assert abs(sol.alpha - alpha_ref) < 1e-10 * alpha_ref
+        assert np.abs(sol.F - f_ref).max() < 1e-10
+
+
+def test_push_through_pseudoinverse_matches_dense_form():
+    # noise-free with two identical users: H^H H is singular, so the M x M
+    # pseudo-inverse branch runs; it must give the N x N form pinv(HH^H) H
+    dims = SystemDims(32, 4, 256)
+    ch = sample_channel_set(np.random.default_rng(24), dims)
+    h = effective_channel(ch, np.exp(2j * np.pi * np.random.default_rng(25).random(dims.K)))
+    h[:, 1] = h[:, 0]
+    sol = mmse_precoder(h, 1.0, 0.0)
+    x = np.linalg.pinv(h @ h.conj().T) @ h
+    alpha_ref = float(np.linalg.norm(x))
+    assert abs(sol.alpha - alpha_ref) < 1e-10 * alpha_ref
+    assert np.abs(sol.F - x / alpha_ref).max() < 1e-10
+    assert abs(np.linalg.norm(sol.F) ** 2 - 1.0) < 1e-10
+    assert sol.error == pytest.approx(fit_error(sol.alpha, h, sol.F, 0.0), rel=1e-12)

@@ -4,6 +4,8 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from irsbeam.linalg import economy_svd
+from irsbeam.metrics import fit_error
 from irsbeam.precoding import mmse_precoder
 from irsbeam.projectors import UNIMODULAR, get_projector
 from irsbeam.vamp import (GAMMA_FLOOR, ExtrinsicMessage, VampConfig, VampDiagnostics,
@@ -54,7 +56,7 @@ def test_projector_is_a_nearest_point(constraint, re, im):
 def test_vamp_step_invariants(seed, m, q, k, steps, constraint, rho, gamma_0):
     # both linear-pass branches occur: the dense one when m*q > k
     rng = np.random.default_rng(seed)
-    svd, z_tilde = prepare_system(cplx(rng, m, k), cplx(rng, q, k), cplx(rng, m, q))
+    svd, z_tilde = prepare_system(economy_svd(cplx(rng, m, k)), cplx(rng, q, k), cplx(rng, m, q))
     projector = get_projector(constraint)
     cfg = VampConfig(rho=rho, gamma_0=gamma_0)
     x0 = projector.initial_point(k, rng)
@@ -74,7 +76,7 @@ def test_vamp_step_invariants(seed, m, q, k, steps, constraint, rho, gamma_0):
 def step_history(a, b, z, projector, cfg, x0, steps):
     """(gamma_tilde, gamma_hat, message mean, message precision, damped iterate)
     after each of `steps` vamp_steps on the system (A, B, Z) from x0."""
-    svd, z_tilde = prepare_system(a, b, z)
+    svd, z_tilde = prepare_system(economy_svd(a), b, z)
     state = VampState(ExtrinsicMessage(x0.copy(), max(cfg.gamma_0, GAMMA_FLOOR)), x0.copy())
     diag = VampDiagnostics()
     history = []
@@ -131,12 +133,16 @@ def test_unimodular_vamp_step_is_rotation_invariant(seed, m, q, k, steps, rho, g
     assert_same_history(got, want, rotation=turn)
 
 
+PRECODER_CASES = dict(seed=SEEDS, n=st.integers(2, 8), m_frac=st.floats(0.0, 1.0),
+                      power=st.floats(1e-3, 1e3),
+                      noise_var=st.sampled_from([0.0, 1e-13, 1e-6, 0.1, 1.0]),
+                      scale=st.floats(-6.0, 1.0))
+
+
 @settings(max_examples=100, deadline=None)
-@given(seed=SEEDS, n=st.integers(2, 8), m_frac=st.floats(0.0, 1.0),
-       power=st.floats(1e-3, 1e3), noise_var=st.sampled_from([0.0, 1e-13, 1e-6, 0.1, 1.0]),
-       scale=st.floats(-6.0, 1.0))
-# M < N with M*noise_var/P below rounding against ||h||^2: the Gram matrix is
-# singular to working precision
+@given(**PRECODER_CASES)
+# M < N with M*noise_var/P below rounding against ||h||^2: the N x N Gram
+# matrix H H^H + (M noise_var/P) I would be singular to working precision
 @example(seed=2, n=2, m_frac=0.0, power=601.0, noise_var=1e-13, scale=0.39453125)
 def test_precoder_power_is_exact(seed, n, m_frac, power, noise_var, scale):
     m = 1 + int(m_frac * (n - 2))
@@ -144,3 +150,20 @@ def test_precoder_power_is_exact(seed, n, m_frac, power, noise_var, scale):
     sol = mmse_precoder(h, power, noise_var)
     assert abs(float(np.linalg.norm(sol.F) ** 2) - power) <= 1e-9 * power
     assert np.isfinite(sol.alpha) and sol.alpha > 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(**PRECODER_CASES)
+def test_precoder_error_is_the_fit_error(seed, n, m_frac, power, noise_var, scale):
+    # the objective the precoder reads off its M x M Gram matrix is the sum-MSE
+    # that metrics.fit_error scores from the N x M products
+    m = 1 + int(m_frac * (n - 2))
+    h = 10.0**scale * cplx(np.random.default_rng(seed), n, m)
+    sol = mmse_precoder(h, power, noise_var)
+    scored = fit_error(sol.alpha, h, sol.F, noise_var)
+    if noise_var > 0:
+        assert abs(sol.error - scored) <= 1e-12 * scored
+    else:
+        # zero forcing: the objective is exactly 0 and both values are the
+        # square of rounding residue
+        assert sol.error <= 1e-20 and scored <= 1e-20

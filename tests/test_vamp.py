@@ -140,14 +140,14 @@ def test_prepare_system_structured_vs_dense_paths():
     # K = 8 >= R_a*R_b = 4: product form; K = 3 < R_a*R_b = 4: dense SVD of D
     for k in (8, 3):
         a, b, z = cplx(rng, 2, k), cplx(rng, 2, k), cplx(rng, 2, 2)
-        svd, z_tilde = prepare_system(a, b, z)
+        svd, z_tilde = prepare_system(economy_svd(a), b, z)
         assert isinstance(svd, EconomySVD)
         assert np.allclose(svd.U.conj().T @ svd.U, np.eye(svd.rank), atol=1e-12)
         assert np.array_equal(z_tilde, (svd.U.conj().T @ z.flatten(order="F")) / svd.omega)
         d = khatri_rao_columns(b, a)
         assert np.linalg.norm(svd.reconstruct() - d) < 1e-9 * np.linalg.norm(d)
     with pytest.raises(ValueError):
-        prepare_system(np.zeros((2, 4)), cplx(rng, 2, 4), np.zeros((2, 2)))
+        prepare_system(economy_svd(np.zeros((2, 4))), cplx(rng, 2, 4), np.zeros((2, 2)))
 
 
 # Column-by-column reference for the bit-identity test below: the kept columns
@@ -176,9 +176,10 @@ def _reference_structured_svd(svd_a, svd_b):
     return EconomySVD(u, omega_full[kept], vh_kr[kept] / v_n[kept, None])
 
 
-def _reference_prepare_system(a, b, z):
-    svd_a, svd_b = _reference_economy_svd(a), _reference_economy_svd(b)
-    if svd_a.rank * svd_b.rank > a.shape[1]:
+def _reference_prepare_system(svd_a, b, z):
+    svd_b = _reference_economy_svd(b)
+    if svd_a.rank * svd_b.rank > svd_a.Vh.shape[1]:
+        a = (svd_a.U * svd_a.omega) @ svd_a.Vh
         svd = _reference_economy_svd(khatri_rao_columns(b, a))
     else:
         svd = _reference_structured_svd(svd_a, svd_b)
@@ -190,7 +191,7 @@ def test_prepare_system_bits_match_reference_assembly():
     # order picks the BLAS kernel, so their layout is pinned as well as their bits
     rng = np.random.default_rng(12)
 
-    def factor(m, k):  # M x K and Fortran-ordered, as altopt.vamp_setup builds A and B
+    def factor(m, k):  # M x K and Fortran-ordered, like B and H_su^H in altopt
         return cplx(rng, k, m).T
 
     # disjoint row supports: Khatri-Rao rows (0, 1) and (1, 0) of the right
@@ -203,8 +204,10 @@ def test_prepare_system_bits_match_reference_assembly():
              ("dropped", blocks.copy(order="F"), (blocks * cplx(rng, 1, 4)).copy(order="F"),
               cplx(rng, 2, 2))]
     for branch, a, b, z in cases:
-        svd, z_tilde = prepare_system(a, b, z)
-        ref, ref_z = _reference_prepare_system(a, b, z)
+        # A arrives factored, as the alternating loop hands it over
+        svd_a = economy_svd(a)
+        svd, z_tilde = prepare_system(svd_a, b, z)
+        ref, ref_z = _reference_prepare_system(svd_a, b, z)
         n_components = a.shape[0] * b.shape[0]
         assert {"structured": svd.rank == n_components <= a.shape[1],
                 "dense": n_components > a.shape[1],
