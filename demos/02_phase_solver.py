@@ -9,15 +9,13 @@ against the global grid optimum.
 """
 import numpy as np
 
-from irsbeam.projectors import UNIMODULAR
-from irsbeam.vamp import run_vamp
+from irsbeam.vamp import OptimizerConfig, run_vamp
 
 rng = np.random.default_rng(1)
 
 print("separable sanity check (A = B = I):")
 diag = np.array([1 + 1j, -2.0, 0.5j, 1.5 - 0.5j])
-res = run_vamp(np.eye(4), np.eye(4), np.diag(diag), UNIMODULAR,
-               rng=np.random.default_rng(0), collect_trace=True)
+res = run_vamp(np.eye(4), np.eye(4), np.diag(diag), rng=np.random.default_rng(0))
 err = np.abs(res.x - diag / np.abs(diag)).max()
 print(f"  converged in {res.iterations} passes, max phase error {err:.2e}")
 
@@ -25,8 +23,8 @@ print("\nsmall dense instance vs the exhaustive 64^3 phase grid:")
 a = (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))) / np.sqrt(2)
 b = (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))) / np.sqrt(2)
 z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
-res = run_vamp(a, b, z, UNIMODULAR, rng=np.random.default_rng(0), collect_trace=True,
-               epsilon=1e-6, t_max=500)
+res = run_vamp(a, b, z, OptimizerConfig(epsilon_outer=1e-6, t_max_outer=500),
+               np.random.default_rng(0))
 achieved = np.linalg.norm(a @ np.diag(res.x) @ b.T - z) ** 2
 
 theta = np.exp(2j * np.pi * np.arange(64) / 64)

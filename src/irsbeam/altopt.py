@@ -9,12 +9,13 @@ factor A = alpha H_su^H changes only through the scalar alpha, so H_su^H is
 factored once per solve and each iteration rescales its singular values.
 The precoder returns the sum-MSE objective from its own M x M Gram matrix;
 the loop stops when that objective changes by less than a relative
-tolerance, or at the iteration cap.
+tolerance, or at the iteration cap. Like run_vamp, the loop takes a
+vamp.OptimizerConfig and starts from VampState.start.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,25 +24,7 @@ from .linalg import EconomySVD, economy_svd
 from .metrics import fit_error, per_user_sinr
 from .precoding import effective_channel, mmse_precoder
 from .projectors import get_projector
-from .vamp import (GAMMA_FLOOR, ExtrinsicMessage, VampConfig, VampDiagnostics,
-                   VampState, prepare_system, vamp_step)
-
-
-@dataclass
-class OptimizerConfig:
-    vamp: VampConfig = field(default_factory=VampConfig)
-    epsilon_outer: float = 1e-3
-    t_max_outer: int = 100
-    constraint: str = "unimodular"
-    collect_trace: bool = True
-
-    def __post_init__(self):
-        # each rule is written so that NaN fails it
-        for name, ok, rule in (
-                ("epsilon_outer", 0.0 < self.epsilon_outer < np.inf, "positive and finite"),
-                ("t_max_outer", self.t_max_outer >= 1, ">= 1")):
-            if not ok:
-                raise ValueError(f"{name}: must be {rule}, got {getattr(self, name)!r}")
+from .vamp import OptimizerConfig, VampDiagnostics, VampState, prepare_system, vamp_step
 
 
 @dataclass
@@ -96,12 +79,10 @@ def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
     ch.validate()
     n, m, k = ch.dims
     projector = get_projector(cfg.constraint)
-    vcfg = cfg.vamp
 
     svd_su = economy_svd(ch.H_su.conj().T)
     upsilon = projector.initial_point(k, rng)
-    state = VampState(ExtrinsicMessage(upsilon.copy(), max(vcfg.gamma_0, GAMMA_FLOOR)),
-                      upsilon.copy())
+    state = VampState.start(upsilon, cfg.gamma_0)
     diag = VampDiagnostics()
     trace: list[TraceRow] = []
     converged = False
@@ -110,7 +91,7 @@ def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
         if t > 0:
             svd_a, b, z = vamp_setup(ch, svd_su, sol.F, sol.alpha)
             svd, z_tilde = prepare_system(svd_a, b, z)
-            vamp_step(svd, z_tilde, state, projector, vcfg, diag)
+            vamp_step(svd, z_tilde, state, projector, cfg, diag)
             upsilon = np.asarray(projector.g(state.x_damped))
         h = effective_channel(ch, upsilon)
         sol = mmse_precoder(h, power, noise_var)

@@ -84,14 +84,13 @@ class ChannelSet:
 
     H_bs: K x N, H_bu: N x M, H_su: K x M. d_users and d_irs_users hold the
     per-user base-station and reflector-array distances used for path loss;
-    params holds the propagation constants of sample_channel_set, None for a
-    set built by hand.
+    params holds the propagation constants of sample_channel_set, the
+    station-surface distance d_irs among them, None for a set built by hand.
     """
 
     H_bs: np.ndarray
     H_bu: np.ndarray
     H_su: np.ndarray
-    d_irs: float = 500.0
     d_users: np.ndarray = field(default_factory=lambda: np.zeros(0))
     d_irs_users: np.ndarray = field(default_factory=lambda: np.zeros(0))
     params: ChannelParams | None = None
@@ -242,7 +241,7 @@ def sample_channel_set(rng: np.random.Generator, dims: SystemDims,
                                  params.path_loss(d_m, params.eta_direct))
         h_su[:, m] = _synth_link(rng, params.q_irs_user, 2, irs,
                                  params.path_loss(d_prime, params.eta_irs), su_boost)
-    return ChannelSet(h_bs, h_bu, h_su, params.d_irs, d_users, d_irs_users, params)
+    return ChannelSet(h_bs, h_bu, h_su, d_users, d_irs_users, params)
 
 
 def perturb_csi(ch: ChannelSet, kappa: float, rng: np.random.Generator) -> ChannelSet:
@@ -263,17 +262,16 @@ def perturb_csi(ch: ChannelSet, kappa: float, rng: np.random.Generator) -> Chann
         raise ValueError("perturb_csi: the channel set records no propagation constants "
                          "(ChannelSet.params), so the error variance is unknown")
     scale = np.sqrt(1.0 - kappa**2)
-    h_bs = kappa * ch.H_bs + scale * np.sqrt(
-        params.path_loss(ch.d_irs, params.eta_irs)
-    ) * complex_normal(rng, *ch.H_bs.shape)
+
+    def estimate(h, d, eta):
+        """kappa*h plus noise drawn at the path loss of distance d, exponent eta."""
+        noise = complex_normal(rng, *h.shape)
+        return kappa * h + scale * np.sqrt(params.path_loss(d, eta)) * noise
+
+    h_bs = estimate(ch.H_bs, params.d_irs, params.eta_irs)
     h_bu = np.empty_like(ch.H_bu)
     h_su = np.empty_like(ch.H_su)
     for m in range(ch.H_bu.shape[1]):
-        h_bu[:, m] = kappa * ch.H_bu[:, m] + scale * np.sqrt(
-            params.path_loss(ch.d_users[m], params.eta_direct)
-        ) * complex_normal(rng, ch.H_bu.shape[0])
-        h_su[:, m] = kappa * ch.H_su[:, m] + scale * np.sqrt(
-            params.path_loss(ch.d_irs_users[m], params.eta_irs)
-        ) * complex_normal(rng, ch.H_su.shape[0])
+        h_bu[:, m] = estimate(ch.H_bu[:, m], ch.d_users[m], params.eta_direct)
+        h_su[:, m] = estimate(ch.H_su[:, m], ch.d_irs_users[m], params.eta_irs)
     return replace(ch, H_bs=h_bs, H_bu=h_bu, H_su=h_su)
-

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Verbs:
+Verbs, each declaring only the flags it reads:
   run    - execute a Monte Carlo sweep, write trial CSV, aggregate CSV, charts
   trace  - per-iteration convergence dump for one seeded optimization
   oracle - quick self-verification against the built-in reference oracles
@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -22,22 +23,19 @@ from .charts import emit_chart
 from .harness import (dbm_to_watts, desk_spec, emit_aggregate_csv, emit_csv,
                       load_aggregate_csv, load_spec, paper_spec, run_sweep)
 from .linalg import economy_svd, khatri_rao_columns, structured_svd
-from .oracles import (dense_lmmse, grid_reactance, precoder_reference,
+from .oracles import (dense_lmmse, grid_reactance, precoder_objective, precoder_reference,
                       random_precoder_search)
 from .projectors import REACTIVE, UNIMODULAR
 from .precoding import mmse_precoder
-from .vamp import ExtrinsicMessage, VampConfig, lmmse_extrinsic
+from .vamp import ExtrinsicMessage, OptimizerConfig, lmmse_extrinsic
 
 
-def _base_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--spec", metavar="PATH", help="experiment spec file")
-    common.add_argument("--preset", choices=("desk", "paper"), default="desk",
-                        help="built-in spec used when --spec is absent")
-    common.add_argument("--out", metavar="DIR", default="out", help="output directory")
-    common.add_argument("--seed", type=int, default=None, metavar="U64",
-                        help="override the spec's base seed")
-    return common
+def _seed(text: str) -> int:
+    """The --seed value: a non-negative integer."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a non-negative integer, got {value}")
+    return value
 
 
 def _load(args):
@@ -46,7 +44,7 @@ def _load(args):
     else:
         spec = desk_spec() if args.preset == "desk" else paper_spec()
     if args.seed is not None:
-        spec.base_seed = args.seed
+        spec = replace(spec, base_seed=args.seed)
     return spec
 
 
@@ -118,7 +116,7 @@ def cmd_oracle(args) -> int:
     z = cplx(6)
     msg = ExtrinsicMessage(cplx(7), 0.7)
     z_tilde = (svd_d.U.conj().T @ z) / svd_d.omega
-    got = lmmse_extrinsic(svd_d, z_tilde, msg, VampConfig(gamma_w=1.3))
+    got = lmmse_extrinsic(svd_d, z_tilde, msg, OptimizerConfig(gamma_w=1.3))
     _, _, r_ref, g_ref = dense_lmmse(d, z, msg.r, msg.gamma, 1.3)
     diff = max(float(np.abs(got.r - r_ref).max()), abs(got.gamma - g_ref))
     ok &= _check("SVD-form linear pass matches dense form", diff < 1e-8, f"abs {diff:.2e}")
@@ -145,7 +143,6 @@ def cmd_oracle(args) -> int:
     ok &= _check("precoder matches the literal closed form",
                  np.abs(sol.F - f_ref).max() < 1e-10 and abs(sol.alpha - a_ref) < 1e-10)
     search = random_precoder_search(h, 2.0, 0.05, 20_000, rng)
-    from .oracles import precoder_objective
     ok &= _check("random precoder search never beats the closed form",
                  search >= precoder_objective(h, sol.F, 0.05) - 1e-6)
 
@@ -164,26 +161,29 @@ def cmd_chart(args) -> int:
 
 
 def main(argv=None) -> int:
-    common = _base_parser()
     parser = argparse.ArgumentParser(prog="irsbeam",
                                      description="reflective-surface beamforming simulator")
     parser.add_argument("--version", action="version", version=f"irsbeam {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    p_run = sub.add_parser("run", help="run a Monte Carlo sweep")
+    p_trace = sub.add_parser("trace", help="per-iteration convergence dump for one seed")
+    p_oracle = sub.add_parser("oracle",
+                              help="tiny-instance verification against reference oracles")
+    p_chart = sub.add_parser("chart", help="re-render charts from an aggregate CSV")
 
-    sub.add_parser("run", parents=[common], help="run a Monte Carlo sweep")
-
-    p_trace = sub.add_parser("trace", parents=[common],
-                             help="per-iteration convergence dump for one seed")
+    for p in (p_run, p_trace):
+        p.add_argument("--spec", metavar="PATH", help="experiment spec file")
+        p.add_argument("--preset", choices=("desk", "paper"), default="desk",
+                       help="built-in spec used when --spec is absent")
+    for p in (p_run, p_trace, p_oracle):
+        p.add_argument("--seed", type=_seed, default=None, metavar="U64",
+                       help="random seed; run and trace use it as the spec's base_seed")
+    for p in (p_run, p_trace, p_chart):
+        p.add_argument("--out", metavar="DIR", default="out", help="output directory")
     p_trace.add_argument("--constraint", choices=("unimodular", "reactive"),
                          default="unimodular")
     p_trace.add_argument("--exclude-direct", action="store_true",
                          help="zero the direct base-station-user link")
-
-    sub.add_parser("oracle", parents=[common],
-                   help="tiny-instance verification against reference oracles")
-
-    p_chart = sub.add_parser("chart", parents=[common],
-                             help="re-render charts from an aggregate CSV")
     p_chart.add_argument("--csv", required=True, help="aggregate CSV path")
     p_chart.add_argument("--x", default="K", help="x-axis column")
     p_chart.add_argument("--stat", default="sum_rate", choices=("sum_rate", "nrmse"))

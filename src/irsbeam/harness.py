@@ -1,13 +1,13 @@
 """Seeded Monte Carlo experiment runner.
 
 An ExperimentSpec describes a sweep (array sizes, transmit powers, CSI
-quality, schemes); run_sweep runs one seeded trial per (cell, scheme, trial)
-and returns per-trial records plus per-cell aggregates. Every trial derives
-its generators from (base_seed, cell indices, trial index), so a sweep is a
-pure function of the spec: reruns produce identical records (byte-identical
-CSV when timing capture is off). Each true channel is drawn once per (dims,
-trial) and reused across powers, CSI qualities and schemes, which pairs the
-comparisons.
+quality, schemes) and is checked when it is built; run_sweep runs one seeded
+trial per (cell, scheme, trial) and returns per-trial records plus per-cell
+aggregates. Every trial derives its generators from (base_seed, cell
+indices, trial index), so a sweep is a pure function of the spec: reruns
+produce identical records (byte-identical CSV when timing capture is off).
+Each true channel is drawn once per (dims, trial) and reused across powers,
+CSI qualities and schemes, which pairs the comparisons.
 
 When kappa < 1 the true channel is perturbed once per (kappa, trial); the
 optimizer sees the perturbed channels and all metrics are evaluated on the
@@ -25,23 +25,24 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .altopt import BeamformingSolution, OptimizerConfig, joint_optimize
+from .altopt import BeamformingSolution, joint_optimize
 from .channel import (ChannelParams, ChannelSet, SystemDims, perturb_csi,
                       sample_channel_set)
 from .metrics import nrmse, sum_rate
 from .oracles import GRID_MAX_K, grid_phase_search
 from .precoding import effective_channel, mmse_precoder
 from .projectors import UNIMODULAR
-from .vamp import VampConfig, VampDiagnostics
+from .vamp import OptimizerConfig, VampDiagnostics
 
 
 def dbm_to_watts(dbm: float) -> float:
     return 10.0 ** ((dbm - 30.0) / 10.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentSpec:
-    """A sweep; its fields, those of `channel` inlined, are the spec keys."""
+    """A sweep; its fields, those of `channel` inlined, are the spec keys.
+    Building one refuses a spec that cannot run, naming the key."""
 
     scenario: str = "B"
     n_bs: list[int] = field(default_factory=lambda: [8])
@@ -56,13 +57,12 @@ class ExperimentSpec:
     channel: ChannelParams = field(default_factory=ChannelParams)
     epsilon_outer: float = OptimizerConfig.epsilon_outer
     t_max_outer: int = OptimizerConfig.t_max_outer
-    rho: float = VampConfig.rho
-    gamma_w: float = VampConfig.gamma_w
-    gamma_0: float = VampConfig.gamma_0
+    rho: float = OptimizerConfig.rho
+    gamma_w: float = OptimizerConfig.gamma_w
+    gamma_0: float = OptimizerConfig.gamma_0
     record_timing: bool = True
 
-    def validate(self) -> None:
-        """Reject a spec that cannot run, naming the key; ChannelParams checks its own."""
+    def __post_init__(self):
         for name in ("n_bs", "n_users", "n_irs", "power_dbm", "kappa", "schemes"):
             values = getattr(self, name)
             if not values:
@@ -93,13 +93,9 @@ class ExperimentSpec:
             raise ValueError(f"spec.{exc}") from None
 
     def optimizer_config(self, constraint: str, collect_trace: bool = False) -> OptimizerConfig:
-        return OptimizerConfig(
-            vamp=VampConfig(gamma_w=self.gamma_w, rho=self.rho, gamma_0=self.gamma_0),
-            epsilon_outer=self.epsilon_outer,
-            t_max_outer=self.t_max_outer,
-            constraint=constraint,
-            collect_trace=collect_trace,
-        )
+        return OptimizerConfig(gamma_w=self.gamma_w, rho=self.rho, gamma_0=self.gamma_0,
+                               epsilon_outer=self.epsilon_outer, t_max_outer=self.t_max_outer,
+                               constraint=constraint, collect_trace=collect_trace)
 
 
 @dataclass
@@ -183,9 +179,7 @@ def parse_spec(text: str) -> ExperimentSpec:
         channel = ChannelParams(**channel_kwargs)
     except ValueError as exc:
         raise ValueError(f"spec.{exc}") from None
-    spec = ExperimentSpec(**spec_kwargs, channel=channel)
-    spec.validate()
-    return spec
+    return ExperimentSpec(**spec_kwargs, channel=channel)
 
 
 def load_spec(path) -> ExperimentSpec:
@@ -277,7 +271,6 @@ def run_sweep(spec: ExperimentSpec, progress=None):
     whatever the run order; `progress` is called with each record as it
     completes, in run order.
     """
-    spec.validate()
     records = {}
     for (i_n, n), (i_m, m), (i_k, k) in product(
             enumerate(spec.n_bs), enumerate(spec.n_users), enumerate(spec.n_irs)):

@@ -54,8 +54,11 @@ def mmse_precoder(h: np.ndarray, power: float, noise_var: float) -> PrecodingSol
     m = h.shape[1]
     if not np.any(h):
         raise ValueError("precoder: all-zero channel, no signal path")
-    if power <= 0:
-        raise ValueError(f"precoder: power must be positive, got {power}")
+    # each rule is written so that NaN fails it
+    if not 0.0 < power < np.inf:
+        raise ValueError(f"precoder: power must be positive and finite, got {power}")
+    if not 0.0 <= noise_var < np.inf:
+        raise ValueError(f"precoder: noise_var must be non-negative and finite, got {noise_var}")
     hh = h.conj().T @ h
     eye = np.eye(m)
     gram = hh + (m * noise_var / power) * eye

@@ -8,6 +8,9 @@ precision). Damping blends successive precision and iterate values to keep
 the fixed-point iteration from oscillating. The system is set up from the
 SVD of A rather than A itself, so a caller whose A changes only by a scalar
 factors it once.
+
+OptimizerConfig, checked when built, holds the settings of one run of either
+driver: run_vamp here or the alternating loop, altopt.joint_optimize.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import EconomySVD, economy_svd, khatri_rao_columns, structured_svd
-from .projectors import Projector
+from .projectors import Projector, get_projector
 
 # Floor for the emitted precisions; a nonpositive or smaller one is clamped to it.
 GAMMA_FLOOR = 1e-11
@@ -31,20 +34,32 @@ class ExtrinsicMessage:
     gamma: float
 
 
-@dataclass
-class VampConfig:
-    gamma_w: float = 1.0        # quadratic-term weight in the linear pass
-    rho: float = 0.9            # damping factor in (0, 1]
-    gamma_0: float = 0.1        # initial message precision
+@dataclass(frozen=True)
+class OptimizerConfig:
+    """Settings of one solver run, for run_vamp and altopt.joint_optimize alike."""
+
+    gamma_w: float = 1.0            # quadratic-term weight in the linear pass
+    rho: float = 0.9                # damping factor in (0, 1]
+    gamma_0: float = 0.1            # initial message precision
+    epsilon_outer: float = 1e-3     # relative change that stops the iteration
+    t_max_outer: int = 100          # iteration cap
+    constraint: str = "unimodular"  # projector name, see projectors.get_projector
+    collect_trace: bool = True      # record one trace row per iteration
 
     def __post_init__(self):
         # each rule is written so that NaN fails it
         for name, ok, rule in (
                 ("gamma_w", 0.0 < self.gamma_w < np.inf, "positive and finite"),
                 ("rho", 0.0 < self.rho <= 1.0, "in (0, 1]"),
-                ("gamma_0", 0.0 <= self.gamma_0 < np.inf, "non-negative and finite")):
+                ("gamma_0", 0.0 <= self.gamma_0 < np.inf, "non-negative and finite"),
+                ("epsilon_outer", 0.0 < self.epsilon_outer < np.inf, "positive and finite"),
+                ("t_max_outer", self.t_max_outer >= 1, ">= 1")):
             if not ok:
                 raise ValueError(f"{name}: must be {rule}, got {getattr(self, name)!r}")
+        try:
+            get_projector(self.constraint)
+        except ValueError as exc:
+            raise ValueError(f"constraint: {exc}") from None
 
 
 @dataclass
@@ -96,7 +111,7 @@ def prepare_system(svd_a: EconomySVD, b: np.ndarray, z: np.ndarray):
 
 
 def lmmse_extrinsic(svd: EconomySVD, z_tilde: np.ndarray, msg: ExtrinsicMessage,
-                    cfg: VampConfig, diag: VampDiagnostics | None = None) -> ExtrinsicMessage:
+                    cfg: OptimizerConfig, diag: VampDiagnostics | None = None) -> ExtrinsicMessage:
     """Extrinsic output of the linear pass, computed in SVD form.
 
     With K = svd.Vh.shape[1] unknowns and R components:
@@ -136,9 +151,15 @@ class VampState:
     gamma_tilde_prev: float | None = None
     passes: int = 0
 
+    @classmethod
+    def start(cls, x0: np.ndarray, gamma_0: float) -> "VampState":
+        """The state before the first step: message mean and damped iterate
+        are copies of x0, the message precision is gamma_0 clamped to GAMMA_FLOOR."""
+        return cls(ExtrinsicMessage(x0.copy(), max(gamma_0, GAMMA_FLOOR)), x0.copy())
+
 
 def vamp_step(svd: EconomySVD, z_tilde: np.ndarray, state: VampState, projector: Projector,
-              cfg: VampConfig, diag: VampDiagnostics) -> tuple[float, float]:
+              cfg: OptimizerConfig, diag: VampDiagnostics) -> tuple[float, float]:
     """One linear-estimator pass plus one projector pass; updates state in place.
 
     From the second step on, the linear-pass precision and the iterate
@@ -172,43 +193,38 @@ def vamp_step(svd: EconomySVD, z_tilde: np.ndarray, state: VampState, projector:
     return gamma_tilde, gamma_hat
 
 
-def run_vamp(a: np.ndarray, b: np.ndarray, z: np.ndarray, projector: Projector,
-             cfg: VampConfig | None = None, rng: np.random.Generator | None = None,
-             collect_trace: bool = False, *, epsilon: float = 1e-3,
-             t_max: int = 100) -> VampResult:
-    """Solve min ||A Diag(x) B^T - Z||_F^2 under the projector's constraint.
+def run_vamp(a: np.ndarray, b: np.ndarray, z: np.ndarray, cfg: OptimizerConfig | None = None,
+             rng: np.random.Generator | None = None) -> VampResult:
+    """Solve min ||A Diag(x) B^T - Z||_F^2 under the constraint cfg.constraint.
 
-    Iterates until the squared iterate change falls under epsilon times the
-    squared iterate norm, or t_max passes. The returned x is re-projected
-    through g, so every entry lies exactly in the constraint set even though
-    damped intermediate iterates need not.
+    Iterates until the squared change of the damped iterate falls under
+    cfg.epsilon_outer times its squared norm (the rule compares iterates,
+    where joint_optimize compares objectives), or cfg.t_max_outer passes.
+    With cfg.collect_trace each pass appends (t, objective, gamma_tilde,
+    gamma_hat, clamped) to the trace. The returned x is re-projected through
+    g, so every entry lies exactly in the constraint set even though damped
+    intermediate iterates need not.
     """
-    # each rule is written so that NaN fails it
-    if not 0.0 < epsilon < np.inf:
-        raise ValueError(f"epsilon: must be positive and finite, got {epsilon!r}")
-    if not t_max >= 1:
-        raise ValueError(f"t_max: must be >= 1, got {t_max!r}")
-    cfg = cfg or VampConfig()
+    cfg = cfg or OptimizerConfig()
+    projector = get_projector(cfg.constraint)
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
     z = np.asarray(z, dtype=complex)
     svd, z_tilde = prepare_system(economy_svd(a), b, z)
-    x0 = projector.initial_point(a.shape[1], rng or np.random.default_rng())
-    state = VampState(ExtrinsicMessage(x0.copy(), max(cfg.gamma_0, GAMMA_FLOOR)), x0.copy())
+    state = VampState.start(projector.initial_point(a.shape[1], rng or np.random.default_rng()),
+                            cfg.gamma_0)
     diag = VampDiagnostics()
     trace: list = []
     converged = False
-    t = 0
-    for t in range(1, t_max + 1):
+    for t in range(1, cfg.t_max_outer + 1):
         x_before = state.x_damped
         gamma_tilde, gamma_hat = vamp_step(svd, z_tilde, state, projector, cfg, diag)
-        if collect_trace:
+        if cfg.collect_trace:
             obj = float(np.linalg.norm(a @ (state.x_damped[:, None] * b.T) - z) ** 2)
             trace.append((t, obj, gamma_tilde, gamma_hat, diag.clamped))
         delta = float(np.linalg.norm(state.x_damped - x_before) ** 2)
-        if t > 1 and delta <= epsilon * float(np.linalg.norm(x_before) ** 2):
+        if t > 1 and delta <= cfg.epsilon_outer * float(np.linalg.norm(x_before) ** 2):
             converged = True
             break
     x_out = np.asarray(projector.g(state.x_damped))
     return VampResult(x_out, t, converged, diag, trace)
-

@@ -17,7 +17,7 @@ from irsbeam.oracles import (dense_lmmse, grid_phase_search, precoder_objective,
                              random_precoder_search)
 from irsbeam.precoding import mmse_precoder
 from irsbeam.projectors import REACTIVE, UNIMODULAR
-from irsbeam.vamp import ExtrinsicMessage, VampConfig, lmmse_extrinsic
+from irsbeam.vamp import ExtrinsicMessage, OptimizerConfig, lmmse_extrinsic
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = ""):
@@ -46,7 +46,7 @@ def test_criterion_01_lmmse_svd_form_equals_dense_form():
         gamma_w = float(rng.uniform(0.1, 3.0))
         got = lmmse_extrinsic(svd, (svd.U.conj().T @ z) / svd.omega,
                               ExtrinsicMessage(r, gamma),
-                              VampConfig(gamma_w=gamma_w))
+                              OptimizerConfig(gamma_w=gamma_w))
         _, _, r_ref, gamma_ref = dense_lmmse(d, z, r, gamma, gamma_w)
         worst = max(worst, float(np.abs(got.r - r_ref).max()),
                     abs(got.gamma - gamma_ref))

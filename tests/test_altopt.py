@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from irsbeam.linalg import economy_svd
 from irsbeam.metrics import fit_error, nrmse, sum_rate
 from irsbeam.oracles import grid_phase_search, sum_mse_reference
 from irsbeam.precoding import effective_channel, mmse_precoder
-from irsbeam.vamp import VampConfig, prepare_system
+from irsbeam.vamp import prepare_system
 
 
 def cplx(rng, *shape):
@@ -17,8 +19,7 @@ def cplx(rng, *shape):
 
 def toy_channel(rng, n, m, k):
     return ChannelSet(cplx(rng, k, n), cplx(rng, n, m), cplx(rng, k, m),
-                      d_irs=500.0, d_users=np.full(m, 500.0),
-                      d_irs_users=np.full(m, 30.0))
+                      d_users=np.full(m, 500.0), d_irs_users=np.full(m, 30.0))
 
 
 def test_objective_error_zero_solution():
@@ -112,7 +113,7 @@ def test_joint_optimize_scalar_instance_hits_mmse_bound():
     ch = ChannelSet(np.array([[1.0 + 0j]]), np.zeros((1, 1), complex),
                     np.array([[1.0 + 0j]]))
     power, noise = 1.0, 0.25
-    cfg = OptimizerConfig(vamp=VampConfig(), epsilon_outer=1e-9, t_max_outer=200)
+    cfg = OptimizerConfig(epsilon_outer=1e-9, t_max_outer=200)
     sol = joint_optimize(ch, power, noise, cfg, np.random.default_rng(0))
     want = noise / (power + noise)
     got = fit_error(sol.alpha, effective_channel(ch, sol.upsilon), sol.F, noise)
@@ -216,7 +217,16 @@ def test_traced_solve_builds_one_effective_channel_per_iteration(monkeypatch):
 
 
 def test_optimizer_config_validation():
-    for key, bad in (("epsilon_outer", 0.0), ("epsilon_outer", float("nan")),
-                     ("epsilon_outer", float("inf")), ("t_max_outer", 0)):
+    # one rule table checks every setting of both drivers, NaN included, and
+    # the constraint is looked up among the projectors when the object is built
+    nan, inf = float("nan"), float("inf")
+    for key, bad in (("rho", 0.0), ("rho", 1.5), ("rho", nan),
+                     ("gamma_w", 0.0), ("gamma_w", nan), ("gamma_w", inf),
+                     ("gamma_0", -0.1), ("gamma_0", nan), ("gamma_0", inf),
+                     ("epsilon_outer", 0.0), ("epsilon_outer", -1.0), ("epsilon_outer", nan),
+                     ("epsilon_outer", inf), ("t_max_outer", 0),
+                     ("constraint", "ideal")):
         with pytest.raises(ValueError, match=f"^{key}: "):
             OptimizerConfig(**{key: bad})
+    with pytest.raises(FrozenInstanceError):
+        OptimizerConfig().rho = 0.5

@@ -283,7 +283,7 @@ def test_perturb_kappa_zero_variance():
     for params, level in ((ChannelParams(), 1.789e-10), (ChannelParams(c0=1e-2), 1.789e-9)):
         ch = sample_channel_set(np.random.default_rng(12), dims, params)
         assert ch.params == params
-        assert params.path_loss(ch.d_irs, params.eta_irs) == pytest.approx(level, rel=1e-3)
+        assert params.path_loss(params.d_irs, params.eta_irs) == pytest.approx(level, rel=1e-3)
         rng = np.random.default_rng(13)
         acc = 0.0
         draws = 800
@@ -297,7 +297,7 @@ def test_perturb_kappa_zero_variance():
 def test_perturb_refuses_a_set_without_constants():
     rng = np.random.default_rng(18)
     ch = ChannelSet(complex_normal(rng, 9, 4), complex_normal(rng, 4, 2),
-                    complex_normal(rng, 9, 2), 500.0, np.full(2, 500.0), np.full(2, 30.0))
+                    complex_normal(rng, 9, 2), np.full(2, 500.0), np.full(2, 30.0))
     with pytest.raises(ValueError, match="propagation constants"):
         perturb_csi(ch, 0.9, np.random.default_rng(0))
     # perfect knowledge needs no error variance
@@ -317,7 +317,7 @@ def test_perturb_error_variance_tracks_kappa():
         for _ in range(draws):
             out = perturb_csi(ch, kappa, rng)
             acc += np.mean(np.abs(out.H_bs - kappa * ch.H_bs) ** 2)
-        want = (1 - kappa**2) * params.path_loss(ch.d_irs, params.eta_irs)
+        want = (1 - kappa**2) * params.path_loss(params.d_irs, params.eta_irs)
         assert abs(acc / draws - want) < 0.05 * want
 
 

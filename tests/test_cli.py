@@ -96,3 +96,27 @@ def test_preset_loading(tmp_path, monkeypatch):
     spec = cli._load(Args())
     assert spec.base_seed == 123
     assert spec.n_irs == [16, 36, 64]
+
+
+@pytest.mark.parametrize("argv", [
+    ["oracle", "--spec", "/nonexistent.txt"],
+    ["oracle", "--preset", "paper"],
+    ["oracle", "--out", "somewhere"],
+    ["chart", "--csv", "aggregate.csv", "--spec", "spec.txt"],
+    ["chart", "--csv", "aggregate.csv", "--preset", "desk"],
+    ["chart", "--csv", "aggregate.csv", "--seed", "1"],
+])
+def test_verbs_refuse_flags_they_do_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", ["run", "trace", "oracle"])
+def test_negative_seed_is_refused_by_name(verb, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--seed", "-1"] + ([] if verb == "oracle" else ["--out", str(tmp_path)]))
+    assert exc.value.code == 2
+    assert "argument --seed: must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())

@@ -1,5 +1,5 @@
 from collections import Counter
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
 
 import numpy as np
@@ -130,8 +130,7 @@ def test_readme_spec_block_lists_every_key():
 
 
 def test_presets_validate():
-    desk_spec().validate()
-    paper_spec().validate()
+    # building a spec checks it
     assert desk_spec().n_bs == [8]
     assert paper_spec().n_irs == [256]
 
@@ -282,11 +281,24 @@ def test_timing_recorded_when_enabled():
 
 def test_spec_validation_paths():
     with pytest.raises(ValueError, match="spec.n_irs"):
-        ExperimentSpec(n_irs=[]).validate()
+        ExperimentSpec(n_irs=[])
     with pytest.raises(ValueError, match="spec.trials"):
-        ExperimentSpec(trials=0).validate()
+        ExperimentSpec(trials=0)
     with pytest.raises(ValueError, match="spec.scenario"):
-        ExperimentSpec(scenario="C").validate()
+        ExperimentSpec(scenario="C")
+    # a copy with changes is checked as well
+    with pytest.raises(ValueError, match="spec.base_seed"):
+        replace(desk_spec(), base_seed=-1)
+    with pytest.raises(ValueError, match="spec.rho"):
+        replace(desk_spec(), rho=float("nan"))
+
+
+def test_spec_refuses_assignment():
+    # a spec is checked once, when built, so it cannot change afterwards
+    spec = desk_spec()
+    with pytest.raises(FrozenInstanceError):
+        spec.trials = 0
+    assert spec.trials == 100
 
 
 def _relative_gap(a: str, b: str) -> float:

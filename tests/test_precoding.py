@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from irsbeam.altopt import joint_optimize
 from irsbeam.channel import ChannelSet, SystemDims, sample_channel_set
 from irsbeam.metrics import fit_error
 from irsbeam.oracles import (precoder_objective, precoder_reference,
@@ -14,8 +15,7 @@ def cplx(rng, *shape):
 
 def toy_channel(rng, n, m, k):
     return ChannelSet(cplx(rng, k, n), cplx(rng, n, m), cplx(rng, k, m),
-                      d_irs=500.0, d_users=np.full(m, 500.0),
-                      d_irs_users=np.full(m, 30.0))
+                      d_users=np.full(m, 500.0), d_irs_users=np.full(m, 30.0))
 
 
 def test_effective_channel_silent_irs():
@@ -121,6 +121,23 @@ def test_precoder_rejects_zero_channel():
         mmse_precoder(np.zeros((3, 2), dtype=complex), 1.0, 0.1)
     with pytest.raises(ValueError, match="power"):
         mmse_precoder(np.ones((3, 2), dtype=complex), 0.0, 0.1)
+
+
+def test_precoder_refuses_degenerate_power_and_noise():
+    # a NaN or infinite power, or a negative or non-finite noise variance,
+    # would otherwise give a NaN precoder, alpha = 0, a negative sum-MSE or
+    # an SVD failure deep inside numpy; the error names the argument
+    h = cplx(np.random.default_rng(11), 4, 2)
+    nan, inf = float("nan"), float("inf")
+    for power, noise_var, name in ((nan, 0.1, "power"), (inf, 0.1, "power"),
+                                   (-1.0, 0.1, "power"), (1.0, -0.5, "noise_var"),
+                                   (1.0, nan, "noise_var"), (1.0, inf, "noise_var")):
+        with pytest.raises(ValueError, match=f"^precoder: {name} must be"):
+            mmse_precoder(h, power, noise_var)
+    # the alternating loop refuses a negative noise variance before its first step
+    ch = sample_channel_set(np.random.default_rng(12), SystemDims(4, 2, 9))
+    with pytest.raises(ValueError, match="^precoder: noise_var must be"):
+        joint_optimize(ch, 1.0, -1e-13)
 
 
 def test_precoder_on_synthesized_channel_scale():

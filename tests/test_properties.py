@@ -8,7 +8,7 @@ from irsbeam.linalg import economy_svd
 from irsbeam.metrics import fit_error
 from irsbeam.precoding import mmse_precoder
 from irsbeam.projectors import UNIMODULAR, get_projector
-from irsbeam.vamp import (GAMMA_FLOOR, ExtrinsicMessage, VampConfig, VampDiagnostics,
+from irsbeam.vamp import (GAMMA_FLOOR, OptimizerConfig, VampDiagnostics,
                           VampState, prepare_system, vamp_step)
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -58,9 +58,9 @@ def test_vamp_step_invariants(seed, m, q, k, steps, constraint, rho, gamma_0):
     rng = np.random.default_rng(seed)
     svd, z_tilde = prepare_system(economy_svd(cplx(rng, m, k)), cplx(rng, q, k), cplx(rng, m, q))
     projector = get_projector(constraint)
-    cfg = VampConfig(rho=rho, gamma_0=gamma_0)
+    cfg = OptimizerConfig(rho=rho, gamma_0=gamma_0)
     x0 = projector.initial_point(k, rng)
-    state = VampState(ExtrinsicMessage(x0.copy(), max(cfg.gamma_0, GAMMA_FLOOR)), x0.copy())
+    state = VampState.start(x0, cfg.gamma_0)
     diag = VampDiagnostics()
     for step in range(1, steps + 1):
         gamma_tilde, gamma_hat = vamp_step(svd, z_tilde, state, projector, cfg, diag)
@@ -77,7 +77,7 @@ def step_history(a, b, z, projector, cfg, x0, steps):
     """(gamma_tilde, gamma_hat, message mean, message precision, damped iterate)
     after each of `steps` vamp_steps on the system (A, B, Z) from x0."""
     svd, z_tilde = prepare_system(economy_svd(a), b, z)
-    state = VampState(ExtrinsicMessage(x0.copy(), max(cfg.gamma_0, GAMMA_FLOOR)), x0.copy())
+    state = VampState.start(x0, cfg.gamma_0)
     diag = VampDiagnostics()
     history = []
     for _ in range(steps):
@@ -112,8 +112,10 @@ def test_vamp_step_is_scale_invariant(seed, m, q, k, steps, rho, gamma_0, constr
     projector = get_projector(constraint)
     x0 = projector.initial_point(k, rng)
     gamma_w, c = 10.0**log_gamma_w, 10.0**log_c
-    want = step_history(a, b, z, projector, VampConfig(gamma_w, rho, gamma_0), x0, steps)
-    got = step_history(c * a, b, c * z, projector, VampConfig(gamma_w / c**2, rho, gamma_0),
+    want = step_history(a, b, z, projector,
+                        OptimizerConfig(gamma_w=gamma_w, rho=rho, gamma_0=gamma_0), x0, steps)
+    got = step_history(c * a, b, c * z, projector,
+                       OptimizerConfig(gamma_w=gamma_w / c**2, rho=rho, gamma_0=gamma_0),
                        x0, steps)
     assert_same_history(got, want)
 
@@ -126,7 +128,7 @@ def test_unimodular_vamp_step_is_rotation_invariant(seed, m, q, k, steps, rho, g
     rng = np.random.default_rng(seed)
     a, b, z = cplx(rng, m, k), cplx(rng, q, k), cplx(rng, m, q)
     x0 = UNIMODULAR.initial_point(k, rng)
-    cfg = VampConfig(rho=rho, gamma_0=gamma_0)
+    cfg = OptimizerConfig(rho=rho, gamma_0=gamma_0)
     turn = np.exp(1j * theta)
     want = step_history(a, b, z, UNIMODULAR, cfg, x0, steps)
     got = step_history(a, b, turn * z, UNIMODULAR, cfg, turn * x0, steps)

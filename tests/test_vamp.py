@@ -3,8 +3,8 @@ import pytest
 
 from irsbeam.linalg import RANK_CUTOFF, EconomySVD, economy_svd, khatri_rao_columns
 from irsbeam.oracles import dense_lmmse
-from irsbeam.projectors import REACTIVE, UNIMODULAR
-from irsbeam.vamp import (GAMMA_FLOOR, ExtrinsicMessage, VampConfig, VampDiagnostics,
+from irsbeam.projectors import UNIMODULAR
+from irsbeam.vamp import (GAMMA_FLOOR, ExtrinsicMessage, OptimizerConfig, VampDiagnostics,
                           VampState, lmmse_extrinsic, prepare_system, run_vamp, vamp_step)
 
 
@@ -33,7 +33,7 @@ def test_lmmse_identity_hand_case():
     rng = np.random.default_rng(0)
     z_tilde = cplx(rng, n)
     msg = ExtrinsicMessage(cplx(rng, n), 1.0)
-    out = lmmse_extrinsic(svd, z_tilde, msg, VampConfig(gamma_w=1.0))
+    out = lmmse_extrinsic(svd, z_tilde, msg, OptimizerConfig(gamma_w=1.0))
     assert np.allclose(out.r, z_tilde, atol=1e-12)
     assert out.gamma == pytest.approx(1.0)
 
@@ -47,7 +47,7 @@ def test_lmmse_prior_dominated_limit():
     svd = economy_svd(d)
     z_tilde = (svd.U.conj().T @ cplx(rng, 3)) / svd.omega
     r = cplx(rng, 5)
-    out = lmmse_extrinsic(svd, z_tilde, ExtrinsicMessage(r, 1e12), VampConfig())
+    out = lmmse_extrinsic(svd, z_tilde, ExtrinsicMessage(r, 1e12), OptimizerConfig())
     w2 = svd.omega**2
     step = (5 / svd.rank) * (svd.Vh.conj().T @ ((w2 / w2.mean()) * (z_tilde - svd.Vh @ r)))
     assert np.abs(out.r - (r + step)).max() < 1e-9
@@ -68,7 +68,7 @@ def test_lmmse_matches_dense_oracle():
         gamma_w = float(rng.uniform(0.2, 3.0))
         z_tilde = (svd.U.conj().T @ z) / svd.omega
         got = lmmse_extrinsic(svd, z_tilde, ExtrinsicMessage(r, gamma),
-                              VampConfig(gamma_w=gamma_w))
+                              OptimizerConfig(gamma_w=gamma_w))
         _, _, r_ref, gamma_ref = dense_lmmse(d, z, r, gamma, gamma_w)
         worst = max(worst, float(np.abs(got.r - r_ref).max()), abs(got.gamma - gamma_ref))
     assert worst < 1e-8
@@ -81,7 +81,7 @@ def test_lmmse_clamps_when_components_exceed_unknowns():
     svd = EconomySVD(np.eye(4), np.array([5.0, 4.0, 3.0, 2.0]), vh)
     diag = VampDiagnostics()
     out = lmmse_extrinsic(svd, cplx(rng, 4), ExtrinsicMessage(cplx(rng, 2), 1e-6),
-                          VampConfig(), diag)
+                          OptimizerConfig(), diag)
     assert out.gamma == pytest.approx(1e-11)
     assert diag.lmmse_clamps == 1
 
@@ -90,10 +90,10 @@ def test_lmmse_shape_checks():
     svd = economy_svd(np.eye(3))
     msg = ExtrinsicMessage(np.zeros(3, complex), 1.0)
     with pytest.raises(ValueError):
-        lmmse_extrinsic(svd, np.zeros(2, complex), msg, VampConfig())
+        lmmse_extrinsic(svd, np.zeros(2, complex), msg, OptimizerConfig())
     with pytest.raises(ValueError):
         lmmse_extrinsic(svd, np.zeros(3, complex),
-                        ExtrinsicMessage(np.zeros(4, complex), 1.0), VampConfig())
+                        ExtrinsicMessage(np.zeros(4, complex), 1.0), OptimizerConfig())
 
 
 def test_project_step_unimodular_fixed_point():
@@ -101,7 +101,7 @@ def test_project_step_unimodular_fixed_point():
     # observation where it is
     rng = np.random.default_rng(5)
     u = np.exp(2j * np.pi * rng.random(8))
-    state, _, _ = first_step(u, VampConfig(gamma_w=0.3))
+    state, _, _ = first_step(u, OptimizerConfig(gamma_w=0.3))
     assert np.allclose(state.x_damped, u, atol=1e-14)
     assert state.passes == 1
 
@@ -111,7 +111,7 @@ def test_project_step_derived_values():
     # gamma_hat = 0.25/0.3 > gamma_tilde and nothing clamps
     z_tilde = np.array([2.0, 2.0j])
     diag = VampDiagnostics()
-    state, gamma_tilde, gamma_hat = first_step(z_tilde, VampConfig(gamma_w=0.3), diag)
+    state, gamma_tilde, gamma_hat = first_step(z_tilde, OptimizerConfig(gamma_w=0.3), diag)
     assert gamma_tilde == pytest.approx(0.3)
     assert gamma_hat == pytest.approx(0.25 / 0.3)
     assert np.allclose(state.x_damped, [1.0, 1.0j])
@@ -127,7 +127,7 @@ def test_project_step_clamp_path():
     # gamma_hat = 1/4 < gamma_tilde, so the extrinsic precision clamps
     diag = VampDiagnostics()
     u = np.array([1.0 + 0j, 1j])
-    state, gamma_tilde, gamma_hat = first_step(u, VampConfig(gamma_w=2.0), diag)
+    state, gamma_tilde, gamma_hat = first_step(u, OptimizerConfig(gamma_w=2.0), diag)
     assert gamma_tilde == pytest.approx(2.0)
     assert gamma_hat == pytest.approx(0.25)
     assert state.msg.gamma == pytest.approx(1e-11)
@@ -223,8 +223,7 @@ def test_prepare_system_bits_match_reference_assembly():
 
 
 def test_run_vamp_scalar_identity():
-    res = run_vamp(np.eye(1), np.eye(1), np.eye(1), UNIMODULAR,
-                   rng=np.random.default_rng(0))
+    res = run_vamp(np.eye(1), np.eye(1), np.eye(1), rng=np.random.default_rng(0))
     assert np.allclose(res.x, [1.0 + 0j], atol=1e-9)
     assert res.converged
 
@@ -235,8 +234,8 @@ def test_run_vamp_diagonal_system_projects_phases():
     rng = np.random.default_rng(7)
     diag_z = cplx(rng, 4) + np.array([1.5, -2.0, 0.5j, 1 - 1j])
     z = np.diag(diag_z)
-    res = run_vamp(np.eye(4), np.eye(4), z, UNIMODULAR,
-                   rng=np.random.default_rng(1), collect_trace=True, epsilon=1e-10, t_max=200)
+    cfg = OptimizerConfig(epsilon_outer=1e-10, t_max_outer=200)
+    res = run_vamp(np.eye(4), np.eye(4), z, cfg, np.random.default_rng(1))
     assert np.abs(res.x - diag_z / np.abs(diag_z)).max() < 1e-6
     objs = [row[1] for row in res.trace]
     assert all(b <= a + 1e-9 for a, b in zip(objs, objs[1:]))
@@ -245,17 +244,33 @@ def test_run_vamp_diagonal_system_projects_phases():
 def test_run_vamp_output_feasible():
     rng = np.random.default_rng(8)
     a, b, z = cplx(rng, 2, 12), cplx(rng, 2, 12), cplx(rng, 2, 2)
-    res = run_vamp(a, b, z, UNIMODULAR, rng=np.random.default_rng(2))
+    res = run_vamp(a, b, z, rng=np.random.default_rng(2))
     assert np.allclose(np.abs(res.x), 1.0, atol=1e-12)
-    res = run_vamp(a, b, z, REACTIVE, rng=np.random.default_rng(3))
+    res = run_vamp(a, b, z, OptimizerConfig(constraint="reactive"), np.random.default_rng(3))
     assert np.allclose(np.abs(res.x + 0.5), 0.5, atol=1e-9)
+
+
+def test_run_vamp_follows_its_config():
+    # the constraint picks the projector, the cap stops the passes, and the
+    # trace is kept by default and dropped with collect_trace=False
+    rng = np.random.default_rng(10)
+    a, b, z = cplx(rng, 2, 12), cplx(rng, 2, 12), cplx(rng, 2, 2)
+    res = run_vamp(a, b, z, OptimizerConfig(constraint="reactive"), np.random.default_rng(5))
+    assert np.abs(np.abs(res.x + 0.5) - 0.5).max() <= 1e-12
+    assert np.abs(np.abs(res.x) - 1.0).max() > 1e-3
+    assert len(res.trace) == res.iterations
+    capped = OptimizerConfig(epsilon_outer=1e-300, t_max_outer=3)
+    res = run_vamp(a, b, z, capped, np.random.default_rng(5))
+    assert (res.iterations, res.converged, len(res.trace)) == (3, False, 3)
+    quiet = OptimizerConfig(epsilon_outer=1e-300, t_max_outer=3, collect_trace=False)
+    res = run_vamp(a, b, z, quiet, np.random.default_rng(5))
+    assert (res.iterations, res.trace) == (3, [])
 
 
 def test_run_vamp_emitted_precisions_respect_floor():
     rng = np.random.default_rng(9)
     a, b, z = cplx(rng, 2, 10), cplx(rng, 2, 10), cplx(rng, 2, 2)
-    res = run_vamp(a, b, z, UNIMODULAR, rng=np.random.default_rng(4), collect_trace=True,
-                   t_max=50)
+    res = run_vamp(a, b, z, OptimizerConfig(t_max_outer=50), np.random.default_rng(4))
     for _, _, gamma_tilde, gamma_hat, _ in res.trace:
         assert gamma_tilde >= GAMMA_FLOOR
         assert np.isfinite(gamma_hat)
@@ -265,7 +280,8 @@ def test_run_vamp_near_grid_optimum_small_instance():
     # frozen instance; the exhaustive 64^3 phase grid is the oracle
     rng = np.random.default_rng(103)
     a, b, z = cplx(rng, 2, 3), cplx(rng, 2, 3), cplx(rng, 2, 2)
-    res = run_vamp(a, b, z, UNIMODULAR, rng=np.random.default_rng(0), epsilon=1e-6, t_max=500)
+    res = run_vamp(a, b, z, OptimizerConfig(epsilon_outer=1e-6, t_max_outer=500),
+                   np.random.default_rng(0))
     achieved = np.linalg.norm(a @ np.diag(res.x) @ b.T - z) ** 2
     theta = np.exp(2j * np.pi * np.arange(64) / 64)
     best = np.inf
@@ -276,20 +292,3 @@ def test_run_vamp_near_grid_optimum_small_instance():
                                   axis=(1, 2)) ** 2
             best = min(best, float(vals.min()))
     assert achieved <= 1.05 * best
-
-
-def test_vamp_config_validation():
-    nan, inf = float("nan"), float("inf")
-    for key, bad in (("rho", 0.0), ("rho", 1.5), ("rho", nan),
-                     ("gamma_w", 0.0), ("gamma_w", nan), ("gamma_w", inf),
-                     ("gamma_0", -0.1), ("gamma_0", nan), ("gamma_0", inf)):
-        with pytest.raises(ValueError, match=f"^{key}: "):
-            VampConfig(**{key: bad})
-
-
-def test_run_vamp_stopping_rule_validation():
-    nan, inf = float("nan"), float("inf")
-    for key, bad in (("epsilon", 0.0), ("epsilon", -1.0), ("epsilon", nan), ("epsilon", inf),
-                     ("t_max", 0)):
-        with pytest.raises(ValueError, match=f"^{key}: "):
-            run_vamp(np.eye(1), np.eye(1), np.eye(1), UNIMODULAR, **{key: bad})
