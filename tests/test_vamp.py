@@ -267,6 +267,16 @@ def test_run_vamp_follows_its_config():
     assert (res.iterations, res.trace) == (3, [])
 
 
+def test_vamp_config_validation():
+    # the VAMP settings of OptimizerConfig are checked, NaN included, when it is built
+    nan, inf = float("nan"), float("inf")
+    for key, bad in (("rho", 0.0), ("rho", 1.5), ("rho", nan),
+                     ("gamma_w", 0.0), ("gamma_w", nan), ("gamma_w", inf),
+                     ("gamma_0", -0.1), ("gamma_0", nan), ("gamma_0", inf)):
+        with pytest.raises(ValueError, match=f"^{key}: "):
+            OptimizerConfig(**{key: bad})
+
+
 def test_run_vamp_emitted_precisions_respect_floor():
     rng = np.random.default_rng(9)
     a, b, z = cplx(rng, 2, 10), cplx(rng, 2, 10), cplx(rng, 2, 2)
