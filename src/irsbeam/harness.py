@@ -42,15 +42,17 @@ def dbm_to_watts(dbm: float) -> float:
 @dataclass(frozen=True)
 class ExperimentSpec:
     """A sweep; its fields, those of `channel` inlined, are the spec keys.
-    Building one refuses a spec that cannot run, naming the key."""
+    Building one refuses a spec that cannot run, naming the key. The swept
+    fields are stored as tuples, whatever sequence they were given as, so a
+    built spec cannot change after its checks."""
 
     scenario: str = "B"
-    n_bs: list[int] = field(default_factory=lambda: [8])
-    n_users: list[int] = field(default_factory=lambda: [2])
-    n_irs: list[int] = field(default_factory=lambda: [16, 36, 64])
-    power_dbm: list[float] = field(default_factory=lambda: [30.0])
-    kappa: list[float] = field(default_factory=lambda: [1.0])
-    schemes: list[str] = field(default_factory=lambda: ["vamp_unimodular", "random_phase_irs"])
+    n_bs: tuple[int, ...] = (8,)
+    n_users: tuple[int, ...] = (2,)
+    n_irs: tuple[int, ...] = (16, 36, 64)
+    power_dbm: tuple[float, ...] = (30.0,)
+    kappa: tuple[float, ...] = (1.0,)
+    schemes: tuple[str, ...] = ("vamp_unimodular", "random_phase_irs")
     trials: int = 100
     base_seed: int = 7
     noise_dbm: float = -100.0
@@ -64,7 +66,8 @@ class ExperimentSpec:
 
     def __post_init__(self):
         for name in ("n_bs", "n_users", "n_irs", "power_dbm", "kappa", "schemes"):
-            values = getattr(self, name)
+            values = tuple(getattr(self, name))
+            object.__setattr__(self, name, values)
             if not values:
                 raise ValueError(f"spec.{name}: must be a non-empty list")
             # aggregate() keys cells by value, so a repeat would merge two cells
@@ -120,8 +123,10 @@ CSV_HEADER = ",".join(f.name for f in fields(TrialRecord))
 # aggregate() builds its rows from this and load_aggregate_csv() parses with it.
 _CELL_KEY = ("scheme", "N", "M", "K", "power_dbm", "kappa")
 _METRICS = ("sum_rate", "nrmse")
-_STATS = {"mean": np.mean, "median": np.median,
-          "p10": lambda x: np.percentile(x, 10), "p90": lambda x: np.percentile(x, 90)}
+# Each statistic reduces a (cells x trials) array along its rows.
+_STATS = {"mean": lambda x: np.mean(x, axis=1), "median": lambda x: np.median(x, axis=1),
+          "p10": lambda x: np.percentile(x, 10, axis=1),
+          "p90": lambda x: np.percentile(x, 90, axis=1)}
 AGGREGATE_COLUMNS = {**{c: get_type_hints(TrialRecord)[c] for c in _CELL_KEY}, "trials": int,
                      **{f"{m}_{s}": float for m in _METRICS for s in _STATS}}
 
@@ -167,9 +172,9 @@ def parse_spec(text: str) -> ExperimentSpec:
         if name in spec_kwargs or name in channel_kwargs:
             raise ValueError(f"spec.{'c0/c0_db' if name == 'c0' else key}: given twice")
         typ = keys[name]
-        if get_origin(typ) is list:
-            value = [_parse_value(key, tok, get_args(typ)[0])
-                     for tok in raw.split(",") if tok.strip()]
+        if get_origin(typ) is tuple:
+            value = tuple(_parse_value(key, tok, get_args(typ)[0])
+                          for tok in raw.split(",") if tok.strip())
         else:
             value = _parse_value(key, raw, typ)
         if key == "c0_db":
@@ -192,16 +197,16 @@ def desk_spec() -> ExperimentSpec:
     K up to 64, 100 trials. The scaled no-reflector baseline (3x antennas)
     is a separate one-cell spec, see the README."""
     return ExperimentSpec(
-        scenario="B", n_bs=[8], n_users=[2], n_irs=[16, 36, 64],
-        power_dbm=[10.0, 20.0, 30.0], kappa=[1.0],
-        schemes=["vamp_unimodular", "vamp_reactive", "random_phase_irs", "no_irs_mmse"],
+        scenario="B", n_bs=(8,), n_users=(2,), n_irs=(16, 36, 64),
+        power_dbm=(10.0, 20.0, 30.0), kappa=(1.0,),
+        schemes=("vamp_unimodular", "vamp_reactive", "random_phase_irs", "no_irs_mmse"),
         trials=100,
     )
 
 
 def paper_spec() -> ExperimentSpec:
     """Full-size sweep (N=32, M=8, K=256, 1000 trials); hours of compute."""
-    return replace(desk_spec(), n_bs=[32], n_users=[8], n_irs=[256], trials=1000)
+    return replace(desk_spec(), n_bs=(32,), n_users=(8,), n_irs=(256,), trials=1000)
 
 
 def _stream(base_seed: int, *key: int) -> np.random.Generator:
@@ -294,19 +299,28 @@ def run_sweep(spec: ExperimentSpec, progress=None):
 
 def aggregate(records: list) -> list[dict]:
     """Per-cell mean/median/p10/p90 of sum-rate and fit error, one row per cell
-    in cell-key order, with the columns and types of AGGREGATE_COLUMNS."""
+    in cell-key order, with the columns and types of AGGREGATE_COLUMNS.
+
+    The cells with the same trial count are stacked into one (cells x trials)
+    array per metric, and each statistic is one call along its rows: that
+    gives each cell the bits of the same call on that cell alone. Cells of
+    different sizes, as a hand-built record list may hold, go in separate
+    stacks."""
     cells: dict[tuple, list[TrialRecord]] = {}
     for rec in records:
         cells.setdefault(tuple(getattr(rec, c) for c in _CELL_KEY), []).append(rec)
-    out = []
-    for key in sorted(cells):
-        group = cells[key]
-        values = [*key, len(group)]
+    by_size: dict[int, list[tuple]] = {}
+    for key in cells:
+        by_size.setdefault(len(cells[key]), []).append(key)
+    values = {key: [*key, len(cells[key])] for key in cells}
+    for keys in by_size.values():
         for metric in _METRICS:
-            x = np.array([getattr(r, metric) for r in group])
-            values += [stat(x) for stat in _STATS.values()]
-        out.append({c: typ(v) for (c, typ), v in zip(AGGREGATE_COLUMNS.items(), values)})
-    return out
+            x = np.array([[getattr(r, metric) for r in cells[key]] for key in keys])
+            for stat in _STATS.values():
+                for key, v in zip(keys, stat(x)):
+                    values[key].append(v)
+    return [{c: typ(v) for (c, typ), v in zip(AGGREGATE_COLUMNS.items(), values[key])}
+            for key in sorted(cells)]
 
 
 def _write_csv(path, columns: list[str], rows) -> None:

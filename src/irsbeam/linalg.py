@@ -72,8 +72,11 @@ def structured_svd(svd_a: EconomySVD, svd_b: EconomySVD) -> EconomySVD:
     row-normalized Khatri-Rao product of the factor Vh's, where v_n holds the
     row norms being normalized away. One boolean mask over the kron grid drops
     the components whose omega falls under the rank cutoff; the rest keep the
-    grid's order. U is the full kron from one broadcast, masked, so it is
-    bit-equal to np.kron(U_b, U_a)[:, kept]. Reconstruction is exact.
+    grid's order; when every component is kept, as on every preset, the
+    arrays are used whole, without the mask's copies. U is the full kron from
+    one broadcast, masked, so it is bit-equal to np.kron(U_b, U_a)[:, kept].
+    Vh keeps its division by v_n: a multiply by 1/v_n can give an exact-zero
+    entry the other sign of zero. Reconstruction is exact.
     """
     vh_kr = khatri_rao_columns(svd_b.Vh, svd_a.Vh)
     # np.linalg.norm(vh_kr, axis=1) without its dispatch
@@ -81,8 +84,11 @@ def structured_svd(svd_a: EconomySVD, svd_b: EconomySVD) -> EconomySVD:
     omega_full = (svd_b.omega[:, None] * svd_a.omega).ravel() * v_n
     kept = omega_full > RANK_CUTOFF * omega_full.max(initial=0.0)
     u = svd_b.U[:, None, :, None] * svd_a.U[None, :, None, :]
-    u = u.reshape(u.shape[0] * u.shape[1], omega_full.size)[:, kept]
-    return EconomySVD(np.asfortranarray(u), omega_full[kept], vh_kr[kept] / v_n[kept, None])
+    u = u.reshape(u.shape[0] * u.shape[1], omega_full.size)
+    if kept.all():
+        return EconomySVD(np.asfortranarray(u), omega_full, vh_kr / v_n[:, None])
+    return EconomySVD(np.asfortranarray(u[:, kept]), omega_full[kept],
+                      vh_kr[kept] / v_n[kept, None])
 
 
 def orthonormality_defect(vh: np.ndarray) -> float:

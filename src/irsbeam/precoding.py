@@ -42,17 +42,19 @@ def mmse_precoder(h: np.ndarray, power: float, noise_var: float) -> PrecodingSol
     """Closed-form sum-MMSE precoder F = alpha^-1 [HH^H + M s^2 I/P]^-1 H.
 
     Evaluated in push-through form: with the M x M Gram matrix
-    G = H^H H + (M s^2/P) I_M and X = G^-1, the regularized solve is
+    G = H^H H + (M s^2/P) I_M and X = G^-1 (np.linalg.inv, the same LAPACK
+    solve as solve(G, I) and the same bits), the regularized solve is
     [HH^H + M s^2 I/P]^-1 H = H X. The receiver scale
     alpha = sqrt(Tr([HH^H + M s^2 I/P]^-2 HH^H) / P) is ||H X||_F / sqrt(P),
     and the shared normalization F = H X / alpha makes ||F||_F^2 = P an
     algebraic identity. Since alpha H^H F = (H^H H) X, the sum-MSE objective
     ||alpha H^H F - I||_F^2 + M alpha^2 s^2 is returned as `error` from
-    M x M matrices alone.
+    M x M matrices alone. F is H X times 1/alpha, which for alpha > 0 gives
+    the bits of the division.
     """
     h = np.asarray(h, dtype=complex)
     m = h.shape[1]
-    if not np.any(h):
+    if not h.any():
         raise ValueError("precoder: all-zero channel, no signal path")
     # each rule is written so that NaN fails it
     if not 0.0 < power < np.inf:
@@ -65,7 +67,7 @@ def mmse_precoder(h: np.ndarray, power: float, noise_var: float) -> PrecodingSol
     x = None
     if noise_var > 0:
         try:
-            x = np.linalg.solve(gram, eye)
+            x = np.linalg.inv(gram)
         except np.linalg.LinAlgError:
             pass
     if x is None:
@@ -76,4 +78,4 @@ def mmse_precoder(h: np.ndarray, power: float, noise_var: float) -> PrecodingSol
     f = h @ x
     alpha = float(np.linalg.norm(f) / np.sqrt(power))
     error = float(np.linalg.norm(hh @ x - eye) ** 2 + m * alpha**2 * noise_var)
-    return PrecodingSolution(f / alpha, alpha, error)
+    return PrecodingSolution(f * (1.0 / alpha), alpha, error)

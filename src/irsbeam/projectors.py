@@ -24,6 +24,9 @@ import numpy as np
 # 1/(2|r - center|) blows up.
 DERIVATIVE_CAP = 1e12
 
+# Smallest positive normal double; |r - center| below it counts as a tie.
+_TINY = np.finfo(float).tiny
+
 
 def _as_complex(r):
     arr = np.asarray(r, dtype=complex)
@@ -44,12 +47,20 @@ class Projector:
     def g(self, r_tilde):
         """center + radius (r - center)/|r - center|. Below the smallest normal
         |r - center|, where the division overflows, every point of the circle
-        is nearest and the result is center + radius. NaN propagates."""
+        is nearest and the result is center + radius. NaN propagates.
+
+        The direction is d * (1/|d|): for a positive finite real divisor that
+        is bit-equal to numpy's complex division d/|d| at the cost of a SIMD
+        multiply, up to the sign of a zero part, which adding the center
+        clears. The tie entries are replaced only when there are any."""
         r, scalar = _as_complex(r_tilde)
         d = r - self.center
         mag = np.abs(d)
-        tie = mag < np.finfo(float).tiny
-        out = self.center + self.radius * np.where(tie, 1.0 + 0j, d / np.where(tie, 1.0, mag))
+        tie = mag < _TINY
+        if tie.any():
+            d = np.where(tie, 1.0 + 0j, d)
+            mag = np.where(tie, 1.0, mag)
+        out = self.center + self.radius * (d * (1.0 / mag))
         return complex(out) if scalar else out
 
     def g_prime(self, r_tilde):

@@ -93,7 +93,8 @@ def prepare_system(svd_a: EconomySVD, b: np.ndarray, z: np.ndarray):
     component count R_a*R_b would exceed the unknown count K: there the
     product form stops being a usable surrogate for an SVD (the precision
     update needs K/R >= 1) and the SVD of the small dense D, with A rebuilt
-    from its factors, is cheaper anyway.
+    from its factors, is cheaper anyway. The division by omega is a multiply
+    by 1/omega, which gives the same bits for the positive kept values.
     """
     b = np.asarray(b, dtype=complex)
     z = np.asarray(z, dtype=complex)
@@ -107,7 +108,7 @@ def prepare_system(svd_a: EconomySVD, b: np.ndarray, z: np.ndarray):
         svd = structured_svd(svd_a, svd_b)
     if svd.rank == 0:
         raise ValueError("prepare_system: zero system (A or B vanishes)")
-    return svd, (svd.U.conj().T @ z.flatten(order="F")) / svd.omega
+    return svd, (svd.U.conj().T @ z.flatten(order="F")) * (1.0 / svd.omega)
 
 
 def lmmse_extrinsic(svd: EconomySVD, z_tilde: np.ndarray, msg: ExtrinsicMessage,
@@ -126,7 +127,8 @@ def lmmse_extrinsic(svd: EconomySVD, z_tilde: np.ndarray, msg: ExtrinsicMessage,
         raise ValueError(f"lmmse_extrinsic: z_tilde has length {z_tilde.size}, rank is {rank}")
     if msg.r.shape != (k,):
         raise ValueError(f"lmmse_extrinsic: message mean has length {msg.r.size}, expected {k}")
-    d = cfg.gamma_w * omega**2 / (cfg.gamma_w * omega**2 + msg.gamma)
+    gw_omega2 = cfg.gamma_w * omega**2
+    d = gw_omega2 / (gw_omega2 + msg.gamma)
     d_mean = float(d.sum() / d.size)
     ratio = k / rank
     r_out = msg.r + ratio * (vh.conj().T @ ((d / d_mean) * (z_tilde - vh @ msg.r)))
@@ -167,8 +169,9 @@ def vamp_step(svd: EconomySVD, z_tilde: np.ndarray, state: VampState, projector:
     precision gamma_hat - gamma_tilde, gamma_hat = <g'>/gamma_tilde, with the
     extrinsic mean built from the damped iterate; a nonpositive precision is
     clamped to GAMMA_FLOOR and the mean falls back to the iterate itself (the
-    closed-form mean divided by the clamped precision would blow up).
-    Returns (gamma_tilde, gamma_hat).
+    closed-form mean divided by the clamped precision would blow up). The
+    unclamped mean is multiplied by 1/gamma_out, which for a positive finite
+    gamma_out gives the bits of the division. Returns (gamma_tilde, gamma_hat).
     """
     tilde = lmmse_extrinsic(svd, z_tilde, state.msg, cfg, diag)
     gamma_tilde = tilde.gamma
@@ -180,12 +183,12 @@ def vamp_step(svd: EconomySVD, z_tilde: np.ndarray, state: VampState, projector:
     g_prime = projector.g_prime(tilde.r)
     gamma_hat = float(g_prime.sum() / g_prime.size) / gamma_tilde
     gamma_out = gamma_hat - gamma_tilde
-    if gamma_out <= 0 or not np.isfinite(gamma_out):
+    if not 0.0 < gamma_out < np.inf:
         gamma_out = GAMMA_FLOOR
         r_out = x_hat.copy()
         diag.projector_clamps += 1
     else:
-        r_out = (gamma_hat * x_hat - gamma_tilde * tilde.r) / gamma_out
+        r_out = (gamma_hat * x_hat - gamma_tilde * tilde.r) * (1.0 / gamma_out)
     state.msg = ExtrinsicMessage(r_out, gamma_out)
     state.x_damped = x_hat
     state.gamma_tilde_prev = gamma_tilde

@@ -95,7 +95,7 @@ def test_preset_loading(tmp_path, monkeypatch):
 
     spec = cli._load(Args())
     assert spec.base_seed == 123
-    assert spec.n_irs == [16, 36, 64]
+    assert spec.n_irs == (16, 36, 64)
 
 
 @pytest.mark.parametrize("argv", [

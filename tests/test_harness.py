@@ -7,8 +7,8 @@ import pytest
 
 from irsbeam.charts import emit_chart, render_chart
 from irsbeam.channel import SystemDims, complex_normal, perturb_csi, sample_channel_set
-from irsbeam.harness import (AGGREGATE_COLUMNS, CSV_HEADER, ExperimentSpec, aggregate,
-                             dbm_to_watts, desk_spec, emit_aggregate_csv, emit_csv,
+from irsbeam.harness import (AGGREGATE_COLUMNS, CSV_HEADER, ExperimentSpec, TrialRecord,
+                             aggregate, dbm_to_watts, desk_spec, emit_aggregate_csv, emit_csv,
                              load_aggregate_csv, paper_spec, parse_spec,
                              run_sweep, run_trial, spec_keys)
 
@@ -52,8 +52,8 @@ def test_parse_spec_full():
     record_timing = false
     """
     spec = parse_spec(text)
-    assert spec.n_irs == [16, 36, 64]
-    assert spec.kappa == [0.85, 1.0]
+    assert spec.n_irs == (16, 36, 64)
+    assert spec.kappa == (0.85, 1.0)
     assert spec.trials == 7
     assert spec.base_seed == 42
     assert spec.rho == 0.8
@@ -131,8 +131,8 @@ def test_readme_spec_block_lists_every_key():
 
 def test_presets_validate():
     # building a spec checks it
-    assert desk_spec().n_bs == [8]
-    assert paper_spec().n_irs == [256]
+    assert desk_spec().n_bs == (8,)
+    assert paper_spec().n_irs == (256,)
 
 
 def test_run_sweep_deterministic_csv(tmp_path):
@@ -299,6 +299,45 @@ def test_spec_refuses_assignment():
     with pytest.raises(FrozenInstanceError):
         spec.trials = 0
     assert spec.trials == 100
+
+
+def test_spec_swept_fields_are_tuples():
+    # a list given to a built spec could be appended to after its checks,
+    # and a repeated value would merge two cells into one aggregate row
+    spec = ExperimentSpec(n_irs=[16, 36], power_dbm=[10.0], kappa=[0.9, 1.0])
+    for name in ("n_bs", "n_users", "n_irs", "power_dbm", "kappa", "schemes"):
+        assert type(getattr(spec, name)) is tuple, name
+    assert spec.n_irs == (16, 36)
+    with pytest.raises(AttributeError):
+        spec.n_irs.append(16)
+    assert type(replace(spec, n_irs=[64]).n_irs) is tuple
+    assert type(parse_spec("n_irs = 16, 36").n_irs) is tuple
+
+
+def test_aggregate_matches_per_cell_scalar_statistics():
+    # the stacked statistics give every cell the bits of the scalar calls on
+    # that cell alone, also when the cells of a hand-built list differ in size
+    rng = np.random.default_rng(3)
+    records = []
+    for k, size in zip((4, 9, 16, 25, 36, 49), (1, 2, 5, 5, 8, 101)):
+        for scheme in ("vamp_unimodular", "random_phase_irs"):
+            for trial in range(size):
+                records.append(TrialRecord(scheme, trial, 8, 2, k, 30.0, 1.0,
+                                           float(rng.lognormal(2.0, 1.0)),
+                                           float(rng.random()), 0, 0.0))
+    rng.shuffle(records)
+    rows = aggregate(records)
+    assert [(r["scheme"], r["K"], r["trials"]) for r in rows] == sorted(
+        {(rec.scheme, rec.K, sum(1 for o in records if (o.scheme, o.K) == (rec.scheme, rec.K)))
+         for rec in records})
+    scalar = {"mean": np.mean, "median": np.median,
+              "p10": lambda x: np.percentile(x, 10), "p90": lambda x: np.percentile(x, 90)}
+    for row in rows:
+        cell = [rec for rec in records if (rec.scheme, rec.K) == (row["scheme"], row["K"])]
+        for metric in ("sum_rate", "nrmse"):
+            x = np.array([getattr(rec, metric) for rec in cell])
+            for name, stat in scalar.items():
+                assert row[f"{metric}_{name}"].hex() == float(stat(x)).hex(), (row, metric, name)
 
 
 def _relative_gap(a: str, b: str) -> float:
