@@ -6,9 +6,11 @@ factoring D itself. The product form is exact as a factorization and its
 left factor has orthonormal columns; its right factor is row-normalized but
 not orthonormal in general, so `orthonormality_defect` is provided as a
 diagnostic. Past the factor SVDs the product form takes a few whole-array
-numpy calls, and each entry is the same single product or quotient as in an
-entry-by-entry assembly. U is Fortran- and Vh C-ordered: their layout picks
-the BLAS kernel, and so the rounding, of the products that use them.
+numpy calls, and each entry is the same single product as in an
+entry-by-entry assembly. A wide matrix is factored through its transpose,
+because LAPACK's tall reduction is the faster one. U is Fortran- and Vh
+C-ordered: their layout picks the BLAS kernel, and so the rounding, of the
+products that use them.
 """
 
 from __future__ import annotations
@@ -39,13 +41,22 @@ class EconomySVD:
 
 def economy_svd(a: np.ndarray) -> EconomySVD:
     """Economy-size SVD of a dense complex matrix, truncated at RANK_CUTOFF
-    relative to the largest singular value. U is Fortran-ordered."""
+    relative to the largest singular value. U is Fortran- and Vh C-ordered.
+
+    A wide matrix is factored through its transpose: LAPACK reduces a wide
+    input by an LQ and a tall one by a QR factorization, and the tall call is
+    the faster one, by a third at 4 x 256. From a^T = U S Vh, a = Vh^T S U^T,
+    and Vh^T is already Fortran-ordered.
+    """
     a = np.asarray(a)
     if not np.isfinite(a).all():
         raise ValueError("economy_svd: input contains non-finite entries")
-    u, omega, vh = np.linalg.svd(a, full_matrices=False)
+    wide = a.shape[0] < a.shape[1]
+    u, omega, vh = np.linalg.svd(a.T if wide else a, full_matrices=False)
     # omega is sorted in descending order, so the kept components lead
     rank = np.count_nonzero(omega > RANK_CUTOFF * omega[0]) if omega.size else 0
+    if wide:
+        return EconomySVD(vh[:rank].T, omega[:rank], np.ascontiguousarray(u[:, :rank].T))
     return EconomySVD(np.asfortranarray(u[:, :rank]), omega[:rank], vh[:rank])
 
 
@@ -75,8 +86,11 @@ def structured_svd(svd_a: EconomySVD, svd_b: EconomySVD) -> EconomySVD:
     grid's order; when every component is kept, as on every preset, the
     arrays are used whole, without the mask's copies. U is the full kron from
     one broadcast, masked, so it is bit-equal to np.kron(U_b, U_a)[:, kept].
-    Vh keeps its division by v_n: a multiply by 1/v_n can give an exact-zero
-    entry the other sign of zero. Reconstruction is exact.
+    Vh's rows are multiplied by 1/v_n, not divided by v_n: the two differ
+    only in the sign of a zero part whose input is -0 (each adds the other
+    part times zero to it, on different sides of the scaling), and the sign
+    of a zero in Vh does not reach the linear pass's output bits.
+    Reconstruction is exact.
     """
     vh_kr = khatri_rao_columns(svd_b.Vh, svd_a.Vh)
     # np.linalg.norm(vh_kr, axis=1) without its dispatch
@@ -86,9 +100,10 @@ def structured_svd(svd_a: EconomySVD, svd_b: EconomySVD) -> EconomySVD:
     u = svd_b.U[:, None, :, None] * svd_a.U[None, :, None, :]
     u = u.reshape(u.shape[0] * u.shape[1], omega_full.size)
     if kept.all():
-        return EconomySVD(np.asfortranarray(u), omega_full, vh_kr / v_n[:, None])
+        vh_kr *= (1.0 / v_n)[:, None]
+        return EconomySVD(np.asfortranarray(u), omega_full, vh_kr)
     return EconomySVD(np.asfortranarray(u[:, kept]), omega_full[kept],
-                      vh_kr[kept] / v_n[kept, None])
+                      vh_kr[kept] * (1.0 / v_n[kept, None]))
 
 
 def orthonormality_defect(vh: np.ndarray) -> float:

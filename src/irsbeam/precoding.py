@@ -38,6 +38,13 @@ def effective_channel(ch: ChannelSet, upsilon: np.ndarray) -> np.ndarray:
     return h_h.conj().T
 
 
+def _frobenius(a: np.ndarray) -> np.float64:
+    """np.linalg.norm(a) of a complex array without its dispatch: the same
+    two dot products in the same order, so the same bits."""
+    x = a.ravel(order="K")
+    return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+
+
 def mmse_precoder(h: np.ndarray, power: float, noise_var: float) -> PrecodingSolution:
     """Closed-form sum-MMSE precoder F = alpha^-1 [HH^H + M s^2 I/P]^-1 H.
 
@@ -76,6 +83,6 @@ def mmse_precoder(h: np.ndarray, power: float, noise_var: float) -> PrecodingSol
         # pseudo-inverse, for which pinv(HH^H) H = H pinv(H^H H) holds too
         x = np.linalg.pinv(gram)
     f = h @ x
-    alpha = float(np.linalg.norm(f) / np.sqrt(power))
-    error = float(np.linalg.norm(hh @ x - eye) ** 2 + m * alpha**2 * noise_var)
+    alpha = float(_frobenius(f) / np.sqrt(power))
+    error = float(_frobenius(hh @ x - eye) ** 2 + m * alpha**2 * noise_var)
     return PrecodingSolution(f * (1.0 / alpha), alpha, error)

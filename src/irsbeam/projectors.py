@@ -27,6 +27,9 @@ DERIVATIVE_CAP = 1e12
 # Smallest positive normal double; |r - center| below it counts as a tie.
 _TINY = np.finfo(float).tiny
 
+# ndarray.min and .max without their Python-level wrappers
+_MIN, _MAX = np.minimum.reduce, np.maximum.reduce
+
 
 def _as_complex(r):
     arr = np.asarray(r, dtype=complex)
@@ -47,18 +50,21 @@ class Projector:
     def g(self, r_tilde):
         """center + radius (r - center)/|r - center|. Below the smallest normal
         |r - center|, where the division overflows, every point of the circle
-        is nearest and the result is center + radius. NaN propagates.
+        is nearest and the result is center + radius. NaN propagates, and an
+        infinite entry gives NaN, both without a floating-point warning.
 
         The direction is d * (1/|d|): for a positive finite real divisor that
         is bit-equal to numpy's complex division d/|d| at the cost of a SIMD
         multiply, up to the sign of a zero part, which adding the center
-        clears. The tie entries are replaced only when there are any."""
+        clears. One min and one max of |d| find the ties and infinities (NaN
+        too), and only then are those entries replaced; an infinite d would
+        meet 1/|d| = 0 in an invalid inf * 0, so NaN stands in for it."""
         r, scalar = _as_complex(r_tilde)
         d = r - self.center
         mag = np.abs(d)
-        tie = mag < _TINY
-        if tie.any():
-            d = np.where(tie, 1.0 + 0j, d)
+        if mag.size and not (_TINY <= _MIN(mag) and _MAX(mag) < np.inf):
+            tie = mag < _TINY
+            d = np.where(tie, 1.0 + 0j, np.where(np.isinf(mag), complex(np.nan, np.nan), d))
             mag = np.where(tie, 1.0, mag)
         out = self.center + self.radius * (d * (1.0 / mag))
         return complex(out) if scalar else out

@@ -120,6 +120,9 @@ def lmmse_extrinsic(svd: EconomySVD, z_tilde: np.ndarray, msg: ExtrinsicMessage,
     r_out = r + (K/R) V Diag(d/<d>) (z_tilde - V^H r);
     gamma_out = gamma*<d> / (K/R - <d>), clamped to GAMMA_FLOOR when the
     denominator vanishes or goes negative (possible when R > K).
+    The product V y = Vh^H y is formed as (y^H Vh)^H, which conjugates two
+    vectors instead of copying the R x K Vh; both reach the same BLAS
+    matrix-vector kernel and give the same bits.
     """
     omega, vh = svd.omega, svd.Vh
     rank, k = vh.shape
@@ -131,7 +134,7 @@ def lmmse_extrinsic(svd: EconomySVD, z_tilde: np.ndarray, msg: ExtrinsicMessage,
     d = gw_omega2 / (gw_omega2 + msg.gamma)
     d_mean = float(d.sum() / d.size)
     ratio = k / rank
-    r_out = msg.r + ratio * (vh.conj().T @ ((d / d_mean) * (z_tilde - vh @ msg.r)))
+    r_out = msg.r + ratio * (((d / d_mean) * (z_tilde - vh @ msg.r)).conj() @ vh).conj()
     denom = ratio - d_mean
     # a vanishing, negative or non-finite denominator clamps once, like a small precision
     gamma_out = msg.gamma * d_mean / denom if 0 < denom < np.inf else 0.0

@@ -2,17 +2,21 @@
 
 The alternating loop multiplies complex arrays by the reciprocal of a
 positive real instead of dividing by it, inverts the precoder's Gram matrix
-with inv instead of solve(G, I), and takes the projector's tie branch only
-when a tie exists. Each is bit-equal to the form it replaced only through
-the identities checked here, on numpy's SIMD kernels and on OpenBLAS's, so
-if a numpy or CPU change ever moves the golden CSVs, these name the cause.
-CI runs this file again under other SIMD and BLAS kernels.
+with inv instead of solve(G, I), takes the projector's tie branch only
+when a tie exists, forms Vh^H y as (y^H Vh)^H, and takes the precoder's
+Frobenius norms as two dot products. Each is bit-equal to the
+form it replaced only through the identities checked here, on numpy's SIMD
+kernels and on OpenBLAS's, so if a numpy or CPU change ever moves the golden
+CSVs, these name the cause. CI runs this file again under other SIMD and
+BLAS kernels.
 """
 
 import numpy as np
 import pytest
 
+from irsbeam.linalg import EconomySVD, economy_svd, khatri_rao_columns
 from irsbeam.projectors import REACTIVE, UNIMODULAR
+from irsbeam.vamp import ExtrinsicMessage, OptimizerConfig, lmmse_extrinsic, prepare_system
 
 TINY = np.finfo(float).tiny
 
@@ -63,6 +67,16 @@ def test_inverse_equals_solve_against_identity(m):
             np.linalg.solve(singular, np.eye(m))
 
 
+@pytest.mark.parametrize("shape", [(8, 2), (32, 4), (2, 2), (4, 4)])
+def test_frobenius_norm_equals_its_two_dot_products(shape):
+    # precoding._frobenius: np.linalg.norm's own sums for a complex array
+    rng = np.random.default_rng(sum(shape))
+    for scale in (1e-8, 1.0, 1e8):
+        a = random_complex(rng, shape, scale)
+        x = a.ravel(order="K")
+        assert np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag)) == np.linalg.norm(a)
+
+
 @pytest.mark.parametrize("projector", [UNIMODULAR, REACTIVE], ids=lambda p: p.name)
 def test_projector_fast_path_equals_tie_path_and_literal(projector):
     rng = np.random.default_rng(11)
@@ -82,11 +96,12 @@ def test_projector_fast_path_equals_tie_path_and_literal(projector):
         tie = mag < TINY
         literal = np.where(tie, c + projector.radius,
                            c + projector.radius * ((r - c) / np.where(tie, 1.0, mag)))
-        got = projector.g(r)
-        clear = ~tie
-        fast = projector.g(r[clear])
-        # a tie appended to the same entries sends them down the tie branch
-        via_tie = projector.g(np.append(r[clear], c))[:-1]
+    # the projector itself raises no floating-point warning, inf and NaN included
+    got = projector.g(r)
+    clear = ~tie
+    fast = projector.g(r[clear])
+    # a tie appended to the same entries sends them down the tie branch
+    via_tie = projector.g(np.append(r[clear], c))[:-1]
     assert tie.sum() == 3 and not tie[:67].any()
     np.testing.assert_array_equal(got, literal)
     np.testing.assert_array_equal(fast, via_tie)
@@ -97,3 +112,50 @@ def test_projector_fast_path_equals_tie_path_and_literal(projector):
     # each tie entry, alone or among others, gives the tie value center + radius
     for entry in r[tie]:
         assert projector.g(entry) == c + projector.radius
+
+
+@pytest.mark.parametrize("r, k", [(4, 16), (16, 64), (16, 256), (64, 256)])
+def test_conjugated_vector_product_equals_conjugate_transpose_product(r, k):
+    # the linear pass's V y with a C-ordered Vh: both forms run one gemv
+    rng = np.random.default_rng(r * k)
+    for _ in range(50):
+        vh = random_complex(rng, (r, k), 1.0)
+        y = random_complex(rng, r, 10.0 ** rng.uniform(-6, 6))
+        assert np.array_equal(bits((y.conj() @ vh).conj()), bits(vh.conj().T @ y))
+
+
+def flip_zero_signs(a):
+    out = a.copy()
+    parts = out.view(float)
+    parts[parts == 0] *= -1.0
+    return out
+
+
+@pytest.mark.parametrize("m, k", [(2, 16), (4, 256)])
+def test_zero_signs_in_vh_leave_linear_pass_bits(m, k):
+    # real factors give the Khatri-Rao rows of Vh -0 parts. For a part a and
+    # the other part b of an entry, numpy's division forms (a +- b*0) * (1/c)
+    # and the reciprocal multiply a * (1/c) -+ b*0; an exact-zero a takes its
+    # sign from that sum, so the two forms of Vh differ only in the sign of a
+    # zero part whose input is -0
+    rng = np.random.default_rng(m * k)
+    a = rng.standard_normal((m, k)).astype(complex)
+    b = rng.standard_normal((m, k)).astype(complex)
+    svd, z_tilde = prepare_system(economy_svd(a), b, random_complex(rng, (m, m), 1.0))
+    vh_kr = khatri_rao_columns(economy_svd(b).Vh, economy_svd(a).Vh)
+    v_n = np.linalg.norm(vh_kr, axis=1)[:, None]
+    assert np.array_equal(bits(svd.Vh), bits(vh_kr * (1.0 / v_n)))
+    divided = vh_kr / v_n
+    differ = bits(divided) != bits(svd.Vh)
+    negative_zero = (vh_kr.view(float) == 0) & np.signbit(vh_kr.view(float))
+    assert differ.any() and not (differ & ~negative_zero).any()
+    # with a message mean that has no zero part, no zero sign of Vh reaches the output
+    flipped = EconomySVD(svd.U, svd.omega, flip_zero_signs(svd.Vh))
+    cfg = OptimizerConfig()
+    for gamma in (1e-6, 0.1, 1e3):
+        msg = ExtrinsicMessage(random_complex(rng, k, 1.0), gamma)
+        want = lmmse_extrinsic(svd, z_tilde, msg, cfg)
+        for vh_form in (flipped, EconomySVD(svd.U, svd.omega, divided)):
+            got = lmmse_extrinsic(vh_form, z_tilde, msg, cfg)
+            assert np.array_equal(bits(got.r), bits(want.r))
+            assert got.gamma == want.gamma

@@ -38,6 +38,35 @@ def test_economy_svd_rank_truncation():
     assert economy_svd(a).rank == 2
 
 
+def _orientation_cases():
+    rng = np.random.default_rng(13)
+    cases = [("wide", cplx(rng, 4, 256), 4),
+             ("wide-small", cplx(rng, 2, 16), 2),
+             ("tall", cplx(rng, 256, 4), 4),
+             ("tall-fortran", np.asfortranarray(cplx(rng, 16, 2)), 2),
+             ("square", cplx(rng, 6, 6), 6),
+             ("wide-rank-deficient", cplx(rng, 5, 2) @ cplx(rng, 2, 40), 2),
+             ("zero", np.zeros((3, 8), dtype=complex), 0)]
+    return [pytest.param(a, rank, id=name) for name, a, rank in cases]
+
+
+@pytest.mark.parametrize("a, rank", _orientation_cases())
+def test_economy_svd_orientation(a, rank):
+    # a wide matrix is factored through its transpose: the factors must still
+    # be those of a itself, truncated, in the promised layout
+    svd = economy_svd(a)
+    m, n = a.shape
+    assert svd.rank == rank
+    assert svd.U.shape == (m, rank) and svd.Vh.shape == (rank, n)
+    assert svd.U.flags.f_contiguous and svd.Vh.flags.c_contiguous
+    omega_ref = np.linalg.svd(a, compute_uv=False)
+    scale = omega_ref[0] if omega_ref[0] > 0 else 1.0
+    assert np.abs(svd.omega - omega_ref[:rank]).max(initial=0.0) <= 1e-13 * scale
+    assert np.abs(svd.U.conj().T @ svd.U - np.eye(rank)).max(initial=0.0) < 1e-12
+    assert np.abs(svd.Vh @ svd.Vh.conj().T - np.eye(rank)).max(initial=0.0) < 1e-12
+    assert np.linalg.norm(svd.reconstruct() - a) <= 1e-12 * max(np.linalg.norm(a), 1.0)
+
+
 def test_economy_svd_rejects_nonfinite():
     with pytest.raises(ValueError):
         economy_svd(np.array([[np.nan, 1.0]]))

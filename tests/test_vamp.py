@@ -150,11 +150,17 @@ def test_prepare_system_structured_vs_dense_paths():
         prepare_system(economy_svd(np.zeros((2, 4))), cplx(rng, 2, 4), np.zeros((2, 2)))
 
 
-# Column-by-column reference for the bit-identity test below: the kept columns
-# of kron(U_b, U_a) are gathered from their grid indices, and the row norms and
-# the kron of the omegas are numpy's own.
+# Column-by-column reference for the bit-identity test below: a wide matrix is
+# factored through its transpose, the kept columns of kron(U_b, U_a) are
+# gathered from their grid indices, the row norms and the kron of the omegas
+# are numpy's own, and Vh's rows are scaled by the reciprocals of their norms.
 def _reference_economy_svd(a):
-    u, omega, vh = np.linalg.svd(a, full_matrices=False)
+    if a.shape[0] < a.shape[1]:
+        # a^T = U S Vh gives a = Vh^T S U^T
+        ut, omega, vht = np.linalg.svd(a.T, full_matrices=False)
+        u, vh = vht.T, ut.T
+    else:
+        u, omega, vh = np.linalg.svd(a, full_matrices=False)
     if omega.size and omega[0] > 0:
         keep = omega > RANK_CUTOFF * omega[0]
         u, omega, vh = u[:, keep], omega[keep], vh[keep]
@@ -173,7 +179,7 @@ def _reference_structured_svd(svd_a, svd_b):
         kept = np.zeros(0, dtype=np.intp)
     i, j = np.divmod(kept, svd_a.rank)
     u = khatri_rao_columns(svd_b.U[:, i], svd_a.U[:, j])
-    return EconomySVD(u, omega_full[kept], vh_kr[kept] / v_n[kept, None])
+    return EconomySVD(u, omega_full[kept], vh_kr[kept] * (1.0 / v_n[kept, None]))
 
 
 def _reference_prepare_system(svd_a, b, z):
@@ -194,12 +200,17 @@ def test_prepare_system_bits_match_reference_assembly():
     def factor(m, k):  # M x K and Fortran-ordered, like B and H_su^H in altopt
         return cplx(rng, k, m).T
 
+    def real_factor(m, k):  # its factor SVDs give Vh's Khatri-Rao rows -0 parts
+        return factor(m, k).real.astype(complex, order="F")
+
     # disjoint row supports: Khatri-Rao rows (0, 1) and (1, 0) of the right
     # factors vanish, so the structured branch keeps 2 of its 4 components
     blocks = np.zeros((2, 4), dtype=complex)
     blocks[0, :2], blocks[1, 2:] = cplx(rng, 2), cplx(rng, 2)
     cases = [("structured", factor(2, 16), factor(2, 16), cplx(rng, 2, 2)),
              ("structured", factor(4, 256), factor(4, 256), cplx(rng, 4, 4)),
+             # -0 parts: the reciprocal multiply keeps their sign, a division would not
+             ("structured", real_factor(2, 16), real_factor(2, 16), cplx(rng, 2, 2)),
              ("dense", factor(4, 9), factor(4, 9), cplx(rng, 4, 4)),
              ("dropped", blocks.copy(order="F"), (blocks * cplx(rng, 1, 4)).copy(order="F"),
               cplx(rng, 2, 2))]
