@@ -121,8 +121,8 @@ def lmmse_extrinsic(svd: EconomySVD, z_tilde: np.ndarray, msg: ExtrinsicMessage,
     gamma_out = gamma*<d> / (K/R - <d>), clamped to GAMMA_FLOOR when the
     denominator vanishes or goes negative (possible when R > K).
     The product V y = Vh^H y is formed as (y^H Vh)^H, which conjugates two
-    vectors instead of copying the R x K Vh; both reach the same BLAS
-    matrix-vector kernel and give the same bits.
+    vectors instead of copying the R x K Vh; both forms run one BLAS
+    matrix-vector product and give the same bits.
     """
     omega, vh = svd.omega, svd.Vh
     rank, k = vh.shape

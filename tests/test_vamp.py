@@ -209,7 +209,7 @@ def test_prepare_system_bits_match_reference_assembly():
     blocks[0, :2], blocks[1, 2:] = cplx(rng, 2), cplx(rng, 2)
     cases = [("structured", factor(2, 16), factor(2, 16), cplx(rng, 2, 2)),
              ("structured", factor(4, 256), factor(4, 256), cplx(rng, 4, 4)),
-             # -0 parts: the reciprocal multiply keeps their sign, a division would not
+             # -0 parts, to which a division and the reciprocal multiply give different signs
              ("structured", real_factor(2, 16), real_factor(2, 16), cplx(rng, 2, 2)),
              ("dense", factor(4, 9), factor(4, 9), cplx(rng, 4, 4)),
              ("dropped", blocks.copy(order="F"), (blocks * cplx(rng, 1, 4)).copy(order="F"),
