@@ -7,6 +7,9 @@ onto the constraint set, and builds the effective channel of the new phases
 once: the closed-form precoder and the trace row take it. The surface-user
 factor A = alpha H_su^H changes only through the scalar alpha, so H_su^H is
 factored once per solve and each iteration rescales its singular values.
+Nothing else fixed is rebuilt per iteration either: the conjugate links come
+from the channel set's cache (ChannelSet.H_su_H, H_bu_H), the identity from
+linalg.identity, and the projector pass takes g and g' from one call.
 The precoder returns the sum-MSE objective from its own M x M Gram matrix;
 the loop stops when that objective changes by less than a relative
 tolerance, or at the iteration cap. Like run_vamp, the loop takes a
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet
-from .linalg import EconomySVD, economy_svd
+from .linalg import EconomySVD, economy_svd, identity
 from .metrics import fit_error, per_user_sinr
 from .precoding import effective_channel, mmse_precoder
 from .projectors import get_projector
@@ -57,11 +60,12 @@ def vamp_setup(ch: ChannelSet, svd_su: EconomySVD, f: np.ndarray, alpha: float):
 
     A is returned as its economy SVD: svd_su, the SVD of H_su^H, with its
     singular values scaled by alpha. The rank cutoff is relative, so the
-    scaling keeps the same components."""
+    scaling keeps the same components. H_bu^H is the set's cached
+    ChannelSet.H_bu_H."""
     a = EconomySVD(svd_su.U, alpha * svd_su.omega, svd_su.Vh)
     b = (ch.H_bs @ f).T
     m = f.shape[1]
-    z = np.eye(m) - alpha * ch.H_bu.conj().T @ f
+    z = identity(m) - alpha * ch.H_bu_H @ f
     return a, b, z
 
 
@@ -80,7 +84,7 @@ def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
     n, m, k = ch.dims
     projector = get_projector(cfg.constraint)
 
-    svd_su = economy_svd(ch.H_su.conj().T)
+    svd_su = economy_svd(ch.H_su_H)
     upsilon = projector.initial_point(k, rng)
     state = VampState.start(upsilon, cfg.gamma_0)
     diag = VampDiagnostics()

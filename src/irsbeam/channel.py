@@ -12,6 +12,7 @@ deterministic function of its seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -78,7 +79,12 @@ class ChannelParams:
         return self.c0 * (d / self.d0) ** (-exponent)
 
 
-@dataclass
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True)
 class ChannelSet:
     """One channel realization plus the geometry it was drawn at.
 
@@ -86,6 +92,11 @@ class ChannelSet:
     per-user base-station and reflector-array distances used for path loss;
     params holds the propagation constants of sample_channel_set, the
     station-surface distance d_irs among them, None for a set built by hand.
+
+    The set is frozen: a changed channel is a new set (dataclasses.replace),
+    so the conjugate transposes H_su_H and H_bu_H, taken on first use and
+    kept, always belong to the set's own links. Write into a link's array
+    in place and they go stale.
     """
 
     H_bs: np.ndarray
@@ -99,6 +110,16 @@ class ChannelSet:
     def dims(self) -> tuple[int, int, int]:
         """(N, M, K)"""
         return self.H_bu.shape[0], self.H_bu.shape[1], self.H_bs.shape[0]
+
+    @cached_property
+    def H_su_H(self) -> np.ndarray:
+        """H_su^H, M x K, read-only; the layout of H_su.conj().T."""
+        return _read_only(self.H_su.conj().T)
+
+    @cached_property
+    def H_bu_H(self) -> np.ndarray:
+        """H_bu^H, M x N, read-only; the layout of H_bu.conj().T."""
+        return _read_only(self.H_bu.conj().T)
 
     def validate(self) -> None:
         n, m, k = self.dims
@@ -261,6 +282,12 @@ def perturb_csi(ch: ChannelSet, kappa: float, rng: np.random.Generator) -> Chann
     if params is None:
         raise ValueError("perturb_csi: the channel set records no propagation constants "
                          "(ChannelSet.params), so the error variance is unknown")
+    users = ch.H_bu.shape[1]
+    for name in ("d_users", "d_irs_users"):
+        shape = np.shape(getattr(ch, name))
+        if shape != (users,):
+            raise ValueError(f"perturb_csi: ChannelSet.{name} must hold one distance per "
+                             f"user (M = {users}), got shape {shape}")
     scale = np.sqrt(1.0 - kappa**2)
 
     def estimate(h, d, eta):
@@ -271,7 +298,7 @@ def perturb_csi(ch: ChannelSet, kappa: float, rng: np.random.Generator) -> Chann
     h_bs = estimate(ch.H_bs, params.d_irs, params.eta_irs)
     h_bu = np.empty_like(ch.H_bu)
     h_su = np.empty_like(ch.H_su)
-    for m in range(ch.H_bu.shape[1]):
+    for m in range(users):
         h_bu[:, m] = estimate(ch.H_bu[:, m], ch.d_users[m], params.eta_direct)
         h_su[:, m] = estimate(ch.H_su[:, m], ch.d_irs_users[m], params.eta_irs)
     return replace(ch, H_bs=h_bs, H_bu=h_bu, H_su=h_su)

@@ -10,12 +10,14 @@ numpy calls, and each entry is the same single product as in an
 entry-by-entry assembly. A wide matrix is factored through its transpose,
 because LAPACK's tall reduction is the faster one. U is Fortran- and Vh
 C-ordered: their layout picks the BLAS kernel, and so the rounding, of the
-products that use them.
+products that use them. `identity(m)` is one shared read-only identity per
+size for the per-iteration callers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -49,7 +51,7 @@ def economy_svd(a: np.ndarray) -> EconomySVD:
     and Vh^T is already Fortran-ordered.
     """
     a = np.asarray(a)
-    if not np.isfinite(a).all():
+    if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise ValueError("economy_svd: input contains non-finite entries")
     wide = a.shape[0] < a.shape[1]
     u, omega, vh = np.linalg.svd(a.T if wide else a, full_matrices=False)
@@ -96,14 +98,24 @@ def structured_svd(svd_a: EconomySVD, svd_b: EconomySVD) -> EconomySVD:
     # np.linalg.norm(vh_kr, axis=1) without its dispatch
     v_n = np.sqrt(np.add.reduce((vh_kr.conj() * vh_kr).real, axis=1))
     omega_full = (svd_b.omega[:, None] * svd_a.omega).ravel() * v_n
-    kept = omega_full > RANK_CUTOFF * omega_full.max(initial=0.0)
+    kept = omega_full > RANK_CUTOFF * np.maximum.reduce(omega_full, initial=0.0)
     u = svd_b.U[:, None, :, None] * svd_a.U[None, :, None, :]
     u = u.reshape(u.shape[0] * u.shape[1], omega_full.size)
-    if kept.all():
+    if np.logical_and.reduce(kept):
         vh_kr *= (1.0 / v_n)[:, None]
         return EconomySVD(np.asfortranarray(u), omega_full, vh_kr)
     return EconomySVD(np.asfortranarray(u[:, kept]), omega_full[kept],
                       vh_kr[kept] * (1.0 / v_n[kept, None]))
+
+
+@cache
+def identity(m: int) -> np.ndarray:
+    """The m x m real identity np.eye(m), built once per size and read-only,
+    for the per-iteration callers that subtract or add it. The cache holds
+    one array per size the process asks for, and m is a user count."""
+    eye = np.eye(m)
+    eye.flags.writeable = False
+    return eye
 
 
 def orthonormality_defect(vh: np.ndarray) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelSet
+from .linalg import identity
 from .precoding import effective_channel
 
 
@@ -30,7 +31,7 @@ def sum_rate(ch: ChannelSet, upsilon: np.ndarray, f: np.ndarray,
 def fit_error(alpha: float, h: np.ndarray, f: np.ndarray, noise_var: float) -> float:
     """Sum-MSE objective ||alpha H^H F - I||_F^2 + M alpha^2 noise_var."""
     m = f.shape[1]
-    return float(np.linalg.norm(alpha * h.conj().T @ f - np.eye(m)) ** 2
+    return float(np.linalg.norm(alpha * h.conj().T @ f - identity(m)) ** 2
                  + m * alpha**2 * noise_var)
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet
+from .linalg import identity
 
 
 @dataclass
@@ -29,12 +30,15 @@ def effective_channel(ch: ChannelSet, upsilon: np.ndarray) -> np.ndarray:
     """N x M effective channel H with H^H = H_su^H Diag(upsilon) H_bs + H_bu^H.
 
     The phases scale the M x K factor H_su^H rather than the K x N H_bs.
+    Both conjugate transposes are the channel set's cached ChannelSet.H_su_H
+    and H_bu_H, taken once per set rather than once per call; they have the
+    layout of .conj().T, so the products keep their bits.
     """
     upsilon = np.asarray(upsilon)
     k = ch.H_bs.shape[0]
     if upsilon.shape != (k,):
         raise ValueError(f"effective_channel: phase vector has shape {upsilon.shape}, expected ({k},)")
-    h_h = (ch.H_su.conj().T * upsilon) @ ch.H_bs + ch.H_bu.conj().T
+    h_h = (ch.H_su_H * upsilon) @ ch.H_bs + ch.H_bu_H
     return h_h.conj().T
 
 
@@ -61,7 +65,7 @@ def mmse_precoder(h: np.ndarray, power: float, noise_var: float) -> PrecodingSol
     """
     h = np.asarray(h, dtype=complex)
     m = h.shape[1]
-    if not h.any():
+    if not np.logical_or.reduce(h, axis=None):
         raise ValueError("precoder: all-zero channel, no signal path")
     # each rule is written so that NaN fails it
     if not 0.0 < power < np.inf:
@@ -69,7 +73,7 @@ def mmse_precoder(h: np.ndarray, power: float, noise_var: float) -> PrecodingSol
     if not 0.0 <= noise_var < np.inf:
         raise ValueError(f"precoder: noise_var must be non-negative and finite, got {noise_var}")
     hh = h.conj().T @ h
-    eye = np.eye(m)
+    eye = identity(m)
     gram = hh + (m * noise_var / power) * eye
     x = None
     if noise_var > 0:

@@ -10,7 +10,9 @@ strictly below 1 for chi != 0. The load of a point on it is
 chi = -Im(1/upsilon); its point 0 is the open-circuit limit chi -> +-inf.
 Each projector ships with the derivative the message-passing precision update
 needs: for a radial projection the complex (Wirtinger) derivative is the real
-number radius/(2|r - center|).
+number radius/(2|r - center|). The message-passing step wants both at the
+same point, so g(r, with_prime=True) returns the pair from one |r - center|;
+g_prime(r) alone takes its own.
 """
 
 from __future__ import annotations
@@ -39,15 +41,15 @@ def _as_complex(r):
 @dataclass(frozen=True)
 class Projector:
     """Nearest-point map g(r) onto the circle |x - center| = radius and its
-    real scalar derivative g_prime(r); `initial_point(k, rng)` returns a
-    feasible start vector."""
+    real scalar derivative g_prime(r), or both from g(r, with_prime=True);
+    `initial_point(k, rng)` returns a feasible start vector."""
 
     name: str
     center: float
     radius: float
     initial_point: Callable
 
-    def g(self, r_tilde):
+    def g(self, r_tilde, with_prime: bool = False):
         """center + radius (r - center)/|r - center|. Below the smallest normal
         |r - center|, where the division overflows, every point of the circle
         is nearest and the result is center + radius. NaN propagates, and an
@@ -58,24 +60,34 @@ class Projector:
         multiply, up to the sign of a zero part, which adding the center
         clears. One min and one max of |d| find the ties and infinities (NaN
         too), and only then are those entries replaced; an infinite d would
-        meet 1/|d| = 0 in an invalid inf * 0, so NaN stands in for it."""
+        meet 1/|d| = 0 in an invalid inf * 0, so NaN stands in for it.
+
+        With with_prime, returns (g(r), g_prime(r)), the derivative taken from
+        the same |r - center| before the tie entries are replaced, so the
+        pair has the bits of the two separate calls."""
         r, scalar = _as_complex(r_tilde)
         d = r - self.center
         mag = np.abs(d)
+        slope = self._slope(mag) if with_prime else None
         if mag.size and not (_TINY <= _MIN(mag) and _MAX(mag) < np.inf):
             tie = mag < _TINY
             d = np.where(tie, 1.0 + 0j, np.where(np.isinf(mag), complex(np.nan, np.nan), d))
             mag = np.where(tie, 1.0, mag)
         out = self.center + self.radius * (d * (1.0 / mag))
-        return complex(out) if scalar else out
+        if not with_prime:
+            return complex(out) if scalar else out
+        return (complex(out), float(slope)) if scalar else (out, slope)
 
     def g_prime(self, r_tilde):
         """radius/(2|r - center|), capped at radius * DERIVATIVE_CAP near the center."""
         r, scalar = _as_complex(r_tilde)
-        mag = np.abs(r - self.center)
-        out = np.minimum(0.5 * self.radius / np.maximum(mag, 0.5 / DERIVATIVE_CAP),
-                         self.radius * DERIVATIVE_CAP)
+        out = self._slope(np.abs(r - self.center))
         return float(out) if scalar else out
+
+    def _slope(self, mag):
+        """g_prime at the distances mag = |r - center|."""
+        return np.minimum(0.5 * self.radius / np.maximum(mag, 0.5 / DERIVATIVE_CAP),
+                          self.radius * DERIVATIVE_CAP)
 
 
 def _uni_init(k: int, rng: np.random.Generator) -> np.ndarray:

@@ -132,7 +132,7 @@ def lmmse_extrinsic(svd: EconomySVD, z_tilde: np.ndarray, msg: ExtrinsicMessage,
         raise ValueError(f"lmmse_extrinsic: message mean has length {msg.r.size}, expected {k}")
     gw_omega2 = cfg.gamma_w * omega**2
     d = gw_omega2 / (gw_omega2 + msg.gamma)
-    d_mean = float(d.sum() / d.size)
+    d_mean = float(np.add.reduce(d) / d.size)
     ratio = k / rank
     r_out = msg.r + ratio * (((d / d_mean) * (z_tilde - vh @ msg.r)).conj() @ vh).conj()
     denom = ratio - d_mean
@@ -174,17 +174,18 @@ def vamp_step(svd: EconomySVD, z_tilde: np.ndarray, state: VampState, projector:
     clamped to GAMMA_FLOOR and the mean falls back to the iterate itself (the
     closed-form mean divided by the clamped precision would blow up). The
     unclamped mean is multiplied by 1/gamma_out, which for a positive finite
-    gamma_out gives the bits of the division. Returns (gamma_tilde, gamma_hat).
+    gamma_out gives the bits of the division. The iterate and g' come from
+    one projector.g(r_tilde, with_prime=True) call, which takes
+    |r_tilde - center| once. Returns (gamma_tilde, gamma_hat).
     """
     tilde = lmmse_extrinsic(svd, z_tilde, state.msg, cfg, diag)
     gamma_tilde = tilde.gamma
-    x_hat = np.asarray(projector.g(tilde.r))
+    x_hat, g_prime = projector.g(tilde.r, with_prime=True)
     if state.passes > 0:
         gamma_tilde = max(cfg.rho * gamma_tilde + (1.0 - cfg.rho) * state.gamma_tilde_prev,
                           GAMMA_FLOOR)
         x_hat = cfg.rho * x_hat + (1.0 - cfg.rho) * state.x_damped
-    g_prime = projector.g_prime(tilde.r)
-    gamma_hat = float(g_prime.sum() / g_prime.size) / gamma_tilde
+    gamma_hat = float(np.add.reduce(g_prime) / g_prime.size) / gamma_tilde
     gamma_out = gamma_hat - gamma_tilde
     if not 0.0 < gamma_out < np.inf:
         gamma_out = GAMMA_FLOOR

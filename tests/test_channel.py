@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -327,3 +329,60 @@ def test_without_direct_link():
     bare = ch.without_direct_link()
     assert not np.any(bare.H_bu)
     assert np.array_equal(bare.H_bs, ch.H_bs)
+
+
+@pytest.mark.parametrize("field", ["d_users", "d_irs_users"])
+def test_perturb_refuses_distances_that_miss_users(field):
+    rng = np.random.default_rng(19)
+    ch = ChannelSet(complex_normal(rng, 9, 4), complex_normal(rng, 4, 2),
+                    complex_normal(rng, 9, 2), np.full(2, 500.0), np.full(2, 30.0),
+                    ChannelParams())
+    assert perturb_csi(ch, 0.9, rng).dims == ch.dims
+    # the empty default of a hand-built set, one distance for two users, a column
+    for distances in (np.zeros(0), np.full(1, 40.0), np.full((2, 1), 40.0)):
+        with pytest.raises(ValueError, match=f"ChannelSet.{field} .*M = 2"):
+            perturb_csi(replace(ch, **{field: distances}), 0.9, rng)
+
+
+def test_channel_set_is_frozen():
+    ch = sample_channel_set(np.random.default_rng(20), SystemDims(4, 2, 9))
+    with pytest.raises(FrozenInstanceError):
+        ch.H_su = np.zeros_like(ch.H_su)
+    with pytest.raises(FrozenInstanceError):
+        ch.params = None
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def assert_own_conjugates(ch):
+    """Each cached conjugate is its own link's .conj().T, bit for bit and in
+    the same layout, read-only, and taken once."""
+    for link in ("H_su", "H_bu"):
+        want = getattr(ch, link).conj().T
+        got = getattr(ch, link + "_H")
+        assert got is getattr(ch, link + "_H")
+        assert got.shape == want.shape and got.strides == want.strides
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+        assert np.array_equal(bits(got), bits(want))
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0] = 0.0
+
+
+def test_derived_sets_carry_their_own_conjugates():
+    ch = sample_channel_set(np.random.default_rng(21), SystemDims(4, 2, 9))
+    # fill the parent's cache first, so a set that inherited it would show
+    assert_own_conjugates(ch)
+    rng = np.random.default_rng(22)
+    derived = {
+        "replace": replace(ch, H_su=complex_normal(rng, 9, 2), H_bu=complex_normal(rng, 4, 2)),
+        "perturb_csi": perturb_csi(ch, 0.9, rng),
+        "without_direct_link": ch.without_direct_link(),
+    }
+    for name, out in derived.items():
+        assert_own_conjugates(out)
+        assert out.H_bu_H is not ch.H_bu_H, name
+        assert not np.array_equal(out.H_bu_H, ch.H_bu_H), name
+    assert not np.any(derived["without_direct_link"].H_bu_H)

@@ -3,8 +3,10 @@
 The alternating loop multiplies complex arrays by the reciprocal of a
 positive real instead of dividing by it, inverts the precoder's Gram matrix
 with inv instead of solve(G, I), takes the projector's tie branch only
-when a tie exists, forms Vh^H y as (y^H Vh)^H, and takes the precoder's
-Frobenius norms as two dot products. Each is bit-equal to the
+when a tie exists, forms Vh^H y as (y^H Vh)^H, takes the precoder's
+Frobenius norms as two dot products, calls the ufunc reductions in place of
+the array methods that wrap them, and takes the projector and its derivative
+from one |r - center|. Each is bit-equal to the
 form it replaced only through the identities checked here, on numpy's SIMD
 kernels and on OpenBLAS's, so if a numpy or CPU change ever moves the golden
 CSVs, these name the cause. CI runs this file again under other SIMD and
@@ -159,3 +161,63 @@ def test_zero_signs_in_vh_leave_linear_pass_bits(m, k):
             got = lmmse_extrinsic(vh_form, z_tilde, msg, cfg)
             assert np.array_equal(bits(got.r), bits(want.r))
             assert got.gamma == want.gamma
+
+
+def same_scalar(a, b):
+    """Equal value, bits and type (np.float64, np.bool_)."""
+    return type(a) is type(b) and np.array([a]).tobytes() == np.array([b]).tobytes()
+
+
+@pytest.mark.parametrize("k", [16, 64, 256])
+@pytest.mark.parametrize("m", [2, 4])
+def test_ufunc_reductions_equal_their_method_forms(k, m):
+    # the method forms run these same reductions through numpy's Python
+    # wrappers; the loop calls them directly
+    rng = np.random.default_rng(k + m)
+    for scale in (1e-8, 1.0, 1e8):
+        # sums of the linear pass's d (R = M^2 entries) and the projector's g' (K)
+        for n in (m * m, k):
+            x = 10.0 ** rng.uniform(-6, 6, n) * scale
+            assert same_scalar(np.add.reduce(x), x.sum())
+        # economy_svd's finiteness check on B (M x K) and on a tall input
+        for a in (random_complex(rng, (m, k), scale), random_complex(rng, (k, m), scale)):
+            for bad in (None, np.nan, np.inf):
+                if bad is not None:
+                    a[rng.integers(a.shape[0]), rng.integers(a.shape[1])] = bad
+                finite = np.isfinite(a)
+                assert same_scalar(np.logical_and.reduce(finite, axis=None), finite.all())
+        # structured_svd's largest omega and its all-kept test
+        omega = 10.0 ** rng.uniform(-20, 2, m * m) * scale
+        assert same_scalar(np.maximum.reduce(omega, initial=0.0), omega.max(initial=0.0))
+        for kept in (omega > 1e-12 * omega.max(), np.ones(m * m, bool)):
+            assert same_scalar(np.logical_and.reduce(kept), kept.all())
+        # mmse_precoder's zero-channel test on an N x M effective channel
+        h = random_complex(rng, (8 * m, m), scale)
+        zero = np.zeros_like(h)
+        one = zero.copy()
+        one[-1, -1] = 1e-300j
+        for a in (h, zero, one):
+            assert same_scalar(np.logical_or.reduce(a, axis=None), a.any())
+    empty = np.zeros(0)
+    assert same_scalar(np.maximum.reduce(empty, initial=0.0), empty.max(initial=0.0))
+
+
+@pytest.mark.parametrize("k", [16, 64, 256])
+@pytest.mark.parametrize("projector", [UNIMODULAR, REACTIVE], ids=lambda p: p.name)
+def test_one_distance_pass_equals_separate_g_and_g_prime(projector, k):
+    rng = np.random.default_rng(k)
+    c = projector.center
+    special = np.array([c, c + 1j * TINY * 0.5, c + 1j * TINY, c + 1e-14, np.nan,
+                        complex(np.nan, 1.0), np.inf, complex(1.0, -np.inf)])
+    clean = c + random_complex(rng, k, 1.0)
+    r = clean.copy()
+    r[rng.choice(k, special.size, replace=False)] = special
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        for vec in (clean, r, special):
+            x, slope = projector.g(vec, with_prime=True)
+            assert np.array_equal(bits(x), bits(projector.g(vec)))
+            assert np.array_equal(bits(slope), bits(projector.g_prime(vec)))
+        for entry in special:
+            x, slope = projector.g(entry, with_prime=True)
+            assert same_scalar(x, projector.g(entry)) and type(x) is complex
+            assert same_scalar(slope, projector.g_prime(entry)) and type(slope) is float

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from irsbeam.linalg import (EconomySVD, economy_svd, khatri_rao_columns,
+from irsbeam.linalg import (EconomySVD, economy_svd, identity, khatri_rao_columns,
                             orthonormality_defect, structured_svd)
 
 
@@ -168,3 +168,18 @@ def test_structured_svd_materialized_u_is_orthonormal():
         assert np.allclose(svd.U.conj().T @ svd.U, np.eye(svd.rank), atol=1e-12)
         full = np.kron(svd_b.U, svd_a.U)
         assert np.array_equal(svd.U, full if kept is None else full[:, kept])
+
+
+@pytest.mark.parametrize("m", [1, 2, 4, 8])
+def test_identity_is_one_shared_read_only_eye(m):
+    eye = identity(m)
+    assert eye is identity(m)
+    want = np.eye(m)
+    assert eye.dtype == want.dtype and eye.strides == want.strides
+    assert eye.tobytes() == want.tobytes()
+    assert not eye.flags.writeable
+    with pytest.raises(ValueError):
+        eye[0, 0] = 2.0
+    with pytest.raises(ValueError):
+        eye += 1.0
+    assert identity(m).tobytes() == want.tobytes()

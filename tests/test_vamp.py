@@ -3,7 +3,7 @@ import pytest
 
 from irsbeam.linalg import RANK_CUTOFF, EconomySVD, economy_svd, khatri_rao_columns
 from irsbeam.oracles import dense_lmmse
-from irsbeam.projectors import UNIMODULAR
+from irsbeam.projectors import UNIMODULAR, Projector
 from irsbeam.vamp import (GAMMA_FLOOR, ExtrinsicMessage, OptimizerConfig, VampDiagnostics,
                           VampState, lmmse_extrinsic, prepare_system, run_vamp, vamp_step)
 
@@ -133,6 +133,21 @@ def test_project_step_clamp_path():
     assert state.msg.gamma == pytest.approx(1e-11)
     assert np.array_equal(state.msg.r, state.x_damped)
     assert diag.projector_clamps == 1
+
+
+def test_project_step_takes_g_and_g_prime_from_one_call(monkeypatch):
+    # the projector pass asks g for the pair instead of calling g_prime
+    asked = []
+    g = Projector.g
+
+    def counted(self, r_tilde, with_prime=False):
+        asked.append(with_prime)
+        return g(self, r_tilde, with_prime)
+
+    monkeypatch.setattr(Projector, "g", counted)
+    monkeypatch.setattr(Projector, "g_prime", lambda self, r: pytest.fail("g_prime called"))
+    first_step(cplx(np.random.default_rng(5), 16), OptimizerConfig())
+    assert asked == [True]
 
 
 def test_prepare_system_structured_vs_dense_paths():
