@@ -4,9 +4,9 @@ Each outer iteration refreshes the quadratic system the phase solver sees
 (the precoder and receiver scale enter its matrices), runs one
 message-passing step (vamp.vamp_step) on it, re-projects the damped iterate
 onto the constraint set, and builds the effective channel of the new phases
-once: the closed-form precoder and the trace row take it. The surface-user
-factor A = alpha H_su^H changes only through the scalar alpha, so H_su^H is
-factored once per solve and each iteration rescales its singular values.
+once, for the closed-form precoder. The surface-user factor A = alpha H_su^H
+changes only through the scalar alpha, so H_su^H is factored once per solve
+and each iteration rescales its singular values.
 Nothing else fixed is rebuilt per iteration either: the conjugate links come
 from the channel set's cache (ChannelSet.H_su_H, H_bu_H), the identity from
 linalg.identity, and the projector pass takes g and g' from one call.
@@ -14,6 +14,10 @@ The precoder returns the sum-MSE objective from its own M x M Gram matrix;
 the loop stops when that objective changes by less than a relative
 tolerance, or at the iteration cap. Like run_vamp, the loop takes a
 vamp.OptimizerConfig and starts from VampState.start.
+
+A traced solve runs the same loop and keeps each iteration's objective and
+design in a TraceRow; it computes no sum-rate or NRMSE. metrics.sum_rate and
+metrics.nrmse score a row's design, as they score the returned one.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ import numpy as np
 
 from .channel import ChannelSet
 from .linalg import EconomySVD, economy_svd, identity
-from .metrics import fit_error, per_user_sinr
 from .precoding import effective_channel, mmse_precoder
 from .projectors import get_projector
 from .vamp import OptimizerConfig, VampDiagnostics, VampState, prepare_system, vamp_step
@@ -33,13 +36,13 @@ from .vamp import OptimizerConfig, VampDiagnostics, VampState, prepare_system, v
 @dataclass
 class TraceRow:
     """One outer iteration: the objective the stopping rule compared, and
-    the sum-rate and NRMSE that metrics.sum_rate and metrics.nrmse give for
-    the iteration's design on the same channel."""
+    the design (phases, precoder, receiver scale) it was compared at."""
 
     iteration: int
     error: float
-    sum_rate: float
-    nrmse: float
+    upsilon: np.ndarray
+    F: np.ndarray
+    alpha: float
 
 
 @dataclass
@@ -81,7 +84,7 @@ def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
     cfg = cfg or OptimizerConfig()
     rng = rng or np.random.default_rng()
     ch.validate()
-    n, m, k = ch.dims
+    k = ch.dims[2]
     projector = get_projector(cfg.constraint)
 
     svd_su = economy_svd(ch.H_su_H)
@@ -101,9 +104,7 @@ def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
         sol = mmse_precoder(h, power, noise_var)
         err = sol.error
         if cfg.collect_trace:
-            rate = float(np.sum(np.log2(1.0 + per_user_sinr(h, sol.F, noise_var))))
-            scored = fit_error(sol.alpha, h, sol.F, noise_var)
-            trace.append(TraceRow(t, err, rate, float(np.sqrt(scored / m))))
+            trace.append(TraceRow(t, err, upsilon, sol.F, sol.alpha))
         if t > 0 and abs(err - err_prev) < cfg.epsilon_outer * err_prev:
             converged = True
             break

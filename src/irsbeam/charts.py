@@ -12,15 +12,16 @@ import os
 PALETTE = ("#1c6bba", "#c23b22", "#2e8b57", "#8b5cb8", "#b8860b", "#444444")
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 160, 40, 55
+TICK_COUNT = 6      # tick intervals per axis, at most
 
 
-def _ticks(lo: float, hi: float, count: int = 6):
+def _ticks(lo: float, hi: float):
     if hi <= lo:
         hi = lo + 1.0
     span = hi - lo
-    step = 10.0 ** round(math.log10(span / count))
+    step = 10.0 ** round(math.log10(span / TICK_COUNT))
     for mult in (1.0, 2.0, 5.0, 10.0):
-        if span / (step * mult) <= count:
+        if span / (step * mult) <= TICK_COUNT:
             step *= mult
             break
     first = step * (lo // step)
@@ -38,8 +39,8 @@ def _fmt(v: float) -> str:
 
 
 def render_chart(aggregates: list[dict], x_key: str, y_stat: str = "sum_rate",
-                 group_key: str = "scheme", title: str = "") -> str:
-    """SVG text for median lines with p10-p90 bands, one series per group."""
+                 title: str = "") -> str:
+    """SVG text for median lines with p10-p90 bands, one series per scheme."""
     if not aggregates:
         raise ValueError("render_chart: no aggregate rows")
     for col in (x_key, f"{y_stat}_median", f"{y_stat}_p10", f"{y_stat}_p90"):
@@ -48,7 +49,7 @@ def render_chart(aggregates: list[dict], x_key: str, y_stat: str = "sum_rate",
 
     groups: dict[str, list[dict]] = {}
     for row in aggregates:
-        groups.setdefault(str(row[group_key]), []).append(row)
+        groups.setdefault(str(row["scheme"]), []).append(row)
     for rows in groups.values():
         rows.sort(key=lambda r: r[x_key])
 

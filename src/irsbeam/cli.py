@@ -18,11 +18,12 @@ import numpy as np
 
 from . import __version__
 from .altopt import joint_optimize
-from .channel import SystemDims, sample_channel_set
+from .channel import SystemDims, complex_normal, sample_channel_set
 from .charts import emit_chart
 from .harness import (dbm_to_watts, desk_spec, emit_aggregate_csv, emit_csv,
-                      load_aggregate_csv, load_spec, paper_spec, run_sweep)
+                      load_aggregate_csv, load_spec, paper_spec, run_sweep, write_csv)
 from .linalg import economy_svd, khatri_rao_columns, structured_svd
+from .metrics import nrmse, sum_rate
 from .oracles import (dense_lmmse, grid_reactance, precoder_objective, precoder_reference,
                       random_precoder_search)
 from .projectors import REACTIVE, UNIMODULAR
@@ -81,14 +82,12 @@ def cmd_trace(args) -> int:
     if args.exclude_direct:
         ch = ch.without_direct_link()
     cfg = spec.optimizer_config(args.constraint, collect_trace=True)
-    sol = joint_optimize(ch, dbm_to_watts(spec.power_dbm[0]),
-                         dbm_to_watts(spec.noise_dbm), cfg, rng)
-    os.makedirs(args.out, exist_ok=True)
+    noise_var = dbm_to_watts(spec.noise_dbm)
+    sol = joint_optimize(ch, dbm_to_watts(spec.power_dbm[0]), noise_var, cfg, rng)
     path = os.path.join(args.out, "trace.csv")
-    with open(path, "w") as fh:
-        fh.write("iter,error,nrmse,sum_rate\n")
-        for row in sol.trace:
-            fh.write(f"{row.iteration},{row.error!r},{row.nrmse!r},{row.sum_rate!r}\n")
+    write_csv(path, ["iter", "error", "nrmse", "sum_rate"],
+              ([row.iteration, row.error, nrmse(row.alpha, row.upsilon, row.F, ch, noise_var),
+                sum_rate(ch, row.upsilon, row.F, noise_var)] for row in sol.trace))
     print(f"{len(sol.trace)} rows -> {path} (converged={sol.converged})")
     return 0
 
@@ -103,18 +102,15 @@ def cmd_oracle(args) -> int:
     rng = np.random.default_rng(0 if args.seed is None else args.seed)
     ok = True
 
-    def cplx(*shape):
-        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-
-    a, b = cplx(3, 7), cplx(2, 7)
+    a, b = complex_normal(rng, 3, 7), complex_normal(rng, 2, 7)
     svd = structured_svd(economy_svd(a), economy_svd(b))
     d = khatri_rao_columns(b, a)
     rel = np.linalg.norm(svd.reconstruct() - d) / np.linalg.norm(d)
     ok &= _check("khatri-rao product-form SVD reconstructs", rel < 1e-9, f"rel {rel:.2e}")
 
     svd_d = economy_svd(d)
-    z = cplx(6)
-    msg = ExtrinsicMessage(cplx(7), 0.7)
+    z = complex_normal(rng, 6)
+    msg = ExtrinsicMessage(complex_normal(rng, 7), 0.7)
     z_tilde = (svd_d.U.conj().T @ z) / svd_d.omega
     got = lmmse_extrinsic(svd_d, z_tilde, msg, OptimizerConfig(gamma_w=1.3))
     _, _, r_ref, g_ref = dense_lmmse(d, z, msg.r, msg.gamma, 1.3)
@@ -135,7 +131,7 @@ def cmd_oracle(args) -> int:
                  f"chi {-(1 / v).imag:.4f} vs grid {chi_grid:.4f}")
     ok &= _check("reactive output keeps the sign of Im", v.imag > 0)
 
-    h = cplx(4, 2)
+    h = complex_normal(rng, 4, 2)
     sol = mmse_precoder(h, 2.0, 0.05)
     a_ref, f_ref = precoder_reference(h, 2.0, 0.05)
     ok &= _check("precoder power constraint is exact",

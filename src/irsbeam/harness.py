@@ -323,7 +323,7 @@ def aggregate(records: list) -> list[dict]:
             for key in sorted(cells)]
 
 
-def _write_csv(path, columns: list[str], rows) -> None:
+def write_csv(path, columns: list[str], rows) -> None:
     """Header, then one line per row; floats as repr, so reruns are byte-identical."""
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
     with open(path, "w") as fh:
@@ -337,14 +337,14 @@ def emit_csv(records: list, path) -> None:
     if not records:
         raise ValueError("emit_csv: no records")
     columns = CSV_HEADER.split(",")
-    _write_csv(path, columns, ([getattr(r, c) for c in columns] for r in records))
+    write_csv(path, columns, ([getattr(r, c) for c in columns] for r in records))
 
 
 def emit_aggregate_csv(aggregates: list[dict], path) -> None:
     if not aggregates:
         raise ValueError("emit_aggregate_csv: no aggregates")
     columns = list(AGGREGATE_COLUMNS)
-    _write_csv(path, columns, ([row[c] for c in columns] for row in aggregates))
+    write_csv(path, columns, ([row[c] for c in columns] for row in aggregates))
 
 
 def load_aggregate_csv(path) -> list[dict]:

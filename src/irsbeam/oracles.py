@@ -13,6 +13,8 @@ from .channel import ChannelSet
 
 ORACLE_DIM_CAP = 64
 GRID_MAX_K = 3
+GRID_BATCH = 8192       # phase-grid points evaluated per batched call
+SEARCH_BATCH = 20_000   # random precoders drawn per batched call
 
 
 def dense_lmmse(d: np.ndarray, z: np.ndarray, r: np.ndarray, gamma: float,
@@ -85,7 +87,7 @@ def _phase_grid_error(ch: ChannelSet, grid: np.ndarray, power: float,
 
 
 def grid_phase_search(ch: ChannelSet, power: float, noise_var: float,
-                      points_per_phase: int = 64, batch: int = 8192):
+                      points_per_phase: int = 64):
     """Exhaustive unimodular phase grid with the precoder re-solved per point.
 
     Returns (best phase vector, best objective). Guarded to K <= GRID_MAX_K
@@ -101,8 +103,8 @@ def grid_phase_search(ch: ChannelSet, power: float, noise_var: float,
     grid = np.exp(1j * np.stack([ax.reshape(-1) for ax in axes], axis=1))
     best_val = np.inf
     best_ups = grid[0]
-    for lo in range(0, grid.shape[0], batch):
-        chunk = grid[lo:lo + batch]
+    for lo in range(0, grid.shape[0], GRID_BATCH):
+        chunk = grid[lo:lo + GRID_BATCH]
         errs = _phase_grid_error(ch, chunk, power, noise_var)
         i = int(np.argmin(errs))
         if errs[i] < best_val:
@@ -111,17 +113,16 @@ def grid_phase_search(ch: ChannelSet, power: float, noise_var: float,
     return best_ups, best_val
 
 
-def grid_reactance(r_tilde: complex, lo: float = -1e4, hi: float = 1e4,
-                   points: int = 100_000, refine: int = 2) -> float:
-    """Grid argmin of |r + 1/(1 + j chi)|^2 over [lo, hi], with local
-    refinements of the winning cell."""
+def grid_reactance(r_tilde: complex, points: int = 100_000) -> float:
+    """Grid argmin of |r + 1/(1 + j chi)|^2 over chi in [-1e4, 1e4], with two
+    local refinements of the winning cell."""
     r = complex(r_tilde)
 
     def objective(chi):
         return np.abs(r + 1.0 / (1.0 + 1j * chi)) ** 2
 
-    grid = np.linspace(lo, hi, points)
-    for _ in range(refine + 1):
+    grid = np.linspace(-1e4, 1e4, points)
+    for _ in range(3):
         vals = objective(grid)
         i = int(np.argmin(vals))
         step = grid[1] - grid[0]
@@ -131,15 +132,14 @@ def grid_reactance(r_tilde: complex, lo: float = -1e4, hi: float = 1e4,
 
 
 def random_precoder_search(h: np.ndarray, power: float, noise_var: float,
-                           draws: int, rng: np.random.Generator,
-                           batch: int = 20_000) -> float:
+                           draws: int, rng: np.random.Generator) -> float:
     """Best sum-MSE over random power-normalized precoders, each paired with
     its own optimal receiver scale (1-D closed form in alpha)."""
     h = np.asarray(h, dtype=complex)
     n, m = h.shape
     best = np.inf
-    for lo in range(0, draws, batch):
-        count = min(batch, draws - lo)
+    for lo in range(0, draws, SEARCH_BATCH):
+        count = min(SEARCH_BATCH, draws - lo)
         f = rng.standard_normal((count, n, m)) + 1j * rng.standard_normal((count, n, m))
         norms = np.sqrt(np.einsum("gnm,gnm->g", f, f.conj()).real)
         f *= (np.sqrt(power) / norms)[:, None, None]

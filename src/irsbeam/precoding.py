@@ -88,5 +88,8 @@ def mmse_precoder(h: np.ndarray, power: float, noise_var: float) -> PrecodingSol
         x = np.linalg.pinv(gram)
     f = h @ x
     alpha = float(_frobenius(f) / np.sqrt(power))
+    # a non-finite channel entry reaches alpha as NaN or inf; NaN fails this too
+    if not 0.0 < alpha < np.inf:
+        raise ValueError(f"precoder: receiver scale must be positive and finite, got {alpha}")
     error = float(_frobenius(hh @ x - eye) ** 2 + m * alpha**2 * noise_var)
     return PrecodingSolution(f * (1.0 / alpha), alpha, error)

@@ -207,16 +207,16 @@ def run_vamp(a: np.ndarray, b: np.ndarray, z: np.ndarray, cfg: OptimizerConfig |
     Iterates until the squared change of the damped iterate falls under
     cfg.epsilon_outer times its squared norm (the rule compares iterates,
     where joint_optimize compares objectives), or cfg.t_max_outer passes.
-    With cfg.collect_trace each pass appends (t, objective, gamma_tilde,
-    gamma_hat, clamped) to the trace. The returned x is re-projected through
-    g, so every entry lies exactly in the constraint set even though damped
-    intermediate iterates need not.
+    With cfg.collect_trace each pass appends (t, x_damped, gamma_tilde,
+    gamma_hat, clamped) to the trace: x_damped is the iterate the stopping
+    rule compared, and a caller that wants the pass's objective evaluates
+    ||A Diag(x_damped) B^T - Z||_F^2 itself. The returned x is
+    re-projected through g, so every entry lies exactly in the constraint set
+    even though damped intermediate iterates need not.
     """
     cfg = cfg or OptimizerConfig()
     projector = get_projector(cfg.constraint)
     a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    z = np.asarray(z, dtype=complex)
     svd, z_tilde = prepare_system(economy_svd(a), b, z)
     state = VampState.start(projector.initial_point(a.shape[1], rng or np.random.default_rng()),
                             cfg.gamma_0)
@@ -227,8 +227,7 @@ def run_vamp(a: np.ndarray, b: np.ndarray, z: np.ndarray, cfg: OptimizerConfig |
         x_before = state.x_damped
         gamma_tilde, gamma_hat = vamp_step(svd, z_tilde, state, projector, cfg, diag)
         if cfg.collect_trace:
-            obj = float(np.linalg.norm(a @ (state.x_damped[:, None] * b.T) - z) ** 2)
-            trace.append((t, obj, gamma_tilde, gamma_hat, diag.clamped))
+            trace.append((t, state.x_damped, gamma_tilde, gamma_hat, diag.clamped))
         delta = float(np.linalg.norm(state.x_damped - x_before) ** 2)
         if t > 1 and delta <= cfg.epsilon_outer * float(np.linalg.norm(x_before) ** 2):
             converged = True

@@ -7,7 +7,7 @@ from irsbeam import altopt, metrics
 from irsbeam.altopt import OptimizerConfig, joint_optimize, vamp_setup
 from irsbeam.channel import ChannelSet, SystemDims, sample_channel_set
 from irsbeam.linalg import economy_svd
-from irsbeam.metrics import fit_error, nrmse, sum_rate
+from irsbeam.metrics import fit_error, nrmse
 from irsbeam.oracles import grid_phase_search, sum_mse_reference
 from irsbeam.precoding import effective_channel, mmse_precoder
 from irsbeam.vamp import prepare_system
@@ -186,18 +186,27 @@ def test_stopping_rule_relative_change():
 
 
 def test_trace_nrmse_consistency():
+    # each row holds the design its objective was taken at: the objective is
+    # that design's sum-MSE, metrics.nrmse scores it as sqrt(error / M), and
+    # the last row's design is the one returned
     dims = SystemDims(4, 2, 9)
     ch = sample_channel_set(np.random.default_rng(11), dims)
     sol = joint_optimize(ch, 1.0, 1e-13, OptimizerConfig(), np.random.default_rng(12))
+    for row in sol.trace:
+        np.testing.assert_allclose(row.error,
+                                   fit_error(row.alpha, effective_channel(ch, row.upsilon),
+                                             row.F, 1e-13),
+                                   rtol=1e-12)
+        np.testing.assert_allclose(nrmse(row.alpha, row.upsilon, row.F, ch, 1e-13) ** 2 * 2,
+                                   row.error, rtol=1e-12)
     last = sol.trace[-1]
-    np.testing.assert_allclose(last.error,
-                               fit_error(sol.alpha, effective_channel(ch, sol.upsilon),
-                                         sol.F, 1e-13),
-                               rtol=1e-12)
-    np.testing.assert_allclose(last.nrmse**2 * 2, last.error, rtol=1e-12)
+    assert np.array_equal(last.upsilon, sol.upsilon) and np.array_equal(last.F, sol.F)
+    assert last.alpha == sol.alpha
 
 
 def test_traced_solve_builds_one_effective_channel_per_iteration(monkeypatch):
+    # a traced iteration is the untraced one plus an append: one effective
+    # channel, and no score taken inside the loop
     dims = SystemDims(8, 2, 16)
     ch = sample_channel_set(np.random.default_rng(13), dims)
     calls = []
@@ -206,14 +215,29 @@ def test_traced_solve_builds_one_effective_channel_per_iteration(monkeypatch):
         calls.append(1)
         return effective_channel(*args)
 
+    def forbidden(*args):
+        raise AssertionError("the loop scored a design")
+
+    monkeypatch.setattr(altopt, "effective_channel", counted)
     for module in (altopt, metrics):
-        monkeypatch.setattr(module, "effective_channel", counted)
+        for name in ("per_user_sinr", "fit_error", "sum_rate", "nrmse"):
+            monkeypatch.setattr(module, name, forbidden, raising=False)
     sol = joint_optimize(ch, 1.0, 1e-13, OptimizerConfig(), np.random.default_rng(14))
     assert len(calls) == sol.iterations + 1 == len(sol.trace)
-    # the rows equal the metrics evaluated from the channel set
-    last = sol.trace[-1]
-    assert last.sum_rate == sum_rate(ch, sol.upsilon, sol.F, 1e-13)
-    assert last.nrmse == nrmse(sol.alpha, sol.upsilon, sol.F, ch, 1e-13)
+
+
+@pytest.mark.parametrize("constraint", ["unimodular", "reactive"])
+def test_traced_and_untraced_solves_are_bit_identical(constraint):
+    ch = sample_channel_set(np.random.default_rng(15), SystemDims(8, 2, 16))
+    traced, quiet = (joint_optimize(ch, 1.0, 1e-13,
+                                    OptimizerConfig(constraint=constraint, collect_trace=flag),
+                                    np.random.default_rng(16))
+                     for flag in (True, False))
+    assert len(traced.trace) == traced.iterations + 1 > 2 and quiet.trace == []
+    assert (traced.iterations, traced.converged, traced.alpha, traced.diagnostics) == \
+        (quiet.iterations, quiet.converged, quiet.alpha, quiet.diagnostics)
+    assert traced.upsilon.tobytes() == quiet.upsilon.tobytes()
+    assert traced.F.tobytes() == quiet.F.tobytes()
 
 
 def test_optimizer_config_validation():

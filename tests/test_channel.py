@@ -251,6 +251,15 @@ def test_sample_channel_set_shapes_and_determinism():
     assert np.all((ch1.d_irs_users >= 10) & (ch1.d_irs_users <= 50))
     # base-station distance follows from the 500 m baseline triangle
     assert np.all(ch1.d_users >= 450) and np.all(ch1.d_users <= 550)
+    with pytest.raises(ValueError, match="^sample_channel_set: unknown scenario 'C'$"):
+        sample_channel_set(np.random.default_rng(9), dims, scenario="C")
+    # validate refuses a set whose links disagree in size or hold a non-finite entry
+    with pytest.raises(ValueError, match="^ChannelSet: inconsistent shapes$"):
+        replace(ch1, H_su=ch1.H_su[:-1]).validate()
+    h_bu = ch1.H_bu.copy()
+    h_bu[0, 1] = np.inf
+    with pytest.raises(ValueError, match="^ChannelSet: non-finite entries$"):
+        replace(ch1, H_bu=h_bu).validate()
 
 
 def test_scenarios_differ_only_in_user_link_boost():

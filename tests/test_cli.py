@@ -1,7 +1,11 @@
 import numpy as np
 import pytest
 
+from irsbeam.altopt import joint_optimize
+from irsbeam.channel import SystemDims, sample_channel_set
 from irsbeam.cli import main
+from irsbeam.harness import dbm_to_watts, load_spec
+from irsbeam.metrics import nrmse, sum_rate
 
 TINY_SPEC = """
 scenario = B
@@ -45,6 +49,25 @@ def test_run_seed_override_changes_results(spec_file, tmp_path):
     assert a == (out_c / "trials.csv").read_bytes()
 
 
+def _assert_rows_are_metrics_scores(spec_file, path, constraint, exclude_direct):
+    """Each trace.csv row holds the iteration, the objective and the
+    metrics.nrmse and metrics.sum_rate scores of that iteration's design, on
+    the channel set the verb solved on; replayed here from the spec."""
+    spec = load_spec(spec_file)
+    rng = np.random.default_rng(spec.base_seed)
+    dims = SystemDims(spec.n_bs[0], spec.n_users[0], spec.n_irs[0])
+    ch = sample_channel_set(rng, dims, spec.channel, spec.scenario)
+    if exclude_direct:
+        ch = ch.without_direct_link()
+    noise = dbm_to_watts(spec.noise_dbm)
+    sol = joint_optimize(ch, dbm_to_watts(spec.power_dbm[0]), noise,
+                         spec.optimizer_config(constraint, collect_trace=True), rng)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert [[int(r[0])] + [float(v) for v in r[1:]] for r in rows] == [
+        [row.iteration, row.error, nrmse(row.alpha, row.upsilon, row.F, ch, noise),
+         sum_rate(ch, row.upsilon, row.F, noise)] for row in sol.trace]
+
+
 def test_trace_verb(spec_file, tmp_path, capsys):
     out = tmp_path / "tr"
     rc = main(["trace", "--spec", str(spec_file), "--out", str(out),
@@ -55,6 +78,7 @@ def test_trace_verb(spec_file, tmp_path, capsys):
     assert len(lines) >= 3
     errs = [float(line.split(",")[1]) for line in lines[1:]]
     assert errs[-1] <= errs[0]
+    _assert_rows_are_metrics_scores(spec_file, out / "trace.csv", "unimodular", True)
 
 
 def test_trace_reactive(spec_file, tmp_path):
@@ -62,7 +86,7 @@ def test_trace_reactive(spec_file, tmp_path):
     rc = main(["trace", "--spec", str(spec_file), "--out", str(out),
                "--constraint", "reactive"])
     assert rc == 0
-    assert (out / "trace.csv").exists()
+    _assert_rows_are_metrics_scores(spec_file, out / "trace.csv", "reactive", False)
 
 
 def test_oracle_verb(capsys):

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from irsbeam.charts import emit_chart, render_chart
+from irsbeam.charts import _ticks, emit_chart, render_chart
 from irsbeam.channel import SystemDims, complex_normal, perturb_csi, sample_channel_set
 from irsbeam.harness import (AGGREGATE_COLUMNS, CSV_HEADER, ExperimentSpec, TrialRecord,
                              aggregate, dbm_to_watts, desk_spec, emit_aggregate_csv, emit_csv,
@@ -115,7 +115,9 @@ def test_parse_spec_errors_name_the_field():
                       ("d_irs = 400\nd_irs = 400", "spec.d_irs: given twice"),
                       ("c0 = 1e-3\nc0_db = -20", "spec.c0/c0_db: given twice"),
                       ("c0_db = -20\nc0 = 1e-3", "spec.c0/c0_db: given twice"),
-                      ("c0_db = -20\nc0_db = -30", "spec.c0/c0_db: given twice")):
+                      ("c0_db = -20\nc0_db = -30", "spec.c0/c0_db: given twice"),
+                      ("record_timing = maybe",
+                       "spec.record_timing: expected a boolean, got 'maybe'")):
         with pytest.raises(ValueError, match=key):
             parse_spec(line)
 
@@ -271,6 +273,15 @@ def test_render_chart_structure(tmp_path):
     assert out.read_text() == svg.replace("demo", "")  # title differs only
     with pytest.raises(ValueError):
         render_chart([], "K")
+    with pytest.raises(ValueError, match="^render_chart: aggregate rows lack column "
+                                         "'sum_rate_p90'$"):
+        render_chart([{k: v for k, v in row.items() if k != "sum_rate_p90"} for row in aggs],
+                     "K")
+    # one x value: the axis is widened by half a unit on each side, which
+    # centres every point; an empty tick span is widened to one unit
+    one = render_chart([row for row in aggs if row["K"] == 4], "K")
+    assert one.count('<circle cx="275.0"') == 3 and ">4</text>" in one
+    assert _ticks(2.0, 2.0) == [2.0, 2.2, 2.4, 2.6, 2.8, 3.0]
 
 
 def test_timing_recorded_when_enabled():

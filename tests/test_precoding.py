@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from irsbeam.altopt import joint_optimize
 from irsbeam.channel import ChannelSet, SystemDims, sample_channel_set
+from irsbeam.harness import fixed_phase_design
 from irsbeam.metrics import fit_error
 from irsbeam.oracles import (precoder_objective, precoder_reference,
                              random_precoder_search)
@@ -140,6 +143,26 @@ def test_precoder_refuses_degenerate_power_and_noise():
         joint_optimize(ch, 1.0, -1e-13)
 
 
+def test_precoder_and_fixed_phase_baselines_refuse_a_nan_channel():
+    # a NaN entry makes the receiver scale NaN, which fails 0 < alpha < inf;
+    # the fixed-phase baselines reach the same check instead of returning a
+    # NaN design, as joint_optimize refuses the set through ChannelSet.validate
+    h = cplx(np.random.default_rng(13), 4, 1)
+    h[2, 0] = np.nan
+    with pytest.raises(ValueError, match="^precoder: receiver scale must be positive and "
+                                         "finite, got nan$"):
+        mmse_precoder(h, 1.0, 0.1)
+    ch = sample_channel_set(np.random.default_rng(14), SystemDims(4, 1, 4))
+    h_bs = ch.H_bs.copy()
+    h_bs[1, 2] = np.nan
+    bad = replace(ch, H_bs=h_bs)
+    for upsilon in (np.ones(4, dtype=complex), np.zeros(4, dtype=complex)):
+        with pytest.raises(ValueError, match="^precoder: receiver scale"):
+            fixed_phase_design(bad, upsilon, 1.0, 1e-13)
+    with pytest.raises(ValueError, match="^ChannelSet: non-finite entries$"):
+        joint_optimize(bad, 1.0, 1e-13)
+
+
 def test_precoder_on_synthesized_channel_scale():
     # physical magnitudes (path losses ~1e-10) must not break conditioning
     dims = SystemDims(8, 2, 16)
@@ -164,17 +187,29 @@ def test_push_through_precoder_matches_reference_at_paper_scale():
         assert np.abs(sol.F - f_ref).max() < 1e-10
 
 
-def test_push_through_pseudoinverse_matches_dense_form():
-    # noise-free with two identical users: H^H H is singular, so the M x M
-    # pseudo-inverse branch runs; it must give the N x N form pinv(HH^H) H
+def test_push_through_pseudoinverse_matches_dense_form(monkeypatch):
+    # two identical users make H^H H singular: noise-free, the M x M
+    # pseudo-inverse branch runs directly; at noise_var = 1e-40 the
+    # regularizer rounds away, inv refuses the exactly singular Gram matrix
+    # and the same branch takes over. Either must give the N x N form
+    # pinv(HH^H) H
     dims = SystemDims(32, 4, 256)
     ch = sample_channel_set(np.random.default_rng(24), dims)
     h = effective_channel(ch, np.exp(2j * np.pi * np.random.default_rng(25).random(dims.K)))
     h[:, 1] = h[:, 0]
-    sol = mmse_precoder(h, 1.0, 0.0)
     x = np.linalg.pinv(h @ h.conj().T) @ h
     alpha_ref = float(np.linalg.norm(x))
-    assert abs(sol.alpha - alpha_ref) < 1e-10 * alpha_ref
-    assert np.abs(sol.F - x / alpha_ref).max() < 1e-10
-    assert abs(np.linalg.norm(sol.F) ** 2 - 1.0) < 1e-10
-    assert sol.error == pytest.approx(fit_error(sol.alpha, h, sol.F, 0.0), rel=1e-12)
+    pinv, pinv_calls = np.linalg.pinv, []
+
+    def counted_pinv(a):
+        pinv_calls.append(1)
+        return pinv(a)
+
+    monkeypatch.setattr(np.linalg, "pinv", counted_pinv)
+    for noise_var in (0.0, 1e-40):
+        sol = mmse_precoder(h, 1.0, noise_var)
+        assert abs(sol.alpha - alpha_ref) < 1e-10 * alpha_ref
+        assert np.abs(sol.F - x / alpha_ref).max() < 1e-10
+        assert abs(np.linalg.norm(sol.F) ** 2 - 1.0) < 1e-10
+        assert sol.error == pytest.approx(fit_error(sol.alpha, h, sol.F, noise_var), rel=1e-12)
+    assert len(pinv_calls) == 2

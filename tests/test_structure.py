@@ -105,10 +105,17 @@ def _unreferenced(modules: list[Path], users: list[Path]) -> list[str]:
     return missing
 
 
-def test_every_public_definition_has_a_caller():
+def _modules_and_users() -> tuple[list[Path], list[Path]]:
+    """The package's modules, and the files whose uses count: those modules,
+    the demos and the benchmark (not its frozen copy of the package, which
+    is no user of this one)."""
     modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.stem != "__init__"]
-    # the benchmark's frozen copy of the package is not a user of this one
-    users = modules + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    return modules, modules + sorted((ROOT / "demos").glob("*.py")) + sorted(
+        (ROOT / "bench").glob("*.py"))
+
+
+def test_every_public_definition_has_a_caller():
+    modules, users = _modules_and_users()
     missing = [name for name in _unreferenced(modules, users)
                if name.rsplit(".", 1)[-1] not in UNREFERENCED_OK]
     assert not missing, "public definitions nothing references:\n" + "\n".join(missing)
@@ -124,3 +131,97 @@ def test_caller_guard_ignores_own_body_and_sees_methods(tmp_path):
     user = tmp_path / "user.py"
     user.write_text("from mod import Box\nBox().shut\n")
     assert _unreferenced([mod], [mod, user]) == ["mod.lonely"]
+
+
+# Defaulted parameters kept although no call outside their function passes
+# them, one reason each; keyed "module.function(parameter)".
+UNPASSED_OK = {
+    "cli.main(argv)": "the console entry point, which reads sys.argv when argv is None",
+    "oracles.grid_phase_search(points_per_phase)": "the oracle's resolution, which its own "
+                                                   "tests vary",
+    "channel.ula_response(spacing_ratio)": "the documented single-angle station response",
+    "channel.irs_response(spacing_ratio)": "the documented single-angle reflector response",
+}
+
+
+def _defaulted_parameters(path: Path) -> list[tuple[str, str, int, int, int | None]]:
+    """(function name, parameter, first line, last line, position) of each
+    defaulted parameter of a public top-level function or public method;
+    position counts the arguments a call passes positionally (self and cls
+    excluded), None for a keyword-only parameter."""
+    found = []
+
+    def visit(fn, method):
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        if method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                              for d in fn.decorator_list):
+            positional = positional[1:]
+        for i, arg in enumerate(positional[len(positional) - len(args.defaults):],
+                                start=len(positional) - len(args.defaults)):
+            found.append((fn.name, arg.arg, fn.lineno, fn.end_lineno, i))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                found.append((fn.name, arg.arg, fn.lineno, fn.end_lineno, None))
+
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            visit(node, False)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    visit(item, True)
+    return found
+
+
+def _calls(path: Path) -> list[tuple[str, int, int, set[str], bool]]:
+    """(called name, line, positional count, keyword names, has **) of every
+    call in a file; a *args counts as passing every position."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name is None:
+            continue
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        keywords = {k.arg for k in node.keywords if k.arg is not None}
+        found.append((name, node.lineno, 1 << 30 if starred else len(node.args), keywords,
+                      any(k.arg is None for k in node.keywords)))
+    return found
+
+
+def _unpassed(modules: list[Path], users: list[Path]) -> list[str]:
+    """Defaulted parameters of `modules` that no call in `users` outside the
+    function's own body passes, by position or keyword. Calls match by bare
+    name, as in _unreferenced."""
+    calls = {path: _calls(path) for path in users}
+    missing = []
+    for module in modules:
+        for name, param, first, last, position in _defaulted_parameters(module):
+            if not any(called == name and not (path == module and first <= line <= last)
+                       and (param in keywords or spread
+                            or (position is not None and count > position))
+                       for path, found in calls.items()
+                       for called, line, count, keywords, spread in found):
+                missing.append(f"{module.stem}.{name}({param})")
+    return missing
+
+
+def test_every_defaulted_parameter_is_passed_somewhere():
+    missing = [knob for knob in _unpassed(*_modules_and_users()) if knob not in UNPASSED_OK]
+    assert not missing, "defaulted parameters no call sets:\n" + "\n".join(missing)
+
+
+def test_knob_guard_sees_position_keyword_and_own_body(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def f(a, b=1, c=2, *, d=3, e=4):\n    return f(a, 0, 0, d=0, e=0)\n\n"
+                   "class Box:\n    def put(self, x=0, y=0):\n        return x\n\n"
+                   "    def _own(self, z=0):\n        return z\n\n"
+                   "def _hidden(w=0):\n    return w\n")
+    user = tmp_path / "user.py"
+    user.write_text("from mod import Box, f\nf(1, 2, d=3)\nBox().put(5)\n")
+    assert _unpassed([mod], [mod, user]) == ["mod.f(c)", "mod.f(e)", "mod.put(y)"]
+    user.write_text("from mod import Box, f\nf(*xs, **kw)\nBox().put(y=1, x=2)\n")
+    assert _unpassed([mod], [mod, user]) == []

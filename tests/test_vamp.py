@@ -163,6 +163,8 @@ def test_prepare_system_structured_vs_dense_paths():
         assert np.linalg.norm(svd.reconstruct() - d) < 1e-9 * np.linalg.norm(d)
     with pytest.raises(ValueError):
         prepare_system(economy_svd(np.zeros((2, 4))), cplx(rng, 2, 4), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match=r"^prepare_system: Z is \(2, 3\), expected \(2, 2\)$"):
+        prepare_system(economy_svd(cplx(rng, 2, 4)), cplx(rng, 2, 4), np.zeros((2, 3)))
 
 
 # Column-by-column reference for the bit-identity test below: a wide matrix is
@@ -263,7 +265,8 @@ def test_run_vamp_diagonal_system_projects_phases():
     cfg = OptimizerConfig(epsilon_outer=1e-10, t_max_outer=200)
     res = run_vamp(np.eye(4), np.eye(4), z, cfg, np.random.default_rng(1))
     assert np.abs(res.x - diag_z / np.abs(diag_z)).max() < 1e-6
-    objs = [row[1] for row in res.trace]
+    # each row carries the damped iterate x; with A = B = I the objective is ||Diag(x) - Z||^2
+    objs = [np.linalg.norm(np.diag(x) - z) ** 2 for _, x, _, _, _ in res.trace]
     assert all(b <= a + 1e-9 for a, b in zip(objs, objs[1:]))
 
 
