@@ -15,9 +15,15 @@ MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 160, 40, 55
 TICK_COUNT = 6      # tick intervals per axis, at most
 
 
+def _pad(pad: float, *values: float) -> float:
+    """pad, raised to four units in the last place of the largest value when
+    it is smaller, so that widening those values by it does not round away."""
+    return max(pad, *(4.0 * math.ulp(v) for v in values))
+
+
 def _ticks(lo: float, hi: float):
     if hi <= lo:
-        hi = lo + 1.0
+        hi = lo + _pad(1.0, lo)
     span = hi - lo
     step = 10.0 ** round(math.log10(span / TICK_COUNT))
     for mult in (1.0, 2.0, 5.0, 10.0):
@@ -57,9 +63,10 @@ def render_chart(aggregates: list[dict], x_key: str, y_stat: str = "sum_rate",
     ys = [float(r[f"{y_stat}_{s}"]) for r in aggregates for s in ("p10", "median", "p90")]
     x_lo, x_hi = min(xs), max(xs)
     if x_hi == x_lo:
-        x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
+        pad = _pad(0.5, x_lo)
+        x_lo, x_hi = x_lo - pad, x_hi + pad
     y_lo, y_hi = min(ys), max(ys)
-    pad = 0.05 * (y_hi - y_lo or 1.0)
+    pad = _pad(0.05 * (y_hi - y_lo or 1.0), y_lo, y_hi)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
     plot_w = WIDTH - MARGIN_L - MARGIN_R

@@ -55,11 +55,14 @@ def economy_svd(a: np.ndarray) -> EconomySVD:
         raise ValueError("economy_svd: input contains non-finite entries")
     wide = a.shape[0] < a.shape[1]
     u, omega, vh = np.linalg.svd(a.T if wide else a, full_matrices=False)
-    # omega is sorted in descending order, so the kept components lead
-    rank = np.count_nonzero(omega > RANK_CUTOFF * omega[0]) if omega.size else 0
+    # omega is sorted in descending order, so the kept components lead, and
+    # when the last one is kept, so is every one and the arrays are used whole
+    if not (omega.size and omega[-1] > RANK_CUTOFF * omega[0]):
+        rank = np.count_nonzero(omega > RANK_CUTOFF * omega[0]) if omega.size else 0
+        u, omega, vh = u[:, :rank], omega[:rank], vh[:rank]
     if wide:
-        return EconomySVD(vh[:rank].T, omega[:rank], np.ascontiguousarray(u[:, :rank].T))
-    return EconomySVD(np.asfortranarray(u[:, :rank]), omega[:rank], vh[:rank])
+        return EconomySVD(vh.T, omega, np.ascontiguousarray(u.T))
+    return EconomySVD(np.asfortranarray(u), omega, vh)
 
 
 def khatri_rao_columns(b: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -83,11 +86,12 @@ def structured_svd(svd_a: EconomySVD, svd_b: EconomySVD) -> EconomySVD:
 
     U = kron(U_b, U_a), omega = (omega_b kron omega_a) * v_n and Vh = the
     row-normalized Khatri-Rao product of the factor Vh's, where v_n holds the
-    row norms being normalized away. One boolean mask over the kron grid drops
-    the components whose omega falls under the rank cutoff; the rest keep the
-    grid's order; when every component is kept, as on every preset, the
-    arrays are used whole, without the mask's copies. U is the full kron from
-    one broadcast, masked, so it is bit-equal to np.kron(U_b, U_a)[:, kept].
+    row norms being normalized away. One min and one max of omega decide
+    whether every component is kept, as on every preset; then the arrays are
+    used whole. Otherwise one boolean mask over the kron grid drops the
+    components whose omega falls under the rank cutoff, and the rest keep the
+    grid's order. U is the full kron from one broadcast of the transposed
+    factors, masked, so it is bit-equal to np.kron(U_b, U_a)[:, kept].
     Vh's rows are multiplied by 1/v_n, not divided by v_n: the two differ
     only in the sign of a zero part whose input is -0 (each adds the other
     part times zero to it, on different sides of the scaling), and the sign
@@ -98,12 +102,14 @@ def structured_svd(svd_a: EconomySVD, svd_b: EconomySVD) -> EconomySVD:
     # np.linalg.norm(vh_kr, axis=1) without its dispatch
     v_n = np.sqrt(np.add.reduce((vh_kr.conj() * vh_kr).real, axis=1))
     omega_full = (svd_b.omega[:, None] * svd_a.omega).ravel() * v_n
-    kept = omega_full > RANK_CUTOFF * np.maximum.reduce(omega_full, initial=0.0)
-    u = svd_b.U[:, None, :, None] * svd_a.U[None, :, None, :]
-    u = u.reshape(u.shape[0] * u.shape[1], omega_full.size)
-    if np.logical_and.reduce(kept):
+    # U's C-ordered transpose, transposed back: Fortran-ordered without a copy
+    u_t = svd_b.U.T[:, None, :, None] * svd_a.U.T[None, :, None, :]
+    u = u_t.reshape(omega_full.size, u_t.shape[2] * u_t.shape[3]).T
+    floor = RANK_CUTOFF * np.maximum.reduce(omega_full, initial=0.0)
+    if np.minimum.reduce(omega_full, initial=np.inf) > floor:
         vh_kr *= (1.0 / v_n)[:, None]
-        return EconomySVD(np.asfortranarray(u), omega_full, vh_kr)
+        return EconomySVD(u, omega_full, vh_kr)
+    kept = omega_full > floor
     return EconomySVD(np.asfortranarray(u[:, kept]), omega_full[kept],
                       vh_kr[kept] * (1.0 / v_n[kept, None]))
 

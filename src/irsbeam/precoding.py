@@ -11,6 +11,7 @@ objective at the precoder.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +43,12 @@ def effective_channel(ch: ChannelSet, upsilon: np.ndarray) -> np.ndarray:
     return h_h.conj().T
 
 
-def _frobenius(a: np.ndarray) -> np.float64:
+def _frobenius(a: np.ndarray) -> float:
     """np.linalg.norm(a) of a complex array without its dispatch: the same
-    two dot products in the same order, so the same bits."""
+    two dot products in the same order, so the same bits. math.sqrt rounds
+    a float64 exactly as np.sqrt does, without a ufunc call."""
     x = a.ravel(order="K")
-    return np.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
+    return math.sqrt(x.real.dot(x.real) + x.imag.dot(x.imag))
 
 
 def mmse_precoder(h: np.ndarray, power: float, noise_var: float) -> PrecodingSolution:
@@ -87,7 +89,7 @@ def mmse_precoder(h: np.ndarray, power: float, noise_var: float) -> PrecodingSol
         # pseudo-inverse, for which pinv(HH^H) H = H pinv(H^H H) holds too
         x = np.linalg.pinv(gram)
     f = h @ x
-    alpha = float(_frobenius(f) / np.sqrt(power))
+    alpha = _frobenius(f) / math.sqrt(power)
     # a non-finite channel entry reaches alpha as NaN or inf; NaN fails this too
     if not 0.0 < alpha < np.inf:
         raise ValueError(f"precoder: receiver scale must be positive and finite, got {alpha}")

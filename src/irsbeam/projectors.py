@@ -66,14 +66,16 @@ class Projector:
         the same |r - center| before the tie entries are replaced, so the
         pair has the bits of the two separate calls."""
         r, scalar = _as_complex(r_tilde)
-        d = r - self.center
+        # on the unit circle r - 0 and 1 * u are exact identities, and skipped
+        d = r - self.center if self.center else r
         mag = np.abs(d)
         slope = self._slope(mag) if with_prime else None
         if mag.size and not (_TINY <= _MIN(mag) and _MAX(mag) < np.inf):
             tie = mag < _TINY
             d = np.where(tie, 1.0 + 0j, np.where(np.isinf(mag), complex(np.nan, np.nan), d))
             mag = np.where(tie, 1.0, mag)
-        out = self.center + self.radius * (d * (1.0 / mag))
+        u = d * (1.0 / mag)
+        out = self.center + (self.radius * u if self.radius != 1.0 else u)
         if not with_prime:
             return complex(out) if scalar else out
         return (complex(out), float(slope)) if scalar else (out, slope)

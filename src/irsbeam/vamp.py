@@ -130,7 +130,8 @@ def lmmse_extrinsic(svd: EconomySVD, z_tilde: np.ndarray, msg: ExtrinsicMessage,
         raise ValueError(f"lmmse_extrinsic: z_tilde has length {z_tilde.size}, rank is {rank}")
     if msg.r.shape != (k,):
         raise ValueError(f"lmmse_extrinsic: message mean has length {msg.r.size}, expected {k}")
-    gw_omega2 = cfg.gamma_w * omega**2
+    # at the default gamma_w = 1 the scaling is an exact identity, and skipped
+    gw_omega2 = omega**2 if cfg.gamma_w == 1.0 else cfg.gamma_w * omega**2
     d = gw_omega2 / (gw_omega2 + msg.gamma)
     d_mean = float(np.add.reduce(d) / d.size)
     ratio = k / rank

@@ -284,6 +284,19 @@ def test_render_chart_structure(tmp_path):
     assert _ticks(2.0, 2.0) == [2.0, 2.2, 2.4, 2.6, 2.8, 3.0]
 
 
+@pytest.mark.parametrize("value", [2.0**53, -(2.0**60), 1e300])
+def test_render_chart_widens_a_single_value_past_rounding(value):
+    # at this magnitude x +- 0.5, the 5% pad and lo + 1 all round back to
+    # the value itself; the widening must still leave a span to draw on
+    row = {"scheme": "vamp_unimodular", "K": value, "sum_rate_median": value,
+           "sum_rate_p10": value, "sum_rate_p90": value}
+    svg = render_chart([row], "K")
+    assert '<circle cx="275.0" cy="202.5"' in svg   # the centre of the plot
+    assert "nan" not in svg and "inf" not in svg
+    ticks = _ticks(value, value)
+    assert ticks and ticks[0] < ticks[-1]
+
+
 def test_timing_recorded_when_enabled():
     spec = tiny_spec(record_timing=True, schemes=["vamp_unimodular"], trials=1)
     records, _ = run_sweep(spec)

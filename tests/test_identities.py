@@ -5,20 +5,28 @@ positive real instead of dividing by it, inverts the precoder's Gram matrix
 with inv instead of solve(G, I), takes the projector's tie branch only
 when a tie exists, forms Vh^H y as (y^H Vh)^H, takes the precoder's
 Frobenius norms as two dot products, calls the ufunc reductions in place of
-the array methods that wrap them, and takes the projector and its derivative
-from one |r - center|. Each is bit-equal to the
+the array methods that wrap them, takes the projector and its derivative
+from one |r - center|, decides "every component kept" in structured_svd
+from one min and one max and builds its U Fortran-ordered from the
+transposed factors, takes the precoder's square roots with math.sqrt, and
+skips the linear pass's scaling by gamma_w = 1. Each is bit-equal to the
 form it replaced only through the identities checked here, on numpy's SIMD
 kernels and on OpenBLAS's, so if a numpy or CPU change ever moves the golden
 CSVs, these name the cause. CI runs this file again under other SIMD and
 BLAS kernels.
 """
 
+import math
+
 import numpy as np
 import pytest
 
-from irsbeam.linalg import EconomySVD, economy_svd, khatri_rao_columns
+from irsbeam.linalg import (RANK_CUTOFF, EconomySVD, economy_svd, khatri_rao_columns,
+                            structured_svd)
+from irsbeam.precoding import _frobenius
 from irsbeam.projectors import REACTIVE, UNIMODULAR
-from irsbeam.vamp import ExtrinsicMessage, OptimizerConfig, lmmse_extrinsic, prepare_system
+from irsbeam.vamp import (GAMMA_FLOOR, ExtrinsicMessage, OptimizerConfig, lmmse_extrinsic,
+                          prepare_system)
 
 TINY = np.finfo(float).tiny
 
@@ -221,3 +229,127 @@ def test_one_distance_pass_equals_separate_g_and_g_prime(projector, k):
             x, slope = projector.g(entry, with_prime=True)
             assert same_scalar(x, projector.g(entry)) and type(x) is complex
             assert same_scalar(slope, projector.g_prime(entry)) and type(slope) is float
+
+
+def masked_structured_svd(svd_a, svd_b):
+    """structured_svd with the kept-mask built every time and U broadcast in
+    C order, then copied to Fortran order."""
+    vh_kr = khatri_rao_columns(svd_b.Vh, svd_a.Vh)
+    v_n = np.sqrt(np.add.reduce((vh_kr.conj() * vh_kr).real, axis=1))
+    omega_full = (svd_b.omega[:, None] * svd_a.omega).ravel() * v_n
+    kept = omega_full > RANK_CUTOFF * np.maximum.reduce(omega_full, initial=0.0)
+    u = svd_b.U[:, None, :, None] * svd_a.U[None, :, None, :]
+    u = u.reshape(u.shape[0] * u.shape[1], omega_full.size)
+    if np.logical_and.reduce(kept):
+        vh_kr *= (1.0 / v_n)[:, None]
+        return EconomySVD(np.asfortranarray(u), omega_full, vh_kr)
+    return EconomySVD(np.asfortranarray(u[:, kept]), omega_full[kept],
+                      vh_kr[kept] * (1.0 / v_n[kept, None]))
+
+
+def structured_cases():
+    rng = np.random.default_rng(21)
+    cases = [(random_complex(rng, (m, k), 1.0), random_complex(rng, (m, k), 1.0))
+             for m, k in [(2, 16), (2, 256), (4, 256), (3, 5)]]
+    # real factors give -0 parts in the Khatri-Rao rows
+    cases.append((rng.standard_normal((4, 64)).astype(complex),
+                  rng.standard_normal((2, 64)).astype(complex)))
+    # disjoint row supports drop the grid components (0, 1) and (1, 0)
+    cases.append((np.diag([2.0, 1.0]).astype(complex), np.diag([3.0, 1.0]).astype(complex)))
+    cases.append((random_complex(rng, (2, 8), 1.0), np.zeros((2, 8), dtype=complex)))
+    pairs = [(economy_svd(a), economy_svd(b)) for a, b in cases]
+    # unit-norm Khatri-Rao rows and omega = (1, RANK_CUTOFF): the second
+    # component sits exactly at the cutoff and is dropped
+    eye = np.eye(2, dtype=complex)
+    pairs.append((EconomySVD(eye, np.array([1.0, RANK_CUTOFF]), eye),
+                  EconomySVD(np.ones((1, 1), dtype=complex), np.ones(1), np.ones((1, 2), complex))))
+    names = ["2x16", "2x256", "4x256", "3x5", "real-4x64-2x64", "dropped", "zero-b", "at-cutoff"]
+    return [pytest.param(a, b, id=name) for name, (a, b) in zip(names, pairs)]
+
+
+@pytest.mark.parametrize("svd_a, svd_b", structured_cases())
+def test_structured_svd_equals_its_mask_path(svd_a, svd_b):
+    # one min and one max decide "every component kept", and U is the
+    # transpose of a C-ordered broadcast of the transposed factors: omega,
+    # Vh and U keep the bits and layout of the masked assembly
+    got, want = structured_svd(svd_a, svd_b), masked_structured_svd(svd_a, svd_b)
+    for x, y in ((got.U, want.U), (got.omega, want.omega), (got.Vh, want.Vh)):
+        assert x.shape == y.shape and x.dtype == y.dtype
+        assert x.tobytes(order="A") == y.tobytes(order="A")
+        if x.size:
+            assert x.strides == y.strides
+    assert got.U.flags.f_contiguous and got.Vh.flags.c_contiguous
+
+
+def test_min_max_decision_equals_the_kept_mask():
+    # structured_svd's "every component kept", on values at the floor, zeros,
+    # an empty omega and NaN
+    rng = np.random.default_rng(22)
+    top = 10.0 ** rng.uniform(-3, 3)
+    cases = [10.0 ** rng.uniform(-20, 2, n) for n in (1, 4, 16, 64)]
+    cases += [np.array([top, top * RANK_CUTOFF]),          # at the floor: dropped
+              np.array([top, np.nextafter(top * RANK_CUTOFF, np.inf)]),
+              np.array([top, 0.0, top]), np.zeros(4), np.zeros(0),
+              np.array([top, np.nan]), np.array([np.nan])]
+    for omega in cases:
+        floor = RANK_CUTOFF * np.maximum.reduce(omega, initial=0.0)
+        assert same_scalar(np.minimum.reduce(omega, initial=np.inf) > floor,
+                           np.logical_and.reduce(omega > floor))
+
+
+def test_math_sqrt_equals_numpy_sqrt_on_frobenius_sums():
+    # precoding._frobenius and the precoder's sqrt(P) take math.sqrt, which
+    # rounds a float64 as np.sqrt does; the sums come from the same two dot
+    # products, here at 0, a subnormal, an overflow to inf and NaN
+    rng = np.random.default_rng(23)
+    arrays = [np.zeros((8, 2), dtype=complex), np.full((2, 2), 1e-162 + 1e-162j),
+              np.full((4, 4), 3e-170j), np.full((8, 2), 1e200 + 0j),
+              np.array([[np.nan + 1j, 1.0], [2.0, 3.0]]), np.array([[np.inf + 0j]])]
+    arrays += [random_complex(rng, shape, 10.0 ** rng.uniform(-150, 150))
+               for shape in [(8, 2), (32, 4), (32, 8), (2, 2)] for _ in range(20)]
+    for a in arrays:
+        x = a.ravel(order="K")
+        with np.errstate(over="ignore"):
+            s = x.real.dot(x.real) + x.imag.dot(x.imag)
+            assert np.array([_frobenius(a)]).tobytes() == np.array([np.linalg.norm(a)]).tobytes()
+        assert type(s) is np.float64
+        root = math.sqrt(s)
+        assert np.array([root]).tobytes() == np.array([np.sqrt(s)]).tobytes()
+        assert np.array([root ** 2]).tobytes() == np.array([np.sqrt(s) ** 2]).tobytes()
+        # the receiver scale ||F|| / sqrt(P) for powers across the float range
+        for power in (5e-324, 1e-3, 1.0, 1e3, 1e308):
+            with np.errstate(over="ignore"):
+                want = float(np.sqrt(s) / np.sqrt(power))
+            assert np.array([root / math.sqrt(power)]).tobytes() == np.array([want]).tobytes()
+
+
+def test_unit_scaling_is_an_exact_identity():
+    # lmmse_extrinsic skips gamma_w * omega^2 at gamma_w = 1
+    rng = np.random.default_rng(24)
+    tiny = np.finfo(float).tiny
+    x = np.concatenate([10.0 ** rng.uniform(-300, 300, 64) * rng.choice([-1, 1], 64),
+                        [0.0, -0.0, 5e-324, tiny / 3, np.inf, -np.inf, np.nan]])
+    with np.errstate(all="raise"):
+        assert np.array_equal(bits(1.0 * x), bits(x))
+
+
+@pytest.mark.parametrize("m, k", [(2, 16), (2, 256), (4, 256)])
+def test_lmmse_extrinsic_at_unit_weight_equals_the_scaled_form(m, k):
+    rng = np.random.default_rng(m * k + 1)
+    svd, z_tilde = prepare_system(economy_svd(random_complex(rng, (m, k), 1.0)),
+                                  random_complex(rng, (m, k), 1.0),
+                                  random_complex(rng, (m, m), 1.0))
+    cfg = OptimizerConfig()
+    assert cfg.gamma_w == 1.0
+    for gamma in (GAMMA_FLOOR, 1e-6, 0.1, 1e3):
+        msg = ExtrinsicMessage(random_complex(rng, k, 1.0), gamma)
+        got = lmmse_extrinsic(svd, z_tilde, msg, cfg)
+        # the documented formula with gamma_w written out
+        omega, vh = svd.omega, svd.Vh
+        gw_omega2 = cfg.gamma_w * omega**2
+        d = gw_omega2 / (gw_omega2 + gamma)
+        d_mean = float(np.add.reduce(d) / d.size)
+        ratio = k / vh.shape[0]
+        r_out = msg.r + ratio * (((d / d_mean) * (z_tilde - vh @ msg.r)).conj() @ vh).conj()
+        assert np.array_equal(bits(got.r), bits(r_out))
+        assert got.gamma == max(gamma * d_mean / (ratio - d_mean), GAMMA_FLOOR)

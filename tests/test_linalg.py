@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from irsbeam.linalg import (EconomySVD, economy_svd, identity, khatri_rao_columns,
+from irsbeam.linalg import (RANK_CUTOFF, EconomySVD, economy_svd, identity, khatri_rao_columns,
                             orthonormality_defect, structured_svd)
 
 
@@ -65,6 +65,39 @@ def test_economy_svd_orientation(a, rank):
     assert np.abs(svd.U.conj().T @ svd.U - np.eye(rank)).max(initial=0.0) < 1e-12
     assert np.abs(svd.Vh @ svd.Vh.conj().T - np.eye(rank)).max(initial=0.0) < 1e-12
     assert np.linalg.norm(svd.reconstruct() - a) <= 1e-12 * max(np.linalg.norm(a), 1.0)
+
+
+def sliced_economy_svd(a):
+    """economy_svd with every kept count taken by the slices, the full rank too."""
+    wide = a.shape[0] < a.shape[1]
+    u, omega, vh = np.linalg.svd(a.T if wide else a, full_matrices=False)
+    rank = np.count_nonzero(omega > RANK_CUTOFF * omega[0]) if omega.size else 0
+    if wide:
+        return vh[:rank].T, omega[:rank], np.ascontiguousarray(u[:, :rank].T)
+    return np.asfortranarray(u[:, :rank]), omega[:rank], vh[:rank]
+
+
+# a singular value exactly at the cutoff is dropped: diagonal inputs give
+# LAPACK's singular values exactly
+_AT_CUTOFF = [pytest.param(a.astype(complex), 1, id=name) for name, a in
+              [("square-at-cutoff", np.diag([1.0, RANK_CUTOFF])),
+               ("tall-at-cutoff", np.diag([1.0, RANK_CUTOFF, 1.0])[:, :2]),
+               ("wide-at-cutoff", np.diag([1.0, RANK_CUTOFF, 1.0])[:2])]]
+
+
+@pytest.mark.parametrize("a, rank", _orientation_cases() + _AT_CUTOFF)
+def test_economy_svd_full_rank_return_equals_slicing_path(a, rank):
+    # when the smallest singular value is kept, economy_svd returns LAPACK's
+    # arrays without the rank count and the slices: values, strides and
+    # layout must be those of the slices
+    svd = economy_svd(a)
+    assert svd.rank == rank
+    for got, want in zip((svd.U, svd.omega, svd.Vh), sliced_economy_svd(a)):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.strides == want.strides
+        assert got.flags.c_contiguous == want.flags.c_contiguous
+        assert got.flags.f_contiguous == want.flags.f_contiguous
+        assert got.tobytes(order="A") == want.tobytes(order="A")
 
 
 def test_economy_svd_rejects_nonfinite():

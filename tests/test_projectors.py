@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from irsbeam.oracles import grid_reactance
-from irsbeam.projectors import REACTIVE, UNIMODULAR, get_projector
+from irsbeam.projectors import DERIVATIVE_CAP, REACTIVE, UNIMODULAR, get_projector
 
 
 def wirtinger_fd(func, r, h=1e-6):
@@ -173,6 +173,54 @@ def test_infinite_input_gives_nan_quietly():
         assert np.isnan(out[4:9]).all()
         # the finite entries keep the bits of a call without the infinite ones
         assert np.delete(out, range(4, 9)).tobytes() == projector.g(finite).tobytes()
+
+
+def full_form_g(projector, r):
+    """Projector.g with every operation written out: the center subtracted
+    and added back and the radius multiplied in, on the same tie and
+    infinity branches, with the derivative from the same distance."""
+    c, radius = projector.center, projector.radius
+    with np.errstate(invalid="ignore"):
+        d = r - c
+        mag = np.abs(d)
+        slope = np.minimum(0.5 * radius / np.maximum(mag, 0.5 / DERIVATIVE_CAP),
+                           radius * DERIVATIVE_CAP)
+        tie = mag < np.finfo(float).tiny
+        d = np.where(tie, 1.0 + 0j, np.where(np.isinf(mag), complex(np.nan, np.nan), d))
+        mag = np.where(tie, 1.0, mag)
+        return c + radius * (d * (1.0 / mag)), slope
+
+
+def test_unit_circle_g_skips_only_exact_identities():
+    # on the unit circle g skips r - 0 and 1 * u; the result must keep the
+    # bits of the full form on -0 parts, ties, subnormals, infinities and NaN
+    rng = np.random.default_rng(12)
+    nz, tiny = -0.0, np.finfo(float).tiny
+    special = np.array([complex(nz, nz), complex(0.0, nz), complex(nz, 0.0), complex(nz, 1.0),
+                        complex(1.0, nz), complex(-1.0, nz), complex(nz, -2.0), complex(-3.0, -4.0),
+                        complex(5e-324, nz), complex(nz, tiny / 2), complex(tiny, nz),
+                        complex(np.inf, nz), complex(nz, -np.inf), complex(np.nan, nz),
+                        complex(nz, np.nan), complex(np.inf, np.nan)])
+    generic = rng.standard_normal(64) + 1j * rng.standard_normal(64)
+    for r in (special, generic, np.concatenate([generic, special]), generic[:1]):
+        want, want_slope = full_form_g(UNIMODULAR, r)
+        with np.errstate(all="raise"):
+            got = UNIMODULAR.g(r)
+            pair, slope = UNIMODULAR.g(r, with_prime=True)
+        finite = np.isfinite(want)
+        for out in (got, pair):
+            assert np.array_equal(np.isnan(out), np.isnan(want))
+            assert out[finite].tobytes() == want[finite].tobytes()
+        assert slope.tobytes() == want_slope.tobytes()
+    # each special entry alone, as a scalar
+    for entry in special:
+        want = complex(full_form_g(UNIMODULAR, np.array([entry]))[0][0])
+        with np.errstate(all="raise"):
+            got = UNIMODULAR.g(entry)
+        assert type(got) is complex
+        assert np.isnan(got) == np.isnan(want)
+        if not np.isnan(want):
+            assert np.array([got]).tobytes() == np.array([want]).tobytes()
 
 
 def test_projector_registry():
