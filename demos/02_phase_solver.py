@@ -24,8 +24,8 @@ print("\nsmall dense instance vs the exhaustive 64^3 phase grid:")
 a = (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))) / np.sqrt(2)
 b = (rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))) / np.sqrt(2)
 z = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))) / np.sqrt(2)
-res = run_vamp(a, b, z, OptimizerConfig(epsilon_outer=1e-6, t_max_outer=500),
-               np.random.default_rng(0))
+cfg = OptimizerConfig(epsilon_outer=1e-6, t_max_outer=500, collect_trace=True)
+res = run_vamp(a, b, z, cfg, np.random.default_rng(0))
 achieved = np.linalg.norm(a @ np.diag(res.x) @ b.T - z) ** 2
 
 theta = np.exp(2j * np.pi * np.arange(64) / 64)

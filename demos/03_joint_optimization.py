@@ -21,7 +21,8 @@ ch = sample_channel_set(np.random.default_rng(7), dims, scenario="B")
 
 print(f"channel: N={dims.N} antennas, M={dims.M} users, K={dims.K} reflectors")
 for constraint in ("unimodular", "reactive"):
-    sol = joint_optimize(ch, power, noise, OptimizerConfig(constraint=constraint),
+    sol = joint_optimize(ch, power, noise,
+                         OptimizerConfig(constraint=constraint, collect_trace=True),
                          np.random.default_rng(11))
     rate = sum_rate(ch, sol.upsilon, sol.F, noise)
     print(f"\n{constraint}: {sol.iterations} outer iterations "

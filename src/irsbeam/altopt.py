@@ -89,7 +89,7 @@ def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
 
     svd_su = economy_svd(ch.H_su_H)
     upsilon = projector.initial_point(k, rng)
-    state = VampState.start(upsilon, cfg.gamma_0)
+    state = VampState.start(upsilon)
     diag = VampDiagnostics()
     trace: list[TraceRow] = []
     converged = False
@@ -98,7 +98,7 @@ def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
         if t > 0:
             svd_a, b, z = vamp_setup(ch, svd_su, sol.F, sol.alpha)
             svd, z_tilde = prepare_system(svd_a, b, z)
-            vamp_step(svd, z_tilde, state, projector, cfg, diag)
+            vamp_step(svd, z_tilde, state, projector, diag)
             upsilon = np.asarray(projector.g(state.x_damped))
         h = effective_channel(ch, upsilon)
         sol = mmse_precoder(h, power, noise_var)

@@ -40,8 +40,14 @@ def _ticks(lo: float, hi: float):
     return ticks or [lo, hi]
 
 
-def _fmt(v: float) -> str:
-    return f"{v:g}"
+def _labels(ticks: list[float]) -> list[str]:
+    """Tick texts with the fewest significant digits, six at least, that
+    keep adjacent ticks apart; 17 digits tell any two floats apart."""
+    for digits in range(6, 18):
+        labels = [f"{v:.{digits}g}" for v in ticks]
+        if all(a != b for a, b in zip(labels, labels[1:])):
+            break
+    return labels
 
 
 def render_chart(aggregates: list[dict], x_key: str, y_stat: str = "sum_rate",
@@ -84,18 +90,20 @@ def render_chart(aggregates: list[dict], x_key: str, y_stat: str = "sum_rate",
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{MARGIN_L}" y="24" font-family="sans-serif" font-size="15">{title}</text>',
     ]
-    for tick in _ticks(x_lo, x_hi):
+    x_ticks = _ticks(x_lo, x_hi)
+    for tick, label in zip(x_ticks, _labels(x_ticks)):
         x = px(tick)
         parts.append(f'<line x1="{x:.1f}" y1="{MARGIN_T}" x2="{x:.1f}" '
                      f'y2="{MARGIN_T + plot_h}" stroke="#dddddd"/>')
         parts.append(f'<text x="{x:.1f}" y="{MARGIN_T + plot_h + 18}" text-anchor="middle" '
-                     f'font-family="sans-serif" font-size="11">{_fmt(tick)}</text>')
-    for tick in _ticks(y_lo, y_hi):
+                     f'font-family="sans-serif" font-size="11">{label}</text>')
+    y_ticks = _ticks(y_lo, y_hi)
+    for tick, label in zip(y_ticks, _labels(y_ticks)):
         y = py(tick)
         parts.append(f'<line x1="{MARGIN_L}" y1="{y:.1f}" x2="{MARGIN_L + plot_w}" '
                      f'y2="{y:.1f}" stroke="#dddddd"/>')
         parts.append(f'<text x="{MARGIN_L - 6}" y="{y + 4:.1f}" text-anchor="end" '
-                     f'font-family="sans-serif" font-size="11">{_fmt(tick)}</text>')
+                     f'font-family="sans-serif" font-size="11">{label}</text>')
     parts.append(f'<rect x="{MARGIN_L}" y="{MARGIN_T}" width="{plot_w}" height="{plot_h}" '
                  f'fill="none" stroke="#333333"/>')
     parts.append(f'<text x="{MARGIN_L + plot_w / 2:.1f}" y="{HEIGHT - 12}" text-anchor="middle" '

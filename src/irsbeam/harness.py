@@ -59,9 +59,6 @@ class ExperimentSpec:
     channel: ChannelParams = field(default_factory=ChannelParams)
     epsilon_outer: float = OptimizerConfig.epsilon_outer
     t_max_outer: int = OptimizerConfig.t_max_outer
-    rho: float = OptimizerConfig.rho
-    gamma_w: float = OptimizerConfig.gamma_w
-    gamma_0: float = OptimizerConfig.gamma_0
     record_timing: bool = True
 
     def __post_init__(self):
@@ -96,8 +93,7 @@ class ExperimentSpec:
             raise ValueError(f"spec.{exc}") from None
 
     def optimizer_config(self, constraint: str, collect_trace: bool = False) -> OptimizerConfig:
-        return OptimizerConfig(gamma_w=self.gamma_w, rho=self.rho, gamma_0=self.gamma_0,
-                               epsilon_outer=self.epsilon_outer, t_max_outer=self.t_max_outer,
+        return OptimizerConfig(epsilon_outer=self.epsilon_outer, t_max_outer=self.t_max_outer,
                                constraint=constraint, collect_trace=collect_trace)
 
 

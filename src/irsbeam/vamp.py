@@ -9,8 +9,11 @@ the fixed-point iteration from oscillating. The system is set up from the
 SVD of A rather than A itself, so a caller whose A changes only by a scalar
 factors it once.
 
-OptimizerConfig, checked when built, holds the settings of one run of either
-driver: run_vamp here or the alternating loop, altopt.joint_optimize.
+The message-passing step takes no settings: the linear pass is unweighted,
+and the damping factor, the initial message precision and the precision
+floor are the module constants below. OptimizerConfig, checked when built,
+holds the settings of one run of either driver: run_vamp here or the
+alternating loop, altopt.joint_optimize.
 """
 
 from __future__ import annotations
@@ -24,6 +27,10 @@ from .projectors import Projector, get_projector
 
 # Floor for the emitted precisions; a nonpositive or smaller one is clamped to it.
 GAMMA_FLOOR = 1e-11
+# Weight of the new value when a step blends it with the last one, in (0, 1].
+DAMPING = 0.9
+# Precision of the first message.
+INITIAL_PRECISION = 0.1
 
 
 @dataclass
@@ -38,20 +45,14 @@ class ExtrinsicMessage:
 class OptimizerConfig:
     """Settings of one solver run, for run_vamp and altopt.joint_optimize alike."""
 
-    gamma_w: float = 1.0            # quadratic-term weight in the linear pass
-    rho: float = 0.9                # damping factor in (0, 1]
-    gamma_0: float = 0.1            # initial message precision
     epsilon_outer: float = 1e-3     # relative change that stops the iteration
     t_max_outer: int = 100          # iteration cap
     constraint: str = "unimodular"  # projector name, see projectors.get_projector
-    collect_trace: bool = True      # record one trace row per iteration
+    collect_trace: bool = False     # record one trace row per iteration
 
     def __post_init__(self):
         # each rule is written so that NaN fails it
         for name, ok, rule in (
-                ("gamma_w", 0.0 < self.gamma_w < np.inf, "positive and finite"),
-                ("rho", 0.0 < self.rho <= 1.0, "in (0, 1]"),
-                ("gamma_0", 0.0 <= self.gamma_0 < np.inf, "non-negative and finite"),
                 ("epsilon_outer", 0.0 < self.epsilon_outer < np.inf, "positive and finite"),
                 ("t_max_outer", self.t_max_outer >= 1, ">= 1")):
             if not ok:
@@ -112,11 +113,11 @@ def prepare_system(svd_a: EconomySVD, b: np.ndarray, z: np.ndarray):
 
 
 def lmmse_extrinsic(svd: EconomySVD, z_tilde: np.ndarray, msg: ExtrinsicMessage,
-                    cfg: OptimizerConfig, diag: VampDiagnostics | None = None) -> ExtrinsicMessage:
+                    diag: VampDiagnostics | None = None) -> ExtrinsicMessage:
     """Extrinsic output of the linear pass, computed in SVD form.
 
     With K = svd.Vh.shape[1] unknowns and R components:
-    d = gamma_w*omega^2 / (gamma_w*omega^2 + gamma);
+    d = omega^2 / (omega^2 + gamma);
     r_out = r + (K/R) V Diag(d/<d>) (z_tilde - V^H r);
     gamma_out = gamma*<d> / (K/R - <d>), clamped to GAMMA_FLOOR when the
     denominator vanishes or goes negative (possible when R > K).
@@ -130,9 +131,8 @@ def lmmse_extrinsic(svd: EconomySVD, z_tilde: np.ndarray, msg: ExtrinsicMessage,
         raise ValueError(f"lmmse_extrinsic: z_tilde has length {z_tilde.size}, rank is {rank}")
     if msg.r.shape != (k,):
         raise ValueError(f"lmmse_extrinsic: message mean has length {msg.r.size}, expected {k}")
-    # at the default gamma_w = 1 the scaling is an exact identity, and skipped
-    gw_omega2 = omega**2 if cfg.gamma_w == 1.0 else cfg.gamma_w * omega**2
-    d = gw_omega2 / (gw_omega2 + msg.gamma)
+    omega2 = omega**2
+    d = omega2 / (omega2 + msg.gamma)
     d_mean = float(np.add.reduce(d) / d.size)
     ratio = k / rank
     r_out = msg.r + ratio * (((d / d_mean) * (z_tilde - vh @ msg.r)).conj() @ vh).conj()
@@ -158,18 +158,18 @@ class VampState:
     passes: int = 0
 
     @classmethod
-    def start(cls, x0: np.ndarray, gamma_0: float) -> "VampState":
+    def start(cls, x0: np.ndarray) -> "VampState":
         """The state before the first step: message mean and damped iterate
-        are copies of x0, the message precision is gamma_0 clamped to GAMMA_FLOOR."""
-        return cls(ExtrinsicMessage(x0.copy(), max(gamma_0, GAMMA_FLOOR)), x0.copy())
+        are copies of x0, the message precision is INITIAL_PRECISION."""
+        return cls(ExtrinsicMessage(x0.copy(), INITIAL_PRECISION), x0.copy())
 
 
 def vamp_step(svd: EconomySVD, z_tilde: np.ndarray, state: VampState, projector: Projector,
-              cfg: OptimizerConfig, diag: VampDiagnostics) -> tuple[float, float]:
+              diag: VampDiagnostics) -> tuple[float, float]:
     """One linear-estimator pass plus one projector pass; updates state in place.
 
     From the second step on, the linear-pass precision and the iterate
-    x = g(r_tilde) are damped with cfg.rho. The projector pass emits
+    x = g(r_tilde) are damped with DAMPING. The projector pass emits
     precision gamma_hat - gamma_tilde, gamma_hat = <g'>/gamma_tilde, with the
     extrinsic mean built from the damped iterate; a nonpositive precision is
     clamped to GAMMA_FLOOR and the mean falls back to the iterate itself (the
@@ -179,13 +179,13 @@ def vamp_step(svd: EconomySVD, z_tilde: np.ndarray, state: VampState, projector:
     one projector.g(r_tilde, with_prime=True) call, which takes
     |r_tilde - center| once. Returns (gamma_tilde, gamma_hat).
     """
-    tilde = lmmse_extrinsic(svd, z_tilde, state.msg, cfg, diag)
+    tilde = lmmse_extrinsic(svd, z_tilde, state.msg, diag)
     gamma_tilde = tilde.gamma
     x_hat, g_prime = projector.g(tilde.r, with_prime=True)
     if state.passes > 0:
-        gamma_tilde = max(cfg.rho * gamma_tilde + (1.0 - cfg.rho) * state.gamma_tilde_prev,
+        gamma_tilde = max(DAMPING * gamma_tilde + (1.0 - DAMPING) * state.gamma_tilde_prev,
                           GAMMA_FLOOR)
-        x_hat = cfg.rho * x_hat + (1.0 - cfg.rho) * state.x_damped
+        x_hat = DAMPING * x_hat + (1.0 - DAMPING) * state.x_damped
     gamma_hat = float(np.add.reduce(g_prime) / g_prime.size) / gamma_tilde
     gamma_out = gamma_hat - gamma_tilde
     if not 0.0 < gamma_out < np.inf:
@@ -219,14 +219,13 @@ def run_vamp(a: np.ndarray, b: np.ndarray, z: np.ndarray, cfg: OptimizerConfig |
     projector = get_projector(cfg.constraint)
     a = np.asarray(a, dtype=complex)
     svd, z_tilde = prepare_system(economy_svd(a), b, z)
-    state = VampState.start(projector.initial_point(a.shape[1], rng or np.random.default_rng()),
-                            cfg.gamma_0)
+    state = VampState.start(projector.initial_point(a.shape[1], rng or np.random.default_rng()))
     diag = VampDiagnostics()
     trace: list = []
     converged = False
     for t in range(1, cfg.t_max_outer + 1):
         x_before = state.x_damped
-        gamma_tilde, gamma_hat = vamp_step(svd, z_tilde, state, projector, cfg, diag)
+        gamma_tilde, gamma_hat = vamp_step(svd, z_tilde, state, projector, diag)
         if cfg.collect_trace:
             trace.append((t, state.x_damped, gamma_tilde, gamma_hat, diag.clamped))
         delta = float(np.linalg.norm(state.x_damped - x_before) ** 2)

@@ -18,7 +18,7 @@ from irsbeam.oracles import (dense_lmmse, grid_phase_search, precoder_objective,
                              random_precoder_search)
 from irsbeam.precoding import mmse_precoder
 from irsbeam.projectors import REACTIVE, UNIMODULAR
-from irsbeam.vamp import ExtrinsicMessage, OptimizerConfig, lmmse_extrinsic
+from irsbeam.vamp import ExtrinsicMessage, lmmse_extrinsic
 
 
 def _report(num: int, desc: str, ok: bool, detail: str = ""):
@@ -40,15 +40,15 @@ def test_criterion_01_lmmse_svd_form_equals_dense_form():
         q = int(rng.integers(1, 9))
         k = int(rng.integers(2, 13))
         d = khatri_rao_columns(cplx(rng, q, k), cplx(rng, m, k))
-        svd = economy_svd(d)
         z = cplx(rng, m * q)
         r = cplx(rng, k)
         gamma = float(rng.uniform(0.01, 2.0))
-        gamma_w = float(rng.uniform(0.1, 3.0))
+        # a random scale of D, and so of every singular value against gamma
+        d = np.sqrt(rng.uniform(0.1, 3.0)) * d
+        svd = economy_svd(d)
         got = lmmse_extrinsic(svd, (svd.U.conj().T @ z) / svd.omega,
-                              ExtrinsicMessage(r, gamma),
-                              OptimizerConfig(gamma_w=gamma_w))
-        _, _, r_ref, gamma_ref = dense_lmmse(d, z, r, gamma, gamma_w)
+                              ExtrinsicMessage(r, gamma))
+        _, _, r_ref, gamma_ref = dense_lmmse(d, z, r, gamma, 1.0)
         worst = max(worst, float(np.abs(got.r - r_ref).max()),
                     abs(got.gamma - gamma_ref))
     elapsed = time.perf_counter() - start
@@ -182,7 +182,7 @@ def test_criterion_06_tiny_instance_matches_grid_optimum():
     ratios = []
     for s in range(100):
         ch = sample_channel_set(np.random.default_rng(6000 + s), dims, scenario="B")
-        sol = joint_optimize(ch, 1.0, 1e-13, OptimizerConfig(),
+        sol = joint_optimize(ch, 1.0, 1e-13, OptimizerConfig(collect_trace=True),
                              np.random.default_rng(6500 + s))
         _, best = grid_phase_search(ch, 1.0, 1e-13, points_per_phase=64)
         ratios.append(sol.trace[-1].error / best)
@@ -238,7 +238,7 @@ def test_criterion_08_convergence_profile_without_direct_link():
     for s in range(100):
         ch = sample_channel_set(np.random.default_rng(8000 + s), dims,
                                 scenario="B").without_direct_link()
-        sol = joint_optimize(ch, 1.0, 1e-13, OptimizerConfig(),
+        sol = joint_optimize(ch, 1.0, 1e-13, OptimizerConfig(collect_trace=True),
                              np.random.default_rng(8500 + s))
         vals = np.array([nrmse(row.alpha, row.upsilon, row.F, ch, 1e-13) for row in sol.trace])
         monotone += int(np.all(np.diff(vals) <= 1e-6))

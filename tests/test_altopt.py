@@ -125,7 +125,7 @@ def test_joint_optimize_feasibility_and_power():
     dims = SystemDims(8, 2, 16)
     ch = sample_channel_set(np.random.default_rng(3), dims)
     for constraint in ("unimodular", "reactive"):
-        cfg = OptimizerConfig(constraint=constraint)
+        cfg = OptimizerConfig(constraint=constraint, collect_trace=True)
         sol = joint_optimize(ch, 1.0, 1e-13, cfg, np.random.default_rng(4))
         if constraint == "unimodular":
             assert np.allclose(np.abs(sol.upsilon), 1.0, atol=1e-12)
@@ -141,7 +141,7 @@ def test_joint_optimize_improves_on_start():
     improved = 0
     for s in range(40):
         ch = sample_channel_set(np.random.default_rng(100 + s), dims)
-        sol = joint_optimize(ch, 1.0, 1e-13, OptimizerConfig(),
+        sol = joint_optimize(ch, 1.0, 1e-13, OptimizerConfig(collect_trace=True),
                              np.random.default_rng(200 + s))
         improved += int(sol.trace[-1].error <= sol.trace[0].error + 1e-12)
     assert improved >= 38  # statistical: at least 95% of seeds
@@ -153,7 +153,7 @@ def test_joint_optimize_tiny_instance_near_grid_optimum():
     ratios = []
     for s in range(20):
         ch = sample_channel_set(np.random.default_rng(300 + s), dims)
-        sol = joint_optimize(ch, 1.0, 1e-13, OptimizerConfig(),
+        sol = joint_optimize(ch, 1.0, 1e-13, OptimizerConfig(collect_trace=True),
                              np.random.default_rng(400 + s))
         _, best = grid_phase_search(ch, 1.0, 1e-13, points_per_phase=64)
         ratios.append(sol.trace[-1].error / best)
@@ -167,7 +167,8 @@ def test_reactive_final_error_not_below_unimodular():
     for s in range(30):
         ch = sample_channel_set(np.random.default_rng(500 + s), dims)
         for kind, acc in (("unimodular", uni), ("reactive", rea)):
-            sol = joint_optimize(ch, 1.0, 1e-13, OptimizerConfig(constraint=kind),
+            sol = joint_optimize(ch, 1.0, 1e-13,
+                                 OptimizerConfig(constraint=kind, collect_trace=True),
                                  np.random.default_rng(600 + s))
             acc.append(sol.trace[-1].error)
     assert np.median(rea) >= np.median(uni)
@@ -176,7 +177,8 @@ def test_reactive_final_error_not_below_unimodular():
 def test_stopping_rule_relative_change():
     dims = SystemDims(8, 2, 16)
     ch = sample_channel_set(np.random.default_rng(7), dims)
-    sol = joint_optimize(ch, 1.0, 1e-13, OptimizerConfig(), np.random.default_rng(8))
+    sol = joint_optimize(ch, 1.0, 1e-13, OptimizerConfig(collect_trace=True),
+                         np.random.default_rng(8))
     if sol.converged:
         errs = [row.error for row in sol.trace]
         assert abs(errs[-1] - errs[-2]) < 1e-3 * errs[-2]
@@ -191,7 +193,8 @@ def test_trace_nrmse_consistency():
     # the last row's design is the one returned
     dims = SystemDims(4, 2, 9)
     ch = sample_channel_set(np.random.default_rng(11), dims)
-    sol = joint_optimize(ch, 1.0, 1e-13, OptimizerConfig(), np.random.default_rng(12))
+    sol = joint_optimize(ch, 1.0, 1e-13, OptimizerConfig(collect_trace=True),
+                         np.random.default_rng(12))
     for row in sol.trace:
         np.testing.assert_allclose(row.error,
                                    fit_error(row.alpha, effective_channel(ch, row.upsilon),
@@ -222,7 +225,8 @@ def test_traced_solve_builds_one_effective_channel_per_iteration(monkeypatch):
     for module in (altopt, metrics):
         for name in ("per_user_sinr", "fit_error", "sum_rate", "nrmse"):
             monkeypatch.setattr(module, name, forbidden, raising=False)
-    sol = joint_optimize(ch, 1.0, 1e-13, OptimizerConfig(), np.random.default_rng(14))
+    sol = joint_optimize(ch, 1.0, 1e-13, OptimizerConfig(collect_trace=True),
+                         np.random.default_rng(14))
     assert len(calls) == sol.iterations + 1 == len(sol.trace)
 
 
@@ -244,13 +248,10 @@ def test_optimizer_config_validation():
     # one rule table checks every setting of both drivers, NaN included, and
     # the constraint is looked up among the projectors when the object is built
     nan, inf = float("nan"), float("inf")
-    for key, bad in (("rho", 0.0), ("rho", 1.5), ("rho", nan),
-                     ("gamma_w", 0.0), ("gamma_w", nan), ("gamma_w", inf),
-                     ("gamma_0", -0.1), ("gamma_0", nan), ("gamma_0", inf),
-                     ("epsilon_outer", 0.0), ("epsilon_outer", -1.0), ("epsilon_outer", nan),
+    for key, bad in (("epsilon_outer", 0.0), ("epsilon_outer", -1.0), ("epsilon_outer", nan),
                      ("epsilon_outer", inf), ("t_max_outer", 0),
                      ("constraint", "ideal")):
         with pytest.raises(ValueError, match=f"^{key}: "):
             OptimizerConfig(**{key: bad})
     with pytest.raises(FrozenInstanceError):
-        OptimizerConfig().rho = 0.5
+        OptimizerConfig().epsilon_outer = 0.5

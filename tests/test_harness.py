@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
 from pathlib import Path
@@ -42,7 +43,7 @@ def test_parse_spec_full():
     trials = 7
     base_seed = 42
     noise_dbm = -100
-    rho = 0.8
+    t_max_outer = 50
     epsilon_outer = 1e-4
     c0_db = -30
     eta_direct = 3.7
@@ -56,7 +57,7 @@ def test_parse_spec_full():
     assert spec.kappa == (0.85, 1.0)
     assert spec.trials == 7
     assert spec.base_seed == 42
-    assert spec.rho == 0.8
+    assert spec.t_max_outer == 50
     assert spec.epsilon_outer == 1e-4
     assert spec.channel.c0 == pytest.approx(1e-3)
     assert (spec.channel.user_min, spec.channel.user_max) == (10.0, 50.0)
@@ -95,8 +96,10 @@ def test_parse_spec_errors_name_the_field():
                       ("los_margin_db = nan", "spec.los_margin_db"),
                       ("los_margin_db = inf", "spec.los_margin_db"),
                       ("epsilon_outer = nan", "spec.epsilon_outer"),
-                      ("gamma_w = nan", "spec.gamma_w"), ("gamma_0 = nan", "spec.gamma_0"),
-                      ("rho = nan", "spec.rho"), ("t_max_outer = 0", "spec.t_max_outer"),
+                      ("t_max_outer = 0", "spec.t_max_outer"),
+                      ("gamma_w = 1", "spec.gamma_w: unknown key"),
+                      ("rho = 0.9", "spec.rho: unknown key"),
+                      ("gamma_0 = 0.1", "spec.gamma_0: unknown key"),
                       ("carryover = sometimes", "spec.carryover: unknown key"),
                       ("carryover = restart", "spec.carryover: unknown key"),
                       ("inner_iters = 1", "spec.inner_iters: unknown key"),
@@ -297,6 +300,23 @@ def test_render_chart_widens_a_single_value_past_rounding(value):
     assert ticks and ticks[0] < ticks[-1]
 
 
+@pytest.mark.parametrize("x, p10, median, p90", [
+    (2.0**53, 2.0**53, 2.0**53, 2.0**53),
+    (16.0, 1000.0, 1000.0001, 1000.0002)])
+def test_render_chart_labels_adjacent_ticks_apart(x, p10, median, p90):
+    # six significant digits print ticks closer than that alike; each axis
+    # takes the digits that tell its adjacent ticks apart
+    row = {"scheme": "vamp_unimodular", "K": x, "sum_rate_median": median,
+           "sum_rate_p10": p10, "sum_rate_p90": p90}
+    svg = render_chart([row], "K")
+    for anchor in ("middle", "end"):   # x and y tick labels
+        labels = re.findall(f'text-anchor="{anchor}" font-family="sans-serif" '
+                            f'font-size="11">([^<]*)</text>', svg)
+        assert len(labels) >= 3
+        assert all(a != b for a, b in zip(labels, labels[1:])), labels
+        assert all(float(a) < float(b) for a, b in zip(labels, labels[1:])), labels
+
+
 def test_timing_recorded_when_enabled():
     spec = tiny_spec(record_timing=True, schemes=["vamp_unimodular"], trials=1)
     records, _ = run_sweep(spec)
@@ -313,8 +333,8 @@ def test_spec_validation_paths():
     # a copy with changes is checked as well
     with pytest.raises(ValueError, match="spec.base_seed"):
         replace(desk_spec(), base_seed=-1)
-    with pytest.raises(ValueError, match="spec.rho"):
-        replace(desk_spec(), rho=float("nan"))
+    with pytest.raises(ValueError, match="spec.epsilon_outer"):
+        replace(desk_spec(), epsilon_outer=float("nan"))
 
 
 def test_spec_refuses_assignment():

@@ -8,9 +8,8 @@ Frobenius norms as two dot products, calls the ufunc reductions in place of
 the array methods that wrap them, takes the projector and its derivative
 from one |r - center|, decides "every component kept" in structured_svd
 from one min and one max and builds its U Fortran-ordered from the
-transposed factors, takes the precoder's square roots with math.sqrt, and
-skips the linear pass's scaling by gamma_w = 1. Each is bit-equal to the
-form it replaced only through the identities checked here, on numpy's SIMD
+transposed factors, and takes the precoder's square roots with math.sqrt.
+Each is bit-equal to the form it replaced only through the identities checked here, on numpy's SIMD
 kernels and on OpenBLAS's, so if a numpy or CPU change ever moves the golden
 CSVs, these name the cause. CI runs this file again under other SIMD and
 BLAS kernels.
@@ -25,8 +24,7 @@ from irsbeam.linalg import (RANK_CUTOFF, EconomySVD, economy_svd, khatri_rao_col
                             structured_svd)
 from irsbeam.precoding import _frobenius
 from irsbeam.projectors import REACTIVE, UNIMODULAR
-from irsbeam.vamp import (GAMMA_FLOOR, ExtrinsicMessage, OptimizerConfig, lmmse_extrinsic,
-                          prepare_system)
+from irsbeam.vamp import ExtrinsicMessage, lmmse_extrinsic, prepare_system
 
 TINY = np.finfo(float).tiny
 
@@ -161,12 +159,11 @@ def test_zero_signs_in_vh_leave_linear_pass_bits(m, k):
     assert differ.any() and not (differ & ~negative_zero).any()
     # with a message mean that has no zero part, no zero sign of Vh reaches the output
     flipped = EconomySVD(svd.U, svd.omega, flip_zero_signs(svd.Vh))
-    cfg = OptimizerConfig()
     for gamma in (1e-6, 0.1, 1e3):
         msg = ExtrinsicMessage(random_complex(rng, k, 1.0), gamma)
-        want = lmmse_extrinsic(svd, z_tilde, msg, cfg)
+        want = lmmse_extrinsic(svd, z_tilde, msg)
         for vh_form in (flipped, EconomySVD(svd.U, svd.omega, divided)):
-            got = lmmse_extrinsic(vh_form, z_tilde, msg, cfg)
+            got = lmmse_extrinsic(vh_form, z_tilde, msg)
             assert np.array_equal(bits(got.r), bits(want.r))
             assert got.gamma == want.gamma
 
@@ -321,35 +318,3 @@ def test_math_sqrt_equals_numpy_sqrt_on_frobenius_sums():
             with np.errstate(over="ignore"):
                 want = float(np.sqrt(s) / np.sqrt(power))
             assert np.array([root / math.sqrt(power)]).tobytes() == np.array([want]).tobytes()
-
-
-def test_unit_scaling_is_an_exact_identity():
-    # lmmse_extrinsic skips gamma_w * omega^2 at gamma_w = 1
-    rng = np.random.default_rng(24)
-    tiny = np.finfo(float).tiny
-    x = np.concatenate([10.0 ** rng.uniform(-300, 300, 64) * rng.choice([-1, 1], 64),
-                        [0.0, -0.0, 5e-324, tiny / 3, np.inf, -np.inf, np.nan]])
-    with np.errstate(all="raise"):
-        assert np.array_equal(bits(1.0 * x), bits(x))
-
-
-@pytest.mark.parametrize("m, k", [(2, 16), (2, 256), (4, 256)])
-def test_lmmse_extrinsic_at_unit_weight_equals_the_scaled_form(m, k):
-    rng = np.random.default_rng(m * k + 1)
-    svd, z_tilde = prepare_system(economy_svd(random_complex(rng, (m, k), 1.0)),
-                                  random_complex(rng, (m, k), 1.0),
-                                  random_complex(rng, (m, m), 1.0))
-    cfg = OptimizerConfig()
-    assert cfg.gamma_w == 1.0
-    for gamma in (GAMMA_FLOOR, 1e-6, 0.1, 1e3):
-        msg = ExtrinsicMessage(random_complex(rng, k, 1.0), gamma)
-        got = lmmse_extrinsic(svd, z_tilde, msg, cfg)
-        # the documented formula with gamma_w written out
-        omega, vh = svd.omega, svd.Vh
-        gw_omega2 = cfg.gamma_w * omega**2
-        d = gw_omega2 / (gw_omega2 + gamma)
-        d_mean = float(np.add.reduce(d) / d.size)
-        ratio = k / vh.shape[0]
-        r_out = msg.r + ratio * (((d / d_mean) * (z_tilde - vh @ msg.r)).conj() @ vh).conj()
-        assert np.array_equal(bits(got.r), bits(r_out))
-        assert got.gamma == max(gamma * d_mean / (ratio - d_mean), GAMMA_FLOOR)

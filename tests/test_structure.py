@@ -225,3 +225,50 @@ def test_knob_guard_sees_position_keyword_and_own_body(tmp_path):
     assert _unpassed([mod], [mod, user]) == ["mod.f(c)", "mod.f(e)", "mod.put(y)"]
     user.write_text("from mod import Box, f\nf(*xs, **kw)\nBox().put(y=1, x=2)\n")
     assert _unpassed([mod], [mod, user]) == []
+
+
+def _dataclass_fields(path: Path, cls: str) -> list[str]:
+    """Names of the annotated fields of class `cls` in a module, in order."""
+    for node in ast.parse(path.read_text(), filename=str(path)).body:
+        if isinstance(node, ast.ClassDef) and node.name == cls:
+            return [item.target.id for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)]
+    raise LookupError(f"{path.name} defines no class {cls}")
+
+
+def _unset_fields(module: Path, cls: str, users: list[Path],
+                  mirror: tuple[Path, int, int]) -> list[str]:
+    """Fields of the settings class `cls` of `module` that no call of `cls` in
+    `users` passes by keyword (or through **). Calls on the lines of `mirror`,
+    (path, first line, last line), do not count: they copy another object's
+    fields and set nothing themselves."""
+    where, first, last = mirror
+    passed = [(keywords, spread) for path in users
+              for called, line, _, keywords, spread in _calls(path)
+              if called == cls and not (path == where and first <= line <= last)]
+    return [name for name in _dataclass_fields(module, cls)
+            if not any(name in keywords or spread for keywords, spread in passed)]
+
+
+def test_every_setting_is_passed_somewhere():
+    # a setting of OptimizerConfig that only the spec's mirror passes is a
+    # knob nothing sets
+    _, users = _modules_and_users()
+    harness = PACKAGE / "harness.py"
+    first, last = next((first, last) for name, first, last in _public_definitions(harness)
+                       if name == "ExperimentSpec.optimizer_config")
+    missing = _unset_fields(PACKAGE / "vamp.py", "OptimizerConfig", users,
+                            (harness, first, last))
+    assert not missing, "settings no call passes:\n" + "\n".join(missing)
+
+
+def test_settings_guard_sees_keywords_and_skips_the_mirror(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("class Cfg:\n    a: int = 1\n    b: int = 2\n    c: int = 3\n\n"
+                   "def mirror(spec):\n    return Cfg(a=spec.a, b=spec.b,\n"
+                   "               c=spec.c)\n")
+    user = tmp_path / "user.py"
+    user.write_text("from mod import Cfg\nCfg(a=0)\nCfg(5, 6)\n")
+    assert _unset_fields(mod, "Cfg", [mod, user], (mod, 6, 8)) == ["b", "c"]
+    user.write_text("from mod import Cfg\nCfg(**kw)\n")
+    assert _unset_fields(mod, "Cfg", [mod, user], (mod, 6, 8)) == []

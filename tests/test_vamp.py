@@ -1,39 +1,44 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from irsbeam.linalg import RANK_CUTOFF, EconomySVD, economy_svd, khatri_rao_columns
 from irsbeam.oracles import dense_lmmse
 from irsbeam.projectors import UNIMODULAR, Projector
-from irsbeam.vamp import (GAMMA_FLOOR, ExtrinsicMessage, OptimizerConfig, VampDiagnostics,
-                          VampState, lmmse_extrinsic, prepare_system, run_vamp, vamp_step)
+from irsbeam.vamp import (DAMPING, GAMMA_FLOOR, INITIAL_PRECISION, ExtrinsicMessage,
+                          OptimizerConfig, VampDiagnostics, VampState, lmmse_extrinsic,
+                          prepare_system, run_vamp, vamp_step)
 
 
 def cplx(rng, *shape):
     return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
-def first_step(z_tilde, cfg, diag=None):
-    """One vamp_step on D = I from a random start. With every singular value
-    1 the linear pass hands on r_tilde = z_tilde with precision gamma_w, so
-    the projector pass sees (z_tilde, gamma_w) up to rounding."""
+def first_step(z_tilde, gamma_tilde=1.0, diag=None):
+    """One vamp_step on D = sqrt(gamma_tilde) I from a random start. With
+    every singular value sqrt(gamma_tilde) the linear pass hands on
+    r_tilde = z_tilde with precision gamma_tilde, so the projector pass sees
+    (z_tilde, gamma_tilde) up to rounding."""
     n = z_tilde.size
-    svd = EconomySVD(np.eye(n, dtype=complex), np.ones(n), np.eye(n, dtype=complex))
+    svd = EconomySVD(np.eye(n, dtype=complex), np.full(n, np.sqrt(gamma_tilde)),
+                     np.eye(n, dtype=complex))
     x0 = cplx(np.random.default_rng(11), n)
     state = VampState(ExtrinsicMessage(x0, 0.5), x0.copy())
     gamma_tilde, gamma_hat = vamp_step(svd, np.asarray(z_tilde, dtype=complex), state,
-                                       UNIMODULAR, cfg, diag or VampDiagnostics())
+                                       UNIMODULAR, diag or VampDiagnostics())
     return state, gamma_tilde, gamma_hat
 
 
 def test_lmmse_identity_hand_case():
-    # D = I, gamma_w = gamma = 1: the extrinsic mean is the weighted
+    # D = I, gamma = 1: the extrinsic mean is the weighted
     # observation itself and the extrinsic precision is 1
     n = 4
     svd = economy_svd(np.eye(n))
     rng = np.random.default_rng(0)
     z_tilde = cplx(rng, n)
     msg = ExtrinsicMessage(cplx(rng, n), 1.0)
-    out = lmmse_extrinsic(svd, z_tilde, msg, OptimizerConfig(gamma_w=1.0))
+    out = lmmse_extrinsic(svd, z_tilde, msg)
     assert np.allclose(out.r, z_tilde, atol=1e-12)
     assert out.gamma == pytest.approx(1.0)
 
@@ -47,11 +52,11 @@ def test_lmmse_prior_dominated_limit():
     svd = economy_svd(d)
     z_tilde = (svd.U.conj().T @ cplx(rng, 3)) / svd.omega
     r = cplx(rng, 5)
-    out = lmmse_extrinsic(svd, z_tilde, ExtrinsicMessage(r, 1e12), OptimizerConfig())
+    out = lmmse_extrinsic(svd, z_tilde, ExtrinsicMessage(r, 1e12))
     w2 = svd.omega**2
     step = (5 / svd.rank) * (svd.Vh.conj().T @ ((w2 / w2.mean()) * (z_tilde - svd.Vh @ r)))
     assert np.abs(out.r - (r + step)).max() < 1e-9
-    # the extrinsic precision saturates at (R/K) gamma_w <w^2>
+    # the extrinsic precision saturates at (R/K) <w^2>
     assert out.gamma == pytest.approx((svd.rank / 5) * w2.mean(), rel=1e-9)
 
 
@@ -61,15 +66,15 @@ def test_lmmse_matches_dense_oracle():
     for _ in range(20):
         m, q, k = rng.integers(1, 6), rng.integers(1, 6), rng.integers(2, 9)
         d = khatri_rao_columns(cplx(rng, q, k), cplx(rng, m, k))
-        svd = economy_svd(d)
         z = cplx(rng, m * q)
         r = cplx(rng, k)
         gamma = float(rng.uniform(0.05, 2.0))
-        gamma_w = float(rng.uniform(0.2, 3.0))
+        # a random scale of D, and so of every singular value against gamma
+        d = np.sqrt(rng.uniform(0.2, 3.0)) * d
+        svd = economy_svd(d)
         z_tilde = (svd.U.conj().T @ z) / svd.omega
-        got = lmmse_extrinsic(svd, z_tilde, ExtrinsicMessage(r, gamma),
-                              OptimizerConfig(gamma_w=gamma_w))
-        _, _, r_ref, gamma_ref = dense_lmmse(d, z, r, gamma, gamma_w)
+        got = lmmse_extrinsic(svd, z_tilde, ExtrinsicMessage(r, gamma))
+        _, _, r_ref, gamma_ref = dense_lmmse(d, z, r, gamma, 1.0)
         worst = max(worst, float(np.abs(got.r - r_ref).max()), abs(got.gamma - gamma_ref))
     assert worst < 1e-8
 
@@ -80,8 +85,7 @@ def test_lmmse_clamps_when_components_exceed_unknowns():
     vh = cplx(rng, 4, 2)
     svd = EconomySVD(np.eye(4), np.array([5.0, 4.0, 3.0, 2.0]), vh)
     diag = VampDiagnostics()
-    out = lmmse_extrinsic(svd, cplx(rng, 4), ExtrinsicMessage(cplx(rng, 2), 1e-6),
-                          OptimizerConfig(), diag)
+    out = lmmse_extrinsic(svd, cplx(rng, 4), ExtrinsicMessage(cplx(rng, 2), 1e-6), diag)
     assert out.gamma == pytest.approx(1e-11)
     assert diag.lmmse_clamps == 1
 
@@ -90,10 +94,9 @@ def test_lmmse_shape_checks():
     svd = economy_svd(np.eye(3))
     msg = ExtrinsicMessage(np.zeros(3, complex), 1.0)
     with pytest.raises(ValueError):
-        lmmse_extrinsic(svd, np.zeros(2, complex), msg, OptimizerConfig())
+        lmmse_extrinsic(svd, np.zeros(2, complex), msg)
     with pytest.raises(ValueError):
-        lmmse_extrinsic(svd, np.zeros(3, complex),
-                        ExtrinsicMessage(np.zeros(4, complex), 1.0), OptimizerConfig())
+        lmmse_extrinsic(svd, np.zeros(3, complex), ExtrinsicMessage(np.zeros(4, complex), 1.0))
 
 
 def test_project_step_unimodular_fixed_point():
@@ -101,17 +104,17 @@ def test_project_step_unimodular_fixed_point():
     # observation where it is
     rng = np.random.default_rng(5)
     u = np.exp(2j * np.pi * rng.random(8))
-    state, _, _ = first_step(u, OptimizerConfig(gamma_w=0.3))
+    state, _, _ = first_step(u, 0.3)
     assert np.allclose(state.x_damped, u, atol=1e-14)
     assert state.passes == 1
 
 
 def test_project_step_derived_values():
-    # gamma_tilde = gamma_w = 0.3; |r| = 2 gives <g'> = 1/4, so
+    # omega^2 = 0.3 sets gamma_tilde = 0.3; |r| = 2 gives <g'> = 1/4, so
     # gamma_hat = 0.25/0.3 > gamma_tilde and nothing clamps
     z_tilde = np.array([2.0, 2.0j])
     diag = VampDiagnostics()
-    state, gamma_tilde, gamma_hat = first_step(z_tilde, OptimizerConfig(gamma_w=0.3), diag)
+    state, gamma_tilde, gamma_hat = first_step(z_tilde, 0.3, diag)
     assert gamma_tilde == pytest.approx(0.3)
     assert gamma_hat == pytest.approx(0.25 / 0.3)
     assert np.allclose(state.x_damped, [1.0, 1.0j])
@@ -123,11 +126,11 @@ def test_project_step_derived_values():
 
 
 def test_project_step_clamp_path():
-    # unit-modulus inputs give <g'> = 1/2; gamma_tilde = gamma_w = 2 makes
+    # unit-modulus inputs give <g'> = 1/2; omega^2 = 2 sets gamma_tilde = 2, which makes
     # gamma_hat = 1/4 < gamma_tilde, so the extrinsic precision clamps
     diag = VampDiagnostics()
     u = np.array([1.0 + 0j, 1j])
-    state, gamma_tilde, gamma_hat = first_step(u, OptimizerConfig(gamma_w=2.0), diag)
+    state, gamma_tilde, gamma_hat = first_step(u, 2.0, diag)
     assert gamma_tilde == pytest.approx(2.0)
     assert gamma_hat == pytest.approx(0.25)
     assert state.msg.gamma == pytest.approx(1e-11)
@@ -146,8 +149,30 @@ def test_project_step_takes_g_and_g_prime_from_one_call(monkeypatch):
 
     monkeypatch.setattr(Projector, "g", counted)
     monkeypatch.setattr(Projector, "g_prime", lambda self, r: pytest.fail("g_prime called"))
-    first_step(cplx(np.random.default_rng(5), 16), OptimizerConfig())
+    first_step(cplx(np.random.default_rng(5), 16))
     assert asked == [True]
+
+
+def test_steps_start_and_damp_with_the_module_constants():
+    # the first message has precision INITIAL_PRECISION; from the second step
+    # on, the linear-pass precision and the iterate are blended with DAMPING
+    rng = np.random.default_rng(13)
+    n = 6
+    svd = EconomySVD(np.eye(n, dtype=complex), np.full(n, 1.5), np.eye(n, dtype=complex))
+    x0 = UNIMODULAR.initial_point(n, rng)
+    state = VampState.start(x0)
+    assert (state.msg.gamma, state.passes) == (INITIAL_PRECISION, 0)
+    assert np.array_equal(state.msg.r, x0) and np.array_equal(state.x_damped, x0)
+    assert state.msg.r is not x0 and state.x_damped is not x0
+    z_tilde = cplx(rng, n)
+    diag = VampDiagnostics()
+    vamp_step(svd, z_tilde, state, UNIMODULAR, diag)
+    tilde = lmmse_extrinsic(svd, z_tilde, state.msg)
+    prev_gamma, prev_x = state.gamma_tilde_prev, state.x_damped
+    gamma_tilde, _ = vamp_step(svd, z_tilde, state, UNIMODULAR, diag)
+    assert gamma_tilde == DAMPING * tilde.gamma + (1.0 - DAMPING) * prev_gamma
+    assert np.array_equal(state.x_damped,
+                          DAMPING * UNIMODULAR.g(tilde.r) + (1.0 - DAMPING) * prev_x)
 
 
 def test_prepare_system_structured_vs_dense_paths():
@@ -262,7 +287,7 @@ def test_run_vamp_diagonal_system_projects_phases():
     rng = np.random.default_rng(7)
     diag_z = cplx(rng, 4) + np.array([1.5, -2.0, 0.5j, 1 - 1j])
     z = np.diag(diag_z)
-    cfg = OptimizerConfig(epsilon_outer=1e-10, t_max_outer=200)
+    cfg = OptimizerConfig(epsilon_outer=1e-10, t_max_outer=200, collect_trace=True)
     res = run_vamp(np.eye(4), np.eye(4), z, cfg, np.random.default_rng(1))
     assert np.abs(res.x - diag_z / np.abs(diag_z)).max() < 1e-6
     # each row carries the damped iterate x; with A = B = I the objective is ||Diag(x) - Z||^2
@@ -281,35 +306,37 @@ def test_run_vamp_output_feasible():
 
 def test_run_vamp_follows_its_config():
     # the constraint picks the projector, the cap stops the passes, and the
-    # trace is kept by default and dropped with collect_trace=False
+    # trace is dropped by default and kept with collect_trace=True
     rng = np.random.default_rng(10)
     a, b, z = cplx(rng, 2, 12), cplx(rng, 2, 12), cplx(rng, 2, 2)
-    res = run_vamp(a, b, z, OptimizerConfig(constraint="reactive"), np.random.default_rng(5))
+    res = run_vamp(a, b, z, OptimizerConfig(constraint="reactive", collect_trace=True),
+                   np.random.default_rng(5))
     assert np.abs(np.abs(res.x + 0.5) - 0.5).max() <= 1e-12
     assert np.abs(np.abs(res.x) - 1.0).max() > 1e-3
     assert len(res.trace) == res.iterations
-    capped = OptimizerConfig(epsilon_outer=1e-300, t_max_outer=3)
+    capped = OptimizerConfig(epsilon_outer=1e-300, t_max_outer=3, collect_trace=True)
     res = run_vamp(a, b, z, capped, np.random.default_rng(5))
     assert (res.iterations, res.converged, len(res.trace)) == (3, False, 3)
-    quiet = OptimizerConfig(epsilon_outer=1e-300, t_max_outer=3, collect_trace=False)
+    quiet = OptimizerConfig(epsilon_outer=1e-300, t_max_outer=3)
     res = run_vamp(a, b, z, quiet, np.random.default_rng(5))
     assert (res.iterations, res.trace) == (3, [])
 
 
 def test_vamp_config_validation():
-    # the VAMP settings of OptimizerConfig are checked, NaN included, when it is built
-    nan, inf = float("nan"), float("inf")
-    for key, bad in (("rho", 0.0), ("rho", 1.5), ("rho", nan),
-                     ("gamma_w", 0.0), ("gamma_w", nan), ("gamma_w", inf),
-                     ("gamma_0", -0.1), ("gamma_0", nan), ("gamma_0", inf)):
-        with pytest.raises(ValueError, match=f"^{key}: "):
-            OptimizerConfig(**{key: bad})
+    # the message-passing step takes no settings: OptimizerConfig holds the
+    # drivers' four and refuses a former step setting by name
+    assert [f.name for f in fields(OptimizerConfig)] == [
+        "epsilon_outer", "t_max_outer", "constraint", "collect_trace"]
+    for key in ("gamma_w", "rho", "gamma_0"):
+        with pytest.raises(TypeError, match=f"'{key}'"):
+            OptimizerConfig(**{key: 1.0})
 
 
 def test_run_vamp_emitted_precisions_respect_floor():
     rng = np.random.default_rng(9)
     a, b, z = cplx(rng, 2, 10), cplx(rng, 2, 10), cplx(rng, 2, 2)
-    res = run_vamp(a, b, z, OptimizerConfig(t_max_outer=50), np.random.default_rng(4))
+    res = run_vamp(a, b, z, OptimizerConfig(t_max_outer=50, collect_trace=True),
+                   np.random.default_rng(4))
     for _, _, gamma_tilde, gamma_hat, _ in res.trace:
         assert gamma_tilde >= GAMMA_FLOOR
         assert np.isfinite(gamma_hat)
