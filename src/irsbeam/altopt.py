@@ -83,7 +83,6 @@ def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
     """
     cfg = cfg or OptimizerConfig()
     rng = rng or np.random.default_rng()
-    ch.validate()
     k = ch.dims[2]
     projector = get_projector(cfg.constraint)
 

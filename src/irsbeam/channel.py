@@ -69,8 +69,7 @@ class ChannelParams:
             for name in names:
                 value = getattr(self, name)
                 if not ok(value):
-                    label = "c0/c0_db" if name == "c0" else name
-                    raise ValueError(f"{label}: must be {rule}, got {name} = {value}")
+                    raise ValueError(f"{name}: must be {rule}, got {name} = {value}")
 
     def path_loss(self, d: float, exponent: float) -> float:
         """Linear power gain c0 * (d/d0)**(-exponent) at distance d > 0."""
@@ -93,10 +92,12 @@ class ChannelSet:
     params holds the propagation constants of sample_channel_set, the
     station-surface distance d_irs among them, None for a set built by hand.
 
-    The set is frozen: a changed channel is a new set (dataclasses.replace),
-    so the conjugate transposes H_su_H and H_bu_H, taken on first use and
-    kept, always belong to the set's own links. Write into a link's array
-    in place and they go stale.
+    The set is frozen and checked when built: the links must agree in size
+    and hold finite entries. A changed channel is a new set
+    (dataclasses.replace), checked again, so the conjugate transposes H_su_H
+    and H_bu_H, taken on first use and kept, always belong to the set's own
+    links. Write into a link's array in place and they go stale, and the
+    build-time check no longer holds.
     """
 
     H_bs: np.ndarray
@@ -105,6 +106,14 @@ class ChannelSet:
     d_users: np.ndarray = field(default_factory=lambda: np.zeros(0))
     d_irs_users: np.ndarray = field(default_factory=lambda: np.zeros(0))
     params: ChannelParams | None = None
+
+    def __post_init__(self):
+        n, m, k = self.dims
+        if self.H_bs.shape != (k, n) or self.H_su.shape != (k, m):
+            raise ValueError("ChannelSet: inconsistent shapes")
+        for h in (self.H_bs, self.H_bu, self.H_su):
+            if not np.all(np.isfinite(h)):
+                raise ValueError("ChannelSet: non-finite entries")
 
     @property
     def dims(self) -> tuple[int, int, int]:
@@ -120,14 +129,6 @@ class ChannelSet:
     def H_bu_H(self) -> np.ndarray:
         """H_bu^H, M x N, read-only; the layout of H_bu.conj().T."""
         return _read_only(self.H_bu.conj().T)
-
-    def validate(self) -> None:
-        n, m, k = self.dims
-        if self.H_bs.shape != (k, n) or self.H_su.shape != (k, m):
-            raise ValueError("ChannelSet: inconsistent shapes")
-        for h in (self.H_bs, self.H_bu, self.H_su):
-            if not np.all(np.isfinite(h)):
-                raise ValueError("ChannelSet: non-finite entries")
 
     def without_direct_link(self) -> "ChannelSet":
         """Copy with the base-station-to-user block zeroed."""

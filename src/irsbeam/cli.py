@@ -114,7 +114,7 @@ def cmd_oracle(args) -> int:
     msg = ExtrinsicMessage(complex_normal(rng, 5), 0.7)
     got = lmmse_extrinsic(svd, z_tilde, msg)
     _, _, r_ref, g_ref = dense_lmmse(khatri_rao_columns(b, a), z.flatten(order="F"),
-                                     msg.r, msg.gamma, 1.0)
+                                     msg.r, msg.gamma)
     diff = max(float(np.abs(got.r - r_ref).max()), abs(got.gamma - g_ref))
     ok &= _check("production linear pass matches dense form", diff < 1e-8, f"abs {diff:.2e}")
 

@@ -162,20 +162,17 @@ def parse_spec(text: str) -> ExperimentSpec:
         if "=" not in line:
             raise ValueError(f"spec line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        name = "c0" if key == "c0_db" else key
-        if name not in keys:
-            raise ValueError(f"spec.{key}: unknown key; have {', '.join(keys)}, c0_db")
-        if name in spec_kwargs or name in channel_kwargs:
-            raise ValueError(f"spec.{'c0/c0_db' if name == 'c0' else key}: given twice")
-        typ = keys[name]
+        if key not in keys:
+            raise ValueError(f"spec.{key}: unknown key; have {', '.join(keys)}")
+        if key in spec_kwargs or key in channel_kwargs:
+            raise ValueError(f"spec.{key}: given twice")
+        typ = keys[key]
         if get_origin(typ) is tuple:
             value = tuple(_parse_value(key, tok, get_args(typ)[0])
                           for tok in raw.split(",") if tok.strip())
         else:
             value = _parse_value(key, raw, typ)
-        if key == "c0_db":
-            value = 10.0 ** (value / 10.0)
-        (channel_kwargs if name in channel_keys else spec_kwargs)[name] = value
+        (channel_kwargs if key in channel_keys else spec_kwargs)[key] = value
     try:
         channel = ChannelParams(**channel_kwargs)
     except ValueError as exc:

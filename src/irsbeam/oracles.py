@@ -17,11 +17,11 @@ GRID_BATCH = 8192       # phase-grid points evaluated per batched call
 SEARCH_BATCH = 20_000   # random precoders drawn per batched call
 
 
-def dense_lmmse(d: np.ndarray, z: np.ndarray, r: np.ndarray, gamma: float,
-                gamma_w: float):
-    """Dense linear estimator and its extrinsic message.
+def dense_lmmse(d: np.ndarray, z: np.ndarray, r: np.ndarray, gamma: float):
+    """Dense linear estimator and its extrinsic message, unweighted like the
+    production linear pass.
 
-    x_bar = (gamma_w D^H D + gamma I)^-1 (gamma_w D^H z + gamma r),
+    x_bar = (D^H D + gamma I)^-1 (D^H z + gamma r),
     gamma_bar = N / Tr of that inverse; the extrinsic pair follows as
     (gamma_bar x_bar - gamma r)/(gamma_bar - gamma) and gamma_bar - gamma.
     Returns (x_bar, gamma_bar, r_ext, gamma_ext).
@@ -30,8 +30,8 @@ def dense_lmmse(d: np.ndarray, z: np.ndarray, r: np.ndarray, gamma: float,
     n = d.shape[1]
     if n > ORACLE_DIM_CAP:
         raise ValueError(f"dense_lmmse: oracle capped at {ORACLE_DIM_CAP} unknowns")
-    inv = np.linalg.inv(gamma_w * d.conj().T @ d + gamma * np.eye(n))
-    x_bar = inv @ (gamma_w * d.conj().T @ z + gamma * r)
+    inv = np.linalg.inv(d.conj().T @ d + gamma * np.eye(n))
+    x_bar = inv @ (d.conj().T @ z + gamma * r)
     gamma_bar = n / float(np.trace(inv).real)
     gamma_ext = gamma_bar - gamma
     r_ext = (gamma_bar * x_bar - gamma * r) / gamma_ext

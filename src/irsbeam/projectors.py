@@ -11,8 +11,8 @@ chi = -Im(1/upsilon); its point 0 is the open-circuit limit chi -> +-inf.
 Each projector ships with the derivative the message-passing precision update
 needs: for a radial projection the complex (Wirtinger) derivative is the real
 number radius/(2|r - center|). The message-passing step wants both at the
-same point, so g(r, with_prime=True) returns the pair from one |r - center|;
-g_prime(r) alone takes its own.
+same point, so g(r, with_prime=True) returns the pair from one |r - center|,
+and g_prime(r) is that pair's second half.
 """
 
 from __future__ import annotations
@@ -31,11 +31,6 @@ _TINY = np.finfo(float).tiny
 
 # ndarray.min and .max without their Python-level wrappers
 _MIN, _MAX = np.minimum.reduce, np.maximum.reduce
-
-
-def _as_complex(r):
-    arr = np.asarray(r, dtype=complex)
-    return arr, arr.ndim == 0
 
 
 @dataclass(frozen=True)
@@ -62,14 +57,17 @@ class Projector:
         too), and only then are those entries replaced; an infinite d would
         meet 1/|d| = 0 in an invalid inf * 0, so NaN stands in for it.
 
-        With with_prime, returns (g(r), g_prime(r)), the derivative taken from
-        the same |r - center| before the tie entries are replaced, so the
-        pair has the bits of the two separate calls."""
-        r, scalar = _as_complex(r_tilde)
+        With with_prime, returns (g(r), g_prime(r)), the derivative
+        radius/(2|r - center|) capped at radius * DERIVATIVE_CAP, taken from
+        the same |r - center| before the tie entries are replaced."""
+        r = np.asarray(r_tilde, dtype=complex)
+        scalar = r.ndim == 0
         # on the unit circle r - 0 and 1 * u are exact identities, and skipped
         d = r - self.center if self.center else r
         mag = np.abs(d)
-        slope = self._slope(mag) if with_prime else None
+        if with_prime:
+            slope = np.minimum(0.5 * self.radius / np.maximum(mag, 0.5 / DERIVATIVE_CAP),
+                               self.radius * DERIVATIVE_CAP)
         if mag.size and not (_TINY <= _MIN(mag) and _MAX(mag) < np.inf):
             tie = mag < _TINY
             d = np.where(tie, 1.0 + 0j, np.where(np.isinf(mag), complex(np.nan, np.nan), d))
@@ -81,15 +79,9 @@ class Projector:
         return (complex(out), float(slope)) if scalar else (out, slope)
 
     def g_prime(self, r_tilde):
-        """radius/(2|r - center|), capped at radius * DERIVATIVE_CAP near the center."""
-        r, scalar = _as_complex(r_tilde)
-        out = self._slope(np.abs(r - self.center))
-        return float(out) if scalar else out
-
-    def _slope(self, mag):
-        """g_prime at the distances mag = |r - center|."""
-        return np.minimum(0.5 * self.radius / np.maximum(mag, 0.5 / DERIVATIVE_CAP),
-                          self.radius * DERIVATIVE_CAP)
+        """radius/(2|r - center|), capped at radius * DERIVATIVE_CAP near the
+        center: the second half of g(r, with_prime=True)."""
+        return self.g(r_tilde, with_prime=True)[1]
 
 
 def _uni_init(k: int, rng: np.random.Generator) -> np.ndarray:

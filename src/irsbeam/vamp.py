@@ -149,13 +149,12 @@ def lmmse_extrinsic(svd: EconomySVD, z_tilde: np.ndarray, msg: ExtrinsicMessage,
 @dataclass
 class VampState:
     """Message and damping memory carried from one vamp_step to the next:
-    the message the next linear pass takes, the damped iterate, the last
-    damped linear-pass precision and the number of steps taken."""
+    the message the next linear pass takes, the damped iterate, and the last
+    damped linear-pass precision, None until the first step."""
 
     msg: ExtrinsicMessage
     x_damped: np.ndarray
     gamma_tilde_prev: float | None = None
-    passes: int = 0
 
     @classmethod
     def start(cls, x0: np.ndarray) -> "VampState":
@@ -182,7 +181,7 @@ def vamp_step(svd: EconomySVD, z_tilde: np.ndarray, state: VampState, projector:
     tilde = lmmse_extrinsic(svd, z_tilde, state.msg, diag)
     gamma_tilde = tilde.gamma
     x_hat, g_prime = projector.g(tilde.r, with_prime=True)
-    if state.passes > 0:
+    if state.gamma_tilde_prev is not None:
         gamma_tilde = max(DAMPING * gamma_tilde + (1.0 - DAMPING) * state.gamma_tilde_prev,
                           GAMMA_FLOOR)
         x_hat = DAMPING * x_hat + (1.0 - DAMPING) * state.x_damped
@@ -197,7 +196,6 @@ def vamp_step(svd: EconomySVD, z_tilde: np.ndarray, state: VampState, projector:
     state.msg = ExtrinsicMessage(r_out, gamma_out)
     state.x_damped = x_hat
     state.gamma_tilde_prev = gamma_tilde
-    state.passes += 1
     return gamma_tilde, gamma_hat
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from irsbeam import altopt, metrics
 from irsbeam.altopt import OptimizerConfig, joint_optimize, vamp_setup
-from irsbeam.channel import ChannelSet, SystemDims, sample_channel_set
+from irsbeam.channel import ChannelSet, SystemDims, complex_normal, sample_channel_set
 from irsbeam.linalg import economy_svd
 from irsbeam.metrics import fit_error, nrmse
 from irsbeam.oracles import grid_phase_search, sum_mse_reference
@@ -13,13 +13,10 @@ from irsbeam.precoding import effective_channel, mmse_precoder
 from irsbeam.vamp import prepare_system
 
 
-def cplx(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-
-
 def toy_channel(rng, n, m, k):
-    return ChannelSet(cplx(rng, k, n), cplx(rng, n, m), cplx(rng, k, m),
-                      d_users=np.full(m, 500.0), d_irs_users=np.full(m, 30.0))
+    return ChannelSet(complex_normal(rng, k, n), complex_normal(rng, n, m),
+                      complex_normal(rng, k, m), d_users=np.full(m, 500.0),
+                      d_irs_users=np.full(m, 30.0))
 
 
 def test_objective_error_zero_solution():
@@ -40,7 +37,7 @@ def test_objective_error_matches_per_user_expansion():
     rng = np.random.default_rng(1)
     ch = toy_channel(rng, 5, 3, 7)
     ups = np.exp(2j * np.pi * rng.random(7))
-    f = cplx(rng, 5, 3)
+    f = complex_normal(rng, 5, 3)
     alpha = 0.6
     h = effective_channel(ch, ups)
     got = fit_error(alpha, h, f, 0.04)

@@ -243,7 +243,6 @@ def test_sample_channel_set_shapes_and_determinism():
     dims = SystemDims(8, 2, 16)
     ch1 = sample_channel_set(np.random.default_rng(9), dims, scenario="B")
     ch2 = sample_channel_set(np.random.default_rng(9), dims, scenario="B")
-    ch1.validate()
     assert ch1.dims == (8, 2, 16)
     assert np.array_equal(ch1.H_bs, ch2.H_bs)
     assert np.array_equal(ch1.H_bu, ch2.H_bu)
@@ -253,13 +252,36 @@ def test_sample_channel_set_shapes_and_determinism():
     assert np.all(ch1.d_users >= 450) and np.all(ch1.d_users <= 550)
     with pytest.raises(ValueError, match="^sample_channel_set: unknown scenario 'C'$"):
         sample_channel_set(np.random.default_rng(9), dims, scenario="C")
-    # validate refuses a set whose links disagree in size or hold a non-finite entry
+    # a set whose links disagree in size or hold a non-finite entry is not built
     with pytest.raises(ValueError, match="^ChannelSet: inconsistent shapes$"):
-        replace(ch1, H_su=ch1.H_su[:-1]).validate()
+        replace(ch1, H_su=ch1.H_su[:-1])
     h_bu = ch1.H_bu.copy()
     h_bu[0, 1] = np.inf
     with pytest.raises(ValueError, match="^ChannelSet: non-finite entries$"):
-        replace(ch1, H_bu=h_bu).validate()
+        replace(ch1, H_bu=h_bu)
+
+
+def test_channel_set_refuses_to_build_with_mismatched_or_non_finite_links():
+    rng = np.random.default_rng(23)
+    links = {"H_bs": complex_normal(rng, 9, 4), "H_bu": complex_normal(rng, 4, 2),
+             "H_su": complex_normal(rng, 9, 2)}
+    ch = ChannelSet(**links)
+    # H_bu sets (N, M) = (4, 2) and H_bs sets K = 9; each other size must agree
+    for name, shape in (("H_bs", (8, 4)), ("H_bs", (9, 3)), ("H_su", (8, 2)),
+                        ("H_su", (9, 3)), ("H_bu", (4, 3)), ("H_bu", (5, 2))):
+        bad = complex_normal(rng, *shape)
+        with pytest.raises(ValueError, match="^ChannelSet: inconsistent shapes$"):
+            ChannelSet(**{**links, name: bad})
+        with pytest.raises(ValueError, match="^ChannelSet: inconsistent shapes$"):
+            replace(ch, **{name: bad})
+    for name in links:
+        for value in (np.nan, np.inf, -np.inf, complex(0.0, np.nan), complex(0.0, -np.inf)):
+            bad = links[name].copy()
+            bad[-1, 1] = value
+            with pytest.raises(ValueError, match="^ChannelSet: non-finite entries$"):
+                ChannelSet(**{**links, name: bad})
+            with pytest.raises(ValueError, match="^ChannelSet: non-finite entries$"):
+                replace(ch, **{name: bad})
 
 
 def test_scenarios_differ_only_in_user_link_boost():

@@ -6,7 +6,7 @@ with inv instead of solve(G, I), takes the projector's tie branch only
 when a tie exists, forms Vh^H y as (y^H Vh)^H, takes the precoder's
 Frobenius norms as two dot products, calls the ufunc reductions in place of
 the array methods that wrap them, takes the projector and its derivative
-from one |r - center|, decides "every component kept" in structured_svd
+(the literal radius/(2|r - center|), capped) from one |r - center|, decides "every component kept" in structured_svd
 from one min and one max and builds its U Fortran-ordered from the
 transposed factors, and takes the precoder's square roots with math.sqrt.
 Each is bit-equal to the form it replaced only through the identities checked here, on numpy's SIMD
@@ -23,7 +23,7 @@ import pytest
 from irsbeam.linalg import (RANK_CUTOFF, EconomySVD, economy_svd, khatri_rao_columns,
                             structured_svd)
 from irsbeam.precoding import _frobenius
-from irsbeam.projectors import REACTIVE, UNIMODULAR
+from irsbeam.projectors import DERIVATIVE_CAP, REACTIVE, UNIMODULAR
 from irsbeam.vamp import ExtrinsicMessage, lmmse_extrinsic, prepare_system
 
 TINY = np.finfo(float).tiny
@@ -210,22 +210,38 @@ def test_ufunc_reductions_equal_their_method_forms(k, m):
 @pytest.mark.parametrize("k", [16, 64, 256])
 @pytest.mark.parametrize("projector", [UNIMODULAR, REACTIVE], ids=lambda p: p.name)
 def test_one_distance_pass_equals_separate_g_and_g_prime(projector, k):
+    # the pair's first half is g alone; its second half, which g_prime
+    # returns, is the literal radius/(2|r - c|), capped at radius * CAP
+    # where |r - c| < 1/(2 CAP)
     rng = np.random.default_rng(k)
-    c = projector.center
+    c, radius = projector.center, projector.radius
     special = np.array([c, c + 1j * TINY * 0.5, c + 1j * TINY, c + 1e-14, np.nan,
                         complex(np.nan, 1.0), np.inf, complex(1.0, -np.inf)])
     clean = c + random_complex(rng, k, 1.0)
     r = clean.copy()
     r[rng.choice(k, special.size, replace=False)] = special
+
+    def literal_slope(vec):
+        mag = np.abs(vec - c)
+        with np.errstate(divide="ignore"):
+            return np.where(mag < 0.5 / DERIVATIVE_CAP, radius * DERIVATIVE_CAP,
+                            radius / (2.0 * mag))
+
     with np.errstate(divide="raise", over="raise", invalid="raise"):
         for vec in (clean, r, special):
+            want = literal_slope(vec)
             x, slope = projector.g(vec, with_prime=True)
             assert np.array_equal(bits(x), bits(projector.g(vec)))
-            assert np.array_equal(bits(slope), bits(projector.g_prime(vec)))
+            for got in (slope, projector.g_prime(vec)):
+                assert np.array_equal(np.isnan(got), np.isnan(want))
+                assert np.array_equal(bits(got)[~np.isnan(want)], bits(want)[~np.isnan(want)])
         for entry in special:
+            want = float(literal_slope(np.array([entry]))[0])
             x, slope = projector.g(entry, with_prime=True)
             assert same_scalar(x, projector.g(entry)) and type(x) is complex
-            assert same_scalar(slope, projector.g_prime(entry)) and type(slope) is float
+            for got in (slope, projector.g_prime(entry)):
+                assert type(got) is float
+                assert np.isnan(got) if np.isnan(want) else same_scalar(got, want)
 
 
 def masked_structured_svd(svd_a, svd_b):

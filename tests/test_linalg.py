@@ -1,12 +1,9 @@
 import numpy as np
 import pytest
 
+from irsbeam.channel import complex_normal
 from irsbeam.linalg import (RANK_CUTOFF, EconomySVD, economy_svd, identity, khatri_rao_columns,
                             orthonormality_defect, structured_svd)
-
-
-def cplx(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
 def test_economy_svd_scalar_identity():
@@ -25,7 +22,7 @@ def test_economy_svd_identity():
 
 def test_economy_svd_reconstruction_random():
     rng = np.random.default_rng(1)
-    a = cplx(rng, 4, 6)
+    a = complex_normal(rng, 4, 6)
     svd = economy_svd(a)
     err = np.linalg.norm(svd.reconstruct() - a) / np.linalg.norm(a)
     assert err < 1e-10
@@ -34,18 +31,18 @@ def test_economy_svd_reconstruction_random():
 
 def test_economy_svd_rank_truncation():
     rng = np.random.default_rng(2)
-    a = cplx(rng, 5, 2) @ cplx(rng, 2, 5)  # rank 2 by construction
+    a = complex_normal(rng, 5, 2) @ complex_normal(rng, 2, 5)  # rank 2 by construction
     assert economy_svd(a).rank == 2
 
 
 def _orientation_cases():
     rng = np.random.default_rng(13)
-    cases = [("wide", cplx(rng, 4, 256), 4),
-             ("wide-small", cplx(rng, 2, 16), 2),
-             ("tall", cplx(rng, 256, 4), 4),
-             ("tall-fortran", np.asfortranarray(cplx(rng, 16, 2)), 2),
-             ("square", cplx(rng, 6, 6), 6),
-             ("wide-rank-deficient", cplx(rng, 5, 2) @ cplx(rng, 2, 40), 2),
+    cases = [("wide", complex_normal(rng, 4, 256), 4),
+             ("wide-small", complex_normal(rng, 2, 16), 2),
+             ("tall", complex_normal(rng, 256, 4), 4),
+             ("tall-fortran", np.asfortranarray(complex_normal(rng, 16, 2)), 2),
+             ("square", complex_normal(rng, 6, 6), 6),
+             ("wide-rank-deficient", complex_normal(rng, 5, 2) @ complex_normal(rng, 2, 40), 2),
              ("zero", np.zeros((3, 8), dtype=complex), 0)]
     return [pytest.param(a, rank, id=name) for name, a, rank in cases]
 
@@ -121,7 +118,7 @@ def test_khatri_rao_scalar():
 
 def test_khatri_rao_matches_columnwise_kron():
     rng = np.random.default_rng(3)
-    b, a = cplx(rng, 3, 4), cplx(rng, 2, 4)
+    b, a = complex_normal(rng, 3, 4), complex_normal(rng, 2, 4)
     out = khatri_rao_columns(b, a)
     for k in range(4):
         assert np.allclose(out[:, k], np.kron(b[:, k], a[:, k]))
@@ -140,7 +137,7 @@ def test_structured_svd_scalars():
 
 def test_structured_svd_reconstructs_against_dense():
     rng = np.random.default_rng(4)
-    a, b = cplx(rng, 2, 3), cplx(rng, 2, 3)
+    a, b = complex_normal(rng, 2, 3), complex_normal(rng, 2, 3)
     d = khatri_rao_columns(b, a)
     svd = structured_svd(economy_svd(a), economy_svd(b))
     err = np.linalg.norm(svd.reconstruct() - d) / np.linalg.norm(d)
@@ -154,7 +151,7 @@ def test_structured_svd_reconstruction_sweep():
     rng = np.random.default_rng(5)
     for _ in range(60):
         m, q, n = rng.integers(1, 9, size=3)
-        a, b = cplx(rng, m, n), cplx(rng, q, n)
+        a, b = complex_normal(rng, m, n), complex_normal(rng, q, n)
         d = khatri_rao_columns(b, a)
         svd = structured_svd(economy_svd(a), economy_svd(b))
         assert np.all(svd.omega >= 0)
@@ -164,13 +161,13 @@ def test_structured_svd_reconstruction_sweep():
 
 def test_structured_svd_zero_column_drops_component():
     rng = np.random.default_rng(6)
-    a = cplx(rng, 3, 3)
+    a = complex_normal(rng, 3, 3)
     a[:, 1] = 0.0
-    b = cplx(rng, 2, 3)
+    b = complex_normal(rng, 2, 3)
     d = khatri_rao_columns(b, a)
     svd = structured_svd(economy_svd(a), economy_svd(b))
     dense_rank = economy_svd(d).rank
-    full = economy_svd(cplx(rng, 3, 3))
+    full = economy_svd(complex_normal(rng, 3, 3))
     assert svd.rank <= full.rank * economy_svd(b).rank
     assert svd.rank >= dense_rank  # product form may overcount, never undercount
     err = np.linalg.norm(svd.reconstruct() - d) / np.linalg.norm(d)
@@ -179,18 +176,18 @@ def test_structured_svd_zero_column_drops_component():
 
 def test_orthonormality_defect_zero_for_true_svd():
     rng = np.random.default_rng(8)
-    svd = economy_svd(cplx(rng, 4, 6))
+    svd = economy_svd(complex_normal(rng, 4, 6))
     assert orthonormality_defect(svd.Vh) < 1e-12
     # the product form is generally not orthonormal; just confirm it is finite
-    a, b = cplx(rng, 2, 3), cplx(rng, 2, 3)
+    a, b = complex_normal(rng, 2, 3), complex_normal(rng, 2, 3)
     assert np.isfinite(orthonormality_defect(structured_svd(economy_svd(a), economy_svd(b)).Vh))
 
 
 def test_structured_svd_materialized_u_is_orthonormal():
     rng = np.random.default_rng(11)
     # (A, B, kept columns of the kron grid); None keeps every column
-    cases = [(cplx(rng, m, k), cplx(rng, q, k), None) for m, q, k in [(2, 3, 6), (3, 2, 4),
-                                                                        (1, 4, 5)]]
+    cases = [(complex_normal(rng, m, k), complex_normal(rng, q, k), None)
+             for m, q, k in [(2, 3, 6), (3, 2, 4), (1, 4, 5)]]
     # disjoint row supports make the Khatri-Rao rows (0, 1) and (1, 0) of the
     # right factors vanish, so only components 0 and 3 of the grid are kept
     cases.append((np.diag([2.0, 1.0]), np.diag([3.0, 1.0]), [0, 3]))

@@ -1,17 +1,14 @@
 import numpy as np
 import pytest
 
-from irsbeam.channel import ChannelSet
+from irsbeam.channel import ChannelSet, complex_normal
 from irsbeam.metrics import fit_error, nrmse, per_user_sinr, sum_rate
 from irsbeam.precoding import effective_channel
 
 
-def cplx(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-
-
 def toy_channel(rng, n, m, k):
-    return ChannelSet(cplx(rng, k, n), cplx(rng, n, m), cplx(rng, k, m))
+    return ChannelSet(complex_normal(rng, k, n), complex_normal(rng, n, m),
+                      complex_normal(rng, k, m))
 
 
 def test_sum_rate_single_user_unit_sinr():
@@ -32,7 +29,7 @@ def test_sum_rate_matches_per_user_expansion():
     rng = np.random.default_rng(1)
     ch = toy_channel(rng, 4, 2, 6)
     ups = np.exp(2j * np.pi * rng.random(6))
-    f = cplx(rng, 4, 2)
+    f = complex_normal(rng, 4, 2)
     got = sum_rate(ch, ups, f, 0.01)
     want = 0.0
     for m in range(2):
@@ -47,7 +44,7 @@ def test_sum_rate_invariant_to_common_phase():
     rng = np.random.default_rng(2)
     ch = toy_channel(rng, 4, 3, 6)
     ups = np.exp(2j * np.pi * rng.random(6))
-    f = cplx(rng, 4, 3)
+    f = complex_normal(rng, 4, 3)
     base = sum_rate(ch, ups, f, 0.05)
     rotated = sum_rate(ch, ups, np.exp(1j * 1.234) * f, 0.05)
     np.testing.assert_allclose(rotated, base, rtol=1e-12)
@@ -56,7 +53,7 @@ def test_sum_rate_invariant_to_common_phase():
 def test_per_user_sinr_positive():
     rng = np.random.default_rng(3)
     ch = toy_channel(rng, 4, 2, 6)
-    sinr = per_user_sinr(effective_channel(ch, np.ones(6, complex)), cplx(rng, 4, 2), 0.1)
+    sinr = per_user_sinr(effective_channel(ch, np.ones(6, complex)), complex_normal(rng, 4, 2), 0.1)
     assert sinr.shape == (2,)
     assert np.all(sinr >= 0)
 
@@ -86,7 +83,7 @@ def test_nrmse_identity_with_objective():
     rng = np.random.default_rng(6)
     ch = toy_channel(rng, 5, 3, 7)
     ups = np.exp(2j * np.pi * rng.random(7))
-    f = cplx(rng, 5, 3)
+    f = complex_normal(rng, 5, 3)
     alpha = 0.77
     err = fit_error(alpha, effective_channel(ch, ups), f, 0.02)
     val = nrmse(alpha, ups, f, ch, 0.02)

@@ -1,23 +1,19 @@
 import numpy as np
 import pytest
 
-from irsbeam.channel import SystemDims, sample_channel_set
+from irsbeam.channel import SystemDims, complex_normal, sample_channel_set
 from irsbeam.oracles import (dense_lmmse, grid_phase_search, grid_reactance,
                              precoder_objective, precoder_reference,
                              random_precoder_search, sum_mse_reference)
 from irsbeam.precoding import effective_channel, mmse_precoder
 
 
-def cplx(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-
-
 def test_dense_lmmse_identity_case():
     n = 3
     rng = np.random.default_rng(0)
-    z = cplx(rng, n)
+    z = complex_normal(rng, n)
     x_bar, gamma_bar, r_ext, gamma_ext = dense_lmmse(np.eye(n), z,
-                                                     np.zeros(n, complex), 1.0, 1.0)
+                                                     np.zeros(n, complex), 1.0)
     assert np.allclose(x_bar, z / 2)
     assert gamma_bar == pytest.approx(2.0)
     assert gamma_ext == pytest.approx(1.0)
@@ -26,20 +22,22 @@ def test_dense_lmmse_identity_case():
 
 def test_dense_lmmse_prior_dominated():
     rng = np.random.default_rng(1)
-    d = cplx(rng, 4, 6)
-    r = cplx(rng, 6)
-    x_bar, _, _, _ = dense_lmmse(d, cplx(rng, 4), r, 1e12, 1.0)
+    d = complex_normal(rng, 4, 6)
+    r = complex_normal(rng, 6)
+    x_bar, _, _, _ = dense_lmmse(d, complex_normal(rng, 4), r, 1e12)
     assert np.abs(x_bar - r).max() < 1e-9
 
 
 def test_dense_lmmse_extrinsic_recombination():
     # treating the extrinsic output as a prior and combining it with the
-    # incoming message must reproduce the posterior pair
+    # incoming message must reproduce the posterior pair; the system is
+    # scaled by sqrt(1.7), which a noise-precision weight of 1.7 amounts to
     rng = np.random.default_rng(2)
-    d = cplx(rng, 4, 6)
-    r = cplx(rng, 6)
+    d = complex_normal(rng, 4, 6)
+    r = complex_normal(rng, 6)
     gamma = 0.8
-    x_bar, gamma_bar, r_ext, gamma_ext = dense_lmmse(d, cplx(rng, 4), r, gamma, 1.7)
+    w = np.sqrt(1.7)
+    x_bar, gamma_bar, r_ext, gamma_ext = dense_lmmse(w * d, w * complex_normal(rng, 4), r, gamma)
     assert gamma_ext + gamma == pytest.approx(gamma_bar)
     recombined = (gamma_ext * r_ext + gamma * r) / (gamma_ext + gamma)
     assert np.abs(recombined - x_bar).max() < 1e-10
@@ -47,7 +45,7 @@ def test_dense_lmmse_extrinsic_recombination():
 
 def test_dense_lmmse_dimension_cap():
     with pytest.raises(ValueError):
-        dense_lmmse(np.eye(80), np.zeros(80), np.zeros(80), 1.0, 1.0)
+        dense_lmmse(np.eye(80), np.zeros(80), np.zeros(80), 1.0)
 
 
 def test_grid_phase_search_single_reflector_refinement():
@@ -105,7 +103,7 @@ def test_random_search_scalar_never_wins():
 
 def test_random_search_gap_bounded():
     rng = np.random.default_rng(9)
-    h = cplx(rng, 2, 1)
+    h = complex_normal(rng, 2, 1)
     sol = mmse_precoder(h, 1.0, 0.1)
     closed = precoder_objective(h, sol.F, 0.1)
     best = random_precoder_search(h, 1.0, 0.1, 30_000, np.random.default_rng(10))
@@ -114,7 +112,7 @@ def test_random_search_gap_bounded():
 
 def test_search_equals_closed_form_at_its_own_point():
     rng = np.random.default_rng(11)
-    h = cplx(rng, 3, 2)
+    h = complex_normal(rng, 3, 2)
     sol = mmse_precoder(h, 2.0, 0.05)
     val = precoder_objective(h, sol.F, 0.05)
     alpha_ref, f_ref = precoder_reference(h, 2.0, 0.05)

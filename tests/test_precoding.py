@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from irsbeam.altopt import joint_optimize
-from irsbeam.channel import ChannelSet, SystemDims, sample_channel_set
+from irsbeam.channel import ChannelSet, SystemDims, complex_normal, sample_channel_set
 from irsbeam.harness import fixed_phase_design
 from irsbeam.metrics import fit_error
 from irsbeam.oracles import (precoder_objective, precoder_reference,
@@ -12,13 +12,10 @@ from irsbeam.oracles import (precoder_objective, precoder_reference,
 from irsbeam.precoding import effective_channel, mmse_precoder
 
 
-def cplx(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
-
-
 def toy_channel(rng, n, m, k):
-    return ChannelSet(cplx(rng, k, n), cplx(rng, n, m), cplx(rng, k, m),
-                      d_users=np.full(m, 500.0), d_irs_users=np.full(m, 30.0))
+    return ChannelSet(complex_normal(rng, k, n), complex_normal(rng, n, m),
+                      complex_normal(rng, k, m), d_users=np.full(m, 500.0),
+                      d_irs_users=np.full(m, 30.0))
 
 
 def test_effective_channel_silent_irs():
@@ -64,7 +61,7 @@ def test_alpha_scale_law():
     # H -> cH with noise power c^2 sigma^2 rescales alpha by 1/c and leaves
     # the achieved sum-MSE unchanged
     rng = np.random.default_rng(3)
-    h = cplx(rng, 4, 2)
+    h = complex_normal(rng, 4, 2)
     c = 3.7
     s1 = mmse_precoder(h, 2.0, 0.02)
     s2 = mmse_precoder(c * h, 2.0, c**2 * 0.02)
@@ -87,14 +84,14 @@ def test_precoder_power_constraint_exact():
         n = int(rng.integers(2, 7))
         m = int(rng.integers(1, n))
         power = float(rng.uniform(0.1, 10))
-        sol = mmse_precoder(cplx(rng, n, m), power, float(rng.uniform(1e-4, 1.0)))
+        sol = mmse_precoder(complex_normal(rng, n, m), power, float(rng.uniform(1e-4, 1.0)))
         assert abs(np.linalg.norm(sol.F) ** 2 - power) < 1e-10 * power
 
 
 def test_precoder_matches_literal_reference():
     rng = np.random.default_rng(5)
     for _ in range(10):
-        h = cplx(rng, 4, 2)
+        h = complex_normal(rng, 4, 2)
         sol = mmse_precoder(h, 1.5, 0.03)
         alpha_ref, f_ref = precoder_reference(h, 1.5, 0.03)
         assert abs(sol.alpha - alpha_ref) < 1e-10
@@ -103,7 +100,7 @@ def test_precoder_matches_literal_reference():
 
 def test_precoder_never_beaten_by_random_search_small():
     rng = np.random.default_rng(6)
-    h = cplx(rng, 3, 2)
+    h = complex_normal(rng, 3, 2)
     sol = mmse_precoder(h, 1.0, 0.05)
     closed = precoder_objective(h, sol.F, 0.05)
     best = random_precoder_search(h, 1.0, 0.05, 20_000, np.random.default_rng(7))
@@ -112,7 +109,7 @@ def test_precoder_never_beaten_by_random_search_small():
 
 def test_precoder_zero_noise_pseudoinverse_path():
     rng = np.random.default_rng(8)
-    h = cplx(rng, 4, 2)
+    h = complex_normal(rng, 4, 2)
     sol = mmse_precoder(h, 1.0, 0.0)
     assert abs(np.linalg.norm(sol.F) ** 2 - 1.0) < 1e-10
     # zero-forcing limit: alpha H^H F approaches identity
@@ -130,7 +127,7 @@ def test_precoder_refuses_degenerate_power_and_noise():
     # a NaN or infinite power, or a negative or non-finite noise variance,
     # would otherwise give a NaN precoder, alpha = 0, a negative sum-MSE or
     # an SVD failure deep inside numpy; the error names the argument
-    h = cplx(np.random.default_rng(11), 4, 2)
+    h = complex_normal(np.random.default_rng(11), 4, 2)
     nan, inf = float("nan"), float("inf")
     for power, noise_var, name in ((nan, 0.1, "power"), (inf, 0.1, "power"),
                                    (-1.0, 0.1, "power"), (1.0, -0.5, "noise_var"),
@@ -144,23 +141,28 @@ def test_precoder_refuses_degenerate_power_and_noise():
 
 
 def test_precoder_and_fixed_phase_baselines_refuse_a_nan_channel():
-    # a NaN entry makes the receiver scale NaN, which fails 0 < alpha < inf;
-    # the fixed-phase baselines reach the same check instead of returning a
-    # NaN design, as joint_optimize refuses the set through ChannelSet.validate
-    h = cplx(np.random.default_rng(13), 4, 1)
+    # a NaN entry makes the receiver scale NaN, which fails 0 < alpha < inf
+    h = complex_normal(np.random.default_rng(13), 4, 1)
     h[2, 0] = np.nan
     with pytest.raises(ValueError, match="^precoder: receiver scale must be positive and "
                                          "finite, got nan$"):
         mmse_precoder(h, 1.0, 0.1)
+    # a channel set with a NaN entry is not built, so no solver meets one
     ch = sample_channel_set(np.random.default_rng(14), SystemDims(4, 1, 4))
     h_bs = ch.H_bs.copy()
     h_bs[1, 2] = np.nan
-    bad = replace(ch, H_bs=h_bs)
+    with pytest.raises(ValueError, match="^ChannelSet: non-finite entries$"):
+        replace(ch, H_bs=h_bs)
+    # a set written in place after building reaches the precoder's check
+    # instead of returning a NaN design, in the fixed-phase baselines and
+    # in the alternating loop alike
+    stale = replace(ch, H_bs=ch.H_bs.copy())
+    stale.H_bs[1, 2] = np.nan
     for upsilon in (np.ones(4, dtype=complex), np.zeros(4, dtype=complex)):
         with pytest.raises(ValueError, match="^precoder: receiver scale"):
-            fixed_phase_design(bad, upsilon, 1.0, 1e-13)
-    with pytest.raises(ValueError, match="^ChannelSet: non-finite entries$"):
-        joint_optimize(bad, 1.0, 1e-13)
+            fixed_phase_design(stale, upsilon, 1.0, 1e-13)
+    with pytest.raises(ValueError, match="^precoder: receiver scale"):
+        joint_optimize(stale, 1.0, 1e-13)
 
 
 def test_precoder_on_synthesized_channel_scale():

@@ -3,16 +3,13 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from irsbeam.channel import complex_normal
 from irsbeam.linalg import RANK_CUTOFF, EconomySVD, economy_svd, khatri_rao_columns
 from irsbeam.oracles import dense_lmmse
 from irsbeam.projectors import UNIMODULAR, Projector
 from irsbeam.vamp import (DAMPING, GAMMA_FLOOR, INITIAL_PRECISION, ExtrinsicMessage,
                           OptimizerConfig, VampDiagnostics, VampState, lmmse_extrinsic,
                           prepare_system, run_vamp, vamp_step)
-
-
-def cplx(rng, *shape):
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2)
 
 
 def first_step(z_tilde, gamma_tilde=1.0, diag=None):
@@ -23,7 +20,7 @@ def first_step(z_tilde, gamma_tilde=1.0, diag=None):
     n = z_tilde.size
     svd = EconomySVD(np.eye(n, dtype=complex), np.full(n, np.sqrt(gamma_tilde)),
                      np.eye(n, dtype=complex))
-    x0 = cplx(np.random.default_rng(11), n)
+    x0 = complex_normal(np.random.default_rng(11), n)
     state = VampState(ExtrinsicMessage(x0, 0.5), x0.copy())
     gamma_tilde, gamma_hat = vamp_step(svd, np.asarray(z_tilde, dtype=complex), state,
                                        UNIMODULAR, diag or VampDiagnostics())
@@ -36,8 +33,8 @@ def test_lmmse_identity_hand_case():
     n = 4
     svd = economy_svd(np.eye(n))
     rng = np.random.default_rng(0)
-    z_tilde = cplx(rng, n)
-    msg = ExtrinsicMessage(cplx(rng, n), 1.0)
+    z_tilde = complex_normal(rng, n)
+    msg = ExtrinsicMessage(complex_normal(rng, n), 1.0)
     out = lmmse_extrinsic(svd, z_tilde, msg)
     assert np.allclose(out.r, z_tilde, atol=1e-12)
     assert out.gamma == pytest.approx(1.0)
@@ -48,10 +45,10 @@ def test_lmmse_prior_dominated_limit():
     # tends to r + (K/R) V Diag(w^2/<w^2>) (z_tilde - V^H r): the d/<d>
     # normalization keeps the extrinsic step O(1) in gamma
     rng = np.random.default_rng(1)
-    d = cplx(rng, 3, 5)
+    d = complex_normal(rng, 3, 5)
     svd = economy_svd(d)
-    z_tilde = (svd.U.conj().T @ cplx(rng, 3)) / svd.omega
-    r = cplx(rng, 5)
+    z_tilde = (svd.U.conj().T @ complex_normal(rng, 3)) / svd.omega
+    r = complex_normal(rng, 5)
     out = lmmse_extrinsic(svd, z_tilde, ExtrinsicMessage(r, 1e12))
     w2 = svd.omega**2
     step = (5 / svd.rank) * (svd.Vh.conj().T @ ((w2 / w2.mean()) * (z_tilde - svd.Vh @ r)))
@@ -65,16 +62,16 @@ def test_lmmse_matches_dense_oracle():
     worst = 0.0
     for _ in range(20):
         m, q, k = rng.integers(1, 6), rng.integers(1, 6), rng.integers(2, 9)
-        d = khatri_rao_columns(cplx(rng, q, k), cplx(rng, m, k))
-        z = cplx(rng, m * q)
-        r = cplx(rng, k)
+        d = khatri_rao_columns(complex_normal(rng, q, k), complex_normal(rng, m, k))
+        z = complex_normal(rng, m * q)
+        r = complex_normal(rng, k)
         gamma = float(rng.uniform(0.05, 2.0))
         # a random scale of D, and so of every singular value against gamma
         d = np.sqrt(rng.uniform(0.2, 3.0)) * d
         svd = economy_svd(d)
         z_tilde = (svd.U.conj().T @ z) / svd.omega
         got = lmmse_extrinsic(svd, z_tilde, ExtrinsicMessage(r, gamma))
-        _, _, r_ref, gamma_ref = dense_lmmse(d, z, r, gamma, 1.0)
+        _, _, r_ref, gamma_ref = dense_lmmse(d, z, r, gamma)
         worst = max(worst, float(np.abs(got.r - r_ref).max()), abs(got.gamma - gamma_ref))
     assert worst < 1e-8
 
@@ -82,10 +79,11 @@ def test_lmmse_matches_dense_oracle():
 def test_lmmse_clamps_when_components_exceed_unknowns():
     # R = 4 components against K = 2 unknowns makes K/R - <d> go negative
     rng = np.random.default_rng(3)
-    vh = cplx(rng, 4, 2)
+    vh = complex_normal(rng, 4, 2)
     svd = EconomySVD(np.eye(4), np.array([5.0, 4.0, 3.0, 2.0]), vh)
     diag = VampDiagnostics()
-    out = lmmse_extrinsic(svd, cplx(rng, 4), ExtrinsicMessage(cplx(rng, 2), 1e-6), diag)
+    out = lmmse_extrinsic(svd, complex_normal(rng, 4),
+                          ExtrinsicMessage(complex_normal(rng, 2), 1e-6), diag)
     assert out.gamma == pytest.approx(1e-11)
     assert diag.lmmse_clamps == 1
 
@@ -104,9 +102,10 @@ def test_project_step_unimodular_fixed_point():
     # observation where it is
     rng = np.random.default_rng(5)
     u = np.exp(2j * np.pi * rng.random(8))
-    state, _, _ = first_step(u, 0.3)
+    state, gamma_tilde, _ = first_step(u, 0.3)
     assert np.allclose(state.x_damped, u, atol=1e-14)
-    assert state.passes == 1
+    # the step records its precision, which marks the next step as damped
+    assert state.gamma_tilde_prev == gamma_tilde
 
 
 def test_project_step_derived_values():
@@ -149,7 +148,7 @@ def test_project_step_takes_g_and_g_prime_from_one_call(monkeypatch):
 
     monkeypatch.setattr(Projector, "g", counted)
     monkeypatch.setattr(Projector, "g_prime", lambda self, r: pytest.fail("g_prime called"))
-    first_step(cplx(np.random.default_rng(5), 16))
+    first_step(complex_normal(np.random.default_rng(5), 16))
     assert asked == [True]
 
 
@@ -161,10 +160,10 @@ def test_steps_start_and_damp_with_the_module_constants():
     svd = EconomySVD(np.eye(n, dtype=complex), np.full(n, 1.5), np.eye(n, dtype=complex))
     x0 = UNIMODULAR.initial_point(n, rng)
     state = VampState.start(x0)
-    assert (state.msg.gamma, state.passes) == (INITIAL_PRECISION, 0)
+    assert (state.msg.gamma, state.gamma_tilde_prev) == (INITIAL_PRECISION, None)
     assert np.array_equal(state.msg.r, x0) and np.array_equal(state.x_damped, x0)
     assert state.msg.r is not x0 and state.x_damped is not x0
-    z_tilde = cplx(rng, n)
+    z_tilde = complex_normal(rng, n)
     diag = VampDiagnostics()
     vamp_step(svd, z_tilde, state, UNIMODULAR, diag)
     tilde = lmmse_extrinsic(svd, z_tilde, state.msg)
@@ -179,7 +178,7 @@ def test_prepare_system_structured_vs_dense_paths():
     rng = np.random.default_rng(6)
     # K = 8 >= R_a*R_b = 4: product form; K = 3 < R_a*R_b = 4: dense SVD of D
     for k in (8, 3):
-        a, b, z = cplx(rng, 2, k), cplx(rng, 2, k), cplx(rng, 2, 2)
+        a, b, z = complex_normal(rng, 2, k), complex_normal(rng, 2, k), complex_normal(rng, 2, 2)
         svd, z_tilde = prepare_system(economy_svd(a), b, z)
         assert isinstance(svd, EconomySVD)
         assert np.allclose(svd.U.conj().T @ svd.U, np.eye(svd.rank), atol=1e-12)
@@ -187,9 +186,10 @@ def test_prepare_system_structured_vs_dense_paths():
         d = khatri_rao_columns(b, a)
         assert np.linalg.norm(svd.reconstruct() - d) < 1e-9 * np.linalg.norm(d)
     with pytest.raises(ValueError):
-        prepare_system(economy_svd(np.zeros((2, 4))), cplx(rng, 2, 4), np.zeros((2, 2)))
+        prepare_system(economy_svd(np.zeros((2, 4))), complex_normal(rng, 2, 4), np.zeros((2, 2)))
     with pytest.raises(ValueError, match=r"^prepare_system: Z is \(2, 3\), expected \(2, 2\)$"):
-        prepare_system(economy_svd(cplx(rng, 2, 4)), cplx(rng, 2, 4), np.zeros((2, 3)))
+        prepare_system(economy_svd(complex_normal(rng, 2, 4)), complex_normal(rng, 2, 4),
+                       np.zeros((2, 3)))
 
 
 # Column-by-column reference for the bit-identity test below: a wide matrix is
@@ -240,7 +240,7 @@ def test_prepare_system_bits_match_reference_assembly():
     rng = np.random.default_rng(12)
 
     def factor(m, k):  # M x K and Fortran-ordered, like B and H_su^H in altopt
-        return cplx(rng, k, m).T
+        return complex_normal(rng, k, m).T
 
     def real_factor(m, k):  # its factor SVDs give Vh's Khatri-Rao rows -0 parts
         return factor(m, k).real.astype(complex, order="F")
@@ -248,14 +248,14 @@ def test_prepare_system_bits_match_reference_assembly():
     # disjoint row supports: Khatri-Rao rows (0, 1) and (1, 0) of the right
     # factors vanish, so the structured branch keeps 2 of its 4 components
     blocks = np.zeros((2, 4), dtype=complex)
-    blocks[0, :2], blocks[1, 2:] = cplx(rng, 2), cplx(rng, 2)
-    cases = [("structured", factor(2, 16), factor(2, 16), cplx(rng, 2, 2)),
-             ("structured", factor(4, 256), factor(4, 256), cplx(rng, 4, 4)),
+    blocks[0, :2], blocks[1, 2:] = complex_normal(rng, 2), complex_normal(rng, 2)
+    cases = [("structured", factor(2, 16), factor(2, 16), complex_normal(rng, 2, 2)),
+             ("structured", factor(4, 256), factor(4, 256), complex_normal(rng, 4, 4)),
              # -0 parts, to which a division and the reciprocal multiply give different signs
-             ("structured", real_factor(2, 16), real_factor(2, 16), cplx(rng, 2, 2)),
-             ("dense", factor(4, 9), factor(4, 9), cplx(rng, 4, 4)),
-             ("dropped", blocks.copy(order="F"), (blocks * cplx(rng, 1, 4)).copy(order="F"),
-              cplx(rng, 2, 2))]
+             ("structured", real_factor(2, 16), real_factor(2, 16), complex_normal(rng, 2, 2)),
+             ("dense", factor(4, 9), factor(4, 9), complex_normal(rng, 4, 4)),
+             ("dropped", blocks.copy(order="F"),
+              (blocks * complex_normal(rng, 1, 4)).copy(order="F"), complex_normal(rng, 2, 2))]
     for branch, a, b, z in cases:
         # A arrives factored, as the alternating loop hands it over
         svd_a = economy_svd(a)
@@ -285,7 +285,7 @@ def test_run_vamp_diagonal_system_projects_phases():
     # A = B = I makes the objective separable; the minimizer is the
     # elementwise phase of diag(Z)
     rng = np.random.default_rng(7)
-    diag_z = cplx(rng, 4) + np.array([1.5, -2.0, 0.5j, 1 - 1j])
+    diag_z = complex_normal(rng, 4) + np.array([1.5, -2.0, 0.5j, 1 - 1j])
     z = np.diag(diag_z)
     cfg = OptimizerConfig(epsilon_outer=1e-10, t_max_outer=200, collect_trace=True)
     res = run_vamp(np.eye(4), np.eye(4), z, cfg, np.random.default_rng(1))
@@ -297,7 +297,7 @@ def test_run_vamp_diagonal_system_projects_phases():
 
 def test_run_vamp_output_feasible():
     rng = np.random.default_rng(8)
-    a, b, z = cplx(rng, 2, 12), cplx(rng, 2, 12), cplx(rng, 2, 2)
+    a, b, z = complex_normal(rng, 2, 12), complex_normal(rng, 2, 12), complex_normal(rng, 2, 2)
     res = run_vamp(a, b, z, rng=np.random.default_rng(2))
     assert np.allclose(np.abs(res.x), 1.0, atol=1e-12)
     res = run_vamp(a, b, z, OptimizerConfig(constraint="reactive"), np.random.default_rng(3))
@@ -308,7 +308,7 @@ def test_run_vamp_follows_its_config():
     # the constraint picks the projector, the cap stops the passes, and the
     # trace is dropped by default and kept with collect_trace=True
     rng = np.random.default_rng(10)
-    a, b, z = cplx(rng, 2, 12), cplx(rng, 2, 12), cplx(rng, 2, 2)
+    a, b, z = complex_normal(rng, 2, 12), complex_normal(rng, 2, 12), complex_normal(rng, 2, 2)
     res = run_vamp(a, b, z, OptimizerConfig(constraint="reactive", collect_trace=True),
                    np.random.default_rng(5))
     assert np.abs(np.abs(res.x + 0.5) - 0.5).max() <= 1e-12
@@ -334,7 +334,7 @@ def test_vamp_config_validation():
 
 def test_run_vamp_emitted_precisions_respect_floor():
     rng = np.random.default_rng(9)
-    a, b, z = cplx(rng, 2, 10), cplx(rng, 2, 10), cplx(rng, 2, 2)
+    a, b, z = complex_normal(rng, 2, 10), complex_normal(rng, 2, 10), complex_normal(rng, 2, 2)
     res = run_vamp(a, b, z, OptimizerConfig(t_max_outer=50, collect_trace=True),
                    np.random.default_rng(4))
     for _, _, gamma_tilde, gamma_hat, _ in res.trace:
@@ -345,7 +345,7 @@ def test_run_vamp_emitted_precisions_respect_floor():
 def test_run_vamp_near_grid_optimum_small_instance():
     # frozen instance; the exhaustive 64^3 phase grid is the oracle
     rng = np.random.default_rng(103)
-    a, b, z = cplx(rng, 2, 3), cplx(rng, 2, 3), cplx(rng, 2, 2)
+    a, b, z = complex_normal(rng, 2, 3), complex_normal(rng, 2, 3), complex_normal(rng, 2, 2)
     res = run_vamp(a, b, z, OptimizerConfig(epsilon_outer=1e-6, t_max_outer=500),
                    np.random.default_rng(0))
     achieved = np.linalg.norm(a @ np.diag(res.x) @ b.T - z) ** 2
