@@ -22,7 +22,7 @@ from .channel import SystemDims, complex_normal, sample_channel_set
 from .charts import emit_chart
 from .harness import (dbm_to_watts, desk_spec, emit_aggregate_csv, emit_csv,
                       load_aggregate_csv, load_spec, paper_spec, run_sweep, write_csv)
-from .linalg import economy_svd, khatri_rao_columns, structured_svd
+from .linalg import KhatriRaoSVD, economy_svd, khatri_rao_columns, structured_svd
 from .metrics import nrmse, sum_rate
 from .oracles import (dense_lmmse, grid_reactance, precoder_objective, precoder_reference,
                       random_precoder_search)
@@ -142,6 +142,20 @@ def cmd_oracle(args) -> int:
     search = random_precoder_search(h, 2.0, 0.05, 20_000, rng)
     ok &= _check("random precoder search never beats the closed form",
                  search >= precoder_objective(h, sol.F, 0.05) - 1e-6)
+
+    # four users: prepare_system keeps the product form in its factors, and
+    # its linear pass must be that of the explicit product form
+    a, b, z = complex_normal(rng, 4, 64), complex_normal(rng, 4, 64), complex_normal(rng, 4, 4)
+    svd_a = economy_svd(a)
+    svd, z_tilde = prepare_system(svd_a, b, z)
+    explicit = structured_svd(svd_a, economy_svd(b))
+    msg = ExtrinsicMessage(complex_normal(rng, 64), 0.7)
+    got = lmmse_extrinsic(svd, z_tilde, msg)
+    want = lmmse_extrinsic(explicit, explicit.uh_dot(z.flatten(order="F")) / explicit.omega, msg)
+    rel = max(float(np.linalg.norm(got.r - want.r) / np.linalg.norm(want.r)),
+              abs(got.gamma - want.gamma) / want.gamma)
+    ok &= _check("factored linear pass matches the explicit product form at M = 4",
+                 isinstance(svd, KhatriRaoSVD) and rel < 1e-12, f"rel {rel:.2e}")
 
     print("oracle suite:", "PASS" if ok else "FAIL")
     return 0 if ok else 1

@@ -1,17 +1,26 @@
 """Dense complex linear-algebra kernels.
 
 Economy SVD with rank truncation, column-wise Khatri-Rao products, and the
-product-form SVD of D = B * A assembled from the factor SVDs without
-factoring D itself. The product form is exact as a factorization and its
-left factor has orthonormal columns; its right factor is row-normalized but
-not orthonormal in general, so `orthonormality_defect` is provided as a
-diagnostic. Past the factor SVDs the product form takes a few whole-array
-numpy calls, and each entry is the same single product as in an
-entry-by-entry assembly. A wide matrix is factored through its transpose,
-because LAPACK's tall reduction is the faster one. U is Fortran- and Vh
-C-ordered: their layout picks the BLAS kernel, and so the rounding, of the
-products that use them. `identity(m)` is one shared read-only identity per
-size for the per-iteration callers.
+product-form SVD of D = B * A built from the factor SVDs without factoring
+D itself. The product form is exact as a factorization and its left factor
+has orthonormal columns; its right factor is row-normalized but not
+orthonormal in general, so `orthonormality_defect` is provided as a
+diagnostic. A wide matrix is factored through its transpose, because
+LAPACK's tall reduction is the faster one. U is Fortran- and Vh C-ordered:
+their layout picks the BLAS kernel, and so the rounding, of the products
+that use them. `identity(m)` is one shared read-only identity per size for
+the per-iteration callers.
+
+The product form comes in two forms, and `use_factors` alone picks one.
+When it has no more components than its factors have rows,
+R_a*R_b <= R_a + R_b (two users or fewer), `structured_svd` builds it
+explicitly: the R x K Khatri-Rao Vh and the kron U, with a few whole-array
+numpy calls, each entry the same single product as in an entry-by-entry
+assembly. With more components (three users or more) those arrays grow as
+R = M^2 while the factors grow as M, so `khatri_rao_svd` keeps it in the two
+factor SVDs, and a `KhatriRaoSVD` applies U^H, Vh and Vh^H through them.
+The explicit form is the faster one at two users, where it has at most four
+rows, and its bits are the ones the seeded sweeps pin.
 """
 
 from __future__ import annotations
@@ -37,8 +46,26 @@ class EconomySVD:
     def rank(self) -> int:
         return int(self.omega.size)
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.U.shape[0], self.Vh.shape[1]
+
     def reconstruct(self) -> np.ndarray:
         return (self.U * self.omega) @ self.Vh
+
+    def uh_dot(self, y: np.ndarray) -> np.ndarray:
+        """U^H y."""
+        return self.U.conj().T @ y
+
+    def vh_dot(self, x: np.ndarray) -> np.ndarray:
+        """Vh x."""
+        return self.Vh @ x
+
+    def vh_adjoint_dot(self, y: np.ndarray) -> np.ndarray:
+        """Vh^H y, formed as (y^H Vh)^H: that conjugates two vectors instead of
+        copying Vh, and both forms run one BLAS matrix-vector product with
+        the same bits."""
+        return (y.conj() @ self.Vh).conj()
 
 
 def economy_svd(a: np.ndarray) -> EconomySVD:
@@ -63,6 +90,28 @@ def economy_svd(a: np.ndarray) -> EconomySVD:
     if wide:
         return EconomySVD(vh.T, omega, np.ascontiguousarray(u.T))
     return EconomySVD(np.asfortranarray(u), omega, vh)
+
+
+@dataclass
+class QRCore:
+    """A wide matrix B = (Q C)^T kept as Q, K x n with orthonormal columns,
+    and its n x M core C, for a caller whose Q stays fixed while C changes.
+
+    Its SVD comes from the SVD of the small core: from C = U_c S Vh_c,
+    Q C = (Q U_c) S Vh_c, so B has U = Vh_c^T, omega = S and
+    Vh = (Q U_c)^T, formed as U_c^T Q^T so that it is C-ordered. Q has
+    orthonormal columns, so S and the rank cutoff are those of B itself.
+    """
+
+    q: np.ndarray
+    core: np.ndarray
+
+    def svd(self) -> EconomySVD:
+        core = economy_svd(self.core)
+        return EconomySVD(core.Vh.T, core.omega, core.U.T @ self.q.T)
+
+    def reconstruct(self) -> np.ndarray:
+        return (self.q @ self.core).T
 
 
 def khatri_rao_columns(b: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -112,6 +161,82 @@ def structured_svd(svd_a: EconomySVD, svd_b: EconomySVD) -> EconomySVD:
     kept = omega_full > floor
     return EconomySVD(np.asfortranarray(u[:, kept]), omega_full[kept],
                       vh_kr[kept] * (1.0 / v_n[kept, None]))
+
+
+def use_factors(rank_a: int, rank_b: int) -> bool:
+    """Whether the product form of D = B * A is kept in its factor SVDs
+    (khatri_rao_svd) rather than built (structured_svd), given the factor
+    ranks: when it has more components than its factors have rows,
+    R_a*R_b > R_a + R_b. With equal ranks M that is M >= 3."""
+    return rank_a * rank_b > rank_a + rank_b
+
+
+@dataclass
+class KhatriRaoSVD:
+    """The product-form SVD of D = B * A kept in its factor SVDs.
+
+    It stands for structured_svd's triple, U = kron(U_b, U_a),
+    omega = (omega_b kron omega_a) * v_n and Vh = the Khatri-Rao product of
+    the factor Vh's with rows divided by their norms v_n, none of which is
+    formed. Component p = i*R_a + j pairs row i of B's factors with row j of
+    A's, as in khatri_rao_columns; omega is in that order and inv_norms[i, j]
+    is 1/v_n of component p. Each product runs through the factors, which
+    costs O(K (R_a + R_b)) memory instead of O(K R_a R_b). With vec stacking
+    columns, and a length-R vector y held as the R_b x R_a matrix Y whose
+    row-major entries are y's:
+    U^H vec(Z) = vec(U_a^H Z conj(U_b));
+    Vh x = ((Vh_b * x) Vh_a^T) * inv_norms, as an R_b x R_a matrix;
+    Vh^H y = conj(sum over i of Vh_b[i] * ((conj(Y) * inv_norms) Vh_a)[i]).
+    """
+
+    a: EconomySVD
+    b: EconomySVD
+    omega: np.ndarray
+    inv_norms: np.ndarray
+
+    @property
+    def rank(self) -> int:
+        return int(self.omega.size)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.a.U.shape[0] * self.b.U.shape[0], self.a.Vh.shape[1]
+
+    def reconstruct(self) -> np.ndarray:
+        vh = khatri_rao_columns(self.b.Vh, self.a.Vh) * self.inv_norms.reshape(-1, 1)
+        return (np.kron(self.b.U, self.a.U) * self.omega) @ vh
+
+    def uh_dot(self, y: np.ndarray) -> np.ndarray:
+        """U^H y; the row-major reshape of y = vec(Z) is Z^T."""
+        z_t = y.reshape(self.b.U.shape[0], self.a.U.shape[0])
+        return (self.b.U.conj().T @ z_t @ self.a.U.conj()).ravel()
+
+    def vh_dot(self, x: np.ndarray) -> np.ndarray:
+        """Vh x."""
+        return (((self.b.Vh * x) @ self.a.Vh.T) * self.inv_norms).ravel()
+
+    def vh_adjoint_dot(self, y: np.ndarray) -> np.ndarray:
+        """Vh^H y."""
+        t = (y.reshape(self.inv_norms.shape).conj() * self.inv_norms) @ self.a.Vh
+        return np.add.reduce(self.b.Vh * t, axis=0).conj()
+
+
+def khatri_rao_svd(svd_a: EconomySVD, svd_b: EconomySVD) -> KhatriRaoSVD | EconomySVD:
+    """The product-form SVD of D = B * A from the factor SVDs, kept in them.
+
+    The squared row norms of the Khatri-Rao Vh are one real product of the
+    factors' squared moduli, v_n^2 = |Vh_b|^2 (|Vh_a|^2)^T. A component whose
+    omega falls under the rank cutoff is left to structured_svd, which drops
+    it and returns the explicit triple.
+    """
+    mod_a = (svd_a.Vh.conj() * svd_a.Vh).real
+    mod_b = (svd_b.Vh.conj() * svd_b.Vh).real
+    v_n = np.sqrt(mod_b @ mod_a.T)
+    omega = (svd_b.omega[:, None] * svd_a.omega * v_n).ravel()
+    if not np.minimum.reduce(omega, initial=np.inf) > \
+            RANK_CUTOFF * np.maximum.reduce(omega, initial=0.0):
+        return structured_svd(svd_a, svd_b)
+    return KhatriRaoSVD(svd_a, svd_b, omega, 1.0 / v_n)
 
 
 @cache

@@ -7,7 +7,17 @@ pass. The two passes exchange extrinsic messages (mean vector, scalar
 precision). Damping blends successive precision and iterate values to keep
 the fixed-point iteration from oscillating. The system is set up from the
 SVD of A rather than A itself, so a caller whose A changes only by a scalar
-factors it once.
+factors it once; B comes as a matrix or, from a caller whose B has a fixed
+left factor, as a linalg.QRCore.
+
+The linear pass needs only omega, z_tilde, Vh r and Vh^H y of the SVD form
+(Rangan, Schniter & Fletcher, Vector Approximate Message Passing, IEEE T-IT
+2019). With more components than unknowns, R_a*R_b > K, it takes the SVD of
+the small dense D. Otherwise it takes the product form, built explicitly
+while R_a*R_b <= R_a + R_b (two users or fewer) and kept in its factor SVDs
+past that, where the explicit R x K Vh and R x R U grow as R_a*R_b
+(linalg.use_factors decides); lmmse_extrinsic and vamp_step run either form
+through the same calls.
 
 The message-passing step takes no settings: the linear pass is unweighted,
 and the damping factor, the initial message precision and the precision
@@ -22,7 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import EconomySVD, economy_svd, khatri_rao_columns, structured_svd
+from .linalg import (EconomySVD, KhatriRaoSVD, QRCore, economy_svd, khatri_rao_columns,
+                     khatri_rao_svd, structured_svd, use_factors)
 from .projectors import Projector, get_projector
 
 # Floor for the emitted precisions; a nonpositive or smaller one is clamped to it.
@@ -84,49 +95,56 @@ class VampResult:
     trace: list = field(default_factory=list)
 
 
-def prepare_system(svd_a: EconomySVD, b: np.ndarray, z: np.ndarray):
-    """SVD triple and weighted observation z_tilde = U^H vec(Z) / omega for
-    D = B * A against vec(Z), given the economy SVD of A.
+def prepare_system(svd_a: EconomySVD, b: np.ndarray | QRCore, z: np.ndarray):
+    """SVD-form triple and weighted observation z_tilde = U^H vec(Z) / omega
+    for D = B * A against vec(Z), given the economy SVD of A.
 
     A comes factored because the alternating loop factors its A once per
-    solve and only rescales it; this call takes the SVD of B alone. It uses
-    the product-form SVD assembled from the factor SVDs, except when the
+    solve and only rescales it; this call takes the SVD of B alone, through
+    its small core when B comes as a QRCore. The triple is the product form
+    assembled from the factor SVDs, explicit (structured_svd) or kept in the
+    factors (khatri_rao_svd) as linalg.use_factors picks, except when the
     component count R_a*R_b would exceed the unknown count K: there the
     product form stops being a usable surrogate for an SVD (the precision
     update needs K/R >= 1) and the SVD of the small dense D, with A rebuilt
     from its factors, is cheaper anyway. The division by omega is a multiply
     by 1/omega, which gives the same bits for the positive kept values.
     """
-    b = np.asarray(b, dtype=complex)
+    if isinstance(b, QRCore):
+        svd_b = b.svd()
+    else:
+        b = np.asarray(b, dtype=complex)
+        svd_b = economy_svd(b)
     z = np.asarray(z, dtype=complex)
-    m = svd_a.U.shape[0]
-    if z.shape != (m, b.shape[0]):
-        raise ValueError(f"prepare_system: Z is {z.shape}, expected {(m, b.shape[0])}")
-    svd_b = economy_svd(b)
+    shape = (svd_a.U.shape[0], svd_b.U.shape[0])
+    if z.shape != shape:
+        raise ValueError(f"prepare_system: Z is {z.shape}, expected {shape}")
     if svd_a.rank * svd_b.rank > svd_a.Vh.shape[1]:
+        b = b.reconstruct() if isinstance(b, QRCore) else b
         svd = economy_svd(khatri_rao_columns(b, svd_a.reconstruct()))
+    elif use_factors(svd_a.rank, svd_b.rank):
+        svd = khatri_rao_svd(svd_a, svd_b)
     else:
         svd = structured_svd(svd_a, svd_b)
     if svd.rank == 0:
         raise ValueError("prepare_system: zero system (A or B vanishes)")
-    return svd, (svd.U.conj().T @ z.flatten(order="F")) * (1.0 / svd.omega)
+    return svd, svd.uh_dot(z.flatten(order="F")) * (1.0 / svd.omega)
 
 
-def lmmse_extrinsic(svd: EconomySVD, z_tilde: np.ndarray, msg: ExtrinsicMessage,
+def lmmse_extrinsic(svd: EconomySVD | KhatriRaoSVD, z_tilde: np.ndarray, msg: ExtrinsicMessage,
                     diag: VampDiagnostics | None = None) -> ExtrinsicMessage:
     """Extrinsic output of the linear pass, computed in SVD form.
 
-    With K = svd.Vh.shape[1] unknowns and R components:
+    With K unknowns and R components:
     d = omega^2 / (omega^2 + gamma);
     r_out = r + (K/R) V Diag(d/<d>) (z_tilde - V^H r);
     gamma_out = gamma*<d> / (K/R - <d>), clamped to GAMMA_FLOOR when the
     denominator vanishes or goes negative (possible when R > K).
-    The product V y = Vh^H y is formed as (y^H Vh)^H, which conjugates two
-    vectors instead of copying the R x K Vh; both forms run one BLAS
-    matrix-vector product and give the same bits.
+    V^H r and V y are the triple's vh_dot and vh_adjoint_dot, so the explicit
+    and the factored product form run the same lines.
     """
-    omega, vh = svd.omega, svd.Vh
-    rank, k = vh.shape
+    omega = svd.omega
+    rank, k = svd.rank, svd.shape[1]
     if z_tilde.shape != (rank,):
         raise ValueError(f"lmmse_extrinsic: z_tilde has length {z_tilde.size}, rank is {rank}")
     if msg.r.shape != (k,):
@@ -135,7 +153,7 @@ def lmmse_extrinsic(svd: EconomySVD, z_tilde: np.ndarray, msg: ExtrinsicMessage,
     d = omega2 / (omega2 + msg.gamma)
     d_mean = float(np.add.reduce(d) / d.size)
     ratio = k / rank
-    r_out = msg.r + ratio * (((d / d_mean) * (z_tilde - vh @ msg.r)).conj() @ vh).conj()
+    r_out = msg.r + ratio * svd.vh_adjoint_dot((d / d_mean) * (z_tilde - svd.vh_dot(msg.r)))
     denom = ratio - d_mean
     # a vanishing, negative or non-finite denominator clamps once, like a small precision
     gamma_out = msg.gamma * d_mean / denom if 0 < denom < np.inf else 0.0
@@ -163,8 +181,8 @@ class VampState:
         return cls(ExtrinsicMessage(x0.copy(), INITIAL_PRECISION), x0.copy())
 
 
-def vamp_step(svd: EconomySVD, z_tilde: np.ndarray, state: VampState, projector: Projector,
-              diag: VampDiagnostics) -> tuple[float, float]:
+def vamp_step(svd: EconomySVD | KhatriRaoSVD, z_tilde: np.ndarray, state: VampState,
+              projector: Projector, diag: VampDiagnostics) -> tuple[float, float]:
     """One linear-estimator pass plus one projector pass; updates state in place.
 
     From the second step on, the linear-pass precision and the iterate

@@ -3,10 +3,11 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from irsbeam import altopt, metrics
+from irsbeam import altopt, metrics, vamp
 from irsbeam.altopt import OptimizerConfig, joint_optimize, vamp_setup
 from irsbeam.channel import ChannelSet, SystemDims, complex_normal, sample_channel_set
-from irsbeam.linalg import economy_svd
+from irsbeam.harness import desk_spec
+from irsbeam.linalg import KhatriRaoSVD, QRCore, economy_svd, use_factors
 from irsbeam.metrics import fit_error, nrmse
 from irsbeam.oracles import grid_phase_search, sum_mse_reference
 from irsbeam.precoding import effective_channel, mmse_precoder
@@ -45,10 +46,11 @@ def test_objective_error_matches_per_user_expansion():
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
-def setup_dense(ch, f, alpha):
-    """vamp_setup from the once-per-solve SVD of H_su^H, with A rebuilt dense."""
-    a, b, z = vamp_setup(ch, economy_svd(ch.H_su.conj().T), f, alpha)
-    return a.reconstruct(), b, z
+def setup_dense(ch, f, alpha, qr=None):
+    """vamp_setup from the once-per-solve SVD of H_su^H, with A rebuilt dense,
+    and B rebuilt too when it comes factored through qr."""
+    a, b, z = vamp_setup(ch, economy_svd(ch.H_su.conj().T), qr, f, alpha)
+    return a.reconstruct(), b if qr is None else b.reconstruct(), z
 
 
 def test_vamp_setup_identity_toy():
@@ -75,13 +77,15 @@ def test_vamp_setup_objective_equality():
     rng = np.random.default_rng(2)
     ch = toy_channel(rng, 5, 2, 8)
     sol = mmse_precoder(effective_channel(ch, np.ones(8, complex)), 2.0, 0.01)
-    a, b, z = setup_dense(ch, sol.F, sol.alpha)
-    for _ in range(100):
-        ups = np.exp(2j * np.pi * rng.random(8))
-        lhs = np.linalg.norm(a @ np.diag(ups) @ b.T - z) ** 2
-        rhs = (fit_error(sol.alpha, effective_channel(ch, ups), sol.F, 0.01)
-               - 2 * sol.alpha**2 * 0.01)
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
+    # B as a matrix, and B factored through the QR core
+    for qr in (None, np.linalg.qr(ch.H_bs)):
+        a, b, z = setup_dense(ch, sol.F, sol.alpha, qr)
+        for _ in range(100):
+            ups = np.exp(2j * np.pi * rng.random(8))
+            lhs = np.linalg.norm(a @ np.diag(ups) @ b.T - z) ** 2
+            rhs = (fit_error(sol.alpha, effective_channel(ch, ups), sol.F, 0.01)
+                   - 2 * sol.alpha**2 * 0.01)
+            np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
 
 
 def test_rescaled_surface_svd_matches_fresh_svd():
@@ -92,7 +96,9 @@ def test_rescaled_surface_svd_matches_fresh_svd():
         ch = sample_channel_set(np.random.default_rng(seed), dims)
         ups = np.exp(2j * np.pi * np.random.default_rng(seed + 100).random(dims.K))
         sol = mmse_precoder(effective_channel(ch, ups), 1.0, 1e-13)
-        a, b, z = vamp_setup(ch, economy_svd(ch.H_su.conj().T), sol.F, sol.alpha)
+        # B as joint_optimize hands it over: through the QR core from M = 3 on
+        qr = np.linalg.qr(ch.H_bs) if use_factors(dims.M, dims.M) else None
+        a, b, z = vamp_setup(ch, economy_svd(ch.H_su.conj().T), qr, sol.F, sol.alpha)
         fresh = economy_svd(sol.alpha * ch.H_su.conj().T)
         assert a.rank == fresh.rank == dims.M
         np.testing.assert_allclose(a.omega, fresh.omega, rtol=1e-12)
@@ -225,6 +231,86 @@ def test_traced_solve_builds_one_effective_channel_per_iteration(monkeypatch):
     sol = joint_optimize(ch, 1.0, 1e-13, OptimizerConfig(collect_trace=True),
                          np.random.default_rng(14))
     assert len(calls) == sol.iterations + 1 == len(sol.trace)
+
+
+def _count_paths(monkeypatch):
+    """Per phase step, whether vamp_setup was handed the QR core, and the
+    calls of the factored entry points: the factored assembly as
+    prepare_system calls it, and the factored linear pass."""
+    seen = {"qr": [], "assembly": 0, "linear": 0}
+    setup, assembly = altopt.vamp_setup, vamp.khatri_rao_svd
+    adjoint = KhatriRaoSVD.vh_adjoint_dot
+
+    def counted_setup(ch, svd_su, qr, f, alpha):
+        seen["qr"].append(qr is not None)
+        return setup(ch, svd_su, qr, f, alpha)
+
+    def counted_assembly(*args):
+        seen["assembly"] += 1
+        return assembly(*args)
+
+    def counted_adjoint(*args):
+        seen["linear"] += 1
+        return adjoint(*args)
+
+    monkeypatch.setattr(altopt, "vamp_setup", counted_setup)
+    monkeypatch.setattr(vamp, "khatri_rao_svd", counted_assembly)
+    monkeypatch.setattr(KhatriRaoSVD, "vh_adjoint_dot", counted_adjoint)
+    return seen
+
+
+@pytest.mark.parametrize("constraint", ["unimodular", "reactive"])
+def test_joint_optimize_takes_the_factored_path_from_three_users(monkeypatch, constraint):
+    # counts, not timings or bits: at the desk shapes (two users) no phase
+    # step enters the QR core or the factored path; from three users every
+    # one enters both
+    spec = desk_spec()
+    shapes = [(SystemDims(n, m, k), False)
+              for n in spec.n_bs for m in spec.n_users for k in spec.n_irs]
+    shapes += [(SystemDims(8, 3, 16), True), (SystemDims(32, 4, 256), True),
+               (SystemDims(32, 8, 256), True)]
+    cfg = OptimizerConfig(constraint=constraint)
+    for dims, factored in shapes:
+        seen = _count_paths(monkeypatch)
+        ch = sample_channel_set(np.random.default_rng(dims.K), dims)
+        sol = joint_optimize(ch, 1.0, 1e-13, cfg, np.random.default_rng(16))
+        steps = sol.iterations
+        assert seen["qr"] == [factored] * steps, dims
+        assert (seen["assembly"], seen["linear"]) == ((steps, steps) if factored else (0, 0)), dims
+        monkeypatch.undo()
+
+
+def _qr_core_cases():
+    rng = np.random.default_rng(17)
+    # K > N; K <= N; and a rank-deficient H_bs, 10 paths < N = 32 as at paper scale
+    cases = [("K>N", complex_normal(rng, 64, 8), 4), ("K<=N", complex_normal(rng, 16, 32), 4),
+             ("K=N", complex_normal(rng, 8, 8), 3),
+             ("rank-10", complex_normal(rng, 256, 10) @ complex_normal(rng, 10, 32), 8),
+             ("paper", sample_channel_set(rng, SystemDims(32, 4, 256)).H_bs, 4)]
+    return [pytest.param(h_bs, m, id=name) for name, h_bs, m in cases]
+
+
+@pytest.mark.parametrize("h_bs, m", _qr_core_cases())
+def test_qr_core_factors_b(h_bs, m):
+    # the SVD of B = (H_bs F)^T through the core R F of a reduced QR of H_bs
+    # against economy_svd(B): the same singular values, a factorization of B,
+    # and orthonormal rows of Vh
+    k, n = h_bs.shape
+    rng = np.random.default_rng(k + n + m)
+    ch = ChannelSet(h_bs, complex_normal(rng, n, m), complex_normal(rng, k, m))
+    f = complex_normal(rng, n, m)
+    svd_su = economy_svd(ch.H_su_H)
+    _, core, _ = vamp_setup(ch, svd_su, np.linalg.qr(ch.H_bs), f, 0.7)
+    _, b_dense, _ = vamp_setup(ch, svd_su, None, f, 0.7)
+    assert isinstance(core, QRCore)
+    b, ref = core.svd(), economy_svd(b_dense)
+    assert b.rank == ref.rank
+    assert b.U.shape == (m, b.rank) and b.Vh.shape == (b.rank, k)
+    np.testing.assert_allclose(b.omega, ref.omega, rtol=0, atol=1e-12 * ref.omega[0])
+    assert np.linalg.norm(b.reconstruct() - b_dense) <= 1e-12 * np.linalg.norm(b_dense)
+    eye = np.eye(b.rank)
+    assert np.abs(b.Vh @ b.Vh.conj().T - eye).max() <= 1e-12
+    assert np.abs(b.U.conj().T @ b.U - eye).max() <= 1e-12
 
 
 @pytest.mark.parametrize("constraint", ["unimodular", "reactive"])

@@ -96,6 +96,7 @@ def test_oracle_verb(capsys):
     assert "oracle suite: PASS" in out
     # the linear pass is checked on the system prepare_system builds
     assert "PASS  production linear pass matches dense form" in out
+    assert "PASS  factored linear pass matches the explicit product form at M = 4" in out
     assert "FAIL" not in out.replace("oracle suite: PASS", "")
 
 

@@ -3,8 +3,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from irsbeam import vamp
 from irsbeam.channel import complex_normal
-from irsbeam.linalg import RANK_CUTOFF, EconomySVD, economy_svd, khatri_rao_columns
+from irsbeam.linalg import (RANK_CUTOFF, EconomySVD, KhatriRaoSVD, economy_svd,
+                            khatri_rao_columns)
 from irsbeam.oracles import dense_lmmse
 from irsbeam.projectors import UNIMODULAR, Projector
 from irsbeam.vamp import (DAMPING, GAMMA_FLOOR, INITIAL_PRECISION, ExtrinsicMessage,
@@ -249,8 +251,10 @@ def test_prepare_system_bits_match_reference_assembly():
     # factors vanish, so the structured branch keeps 2 of its 4 components
     blocks = np.zeros((2, 4), dtype=complex)
     blocks[0, :2], blocks[1, 2:] = complex_normal(rng, 2), complex_normal(rng, 2)
+    # two users at most: from three on the product form stays in its factors,
+    # checked against this explicit one in test_factored_linear_pass_matches_explicit_form
     cases = [("structured", factor(2, 16), factor(2, 16), complex_normal(rng, 2, 2)),
-             ("structured", factor(4, 256), factor(4, 256), complex_normal(rng, 4, 4)),
+             ("structured", factor(2, 256), factor(2, 256), complex_normal(rng, 2, 2)),
              # -0 parts, to which a division and the reciprocal multiply give different signs
              ("structured", real_factor(2, 16), real_factor(2, 16), complex_normal(rng, 2, 2)),
              ("dense", factor(4, 9), factor(4, 9), complex_normal(rng, 4, 4)),
@@ -273,6 +277,99 @@ def test_prepare_system_bits_match_reference_assembly():
             assert (got.flags.c_contiguous, got.flags.f_contiguous) == \
                 (want.flags.c_contiguous, want.flags.f_contiguous), (branch, name)
         assert svd.U.flags.f_contiguous, branch
+
+
+def _explicit_product_form(svd_a, svd_b):
+    """U, omega and Vh of the product form built as written: the rows of the
+    Khatri-Rao product of the factor Vh's divided by their norms, np.kron of
+    the factor U's, and the kron of the omegas times the row norms, with the
+    components under the rank cutoff dropped."""
+    vh_kr = khatri_rao_columns(svd_b.Vh, svd_a.Vh)
+    v_n = np.linalg.norm(vh_kr, axis=1)
+    omega = np.kron(svd_b.omega, svd_a.omega) * v_n
+    kept = omega > RANK_CUTOFF * omega.max()
+    return (np.kron(svd_b.U, svd_a.U)[:, kept], omega[kept],
+            vh_kr[kept] / v_n[kept, None])
+
+
+def _factored_cases():
+    rng = np.random.default_rng(31)
+    cases = [(f"{m_a}x{m_b}x{k}", complex_normal(rng, m_a, k), complex_normal(rng, m_b, k),
+              m_a * m_b)
+             for m_a, m_b, k in [(3, 3, 16), (4, 4, 64), (8, 8, 256), (4, 2, 64),
+                                 (4, 4, 16)]]  # the last has R = K
+    # block-diagonal supports: row j of either factor lives on columns
+    # 4j..4j+3, so the grid components (i, j) with i != j vanish and are dropped
+    mask = np.kron(np.eye(3), np.ones((1, 4)))
+    cases.append(("truncated", mask * complex_normal(rng, 3, 12),
+                  mask * complex_normal(rng, 3, 12), 3))
+    return [pytest.param(a, b, rank, id=name) for name, a, b, rank in cases]
+
+
+@pytest.mark.parametrize("a, b, rank", _factored_cases())
+def test_factored_linear_pass_matches_explicit_form(a, b, rank):
+    # from three users on prepare_system keeps the product form in its
+    # factors; its omega, z_tilde and linear pass must be those of the
+    # explicit form, and a dropped component hands the grid to structured_svd
+    rng = np.random.default_rng(a.shape[1])
+    z = complex_normal(rng, a.shape[0], b.shape[0])
+    svd_a, svd_b = economy_svd(a), economy_svd(b)
+    svd, z_tilde = prepare_system(svd_a, b, z)
+    u, omega, vh = _explicit_product_form(svd_a, svd_b)
+    k = a.shape[1]
+    assert svd.rank == omega.size == rank
+    assert isinstance(svd, KhatriRaoSVD if rank == a.shape[0] * b.shape[0] else EconomySVD)
+
+    def rel(got, want):
+        return np.linalg.norm(got - want) / np.linalg.norm(want)
+
+    z_ref = (u.conj().T @ z.flatten(order="F")) / omega
+    assert rel(svd.omega, omega) <= 1e-12
+    assert rel(z_tilde, z_ref) <= 1e-12
+    for gamma in (1e-3, 0.1, 10.0):
+        r = complex_normal(rng, k)
+        out = lmmse_extrinsic(svd, z_tilde, ExtrinsicMessage(r, gamma))
+        d = omega**2 / (omega**2 + gamma)
+        ratio = k / rank
+        r_ref = r + ratio * vh.conj().T @ ((d / d.mean()) * (z_ref - vh @ r))
+        gamma_ref = gamma * d.mean() / (ratio - d.mean())
+        assert rel(out.r, r_ref) <= 1e-12
+        assert abs(out.gamma - gamma_ref) <= 1e-12 * gamma_ref
+
+
+def _count_factored(monkeypatch):
+    """Count the calls of the factored entry points: the factored assembly
+    as prepare_system calls it, and the factored linear-pass products."""
+    calls = {"assembly": 0, "vh_dot": 0, "vh_adjoint_dot": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(vamp, "khatri_rao_svd", counted("assembly", vamp.khatri_rao_svd))
+    for name in ("vh_dot", "vh_adjoint_dot"):
+        monkeypatch.setattr(KhatriRaoSVD, name, counted(name, getattr(KhatriRaoSVD, name)))
+    return calls
+
+
+def test_run_vamp_takes_the_factored_path_only_past_its_rule(monkeypatch):
+    # R_a*R_b <= R_a + R_b never enters the factored path, R_a*R_b > R_a + R_b
+    # always does, once per system and once per linear pass
+    calls = _count_factored(monkeypatch)
+    rng = np.random.default_rng(14)
+    cfg = OptimizerConfig(epsilon_outer=1e-300, t_max_outer=4)
+    for m_a, m_b, factored in [(1, 1, False), (1, 4, False), (2, 2, False), (2, 1, False),
+                               (2, 3, True), (3, 3, True), (4, 4, True)]:
+        a, b = complex_normal(rng, m_a, 20), complex_normal(rng, m_b, 20)
+        before = dict(calls)
+        res = run_vamp(a, b, complex_normal(rng, m_a, m_b), cfg, np.random.default_rng(1))
+        assert res.iterations == 4
+        got = {name: calls[name] - before[name] for name in calls}
+        passes = 4 if factored else 0
+        assert got == {"assembly": int(factored), "vh_dot": passes,
+                       "vh_adjoint_dot": passes}, (m_a, m_b)
 
 
 def test_run_vamp_scalar_identity():
