@@ -11,14 +11,15 @@ their layout picks the BLAS kernel, and so the rounding, of the products
 that use them. `identity(m)` is one shared read-only identity per size for
 the per-iteration callers.
 
-The product form comes in two forms, and `use_factors` alone picks one.
-When it has no more components than its factors have rows,
+The product form is held in one of two ways, and `use_factors` alone picks
+one. When it has no more components than its factors have rows,
 R_a*R_b <= R_a + R_b (two users or fewer), `structured_svd` builds it
 explicitly: the R x K Khatri-Rao Vh and the kron U, with a few whole-array
 numpy calls, each entry the same single product as in an entry-by-entry
 assembly. With more components (three users or more) those arrays grow as
 R = M^2 while the factors grow as M, so `khatri_rao_svd` keeps it in the two
-factor SVDs, and a `KhatriRaoSVD` applies U^H, Vh and Vh^H through them.
+factor SVDs: a `KhatriRaoSVD` applies U^H through them, and its Vh, a
+`KhatriRaoRows`, multiplies from either side like the matrix it stands for.
 The explicit form is the faster one at two users, where it has at most four
 rows, and its bits are the ones the seeded sweeps pin.
 """
@@ -46,26 +47,12 @@ class EconomySVD:
     def rank(self) -> int:
         return int(self.omega.size)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.U.shape[0], self.Vh.shape[1]
-
     def reconstruct(self) -> np.ndarray:
         return (self.U * self.omega) @ self.Vh
 
     def uh_dot(self, y: np.ndarray) -> np.ndarray:
         """U^H y."""
         return self.U.conj().T @ y
-
-    def vh_dot(self, x: np.ndarray) -> np.ndarray:
-        """Vh x."""
-        return self.Vh @ x
-
-    def vh_adjoint_dot(self, y: np.ndarray) -> np.ndarray:
-        """Vh^H y, formed as (y^H Vh)^H: that conjugates two vectors instead of
-        copying Vh, and both forms run one BLAS matrix-vector product with
-        the same bits."""
-        return (y.conj() @ self.Vh).conj()
 
 
 def economy_svd(a: np.ndarray) -> EconomySVD:
@@ -171,54 +158,64 @@ def use_factors(rank_a: int, rank_b: int) -> bool:
     return rank_a * rank_b > rank_a + rank_b
 
 
+class KhatriRaoRows:
+    """The R x K right factor of the product form of D = B * A, kept in the
+    factors: Vh = the Khatri-Rao product of Vh_b and Vh_a with rows divided by
+    their norms v_n. Row p = i*R_a + j pairs row i of Vh_b with row j of Vh_a,
+    as in khatri_rao_columns, and inv_norms[i, j] is 1/v_n of row p.
+
+    It multiplies as the matrix it stands for, through the factors, with a
+    length-R vector held as the R_b x R_a matrix of its row-major entries:
+    vh @ x = ((Vh_b * x) Vh_a^T) * inv_norms, and
+    w @ vh = sum over i of Vh_b[i] * ((W * inv_norms) Vh_a)[i].
+    numpy hands `w @ vh` to __rmatmul__ because __array_ufunc__ is None.
+    """
+
+    __array_ufunc__ = None
+
+    def __init__(self, vh_a: np.ndarray, vh_b: np.ndarray, inv_norms: np.ndarray):
+        self.vh_a, self.vh_b, self.inv_norms = vh_a, vh_b, inv_norms
+        self.shape = (inv_norms.size, vh_a.shape[1])
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return (((self.vh_b * x) @ self.vh_a.T) * self.inv_norms).ravel()
+
+    def __rmatmul__(self, w: np.ndarray) -> np.ndarray:
+        t = (w.reshape(self.inv_norms.shape) * self.inv_norms) @ self.vh_a
+        return np.add.reduce(self.vh_b * t, axis=0)
+
+    def dense(self) -> np.ndarray:
+        """The R x K matrix itself."""
+        return khatri_rao_columns(self.vh_b, self.vh_a) * self.inv_norms.reshape(-1, 1)
+
+
 @dataclass
 class KhatriRaoSVD:
     """The product-form SVD of D = B * A kept in its factor SVDs.
 
     It stands for structured_svd's triple, U = kron(U_b, U_a),
-    omega = (omega_b kron omega_a) * v_n and Vh = the Khatri-Rao product of
-    the factor Vh's with rows divided by their norms v_n, none of which is
-    formed. Component p = i*R_a + j pairs row i of B's factors with row j of
-    A's, as in khatri_rao_columns; omega is in that order and inv_norms[i, j]
-    is 1/v_n of component p. Each product runs through the factors, which
-    costs O(K (R_a + R_b)) memory instead of O(K R_a R_b). With vec stacking
-    columns, and a length-R vector y held as the R_b x R_a matrix Y whose
-    row-major entries are y's:
-    U^H vec(Z) = vec(U_a^H Z conj(U_b));
-    Vh x = ((Vh_b * x) Vh_a^T) * inv_norms, as an R_b x R_a matrix;
-    Vh^H y = conj(sum over i of Vh_b[i] * ((conj(Y) * inv_norms) Vh_a)[i]).
+    omega = (omega_b kron omega_a) * v_n and the row-normalized Khatri-Rao
+    Vh, and forms neither U nor Vh: omega is in khatri_rao_columns' order,
+    Vh is a KhatriRaoRows, and U^H vec(Z) = vec(U_a^H Z conj(U_b)), with vec
+    stacking columns. Memory is O(K (R_a + R_b)) instead of O(K R_a R_b).
     """
 
     a: EconomySVD
     b: EconomySVD
     omega: np.ndarray
-    inv_norms: np.ndarray
+    Vh: KhatriRaoRows
 
     @property
     def rank(self) -> int:
         return int(self.omega.size)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.a.U.shape[0] * self.b.U.shape[0], self.a.Vh.shape[1]
-
     def reconstruct(self) -> np.ndarray:
-        vh = khatri_rao_columns(self.b.Vh, self.a.Vh) * self.inv_norms.reshape(-1, 1)
-        return (np.kron(self.b.U, self.a.U) * self.omega) @ vh
+        return (np.kron(self.b.U, self.a.U) * self.omega) @ self.Vh.dense()
 
     def uh_dot(self, y: np.ndarray) -> np.ndarray:
         """U^H y; the row-major reshape of y = vec(Z) is Z^T."""
         z_t = y.reshape(self.b.U.shape[0], self.a.U.shape[0])
         return (self.b.U.conj().T @ z_t @ self.a.U.conj()).ravel()
-
-    def vh_dot(self, x: np.ndarray) -> np.ndarray:
-        """Vh x."""
-        return (((self.b.Vh * x) @ self.a.Vh.T) * self.inv_norms).ravel()
-
-    def vh_adjoint_dot(self, y: np.ndarray) -> np.ndarray:
-        """Vh^H y."""
-        t = (y.reshape(self.inv_norms.shape).conj() * self.inv_norms) @ self.a.Vh
-        return np.add.reduce(self.b.Vh * t, axis=0).conj()
 
 
 def khatri_rao_svd(svd_a: EconomySVD, svd_b: EconomySVD) -> KhatriRaoSVD | EconomySVD:
@@ -236,7 +233,7 @@ def khatri_rao_svd(svd_a: EconomySVD, svd_b: EconomySVD) -> KhatriRaoSVD | Econo
     if not np.minimum.reduce(omega, initial=np.inf) > \
             RANK_CUTOFF * np.maximum.reduce(omega, initial=0.0):
         return structured_svd(svd_a, svd_b)
-    return KhatriRaoSVD(svd_a, svd_b, omega, 1.0 / v_n)
+    return KhatriRaoSVD(svd_a, svd_b, omega, KhatriRaoRows(svd_a.Vh, svd_b.Vh, 1.0 / v_n))
 
 
 @cache

@@ -16,8 +16,9 @@ The linear pass needs only omega, z_tilde, Vh r and Vh^H y of the SVD form
 the small dense D. Otherwise it takes the product form, built explicitly
 while R_a*R_b <= R_a + R_b (two users or fewer) and kept in its factor SVDs
 past that, where the explicit R x K Vh and R x R U grow as R_a*R_b
-(linalg.use_factors decides); lmmse_extrinsic and vamp_step run either form
-through the same calls.
+(linalg.use_factors decides); the factored form's Vh multiplies like the
+matrix, so lmmse_extrinsic and vamp_step run either form through the same
+lines.
 
 The message-passing step takes no settings: the linear pass is unweighted,
 and the damping factor, the initial message precision and the precision
@@ -116,13 +117,14 @@ def prepare_system(svd_a: EconomySVD, b: np.ndarray | QRCore, z: np.ndarray):
         b = np.asarray(b, dtype=complex)
         svd_b = economy_svd(b)
     z = np.asarray(z, dtype=complex)
-    shape = (svd_a.U.shape[0], svd_b.U.shape[0])
-    if z.shape != shape:
-        raise ValueError(f"prepare_system: Z is {z.shape}, expected {shape}")
-    if svd_a.rank * svd_b.rank > svd_a.Vh.shape[1]:
+    m = svd_a.U.shape[0]
+    if z.shape != (m, svd_b.U.shape[0]):
+        raise ValueError(f"prepare_system: Z is {z.shape}, expected {(m, svd_b.U.shape[0])}")
+    rank_a, rank_b = svd_a.rank, svd_b.rank
+    if rank_a * rank_b > svd_a.Vh.shape[1]:
         b = b.reconstruct() if isinstance(b, QRCore) else b
         svd = economy_svd(khatri_rao_columns(b, svd_a.reconstruct()))
-    elif use_factors(svd_a.rank, svd_b.rank):
+    elif use_factors(rank_a, rank_b):
         svd = khatri_rao_svd(svd_a, svd_b)
     else:
         svd = structured_svd(svd_a, svd_b)
@@ -135,16 +137,18 @@ def lmmse_extrinsic(svd: EconomySVD | KhatriRaoSVD, z_tilde: np.ndarray, msg: Ex
                     diag: VampDiagnostics | None = None) -> ExtrinsicMessage:
     """Extrinsic output of the linear pass, computed in SVD form.
 
-    With K unknowns and R components:
+    With K = svd.Vh.shape[1] unknowns and R components:
     d = omega^2 / (omega^2 + gamma);
     r_out = r + (K/R) V Diag(d/<d>) (z_tilde - V^H r);
     gamma_out = gamma*<d> / (K/R - <d>), clamped to GAMMA_FLOOR when the
     denominator vanishes or goes negative (possible when R > K).
-    V^H r and V y are the triple's vh_dot and vh_adjoint_dot, so the explicit
-    and the factored product form run the same lines.
+    The product V y = Vh^H y is formed as (y^H Vh)^H, which conjugates two
+    vectors instead of copying the R x K Vh; both forms run one BLAS
+    matrix-vector product and give the same bits. A factored triple's Vh is
+    a linalg.KhatriRaoRows, which takes both products through its factors.
     """
-    omega = svd.omega
-    rank, k = svd.rank, svd.shape[1]
+    omega, vh = svd.omega, svd.Vh
+    rank, k = vh.shape
     if z_tilde.shape != (rank,):
         raise ValueError(f"lmmse_extrinsic: z_tilde has length {z_tilde.size}, rank is {rank}")
     if msg.r.shape != (k,):
@@ -153,7 +157,7 @@ def lmmse_extrinsic(svd: EconomySVD | KhatriRaoSVD, z_tilde: np.ndarray, msg: Ex
     d = omega2 / (omega2 + msg.gamma)
     d_mean = float(np.add.reduce(d) / d.size)
     ratio = k / rank
-    r_out = msg.r + ratio * svd.vh_adjoint_dot((d / d_mean) * (z_tilde - svd.vh_dot(msg.r)))
+    r_out = msg.r + ratio * (((d / d_mean) * (z_tilde - vh @ msg.r)).conj() @ vh).conj()
     denom = ratio - d_mean
     # a vanishing, negative or non-finite denominator clamps once, like a small precision
     gamma_out = msg.gamma * d_mean / denom if 0 < denom < np.inf else 0.0

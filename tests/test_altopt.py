@@ -7,7 +7,7 @@ from irsbeam import altopt, metrics, vamp
 from irsbeam.altopt import OptimizerConfig, joint_optimize, vamp_setup
 from irsbeam.channel import ChannelSet, SystemDims, complex_normal, sample_channel_set
 from irsbeam.harness import desk_spec
-from irsbeam.linalg import KhatriRaoSVD, QRCore, economy_svd, use_factors
+from irsbeam.linalg import KhatriRaoRows, QRCore, economy_svd, use_factors
 from irsbeam.metrics import fit_error, nrmse
 from irsbeam.oracles import grid_phase_search, sum_mse_reference
 from irsbeam.precoding import effective_channel, mmse_precoder
@@ -239,7 +239,7 @@ def _count_paths(monkeypatch):
     prepare_system calls it, and the factored linear pass."""
     seen = {"qr": [], "assembly": 0, "linear": 0}
     setup, assembly = altopt.vamp_setup, vamp.khatri_rao_svd
-    adjoint = KhatriRaoSVD.vh_adjoint_dot
+    adjoint = KhatriRaoRows.__rmatmul__
 
     def counted_setup(ch, svd_su, qr, f, alpha):
         seen["qr"].append(qr is not None)
@@ -255,7 +255,7 @@ def _count_paths(monkeypatch):
 
     monkeypatch.setattr(altopt, "vamp_setup", counted_setup)
     monkeypatch.setattr(vamp, "khatri_rao_svd", counted_assembly)
-    monkeypatch.setattr(KhatriRaoSVD, "vh_adjoint_dot", counted_adjoint)
+    monkeypatch.setattr(KhatriRaoRows, "__rmatmul__", counted_adjoint)
     return seen
 
 

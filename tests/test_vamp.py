@@ -5,8 +5,8 @@ import pytest
 
 from irsbeam import vamp
 from irsbeam.channel import complex_normal
-from irsbeam.linalg import (RANK_CUTOFF, EconomySVD, KhatriRaoSVD, economy_svd,
-                            khatri_rao_columns)
+from irsbeam.linalg import (RANK_CUTOFF, EconomySVD, KhatriRaoRows, KhatriRaoSVD,
+                            economy_svd, khatri_rao_columns)
 from irsbeam.oracles import dense_lmmse
 from irsbeam.projectors import UNIMODULAR, Projector
 from irsbeam.vamp import (DAMPING, GAMMA_FLOOR, INITIAL_PRECISION, ExtrinsicMessage,
@@ -339,7 +339,7 @@ def test_factored_linear_pass_matches_explicit_form(a, b, rank):
 
 def _count_factored(monkeypatch):
     """Count the calls of the factored entry points: the factored assembly
-    as prepare_system calls it, and the factored linear-pass products."""
+    as prepare_system calls it, and the two products of the factored Vh."""
     calls = {"assembly": 0, "vh_dot": 0, "vh_adjoint_dot": 0}
 
     def counted(name, fn):
@@ -349,8 +349,8 @@ def _count_factored(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(vamp, "khatri_rao_svd", counted("assembly", vamp.khatri_rao_svd))
-    for name in ("vh_dot", "vh_adjoint_dot"):
-        monkeypatch.setattr(KhatriRaoSVD, name, counted(name, getattr(KhatriRaoSVD, name)))
+    for name, method in (("vh_dot", "__matmul__"), ("vh_adjoint_dot", "__rmatmul__")):
+        monkeypatch.setattr(KhatriRaoRows, method, counted(name, getattr(KhatriRaoRows, method)))
     return calls
 
 
