@@ -2,14 +2,16 @@
 
 D = B * A (column k is b_k kron a_k) shows up when a diagonal unknown sits
 between two known matrices: vec(A Diag(x) B^T) = D x. The demo assembles the
-SVD-form triple of D from the two small factor SVDs in both of its forms:
-explicit (structured_svd builds the kron U and the row-normalized
-Khatri-Rao Vh) and factored (khatri_rao_svd keeps the two factor SVDs and
-the row norms). It checks that each reconstructs D exactly, that they agree,
-and measures how far the right factor is from orthonormal. The left factor
-U has orthonormal columns, at most rank(A)*rank(B) of them; the right factor
-is row-normalized, not orthonormal. With more components than the factors
-have rows, as here, the solver keeps the factored form (linalg.use_factors).
+SVD-form triple of D from the two small factor SVDs, the one input form the
+solver takes, in both of its forms: explicit (structured_svd builds the kron
+U and the row-normalized Khatri-Rao Vh) and factored (khatri_rao_svd keeps
+the two factor SVDs and the row norms). It checks that each reconstructs D
+exactly, that they agree, and measures how far the right factor is from
+orthonormal. The left factor U has orthonormal columns, rank(A)*rank(B) of
+them; the right factor is row-normalized, not orthonormal. With more
+components than the factors have rows, as here, the solver keeps the
+factored form (linalg.use_factors). A grid with a component under the rank
+cutoff is built by neither: the solver takes the dense SVD of D there.
 """
 import numpy as np
 

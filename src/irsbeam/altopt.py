@@ -7,12 +7,13 @@ onto the constraint set, and builds the effective channel of the new phases
 once, for the closed-form precoder. The surface-user factor A = alpha H_su^H
 changes only through the scalar alpha, so H_su^H is factored once per solve
 and each iteration rescales its singular values.
-With three users or more (linalg.use_factors), the phase step keeps its
-product form in the factor SVDs, and B = (H_bs F)^T is factored through
-its fixed left factor too: one reduced QR, H_bs = Q R, per solve, and each
-iteration hands prepare_system the small N x M core R F to factor instead
-of the M x K B. With two users or fewer B is factored directly: that is
-the faster way there, and it keeps the bits of the seeded sweeps.
+The phase step hands prepare_system both factors as SVDs. With three users
+or more (linalg.use_factors), it keeps its product form in the factor SVDs,
+and B = (H_bs F)^T is factored through its fixed left factor too: one
+reduced QR, H_bs = Q R, per solve, and each iteration factors the small
+N x M core R F instead of the M x K B (linalg.qr_core_svd). With two users
+or fewer B is factored directly: that is the faster way there, and it keeps
+the bits of the seeded sweeps.
 Nothing else fixed is rebuilt per iteration either: the conjugate links come
 from the channel set's cache (ChannelSet.H_su_H, H_bu_H), the identity from
 linalg.identity, and the projector pass takes g and g' from one call.
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet
-from .linalg import EconomySVD, QRCore, economy_svd, identity, use_factors
+from .linalg import EconomySVD, economy_svd, identity, qr_core_svd, use_factors
 from .precoding import effective_channel, mmse_precoder
 from .projectors import get_projector
 from .vamp import OptimizerConfig, VampDiagnostics, VampState, prepare_system, vamp_step
@@ -64,24 +65,23 @@ class BeamformingSolution:
 
 def vamp_setup(ch: ChannelSet, svd_su: EconomySVD, qr: tuple | None, f: np.ndarray,
                alpha: float):
-    """Matrices (A, B, Z) of the phase subproblem at the current precoder:
-    A = alpha H_su^H, B = (H_bs F)^T, Z = I - alpha H_bu^H F, so that
-    ||A Diag(upsilon) B^T - Z||_F^2 equals the phase part of the objective.
+    """The phase subproblem at the current precoder, as (SVD of A, SVD of B,
+    Z) for A = alpha H_su^H, B = (H_bs F)^T and Z = I - alpha H_bu^H F, so
+    that ||A Diag(upsilon) B^T - Z||_F^2 equals the phase part of the
+    objective.
 
-    A is returned as its economy SVD: svd_su, the SVD of H_su^H, with its
-    singular values scaled by alpha. The rank cutoff is relative, so the
-    scaling keeps the same components. B is returned as a matrix when qr is
-    None, and otherwise, for qr = (Q, R) a reduced QR of H_bs, as the
-    linalg.QRCore of Q and the core R F, which prepare_system factors in
-    place of B. H_bu^H is the set's cached ChannelSet.H_bu_H."""
+    A's SVD is svd_su, the SVD of H_su^H, with its singular values scaled by
+    alpha. The rank cutoff is relative, so the scaling keeps the same
+    components. B is factored directly when qr is None, and otherwise, for
+    qr = (Q, R) a reduced QR of H_bs, through its core R F
+    (linalg.qr_core_svd). H_bu^H is the set's cached ChannelSet.H_bu_H."""
     a = EconomySVD(svd_su.U, alpha * svd_su.omega, svd_su.Vh)
     if qr is None:
-        b = (ch.H_bs @ f).T
+        b = economy_svd((ch.H_bs @ f).T)
     else:
         q, r = qr
-        b = QRCore(q, r @ f)
-    m = f.shape[1]
-    z = identity(m) - alpha * ch.H_bu_H @ f
+        b = qr_core_svd(q, r @ f)
+    z = identity(f.shape[1]) - alpha * ch.H_bu_H @ f
     return a, b, z
 
 
@@ -109,8 +109,7 @@ def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
     # iteration 0 evaluates the initial phases; each later one first updates them
     for t in range(cfg.t_max_outer + 1):
         if t > 0:
-            svd_a, b, z = vamp_setup(ch, svd_su, qr, sol.F, sol.alpha)
-            svd, z_tilde = prepare_system(svd_a, b, z)
+            svd, z_tilde = prepare_system(*vamp_setup(ch, svd_su, qr, sol.F, sol.alpha))
             vamp_step(svd, z_tilde, state, projector, diag)
             upsilon = np.asarray(projector.g(state.x_damped))
         h = effective_channel(ch, upsilon)

@@ -102,15 +102,20 @@ def cmd_oracle(args) -> int:
     rng = np.random.default_rng(0 if args.seed is None else args.seed)
     ok = True
 
-    a, b = complex_normal(rng, 3, 7), complex_normal(rng, 2, 7)
-    svd = structured_svd(economy_svd(a), economy_svd(b))
-    d = khatri_rao_columns(b, a)
-    rel = np.linalg.norm(svd.reconstruct() - d) / np.linalg.norm(d)
-    ok &= _check("khatri-rao product-form SVD reconstructs", rel < 1e-9, f"rel {rel:.2e}")
+    # the triple prepare_system itself builds: factored at three users,
+    # explicit at two
+    for m, factored in ((3, True), (2, False)):
+        a, b = complex_normal(rng, m, 7), complex_normal(rng, 2, 7)
+        svd, _ = prepare_system(economy_svd(a), economy_svd(b), np.zeros((m, 2)))
+        d = khatri_rao_columns(b, a)
+        rel = np.linalg.norm(svd.reconstruct() - d) / np.linalg.norm(d)
+        form = "factored" if factored else "explicit"
+        ok &= _check(f"{form} product-form SVD reconstructs ({m} x 7 and 2 x 7)",
+                     isinstance(svd, KhatriRaoSVD) == factored and rel < 1e-9, f"rel {rel:.2e}")
 
     # rank(A) rank(B) = 6 > K = 5: prepare_system takes its exact dense branch
     a, b, z = complex_normal(rng, 3, 5), complex_normal(rng, 2, 5), complex_normal(rng, 3, 2)
-    svd, z_tilde = prepare_system(economy_svd(a), b, z)
+    svd, z_tilde = prepare_system(economy_svd(a), economy_svd(b), z)
     msg = ExtrinsicMessage(complex_normal(rng, 5), 0.7)
     got = lmmse_extrinsic(svd, z_tilde, msg)
     _, _, r_ref, g_ref = dense_lmmse(khatri_rao_columns(b, a), z.flatten(order="F"),
@@ -146,9 +151,9 @@ def cmd_oracle(args) -> int:
     # four users: prepare_system keeps the product form in its factors, and
     # its linear pass must be that of the explicit product form
     a, b, z = complex_normal(rng, 4, 64), complex_normal(rng, 4, 64), complex_normal(rng, 4, 4)
-    svd_a = economy_svd(a)
-    svd, z_tilde = prepare_system(svd_a, b, z)
-    explicit = structured_svd(svd_a, economy_svd(b))
+    svd_a, svd_b = economy_svd(a), economy_svd(b)
+    svd, z_tilde = prepare_system(svd_a, svd_b, z)
+    explicit = structured_svd(svd_a, svd_b)
     msg = ExtrinsicMessage(complex_normal(rng, 64), 0.7)
     got = lmmse_extrinsic(svd, z_tilde, msg)
     want = lmmse_extrinsic(explicit, explicit.uh_dot(z.flatten(order="F")) / explicit.omega, msg)

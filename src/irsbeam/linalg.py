@@ -21,7 +21,11 @@ R = M^2 while the factors grow as M, so `khatri_rao_svd` keeps it in the two
 factor SVDs: a `KhatriRaoSVD` applies U^H through them, and its Vh, a
 `KhatriRaoRows`, multiplies from either side like the matrix it stands for.
 The explicit form is the faster one at two users, where it has at most four
-rows, and its bits are the ones the seeded sweeps pin.
+rows, and its bits are the ones the seeded sweeps pin. Either builder
+returns the full kron grid or nothing: when a component falls under the
+rank cutoff it returns None, and the caller takes the dense SVD of D
+instead. `qr_core_svd` factors a wide matrix whose left factor is fixed
+through its small core.
 """
 
 from __future__ import annotations
@@ -79,26 +83,18 @@ def economy_svd(a: np.ndarray) -> EconomySVD:
     return EconomySVD(np.asfortranarray(u), omega, vh)
 
 
-@dataclass
-class QRCore:
-    """A wide matrix B = (Q C)^T kept as Q, K x n with orthonormal columns,
-    and its n x M core C, for a caller whose Q stays fixed while C changes.
+def qr_core_svd(q: np.ndarray, core: np.ndarray) -> EconomySVD:
+    """SVD of the wide matrix B = (Q C)^T, for Q, K x n with orthonormal
+    columns, and its n x M core C, from the SVD of the small core, for a
+    caller whose Q stays fixed while C changes.
 
-    Its SVD comes from the SVD of the small core: from C = U_c S Vh_c,
-    Q C = (Q U_c) S Vh_c, so B has U = Vh_c^T, omega = S and
-    Vh = (Q U_c)^T, formed as U_c^T Q^T so that it is C-ordered. Q has
-    orthonormal columns, so S and the rank cutoff are those of B itself.
+    From C = U_c S Vh_c, Q C = (Q U_c) S Vh_c, so B has U = Vh_c^T,
+    omega = S and Vh = (Q U_c)^T, formed as U_c^T Q^T so that it is
+    C-ordered. Q has orthonormal columns, so S and the rank cutoff are those
+    of B itself.
     """
-
-    q: np.ndarray
-    core: np.ndarray
-
-    def svd(self) -> EconomySVD:
-        core = economy_svd(self.core)
-        return EconomySVD(core.Vh.T, core.omega, core.U.T @ self.q.T)
-
-    def reconstruct(self) -> np.ndarray:
-        return (self.q @ self.core).T
+    c = economy_svd(core)
+    return EconomySVD(c.Vh.T, c.omega, c.U.T @ q.T)
 
 
 def khatri_rao_columns(b: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -117,37 +113,38 @@ def khatri_rao_columns(b: np.ndarray, a: np.ndarray) -> np.ndarray:
     return (b[:, None, :] * a[None, :, :]).reshape(b.shape[0] * a.shape[0], a.shape[1])
 
 
-def structured_svd(svd_a: EconomySVD, svd_b: EconomySVD) -> EconomySVD:
-    """Assemble the SVD-form triple of D = B * A from the factor SVDs.
+def _full_grid(omega: np.ndarray) -> bool:
+    """Whether every component of a kron grid's omega clears the rank cutoff:
+    one min and one max decide it, and an empty grid is full."""
+    return np.minimum.reduce(omega, initial=np.inf) > \
+        RANK_CUTOFF * np.maximum.reduce(omega, initial=0.0)
+
+
+def structured_svd(svd_a: EconomySVD, svd_b: EconomySVD) -> EconomySVD | None:
+    """Assemble the SVD-form triple of D = B * A from the factor SVDs, or
+    None when a component of the kron grid falls under the rank cutoff.
 
     U = kron(U_b, U_a), omega = (omega_b kron omega_a) * v_n and Vh = the
     row-normalized Khatri-Rao product of the factor Vh's, where v_n holds the
-    row norms being normalized away. One min and one max of omega decide
-    whether every component is kept, as on every preset; then the arrays are
-    used whole. Otherwise one boolean mask over the kron grid drops the
-    components whose omega falls under the rank cutoff, and the rest keep the
-    grid's order. U is the full kron from one broadcast of the transposed
-    factors, masked, so it is bit-equal to np.kron(U_b, U_a)[:, kept].
-    Vh's rows are multiplied by 1/v_n, not divided by v_n: the two differ
-    only in the sign of a zero part whose input is -0 (each adds the other
-    part times zero to it, on different sides of the scaling), and the sign
-    of a zero in Vh does not reach the linear pass's output bits.
-    Reconstruction is exact.
+    row norms being normalized away. The cutoff test comes before any 1/v_n,
+    so a vanishing row norm is never inverted. U is the full kron from one
+    broadcast of the transposed factors, so it is bit-equal to
+    np.kron(U_b, U_a) and Fortran-ordered. Vh's rows are multiplied by 1/v_n,
+    not divided by v_n: the two differ only in the sign of a zero part whose
+    input is -0 (each adds the other part times zero to it, on different
+    sides of the scaling), and the sign of a zero in Vh does not reach the
+    linear pass's output bits. Reconstruction is exact.
     """
     vh_kr = khatri_rao_columns(svd_b.Vh, svd_a.Vh)
     # np.linalg.norm(vh_kr, axis=1) without its dispatch
     v_n = np.sqrt(np.add.reduce((vh_kr.conj() * vh_kr).real, axis=1))
-    omega_full = (svd_b.omega[:, None] * svd_a.omega).ravel() * v_n
+    omega = (svd_b.omega[:, None] * svd_a.omega).ravel() * v_n
+    if not _full_grid(omega):
+        return None
+    vh_kr *= (1.0 / v_n)[:, None]
     # U's C-ordered transpose, transposed back: Fortran-ordered without a copy
     u_t = svd_b.U.T[:, None, :, None] * svd_a.U.T[None, :, None, :]
-    u = u_t.reshape(omega_full.size, u_t.shape[2] * u_t.shape[3]).T
-    floor = RANK_CUTOFF * np.maximum.reduce(omega_full, initial=0.0)
-    if np.minimum.reduce(omega_full, initial=np.inf) > floor:
-        vh_kr *= (1.0 / v_n)[:, None]
-        return EconomySVD(u, omega_full, vh_kr)
-    kept = omega_full > floor
-    return EconomySVD(np.asfortranarray(u[:, kept]), omega_full[kept],
-                      vh_kr[kept] * (1.0 / v_n[kept, None]))
+    return EconomySVD(u_t.reshape(omega.size, u_t.shape[2] * u_t.shape[3]).T, omega, vh_kr)
 
 
 def use_factors(rank_a: int, rank_b: int) -> bool:
@@ -218,21 +215,20 @@ class KhatriRaoSVD:
         return (self.b.U.conj().T @ z_t @ self.a.U.conj()).ravel()
 
 
-def khatri_rao_svd(svd_a: EconomySVD, svd_b: EconomySVD) -> KhatriRaoSVD | EconomySVD:
-    """The product-form SVD of D = B * A from the factor SVDs, kept in them.
+def khatri_rao_svd(svd_a: EconomySVD, svd_b: EconomySVD) -> KhatriRaoSVD | None:
+    """The product-form SVD of D = B * A from the factor SVDs, kept in them,
+    or None when a component falls under the rank cutoff, as in
+    structured_svd.
 
     The squared row norms of the Khatri-Rao Vh are one real product of the
-    factors' squared moduli, v_n^2 = |Vh_b|^2 (|Vh_a|^2)^T. A component whose
-    omega falls under the rank cutoff is left to structured_svd, which drops
-    it and returns the explicit triple.
+    factors' squared moduli, v_n^2 = |Vh_b|^2 (|Vh_a|^2)^T.
     """
     mod_a = (svd_a.Vh.conj() * svd_a.Vh).real
     mod_b = (svd_b.Vh.conj() * svd_b.Vh).real
     v_n = np.sqrt(mod_b @ mod_a.T)
     omega = (svd_b.omega[:, None] * svd_a.omega * v_n).ravel()
-    if not np.minimum.reduce(omega, initial=np.inf) > \
-            RANK_CUTOFF * np.maximum.reduce(omega, initial=0.0):
-        return structured_svd(svd_a, svd_b)
+    if not _full_grid(omega):
+        return None
     return KhatriRaoSVD(svd_a, svd_b, omega, KhatriRaoRows(svd_a.Vh, svd_b.Vh, 1.0 / v_n))
 
 

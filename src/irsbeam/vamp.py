@@ -6,19 +6,20 @@ D x = vec(Z), D = B * A (column-wise Khatri-Rao), with a separable projector
 pass. The two passes exchange extrinsic messages (mean vector, scalar
 precision). Damping blends successive precision and iterate values to keep
 the fixed-point iteration from oscillating. The system is set up from the
-SVD of A rather than A itself, so a caller whose A changes only by a scalar
-factors it once; B comes as a matrix or, from a caller whose B has a fixed
-left factor, as a linalg.QRCore.
+SVDs of A and B rather than the matrices, so a caller whose A changes only
+by a scalar factors it once, and a caller whose B has a fixed left factor
+factors B through its small core (linalg.qr_core_svd).
 
 The linear pass needs only omega, z_tilde, Vh r and Vh^H y of the SVD form
 (Rangan, Schniter & Fletcher, Vector Approximate Message Passing, IEEE T-IT
-2019). With more components than unknowns, R_a*R_b > K, it takes the SVD of
-the small dense D. Otherwise it takes the product form, built explicitly
-while R_a*R_b <= R_a + R_b (two users or fewer) and kept in its factor SVDs
-past that, where the explicit R x K Vh and R x R U grow as R_a*R_b
+2019). It takes the product form, built explicitly while
+R_a*R_b <= R_a + R_b (two users or fewer) and kept in its factor SVDs past
+that, where the explicit R x K Vh and R x R U grow as R_a*R_b
 (linalg.use_factors decides); the factored form's Vh multiplies like the
 matrix, so lmmse_extrinsic and vamp_step run either form through the same
-lines.
+lines. With more components than unknowns, R_a*R_b > K, or with a component
+of the kron grid under the rank cutoff, it takes the SVD of the small dense
+D instead.
 
 The message-passing step takes no settings: the linear pass is unweighted,
 and the damping factor, the initial message precision and the precision
@@ -33,8 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (EconomySVD, KhatriRaoSVD, QRCore, economy_svd, khatri_rao_columns,
-                     khatri_rao_svd, structured_svd, use_factors)
+from .linalg import (EconomySVD, KhatriRaoSVD, economy_svd, khatri_rao_columns, khatri_rao_svd,
+                     structured_svd, use_factors)
 from .projectors import Projector, get_projector
 
 # Floor for the emitted precisions; a nonpositive or smaller one is clamped to it.
@@ -96,38 +97,31 @@ class VampResult:
     trace: list = field(default_factory=list)
 
 
-def prepare_system(svd_a: EconomySVD, b: np.ndarray | QRCore, z: np.ndarray):
+def prepare_system(svd_a: EconomySVD, svd_b: EconomySVD, z: np.ndarray):
     """SVD-form triple and weighted observation z_tilde = U^H vec(Z) / omega
-    for D = B * A against vec(Z), given the economy SVD of A.
+    for D = B * A against vec(Z), given the economy SVDs of A and B.
 
-    A comes factored because the alternating loop factors its A once per
-    solve and only rescales it; this call takes the SVD of B alone, through
-    its small core when B comes as a QRCore. The triple is the product form
-    assembled from the factor SVDs, explicit (structured_svd) or kept in the
-    factors (khatri_rao_svd) as linalg.use_factors picks, except when the
-    component count R_a*R_b would exceed the unknown count K: there the
-    product form stops being a usable surrogate for an SVD (the precision
-    update needs K/R >= 1) and the SVD of the small dense D, with A rebuilt
-    from its factors, is cheaper anyway. The division by omega is a multiply
-    by 1/omega, which gives the same bits for the positive kept values.
+    The triple is the product form assembled from the factor SVDs, explicit
+    (structured_svd) or kept in the factors (khatri_rao_svd) as
+    linalg.use_factors picks, except in two cases, where it is the SVD of
+    the small dense D with A and B rebuilt from their factors. One is a
+    component count R_a*R_b above the unknown count K: there the product
+    form stops being a usable surrogate for an SVD (the precision update
+    needs K/R >= 1) and the dense SVD is cheaper anyway. The other is a kron
+    grid with a component under the rank cutoff, which the builders decline;
+    the dense SVD is exact there. The division by omega is a multiply by
+    1/omega, which gives the same bits for the positive kept values.
     """
-    if isinstance(b, QRCore):
-        svd_b = b.svd()
-    else:
-        b = np.asarray(b, dtype=complex)
-        svd_b = economy_svd(b)
     z = np.asarray(z, dtype=complex)
-    m = svd_a.U.shape[0]
-    if z.shape != (m, svd_b.U.shape[0]):
-        raise ValueError(f"prepare_system: Z is {z.shape}, expected {(m, svd_b.U.shape[0])}")
+    shape = (svd_a.U.shape[0], svd_b.U.shape[0])
+    if z.shape != shape:
+        raise ValueError(f"prepare_system: Z is {z.shape}, expected {shape}")
     rank_a, rank_b = svd_a.rank, svd_b.rank
-    if rank_a * rank_b > svd_a.Vh.shape[1]:
-        b = b.reconstruct() if isinstance(b, QRCore) else b
-        svd = economy_svd(khatri_rao_columns(b, svd_a.reconstruct()))
-    elif use_factors(rank_a, rank_b):
-        svd = khatri_rao_svd(svd_a, svd_b)
-    else:
-        svd = structured_svd(svd_a, svd_b)
+    svd = None
+    if rank_a * rank_b <= svd_a.Vh.shape[1]:
+        svd = (khatri_rao_svd if use_factors(rank_a, rank_b) else structured_svd)(svd_a, svd_b)
+    if svd is None:
+        svd = economy_svd(khatri_rao_columns(svd_b.reconstruct(), svd_a.reconstruct()))
     if svd.rank == 0:
         raise ValueError("prepare_system: zero system (A or B vanishes)")
     return svd, svd.uh_dot(z.flatten(order="F")) * (1.0 / svd.omega)
@@ -238,7 +232,7 @@ def run_vamp(a: np.ndarray, b: np.ndarray, z: np.ndarray, cfg: OptimizerConfig |
     cfg = cfg or OptimizerConfig()
     projector = get_projector(cfg.constraint)
     a = np.asarray(a, dtype=complex)
-    svd, z_tilde = prepare_system(economy_svd(a), b, z)
+    svd, z_tilde = prepare_system(economy_svd(a), economy_svd(np.asarray(b, dtype=complex)), z)
     state = VampState.start(projector.initial_point(a.shape[1], rng or np.random.default_rng()))
     diag = VampDiagnostics()
     trace: list = []

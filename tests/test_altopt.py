@@ -7,7 +7,7 @@ from irsbeam import altopt, metrics, vamp
 from irsbeam.altopt import OptimizerConfig, joint_optimize, vamp_setup
 from irsbeam.channel import ChannelSet, SystemDims, complex_normal, sample_channel_set
 from irsbeam.harness import desk_spec
-from irsbeam.linalg import KhatriRaoRows, QRCore, economy_svd, use_factors
+from irsbeam.linalg import KhatriRaoRows, economy_svd, qr_core_svd, use_factors
 from irsbeam.metrics import fit_error, nrmse
 from irsbeam.oracles import grid_phase_search, sum_mse_reference
 from irsbeam.precoding import effective_channel, mmse_precoder
@@ -47,10 +47,10 @@ def test_objective_error_matches_per_user_expansion():
 
 
 def setup_dense(ch, f, alpha, qr=None):
-    """vamp_setup from the once-per-solve SVD of H_su^H, with A rebuilt dense,
-    and B rebuilt too when it comes factored through qr."""
+    """vamp_setup from the once-per-solve SVD of H_su^H, with A and B rebuilt
+    dense from the SVDs it returns."""
     a, b, z = vamp_setup(ch, economy_svd(ch.H_su.conj().T), qr, f, alpha)
-    return a.reconstruct(), b if qr is None else b.reconstruct(), z
+    return a.reconstruct(), b.reconstruct(), z
 
 
 def test_vamp_setup_identity_toy():
@@ -77,7 +77,7 @@ def test_vamp_setup_objective_equality():
     rng = np.random.default_rng(2)
     ch = toy_channel(rng, 5, 2, 8)
     sol = mmse_precoder(effective_channel(ch, np.ones(8, complex)), 2.0, 0.01)
-    # B as a matrix, and B factored through the QR core
+    # B factored directly, and B factored through the QR core
     for qr in (None, np.linalg.qr(ch.H_bs)):
         a, b, z = setup_dense(ch, sol.F, sol.alpha, qr)
         for _ in range(100):
@@ -98,12 +98,12 @@ def test_rescaled_surface_svd_matches_fresh_svd():
         sol = mmse_precoder(effective_channel(ch, ups), 1.0, 1e-13)
         # B as joint_optimize hands it over: through the QR core from M = 3 on
         qr = np.linalg.qr(ch.H_bs) if use_factors(dims.M, dims.M) else None
-        a, b, z = vamp_setup(ch, economy_svd(ch.H_su.conj().T), qr, sol.F, sol.alpha)
+        a, svd_b, z = vamp_setup(ch, economy_svd(ch.H_su.conj().T), qr, sol.F, sol.alpha)
         fresh = economy_svd(sol.alpha * ch.H_su.conj().T)
         assert a.rank == fresh.rank == dims.M
         np.testing.assert_allclose(a.omega, fresh.omega, rtol=1e-12)
-        svd, z_tilde = prepare_system(a, b, z)
-        svd_ref, z_ref = prepare_system(fresh, b, z)
+        svd, z_tilde = prepare_system(a, svd_b, z)
+        svd_ref, z_ref = prepare_system(fresh, svd_b, z)
         assert svd.rank == svd_ref.rank
         np.testing.assert_allclose(svd.omega, svd_ref.omega, rtol=1e-12)
         assert np.linalg.norm(z_tilde - z_ref) <= 1e-12 * np.linalg.norm(z_ref)
@@ -292,18 +292,22 @@ def _qr_core_cases():
 
 @pytest.mark.parametrize("h_bs, m", _qr_core_cases())
 def test_qr_core_factors_b(h_bs, m):
-    # the SVD of B = (H_bs F)^T through the core R F of a reduced QR of H_bs
-    # against economy_svd(B): the same singular values, a factorization of B,
-    # and orthonormal rows of Vh
+    # the SVD of B = (H_bs F)^T through the core R F of a reduced QR of H_bs,
+    # as vamp_setup returns it, against economy_svd(B): the same singular
+    # values, a factorization of B, and orthonormal rows of Vh
     k, n = h_bs.shape
     rng = np.random.default_rng(k + n + m)
     ch = ChannelSet(h_bs, complex_normal(rng, n, m), complex_normal(rng, k, m))
     f = complex_normal(rng, n, m)
     svd_su = economy_svd(ch.H_su_H)
-    _, core, _ = vamp_setup(ch, svd_su, np.linalg.qr(ch.H_bs), f, 0.7)
-    _, b_dense, _ = vamp_setup(ch, svd_su, None, f, 0.7)
-    assert isinstance(core, QRCore)
-    b, ref = core.svd(), economy_svd(b_dense)
+    q, r = np.linalg.qr(ch.H_bs)
+    b_dense = (ch.H_bs @ f).T
+    _, b, _ = vamp_setup(ch, svd_su, (q, r), f, 0.7)
+    _, ref, _ = vamp_setup(ch, svd_su, None, f, 0.7)
+    # through the core when handed the QR, directly otherwise
+    for got, want in ((b, qr_core_svd(q, r @ f)), (ref, economy_svd(b_dense))):
+        for name in ("U", "omega", "Vh"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
     assert b.rank == ref.rank
     assert b.U.shape == (m, b.rank) and b.Vh.shape == (b.rank, k)
     np.testing.assert_allclose(b.omega, ref.omega, rtol=0, atol=1e-12 * ref.omega[0])

@@ -94,7 +94,10 @@ def test_oracle_verb(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "oracle suite: PASS" in out
-    # the linear pass is checked on the system prepare_system builds
+    # the reconstruction and the linear pass are checked on the systems
+    # prepare_system builds, in both product forms the solver runs
+    assert "PASS  factored product-form SVD reconstructs (3 x 7 and 2 x 7)" in out
+    assert "PASS  explicit product-form SVD reconstructs (2 x 7 and 2 x 7)" in out
     assert "PASS  production linear pass matches dense form" in out
     assert "PASS  factored linear pass matches the explicit product form at M = 4" in out
     assert "FAIL" not in out.replace("oracle suite: PASS", "")

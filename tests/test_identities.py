@@ -6,10 +6,11 @@ with inv instead of solve(G, I), takes the projector's tie branch only
 when a tie exists, forms Vh^H y as (y^H Vh)^H, takes the precoder's
 Frobenius norms as two dot products, calls the ufunc reductions in place of
 the array methods that wrap them, takes the projector and its derivative
-(the literal radius/(2|r - center|), capped) from one |r - center|, decides "every component kept" in structured_svd
-from one min and one max and builds its U Fortran-ordered from the
-transposed factors, and takes the precoder's square roots with math.sqrt.
-Each is bit-equal to the form it replaced only through the identities checked here, on numpy's SIMD
+(the literal radius/(2|r - center|), capped) from one |r - center|, decides
+"every component kept" in the product builders from one min and one max,
+builds structured_svd's U Fortran-ordered from the transposed factors, and
+takes the precoder's square roots with math.sqrt. Each is bit-equal to the
+form it replaced only through the identities checked here, on numpy's SIMD
 kernels and on OpenBLAS's, so if a numpy or CPU change ever moves the golden
 CSVs, these name the cause. CI runs this file again under other SIMD and
 BLAS kernels.
@@ -147,7 +148,6 @@ def test_zero_signs_in_vh_leave_linear_pass_bits(m, k):
     # sign from that sum, so the two forms of Vh differ only in the sign of a
     # zero part whose input is -0
     # the explicit product form, which prepare_system builds for two users
-    # and falls back to for more when a component is dropped
     rng = np.random.default_rng(m * k)
     a = rng.standard_normal((m, k)).astype(complex)
     b = rng.standard_normal((m, k)).astype(complex)
@@ -194,7 +194,7 @@ def test_ufunc_reductions_equal_their_method_forms(k, m):
                     a[rng.integers(a.shape[0]), rng.integers(a.shape[1])] = bad
                 finite = np.isfinite(a)
                 assert same_scalar(np.logical_and.reduce(finite, axis=None), finite.all())
-        # structured_svd's largest omega and its all-kept test
+        # the product builders' largest omega and their all-kept test
         omega = 10.0 ** rng.uniform(-20, 2, m * m) * scale
         assert same_scalar(np.maximum.reduce(omega, initial=0.0), omega.max(initial=0.0))
         for kept in (omega > 1e-12 * omega.max(), np.ones(m * m, bool)):
@@ -248,19 +248,19 @@ def test_one_distance_pass_equals_separate_g_and_g_prime(projector, k):
 
 
 def masked_structured_svd(svd_a, svd_b):
-    """structured_svd with the kept-mask built every time and U broadcast in
-    C order, then copied to Fortran order."""
+    """structured_svd with the kept-mask built every time, None unless it
+    keeps every component, and U broadcast in C order, then copied to
+    Fortran order."""
     vh_kr = khatri_rao_columns(svd_b.Vh, svd_a.Vh)
     v_n = np.sqrt(np.add.reduce((vh_kr.conj() * vh_kr).real, axis=1))
     omega_full = (svd_b.omega[:, None] * svd_a.omega).ravel() * v_n
     kept = omega_full > RANK_CUTOFF * np.maximum.reduce(omega_full, initial=0.0)
+    if not np.logical_and.reduce(kept):
+        return None
     u = svd_b.U[:, None, :, None] * svd_a.U[None, :, None, :]
     u = u.reshape(u.shape[0] * u.shape[1], omega_full.size)
-    if np.logical_and.reduce(kept):
-        vh_kr *= (1.0 / v_n)[:, None]
-        return EconomySVD(np.asfortranarray(u), omega_full, vh_kr)
-    return EconomySVD(np.asfortranarray(u[:, kept]), omega_full[kept],
-                      vh_kr[kept] * (1.0 / v_n[kept, None]))
+    vh_kr *= (1.0 / v_n)[:, None]
+    return EconomySVD(np.asfortranarray(u), omega_full, vh_kr)
 
 
 def structured_cases():
@@ -287,8 +287,12 @@ def structured_cases():
 def test_structured_svd_equals_its_mask_path(svd_a, svd_b):
     # one min and one max decide "every component kept", and U is the
     # transpose of a C-ordered broadcast of the transposed factors: omega,
-    # Vh and U keep the bits and layout of the masked assembly
+    # Vh and U keep the bits and layout of the masked assembly, and a grid
+    # the mask does not keep whole is declined, not truncated
     got, want = structured_svd(svd_a, svd_b), masked_structured_svd(svd_a, svd_b)
+    assert (got is None) == (want is None)
+    if want is None:
+        return
     for x, y in ((got.U, want.U), (got.omega, want.omega), (got.Vh, want.Vh)):
         assert x.shape == y.shape and x.dtype == y.dtype
         assert x.tobytes(order="A") == y.tobytes(order="A")
@@ -298,8 +302,8 @@ def test_structured_svd_equals_its_mask_path(svd_a, svd_b):
 
 
 def test_min_max_decision_equals_the_kept_mask():
-    # structured_svd's "every component kept", on values at the floor, zeros,
-    # an empty omega and NaN
+    # the product builders' "every component kept", on values at the floor,
+    # zeros, an empty omega and NaN
     rng = np.random.default_rng(22)
     top = 10.0 ** rng.uniform(-3, 3)
     cases = [10.0 ** rng.uniform(-20, 2, n) for n in (1, 4, 16, 64)]

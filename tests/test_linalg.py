@@ -185,19 +185,18 @@ def test_orthonormality_defect_zero_for_true_svd():
 
 def test_structured_svd_materialized_u_is_orthonormal():
     rng = np.random.default_rng(11)
-    # (A, B, kept columns of the kron grid); None keeps every column
-    cases = [(complex_normal(rng, m, k), complex_normal(rng, q, k), None)
-             for m, q, k in [(2, 3, 6), (3, 2, 4), (1, 4, 5)]]
-    # disjoint row supports make the Khatri-Rao rows (0, 1) and (1, 0) of the
-    # right factors vanish, so only components 0 and 3 of the grid are kept
-    cases.append((np.diag([2.0, 1.0]), np.diag([3.0, 1.0]), [0, 3]))
-    for a, b, kept in cases:
-        svd_a, svd_b = economy_svd(a), economy_svd(b)
+    for m, q, k in [(2, 3, 6), (3, 2, 4), (1, 4, 5)]:
+        svd_a = economy_svd(complex_normal(rng, m, k))
+        svd_b = economy_svd(complex_normal(rng, q, k))
         svd = structured_svd(svd_a, svd_b)
         assert isinstance(svd, EconomySVD)
         assert np.allclose(svd.U.conj().T @ svd.U, np.eye(svd.rank), atol=1e-12)
-        full = np.kron(svd_b.U, svd_a.U)
-        assert np.array_equal(svd.U, full if kept is None else full[:, kept])
+        assert np.array_equal(svd.U, np.kron(svd_b.U, svd_a.U))
+    # disjoint row supports make the Khatri-Rao rows (0, 1) and (1, 0) of the
+    # right factors vanish: the grid is declined whole, no U is built from
+    # the surviving columns (prepare_system takes the SVD of D instead)
+    assert structured_svd(economy_svd(np.diag([2.0, 1.0])), economy_svd(np.diag([3.0, 1.0]))) \
+        is None
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 8])

@@ -52,7 +52,8 @@ def test_vamp_step_invariants(seed, m, q, k, steps, constraint):
     # both linear-pass branches occur: the dense one when m*q > k
     rng = np.random.default_rng(seed)
     svd, z_tilde = prepare_system(economy_svd(complex_normal(rng, m, k)),
-                                  complex_normal(rng, q, k), complex_normal(rng, m, q))
+                                  economy_svd(complex_normal(rng, q, k)),
+                                  complex_normal(rng, m, q))
     projector = get_projector(constraint)
     x0 = projector.initial_point(k, rng)
     state = VampState.start(x0)
@@ -70,7 +71,7 @@ def test_vamp_step_invariants(seed, m, q, k, steps, constraint):
 def step_history(a, b, z, projector, x0, steps):
     """(gamma_tilde, gamma_hat, message mean, message precision, damped iterate)
     after each of `steps` vamp_steps on the system (A, B, Z) from x0."""
-    svd, z_tilde = prepare_system(economy_svd(a), b, z)
+    svd, z_tilde = prepare_system(economy_svd(a), economy_svd(b), z)
     state = VampState.start(x0)
     diag = VampDiagnostics()
     history = []

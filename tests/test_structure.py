@@ -60,6 +60,38 @@ def test_guard_sees_both_forms(tmp_path):
         "from vamp import _hidden", "ao._inner"]
 
 
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module's imports bind and no other line of it reads, as
+    readable strings. `import a.b` binds a; __future__ imports bind nothing."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [(alias.asname or alias.name.split(".")[0], node.lineno)
+                      for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(alias.asname or alias.name, node.lineno) for alias in node.names]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in bound if name not in read]
+
+
+def test_no_module_imports_a_name_it_does_not_use():
+    # __init__ is left out: its imports are the package's exports
+    found = [use for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"
+             for use in _unused_imports(path)]
+    assert not found, "imported names never used:\n" + "\n".join(found)
+
+
+def test_import_guard_sees_plain_dotted_and_aliased_imports(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("from __future__ import annotations\nimport os\nimport os.path\n"
+                   "import numpy as np\nfrom . import vamp\n"
+                   "from .linalg import EconomySVD, KhatriRaoRows as Rows, economy_svd\n\n"
+                   "def f(x: EconomySVD) -> None:\n"
+                   "    return np.asarray(vamp.run(economy_svd(x)))\n")
+    assert [u.split(": ", 1)[1] for u in _unused_imports(mod)] == ["os", "os", "Rows"]
+
+
 def _public_definitions(path: Path) -> list[tuple[str, int, int]]:
     """(qualified name, first line, last line) of each public top-level
     function and class of a module, and of each public method of its classes."""

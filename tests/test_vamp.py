@@ -6,7 +6,7 @@ import pytest
 from irsbeam import vamp
 from irsbeam.channel import complex_normal
 from irsbeam.linalg import (RANK_CUTOFF, EconomySVD, KhatriRaoRows, KhatriRaoSVD,
-                            economy_svd, khatri_rao_columns)
+                            economy_svd, khatri_rao_columns, khatri_rao_svd, structured_svd)
 from irsbeam.oracles import dense_lmmse
 from irsbeam.projectors import UNIMODULAR, Projector
 from irsbeam.vamp import (DAMPING, GAMMA_FLOOR, INITIAL_PRECISION, ExtrinsicMessage,
@@ -181,23 +181,26 @@ def test_prepare_system_structured_vs_dense_paths():
     # K = 8 >= R_a*R_b = 4: product form; K = 3 < R_a*R_b = 4: dense SVD of D
     for k in (8, 3):
         a, b, z = complex_normal(rng, 2, k), complex_normal(rng, 2, k), complex_normal(rng, 2, 2)
-        svd, z_tilde = prepare_system(economy_svd(a), b, z)
+        svd, z_tilde = prepare_system(economy_svd(a), economy_svd(b), z)
         assert isinstance(svd, EconomySVD)
         assert np.allclose(svd.U.conj().T @ svd.U, np.eye(svd.rank), atol=1e-12)
         assert np.array_equal(z_tilde, (svd.U.conj().T @ z.flatten(order="F")) / svd.omega)
         d = khatri_rao_columns(b, a)
         assert np.linalg.norm(svd.reconstruct() - d) < 1e-9 * np.linalg.norm(d)
     with pytest.raises(ValueError):
-        prepare_system(economy_svd(np.zeros((2, 4))), complex_normal(rng, 2, 4), np.zeros((2, 2)))
+        prepare_system(economy_svd(np.zeros((2, 4))), economy_svd(complex_normal(rng, 2, 4)),
+                       np.zeros((2, 2)))
     with pytest.raises(ValueError, match=r"^prepare_system: Z is \(2, 3\), expected \(2, 2\)$"):
-        prepare_system(economy_svd(complex_normal(rng, 2, 4)), complex_normal(rng, 2, 4),
-                       np.zeros((2, 3)))
+        prepare_system(economy_svd(complex_normal(rng, 2, 4)),
+                       economy_svd(complex_normal(rng, 2, 4)), np.zeros((2, 3)))
 
 
 # Column-by-column reference for the bit-identity test below: a wide matrix is
-# factored through its transpose, the kept columns of kron(U_b, U_a) are
-# gathered from their grid indices, the row norms and the kron of the omegas
-# are numpy's own, and Vh's rows are scaled by the reciprocals of their norms.
+# factored through its transpose, the columns of kron(U_b, U_a) are gathered
+# from their grid indices, the row norms and the kron of the omegas are
+# numpy's own, and Vh's rows are scaled by the reciprocals of their norms. A
+# grid with a component under the cutoff, or with more components than
+# unknowns, takes the SVD of D rebuilt from both factor SVDs.
 def _reference_economy_svd(a):
     if a.shape[0] < a.shape[1]:
         # a^T = U S Vh gives a = Vh^T S U^T
@@ -217,22 +220,21 @@ def _reference_structured_svd(svd_a, svd_b):
     vh_kr = khatri_rao_columns(svd_b.Vh, svd_a.Vh)
     v_n = np.linalg.norm(vh_kr, axis=1)
     omega_full = np.kron(svd_b.omega, svd_a.omega) * v_n
-    if omega_full.size and omega_full.max() > 0:
-        kept = np.flatnonzero(omega_full > RANK_CUTOFF * omega_full.max())
-    else:
-        kept = np.zeros(0, dtype=np.intp)
-    i, j = np.divmod(kept, svd_a.rank)
+    if omega_full.size and not np.all(omega_full > RANK_CUTOFF * omega_full.max()):
+        return None
+    i, j = np.divmod(np.arange(omega_full.size), svd_a.rank)
     u = khatri_rao_columns(svd_b.U[:, i], svd_a.U[:, j])
-    return EconomySVD(u, omega_full[kept], vh_kr[kept] * (1.0 / v_n[kept, None]))
+    return EconomySVD(u, omega_full, vh_kr * (1.0 / v_n[:, None]))
 
 
-def _reference_prepare_system(svd_a, b, z):
-    svd_b = _reference_economy_svd(b)
-    if svd_a.rank * svd_b.rank > svd_a.Vh.shape[1]:
-        a = (svd_a.U * svd_a.omega) @ svd_a.Vh
-        svd = _reference_economy_svd(khatri_rao_columns(b, a))
-    else:
+def _reference_prepare_system(svd_a, svd_b, z):
+    svd = None
+    if svd_a.rank * svd_b.rank <= svd_a.Vh.shape[1]:
         svd = _reference_structured_svd(svd_a, svd_b)
+    if svd is None:
+        a = (svd_a.U * svd_a.omega) @ svd_a.Vh
+        b = (svd_b.U * svd_b.omega) @ svd_b.Vh
+        svd = _reference_economy_svd(khatri_rao_columns(b, a))
     return svd, (svd.U.conj().T @ z.flatten(order="F")) / svd.omega
 
 
@@ -248,7 +250,7 @@ def test_prepare_system_bits_match_reference_assembly():
         return factor(m, k).real.astype(complex, order="F")
 
     # disjoint row supports: Khatri-Rao rows (0, 1) and (1, 0) of the right
-    # factors vanish, so the structured branch keeps 2 of its 4 components
+    # factors vanish, so the grid is dropped to the SVD of the rank-2 D
     blocks = np.zeros((2, 4), dtype=complex)
     blocks[0, :2], blocks[1, 2:] = complex_normal(rng, 2), complex_normal(rng, 2)
     # two users at most: from three on the product form stays in its factors,
@@ -261,15 +263,17 @@ def test_prepare_system_bits_match_reference_assembly():
              ("dropped", blocks.copy(order="F"),
               (blocks * complex_normal(rng, 1, 4)).copy(order="F"), complex_normal(rng, 2, 2))]
     for branch, a, b, z in cases:
-        # A arrives factored, as the alternating loop hands it over
-        svd_a = economy_svd(a)
-        svd, z_tilde = prepare_system(svd_a, b, z)
-        ref, ref_z = _reference_prepare_system(svd_a, b, z)
+        # both factors arrive factored, as the alternating loop hands them over
+        svd_a, svd_b, ref_b = economy_svd(a), economy_svd(b), _reference_economy_svd(b)
+        svd, z_tilde = prepare_system(svd_a, svd_b, z)
+        ref, ref_z = _reference_prepare_system(svd_a, ref_b, z)
         n_components = a.shape[0] * b.shape[0]
         assert {"structured": svd.rank == n_components <= a.shape[1],
                 "dense": n_components > a.shape[1],
-                "dropped": svd.rank == 2}[branch]
-        for name, got, want in (("U", svd.U, ref.U), ("omega", svd.omega, ref.omega),
+                "dropped": svd.rank == 2 and structured_svd(svd_a, svd_b) is None}[branch]
+        for name, got, want in (("B's U", svd_b.U, ref_b.U), ("B's Vh", svd_b.Vh, ref_b.Vh),
+                                ("B's omega", svd_b.omega, ref_b.omega),
+                                ("U", svd.U, ref.U), ("omega", svd.omega, ref.omega),
                                 ("Vh", svd.Vh, ref.Vh), ("z_tilde", z_tilde, ref_z)):
             assert got.shape == want.shape, (branch, name)
             assert got.tobytes() == want.tobytes(), (branch, name)
@@ -282,14 +286,11 @@ def test_prepare_system_bits_match_reference_assembly():
 def _explicit_product_form(svd_a, svd_b):
     """U, omega and Vh of the product form built as written: the rows of the
     Khatri-Rao product of the factor Vh's divided by their norms, np.kron of
-    the factor U's, and the kron of the omegas times the row norms, with the
-    components under the rank cutoff dropped."""
+    the factor U's, and the kron of the omegas times the row norms."""
     vh_kr = khatri_rao_columns(svd_b.Vh, svd_a.Vh)
     v_n = np.linalg.norm(vh_kr, axis=1)
-    omega = np.kron(svd_b.omega, svd_a.omega) * v_n
-    kept = omega > RANK_CUTOFF * omega.max()
-    return (np.kron(svd_b.U, svd_a.U)[:, kept], omega[kept],
-            vh_kr[kept] / v_n[kept, None])
+    return (np.kron(svd_b.U, svd_a.U), np.kron(svd_b.omega, svd_a.omega) * v_n,
+            vh_kr / v_n[:, None])
 
 
 def _factored_cases():
@@ -298,11 +299,6 @@ def _factored_cases():
               m_a * m_b)
              for m_a, m_b, k in [(3, 3, 16), (4, 4, 64), (8, 8, 256), (4, 2, 64),
                                  (4, 4, 16)]]  # the last has R = K
-    # block-diagonal supports: row j of either factor lives on columns
-    # 4j..4j+3, so the grid components (i, j) with i != j vanish and are dropped
-    mask = np.kron(np.eye(3), np.ones((1, 4)))
-    cases.append(("truncated", mask * complex_normal(rng, 3, 12),
-                  mask * complex_normal(rng, 3, 12), 3))
     return [pytest.param(a, b, rank, id=name) for name, a, b, rank in cases]
 
 
@@ -310,15 +306,15 @@ def _factored_cases():
 def test_factored_linear_pass_matches_explicit_form(a, b, rank):
     # from three users on prepare_system keeps the product form in its
     # factors; its omega, z_tilde and linear pass must be those of the
-    # explicit form, and a dropped component hands the grid to structured_svd
+    # explicit form
     rng = np.random.default_rng(a.shape[1])
     z = complex_normal(rng, a.shape[0], b.shape[0])
     svd_a, svd_b = economy_svd(a), economy_svd(b)
-    svd, z_tilde = prepare_system(svd_a, b, z)
+    svd, z_tilde = prepare_system(svd_a, svd_b, z)
     u, omega, vh = _explicit_product_form(svd_a, svd_b)
     k = a.shape[1]
     assert svd.rank == omega.size == rank
-    assert isinstance(svd, KhatriRaoSVD if rank == a.shape[0] * b.shape[0] else EconomySVD)
+    assert isinstance(svd, KhatriRaoSVD)
 
     def rel(got, want):
         return np.linalg.norm(got - want) / np.linalg.norm(want)
@@ -335,6 +331,43 @@ def test_factored_linear_pass_matches_explicit_form(a, b, rank):
         gamma_ref = gamma * d.mean() / (ratio - d.mean())
         assert rel(out.r, r_ref) <= 1e-12
         assert abs(out.gamma - gamma_ref) <= 1e-12 * gamma_ref
+
+
+def _dropped_cases():
+    rng = np.random.default_rng(32)
+    cases = []
+    # block supports: row j of either factor lives on columns block*j to
+    # block*(j+1) - 1, so the Khatri-Rao rows (i, j) with i != j of the
+    # right factors vanish; D has one nonzero row per user, rank M
+    for name, m, block in (("two-users", 2, 3), ("three-users", 3, 4), ("four-users", 4, 4)):
+        mask = np.kron(np.eye(m), np.ones((1, block)))
+        cases.append(pytest.param(mask * complex_normal(rng, m, m * block),
+                                  mask * complex_normal(rng, m, m * block), id=name))
+    return cases
+
+
+@pytest.mark.parametrize("a, b", _dropped_cases())
+def test_rank_dropped_grid_takes_the_dense_branch(a, b):
+    # a kron grid with components under the rank cutoff is declined by
+    # either product builder, never truncated, and prepare_system takes the
+    # exact SVD of D, whose linear pass is the dense estimator's
+    svd_a, svd_b = economy_svd(a), economy_svd(b)
+    assert svd_a.rank * svd_b.rank <= a.shape[1]
+    assert structured_svd(svd_a, svd_b) is None
+    assert khatri_rao_svd(svd_a, svd_b) is None
+    rng = np.random.default_rng(a.size)
+    z = complex_normal(rng, a.shape[0], b.shape[0])
+    d = khatri_rao_columns(b, a)
+    with np.errstate(divide="raise", invalid="raise"):
+        svd, z_tilde = prepare_system(svd_a, svd_b, z)
+    assert isinstance(svd, EconomySVD) and svd.rank == economy_svd(d).rank == a.shape[0]
+    assert np.linalg.norm(svd.reconstruct() - d) <= 1e-12 * np.linalg.norm(d)
+    for gamma in (0.1, 1.0):
+        msg = ExtrinsicMessage(complex_normal(rng, a.shape[1]), gamma)
+        got = lmmse_extrinsic(svd, z_tilde, msg)
+        _, _, r_ref, g_ref = dense_lmmse(d, z.flatten(order="F"), msg.r, gamma)
+        assert np.abs(got.r - r_ref).max() <= 1e-8
+        assert abs(got.gamma - g_ref) <= 1e-8
 
 
 def _count_factored(monkeypatch):
