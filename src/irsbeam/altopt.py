@@ -9,11 +9,14 @@ changes only through the scalar alpha, so H_su^H is factored once per solve
 and each iteration rescales its singular values.
 The phase step hands prepare_system both factors as SVDs. With three users
 or more (linalg.use_factors), it keeps its product form in the factor SVDs,
-and B = (H_bs F)^T is factored through its fixed left factor too: one
-reduced QR, H_bs = Q R, per solve, and each iteration factors the small
-N x M core R F instead of the M x K B (linalg.qr_core_svd). With two users
-or fewer B is factored directly: that is the faster way there, and it keeps
-the bits of the seeded sweeps.
+and the station-surface link is factored once per solve by its rank,
+H_bs = Q_r R_r with r = rank(H_bs) (linalg.rank_factor): r is the number of
+paths at most, 10 at paper scale against N = 32. Each iteration then factors
+B = (H_bs F)^T through the small r x M core R_r F instead of the M x K B
+(linalg.qr_core_svd), and builds the effective channel through the factor
+too (precoding.effective_channel). With two users or fewer B is factored
+directly and the effective channel formed from H_bs: that is the faster way
+there, and it keeps the bits of the seeded sweeps.
 Nothing else fixed is rebuilt per iteration either: the conjugate links come
 from the channel set's cache (ChannelSet.H_su_H, H_bu_H), the identity from
 linalg.identity, and the projector pass takes g and g' from one call.
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet
-from .linalg import EconomySVD, economy_svd, identity, qr_core_svd, use_factors
+from .linalg import EconomySVD, economy_svd, identity, qr_core_svd, rank_factor, use_factors
 from .precoding import effective_channel, mmse_precoder
 from .projectors import get_projector
 from .vamp import OptimizerConfig, VampDiagnostics, VampState, prepare_system, vamp_step
@@ -63,23 +66,23 @@ class BeamformingSolution:
     diagnostics: VampDiagnostics
 
 
-def vamp_setup(ch: ChannelSet, svd_su: EconomySVD, qr: tuple | None, f: np.ndarray,
+def vamp_setup(ch: ChannelSet, svd_su: EconomySVD, bs_factor: tuple | None, f: np.ndarray,
                alpha: float):
     """The phase subproblem at the current precoder, as (SVD of A, SVD of B,
     Z) for A = alpha H_su^H, B = (H_bs F)^T and Z = I - alpha H_bu^H F, so
     that ||A Diag(upsilon) B^T - Z||_F^2 equals the phase part of the
     objective.
 
-    A's SVD is svd_su, the SVD of H_su^H, with its singular values scaled by
-    alpha. The rank cutoff is relative, so the scaling keeps the same
-    components. B is factored directly when qr is None, and otherwise, for
-    qr = (Q, R) a reduced QR of H_bs, through its core R F
-    (linalg.qr_core_svd). H_bu^H is the set's cached ChannelSet.H_bu_H."""
-    a = EconomySVD(svd_su.U, alpha * svd_su.omega, svd_su.Vh)
-    if qr is None:
+    A's SVD is svd_su, the SVD of H_su^H, scaled by alpha
+    (EconomySVD.scaled). B is factored directly when bs_factor is None, and
+    otherwise, for bs_factor = (Q_r, R_r) the rank factor of H_bs
+    (linalg.rank_factor), through its core R_r F (linalg.qr_core_svd). H_bu^H
+    is the set's cached ChannelSet.H_bu_H."""
+    a = svd_su.scaled(alpha)
+    if bs_factor is None:
         b = economy_svd((ch.H_bs @ f).T)
     else:
-        q, r = qr
+        q, r = bs_factor
         b = qr_core_svd(q, r @ f)
     z = identity(f.shape[1]) - alpha * ch.H_bu_H @ f
     return a, b, z
@@ -100,7 +103,7 @@ def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
     projector = get_projector(cfg.constraint)
 
     svd_su = economy_svd(ch.H_su_H)
-    qr = np.linalg.qr(ch.H_bs) if use_factors(svd_su.rank, m) else None
+    bs_factor = rank_factor(ch.H_bs) if use_factors(svd_su.rank, m) else None
     upsilon = projector.initial_point(k, rng)
     state = VampState.start(upsilon)
     diag = VampDiagnostics()
@@ -109,10 +112,10 @@ def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
     # iteration 0 evaluates the initial phases; each later one first updates them
     for t in range(cfg.t_max_outer + 1):
         if t > 0:
-            svd, z_tilde = prepare_system(*vamp_setup(ch, svd_su, qr, sol.F, sol.alpha))
+            svd, z_tilde = prepare_system(*vamp_setup(ch, svd_su, bs_factor, sol.F, sol.alpha))
             vamp_step(svd, z_tilde, state, projector, diag)
             upsilon = np.asarray(projector.g(state.x_damped))
-        h = effective_channel(ch, upsilon)
+        h = effective_channel(ch, upsilon, bs_factor)
         sol = mmse_precoder(h, power, noise_var)
         err = sol.error
         if cfg.collect_trace:

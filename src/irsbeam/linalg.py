@@ -31,7 +31,7 @@ through its small core.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -57,6 +57,19 @@ class EconomySVD:
     def uh_dot(self, y: np.ndarray) -> np.ndarray:
         """U^H y."""
         return self.U.conj().T @ y
+
+    @cached_property
+    def vh_modulus(self) -> np.ndarray:
+        """|Vh|^2 entrywise, (conj(Vh) * Vh).real, taken on first use and kept."""
+        return (self.Vh.conj() * self.Vh).real
+
+    def scaled(self, c: float) -> EconomySVD:
+        """The SVD of c times the matrix, for c > 0: omega times c, the same
+        U and Vh, and |Vh|^2 handed over rather than taken again. The rank
+        cutoff is relative, so the scaling keeps the same components."""
+        out = EconomySVD(self.U, c * self.omega, self.Vh)
+        out.vh_modulus = self.vh_modulus
+        return out
 
 
 def economy_svd(a: np.ndarray) -> EconomySVD:
@@ -95,6 +108,21 @@ def qr_core_svd(q: np.ndarray, core: np.ndarray) -> EconomySVD:
     """
     c = economy_svd(core)
     return EconomySVD(c.Vh.T, c.omega, c.U.T @ q.T)
+
+
+def rank_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """a = Q R with Q (K x r) of orthonormal columns and R (r x N), r the
+    rank of a at RANK_CUTOFF, for a K x N matrix whose rank may sit below
+    min(K, N), as a link that is a sum of a few paths does.
+
+    Built from a reduced QR, a = Q_0 R_0, and the economy SVD of its small
+    triangle, R_0 = U S Vh: Q = Q_0 U and R = S Vh. The QR and the small
+    SVD are faster than the SVD of a itself, and give the same rank, as Q_0
+    has orthonormal columns.
+    """
+    q0, r0 = np.linalg.qr(a)
+    core = economy_svd(r0)
+    return q0 @ core.U, core.omega[:, None] * core.Vh
 
 
 def khatri_rao_columns(b: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -221,11 +249,11 @@ def khatri_rao_svd(svd_a: EconomySVD, svd_b: EconomySVD) -> KhatriRaoSVD | None:
     structured_svd.
 
     The squared row norms of the Khatri-Rao Vh are one real product of the
-    factors' squared moduli, v_n^2 = |Vh_b|^2 (|Vh_a|^2)^T.
+    factors' squared moduli, v_n^2 = |Vh_b|^2 (|Vh_a|^2)^T; each factor
+    keeps its own (EconomySVD.vh_modulus), so an A rescaled per call
+    (EconomySVD.scaled) takes it once.
     """
-    mod_a = (svd_a.Vh.conj() * svd_a.Vh).real
-    mod_b = (svd_b.Vh.conj() * svd_b.Vh).real
-    v_n = np.sqrt(mod_b @ mod_a.T)
+    v_n = np.sqrt(svd_b.vh_modulus @ svd_a.vh_modulus.T)
     omega = (svd_b.omega[:, None] * svd_a.omega * v_n).ravel()
     if not _full_grid(omega):
         return None

@@ -27,19 +27,29 @@ class PrecodingSolution:
     error: float        # sum-MSE objective at (F, alpha) on the channel it was built for
 
 
-def effective_channel(ch: ChannelSet, upsilon: np.ndarray) -> np.ndarray:
+def effective_channel(ch: ChannelSet, upsilon: np.ndarray,
+                      bs_factor: tuple | None = None) -> np.ndarray:
     """N x M effective channel H with H^H = H_su^H Diag(upsilon) H_bs + H_bu^H.
 
     The phases scale the M x K factor H_su^H rather than the K x N H_bs.
     Both conjugate transposes are the channel set's cached ChannelSet.H_su_H
     and H_bu_H, taken once per set rather than once per call; they have the
-    layout of .conj().T, so the products keep their bits.
+    layout of .conj().T, so the products keep their bits. A caller holding
+    the rank factor H_bs = Q_r R_r (linalg.rank_factor) passes it as
+    bs_factor, and the product runs at width r = rank(H_bs) instead of N:
+    ((H_su^H Diag(upsilon)) Q_r) R_r. That equals the direct form to
+    rounding, not bit for bit.
     """
     upsilon = np.asarray(upsilon)
     k = ch.H_bs.shape[0]
     if upsilon.shape != (k,):
         raise ValueError(f"effective_channel: phase vector has shape {upsilon.shape}, expected ({k},)")
-    h_h = (ch.H_su_H * upsilon) @ ch.H_bs + ch.H_bu_H
+    scaled = ch.H_su_H * upsilon
+    if bs_factor is None:
+        h_h = scaled @ ch.H_bs + ch.H_bu_H
+    else:
+        q, r = bs_factor
+        h_h = (scaled @ q) @ r + ch.H_bu_H
     return h_h.conj().T
 
 

@@ -7,7 +7,7 @@ from irsbeam import altopt, metrics, vamp
 from irsbeam.altopt import OptimizerConfig, joint_optimize, vamp_setup
 from irsbeam.channel import ChannelSet, SystemDims, complex_normal, sample_channel_set
 from irsbeam.harness import desk_spec
-from irsbeam.linalg import KhatriRaoRows, economy_svd, qr_core_svd, use_factors
+from irsbeam.linalg import KhatriRaoRows, economy_svd, qr_core_svd, rank_factor, use_factors
 from irsbeam.metrics import fit_error, nrmse
 from irsbeam.oracles import grid_phase_search, sum_mse_reference
 from irsbeam.precoding import effective_channel, mmse_precoder
@@ -46,10 +46,10 @@ def test_objective_error_matches_per_user_expansion():
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
-def setup_dense(ch, f, alpha, qr=None):
+def setup_dense(ch, f, alpha, bs_factor=None):
     """vamp_setup from the once-per-solve SVD of H_su^H, with A and B rebuilt
     dense from the SVDs it returns."""
-    a, b, z = vamp_setup(ch, economy_svd(ch.H_su.conj().T), qr, f, alpha)
+    a, b, z = vamp_setup(ch, economy_svd(ch.H_su.conj().T), bs_factor, f, alpha)
     return a.reconstruct(), b.reconstruct(), z
 
 
@@ -77,9 +77,9 @@ def test_vamp_setup_objective_equality():
     rng = np.random.default_rng(2)
     ch = toy_channel(rng, 5, 2, 8)
     sol = mmse_precoder(effective_channel(ch, np.ones(8, complex)), 2.0, 0.01)
-    # B factored directly, and B factored through the QR core
-    for qr in (None, np.linalg.qr(ch.H_bs)):
-        a, b, z = setup_dense(ch, sol.F, sol.alpha, qr)
+    # B factored directly, and B factored through the rank factor's core
+    for bs_factor in (None, rank_factor(ch.H_bs)):
+        a, b, z = setup_dense(ch, sol.F, sol.alpha, bs_factor)
         for _ in range(100):
             ups = np.exp(2j * np.pi * rng.random(8))
             lhs = np.linalg.norm(a @ np.diag(ups) @ b.T - z) ** 2
@@ -96,9 +96,10 @@ def test_rescaled_surface_svd_matches_fresh_svd():
         ch = sample_channel_set(np.random.default_rng(seed), dims)
         ups = np.exp(2j * np.pi * np.random.default_rng(seed + 100).random(dims.K))
         sol = mmse_precoder(effective_channel(ch, ups), 1.0, 1e-13)
-        # B as joint_optimize hands it over: through the QR core from M = 3 on
-        qr = np.linalg.qr(ch.H_bs) if use_factors(dims.M, dims.M) else None
-        a, svd_b, z = vamp_setup(ch, economy_svd(ch.H_su.conj().T), qr, sol.F, sol.alpha)
+        # B as joint_optimize hands it over: through the rank factor's core
+        # from M = 3 on
+        bs_factor = rank_factor(ch.H_bs) if use_factors(dims.M, dims.M) else None
+        a, svd_b, z = vamp_setup(ch, economy_svd(ch.H_su.conj().T), bs_factor, sol.F, sol.alpha)
         fresh = economy_svd(sol.alpha * ch.H_su.conj().T)
         assert a.rank == fresh.rank == dims.M
         np.testing.assert_allclose(a.omega, fresh.omega, rtol=1e-12)
@@ -234,16 +235,16 @@ def test_traced_solve_builds_one_effective_channel_per_iteration(monkeypatch):
 
 
 def _count_paths(monkeypatch):
-    """Per phase step, whether vamp_setup was handed the QR core, and the
-    calls of the factored entry points: the factored assembly as
-    prepare_system calls it, and the factored linear pass."""
-    seen = {"qr": [], "assembly": 0, "linear": 0}
+    """Per phase step, whether vamp_setup was handed the rank factor of
+    H_bs, and the calls of the factored entry points: the factored assembly
+    as prepare_system calls it, and the factored linear pass."""
+    seen = {"factor": [], "assembly": 0, "linear": 0}
     setup, assembly = altopt.vamp_setup, vamp.khatri_rao_svd
     adjoint = KhatriRaoRows.__rmatmul__
 
-    def counted_setup(ch, svd_su, qr, f, alpha):
-        seen["qr"].append(qr is not None)
-        return setup(ch, svd_su, qr, f, alpha)
+    def counted_setup(ch, svd_su, bs_factor, f, alpha):
+        seen["factor"].append(bs_factor is not None)
+        return setup(ch, svd_su, bs_factor, f, alpha)
 
     def counted_assembly(*args):
         seen["assembly"] += 1
@@ -262,8 +263,8 @@ def _count_paths(monkeypatch):
 @pytest.mark.parametrize("constraint", ["unimodular", "reactive"])
 def test_joint_optimize_takes_the_factored_path_from_three_users(monkeypatch, constraint):
     # counts, not timings or bits: at the desk shapes (two users) no phase
-    # step enters the QR core or the factored path; from three users every
-    # one enters both
+    # step enters the rank factor's core or the factored path; from three
+    # users every one enters both
     spec = desk_spec()
     shapes = [(SystemDims(n, m, k), False)
               for n in spec.n_bs for m in spec.n_users for k in spec.n_irs]
@@ -275,36 +276,42 @@ def test_joint_optimize_takes_the_factored_path_from_three_users(monkeypatch, co
         ch = sample_channel_set(np.random.default_rng(dims.K), dims)
         sol = joint_optimize(ch, 1.0, 1e-13, cfg, np.random.default_rng(16))
         steps = sol.iterations
-        assert seen["qr"] == [factored] * steps, dims
+        assert seen["factor"] == [factored] * steps, dims
         assert (seen["assembly"], seen["linear"]) == ((steps, steps) if factored else (0, 0)), dims
         monkeypatch.undo()
 
 
 def _qr_core_cases():
     rng = np.random.default_rng(17)
-    # K > N; K <= N; and a rank-deficient H_bs, 10 paths < N = 32 as at paper scale
-    cases = [("K>N", complex_normal(rng, 64, 8), 4), ("K<=N", complex_normal(rng, 16, 32), 4),
-             ("K=N", complex_normal(rng, 8, 8), 3),
-             ("rank-10", complex_normal(rng, 256, 10) @ complex_normal(rng, 10, 32), 8),
-             ("paper", sample_channel_set(rng, SystemDims(32, 4, 256)).H_bs, 4)]
-    return [pytest.param(h_bs, m, id=name) for name, h_bs, m in cases]
+    # K > N; K <= N; and a rank-deficient H_bs, 10 paths < N = 32 as at
+    # paper scale; with the rank of H_bs
+    cases = [("K>N", complex_normal(rng, 64, 8), 4, 8),
+             ("K<=N", complex_normal(rng, 16, 32), 4, 16),
+             ("K=N", complex_normal(rng, 8, 8), 3, 8),
+             ("rank-10", complex_normal(rng, 256, 10) @ complex_normal(rng, 10, 32), 8, 10),
+             ("paper", sample_channel_set(rng, SystemDims(32, 4, 256)).H_bs, 4, 10)]
+    return [pytest.param(h_bs, m, rank, id=name) for name, h_bs, m, rank in cases]
 
 
-@pytest.mark.parametrize("h_bs, m", _qr_core_cases())
-def test_qr_core_factors_b(h_bs, m):
-    # the SVD of B = (H_bs F)^T through the core R F of a reduced QR of H_bs,
-    # as vamp_setup returns it, against economy_svd(B): the same singular
-    # values, a factorization of B, and orthonormal rows of Vh
+@pytest.mark.parametrize("h_bs, m, rank", _qr_core_cases())
+def test_qr_core_factors_b(h_bs, m, rank):
+    # the rank factor H_bs = Q_r R_r, as joint_optimize takes it, and the SVD
+    # of B = (H_bs F)^T through its core R_r F, as vamp_setup returns it,
+    # against economy_svd(B): the same singular values, a factorization of
+    # B, and orthonormal rows of Vh
     k, n = h_bs.shape
     rng = np.random.default_rng(k + n + m)
     ch = ChannelSet(h_bs, complex_normal(rng, n, m), complex_normal(rng, k, m))
     f = complex_normal(rng, n, m)
     svd_su = economy_svd(ch.H_su_H)
-    q, r = np.linalg.qr(ch.H_bs)
+    q, r = rank_factor(ch.H_bs)
+    assert q.shape == (k, rank) and r.shape == (rank, n)
+    assert np.abs(q.conj().T @ q - np.eye(rank)).max() <= 1e-12
+    assert np.linalg.norm(q @ r - h_bs) <= 1e-12 * np.linalg.norm(h_bs)
     b_dense = (ch.H_bs @ f).T
     _, b, _ = vamp_setup(ch, svd_su, (q, r), f, 0.7)
     _, ref, _ = vamp_setup(ch, svd_su, None, f, 0.7)
-    # through the core when handed the QR, directly otherwise
+    # through the core when handed the factor, directly otherwise
     for got, want in ((b, qr_core_svd(q, r @ f)), (ref, economy_svd(b_dense))):
         for name in ("U", "omega", "Vh"):
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes()

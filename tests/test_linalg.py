@@ -3,7 +3,8 @@ import pytest
 
 from irsbeam.channel import complex_normal
 from irsbeam.linalg import (RANK_CUTOFF, EconomySVD, economy_svd, identity, khatri_rao_columns,
-                            orthonormality_defect, structured_svd)
+                            khatri_rao_svd, orthonormality_defect, structured_svd)
+from irsbeam.vamp import prepare_system
 
 
 def test_economy_svd_scalar_identity():
@@ -160,18 +161,43 @@ def test_structured_svd_reconstruction_sweep():
 
 
 def test_structured_svd_zero_column_drops_component():
+    # A is zero on columns 2 and 3, and one row of B lives on exactly those
+    # columns, so that row's Khatri-Rao rows with every row of A vanish: two
+    # of the four grid components fall under the cutoff. Both builders
+    # decline the grid, and prepare_system takes the exact SVD of D
     rng = np.random.default_rng(6)
-    a = complex_normal(rng, 3, 3)
-    a[:, 1] = 0.0
-    b = complex_normal(rng, 2, 3)
+    a = complex_normal(rng, 3, 4)
+    a[:, 2:] = 0.0
+    b = np.zeros((2, 4), complex)
+    b[0, :2] = complex_normal(rng, 2)
+    b[1, 2:] = 2.0 * complex_normal(rng, 2)
+    svd_a, svd_b = economy_svd(a), economy_svd(b)
+    assert svd_a.rank * svd_b.rank == 4 <= a.shape[1]
+    assert structured_svd(svd_a, svd_b) is None
+    assert khatri_rao_svd(svd_a, svd_b) is None
     d = khatri_rao_columns(b, a)
-    svd = structured_svd(economy_svd(a), economy_svd(b))
     dense_rank = economy_svd(d).rank
-    full = economy_svd(complex_normal(rng, 3, 3))
-    assert svd.rank <= full.rank * economy_svd(b).rank
-    assert svd.rank >= dense_rank  # product form may overcount, never undercount
+    svd, _ = prepare_system(svd_a, svd_b, complex_normal(rng, 3, 2))
+    assert isinstance(svd, EconomySVD) and svd.rank == dense_rank == 2
+    assert orthonormality_defect(svd.Vh) < 1e-12
     err = np.linalg.norm(svd.reconstruct() - d) / np.linalg.norm(d)
     assert err < 1e-9
+
+
+def test_scaled_svd_hands_over_its_vh_modulus():
+    # the loop rescales A's SVD by alpha every iteration: the scaled triple
+    # shares U, Vh and |Vh|^2 with the one it came from, so the modulus is
+    # taken once, and the factored assembly keeps the bits of a fresh triple
+    rng = np.random.default_rng(9)
+    svd, svd_b = economy_svd(complex_normal(rng, 4, 64)), economy_svd(complex_normal(rng, 4, 64))
+    scaled = svd.scaled(0.3)
+    assert scaled.U is svd.U and scaled.Vh is svd.Vh and scaled.vh_modulus is svd.vh_modulus
+    assert scaled.omega.tobytes() == (0.3 * svd.omega).tobytes()
+    assert svd.vh_modulus.tobytes() == (svd.Vh.conj() * svd.Vh).real.tobytes()
+    got = khatri_rao_svd(scaled, svd_b)
+    want = khatri_rao_svd(EconomySVD(svd.U, 0.3 * svd.omega, svd.Vh), svd_b)
+    assert got.omega.tobytes() == want.omega.tobytes()
+    assert got.Vh.inv_norms.tobytes() == want.Vh.inv_norms.tobytes()
 
 
 def test_orthonormality_defect_zero_for_true_svd():
