@@ -6,7 +6,8 @@ message-passing step (vamp.vamp_step) on it, re-projects the damped iterate
 onto the constraint set, and builds the effective channel of the new phases
 once, for the closed-form precoder. The surface-user factor A = alpha H_su^H
 changes only through the scalar alpha, so H_su^H is factored once per solve
-and each iteration rescales its singular values.
+and each iteration rescales its singular values (linalg.EconomySVD.scaled,
+which hands over the |Vh|^2 the factored assembly reads).
 The phase step hands prepare_system both factors as SVDs. With three users
 or more (linalg.use_factors), it keeps its product form in the factor SVDs,
 and the station-surface link is factored once per solve by its rank,

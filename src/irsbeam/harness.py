@@ -199,8 +199,8 @@ def desk_spec() -> ExperimentSpec:
 
 def paper_spec() -> ExperimentSpec:
     """Full-size sweep (N=32, M=8, K=256, 1000 trials): 12,000 trials, about
-    a minute of wall time (51 and 66 s in two runs) with one BLAS thread on a
-    2-vCPU Xeon host."""
+    a minute of wall time (51, 66 and 53 s in three runs) with one BLAS
+    thread on a 2-vCPU Xeon host."""
     return replace(desk_spec(), n_bs=(32,), n_users=(8,), n_irs=(256,), trials=1000)
 
 

@@ -44,12 +44,12 @@ def effective_channel(ch: ChannelSet, upsilon: np.ndarray,
     k = ch.H_bs.shape[0]
     if upsilon.shape != (k,):
         raise ValueError(f"effective_channel: phase vector has shape {upsilon.shape}, expected ({k},)")
-    scaled = ch.H_su_H * upsilon
+    su = ch.H_su_H * upsilon
     if bs_factor is None:
-        h_h = scaled @ ch.H_bs + ch.H_bu_H
+        h_h = su @ ch.H_bs + ch.H_bu_H
     else:
         q, r = bs_factor
-        h_h = (scaled @ q) @ r + ch.H_bu_H
+        h_h = (su @ q) @ r + ch.H_bu_H
     return h_h.conj().T
 
 

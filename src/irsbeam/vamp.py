@@ -7,8 +7,9 @@ pass. The two passes exchange extrinsic messages (mean vector, scalar
 precision). Damping blends successive precision and iterate values to keep
 the fixed-point iteration from oscillating. The system is set up from the
 SVDs of A and B rather than the matrices, so a caller whose A changes only
-by a scalar factors it once, and a caller whose B has a fixed left factor
-factors B through its small core (linalg.qr_core_svd).
+by a scalar factors it once (linalg.EconomySVD.scaled), and a caller whose
+B has a fixed, low-rank left factor factors B through its small core
+(linalg.rank_factor, linalg.qr_core_svd).
 
 The linear pass needs only omega, z_tilde, Vh r and Vh^H y of the SVD form
 (Rangan, Schniter & Fletcher, Vector Approximate Message Passing, IEEE T-IT
