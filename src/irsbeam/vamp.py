@@ -9,24 +9,24 @@ the fixed-point iteration from oscillating. The system is set up from the
 SVDs of A and B rather than the matrices, so a caller whose A changes only
 by a scalar factors it once (linalg.EconomySVD.scaled), and a caller whose
 B has a fixed, low-rank left factor factors B through its small core
-(linalg.rank_factor, linalg.qr_core_svd).
+(linalg.qr_core_svd); altopt.PhaseStep does both.
 
 The linear pass needs only omega, z_tilde, Vh r and Vh^H y of the SVD form
 (Rangan, Schniter & Fletcher, Vector Approximate Message Passing, IEEE T-IT
-2019). It takes the product form, built explicitly while
-R_a*R_b <= R_a + R_b (two users or fewer) and kept in its factor SVDs past
-that, where the explicit R x K Vh and R x R U grow as R_a*R_b
-(linalg.use_factors decides); the factored form's Vh multiplies like the
-matrix, so lmmse_extrinsic and vamp_step run either form through the same
-lines. With more components than unknowns, R_a*R_b > K, or with a component
-of the kron grid under the rank cutoff, it takes the SVD of the small dense
-D instead.
+2019). It takes the product form, built explicitly or kept in its factor
+SVDs as linalg.use_factors decides; the factored form's Vh multiplies like
+the matrix, so lmmse_extrinsic and VampStep run either form through the
+same lines. With more components than unknowns, R_a*R_b > K, or with a
+component of the kron grid under the rank cutoff, it takes the SVD of the
+small dense D instead.
 
-The message-passing step takes no settings: the linear pass is unweighted,
-and the damping factor, the initial message precision and the precision
-floor are the module constants below. OptimizerConfig, checked when built,
-holds the settings of one run of either driver: run_vamp here or the
-alternating loop, altopt.joint_optimize.
+One run's memory (message, damped iterate, last precision, clamp counts)
+is a VampStep, which run_vamp here and altopt.PhaseStep each build once
+and call once per pass. The step takes no settings: the linear pass is
+unweighted, and the damping factor, the initial message precision and the
+precision floor are the module constants below. OptimizerConfig, checked
+when built, holds the settings of one run of either driver: run_vamp or
+the alternating loop, altopt.joint_optimize.
 """
 
 from __future__ import annotations
@@ -163,57 +163,60 @@ def lmmse_extrinsic(svd: EconomySVD | KhatriRaoSVD, z_tilde: np.ndarray, msg: Ex
     return ExtrinsicMessage(r_out, gamma_out)
 
 
-@dataclass
-class VampState:
-    """Message and damping memory carried from one vamp_step to the next:
-    the message the next linear pass takes, the damped iterate, and the last
-    damped linear-pass precision, None until the first step."""
+class VampStep:
+    """The memory of one message-passing run, and its step: the message the
+    next linear pass takes, the damped iterate, the last damped linear-pass
+    precision (None until the first step) and the clamp counts.
 
-    msg: ExtrinsicMessage
-    x_damped: np.ndarray
-    gamma_tilde_prev: float | None = None
-
-    @classmethod
-    def start(cls, x0: np.ndarray) -> "VampState":
-        """The state before the first step: message mean and damped iterate
-        are copies of x0, the message precision is INITIAL_PRECISION."""
-        return cls(ExtrinsicMessage(x0.copy(), INITIAL_PRECISION), x0.copy())
-
-
-def vamp_step(svd: EconomySVD | KhatriRaoSVD, z_tilde: np.ndarray, state: VampState,
-              projector: Projector, diag: VampDiagnostics) -> tuple[float, float]:
-    """One linear-estimator pass plus one projector pass; updates state in place.
-
-    From the second step on, the linear-pass precision and the iterate
-    x = g(r_tilde) are damped with DAMPING. The projector pass emits
-    precision gamma_hat - gamma_tilde, gamma_hat = <g'>/gamma_tilde, with the
-    extrinsic mean built from the damped iterate; a nonpositive precision is
-    clamped to GAMMA_FLOOR and the mean falls back to the iterate itself (the
-    closed-form mean divided by the clamped precision would blow up). The
-    unclamped mean is multiplied by 1/gamma_out, which for a positive finite
-    gamma_out gives the bits of the division. The iterate and g' come from
-    one projector.g(r_tilde, with_prime=True) call, which takes
-    |r_tilde - center| once. Returns (gamma_tilde, gamma_hat).
+    Built from the projector and the start x0, of which the message mean and
+    the damped iterate are copies; the first message has precision
+    INITIAL_PRECISION. The projector is held as the object, not its bound g,
+    so a caller that wraps the projector's methods reaches every step.
     """
-    tilde = lmmse_extrinsic(svd, z_tilde, state.msg, diag)
-    gamma_tilde = tilde.gamma
-    x_hat, g_prime = projector.g(tilde.r, with_prime=True)
-    if state.gamma_tilde_prev is not None:
-        gamma_tilde = max(DAMPING * gamma_tilde + (1.0 - DAMPING) * state.gamma_tilde_prev,
-                          GAMMA_FLOOR)
-        x_hat = DAMPING * x_hat + (1.0 - DAMPING) * state.x_damped
-    gamma_hat = float(np.add.reduce(g_prime) / g_prime.size) / gamma_tilde
-    gamma_out = gamma_hat - gamma_tilde
-    if not 0.0 < gamma_out < np.inf:
-        gamma_out = GAMMA_FLOOR
-        r_out = x_hat.copy()
-        diag.projector_clamps += 1
-    else:
-        r_out = (gamma_hat * x_hat - gamma_tilde * tilde.r) * (1.0 / gamma_out)
-    state.msg = ExtrinsicMessage(r_out, gamma_out)
-    state.x_damped = x_hat
-    state.gamma_tilde_prev = gamma_tilde
-    return gamma_tilde, gamma_hat
+
+    def __init__(self, projector: Projector, x0: np.ndarray):
+        self.projector = projector
+        self.msg = ExtrinsicMessage(x0.copy(), INITIAL_PRECISION)
+        self.x_damped = x0.copy()
+        self.gamma_tilde_prev: float | None = None
+        self.diagnostics = VampDiagnostics()
+
+    def __call__(self, svd: EconomySVD | KhatriRaoSVD, z_tilde: np.ndarray) -> tuple[float, float]:
+        """One linear-estimator pass plus one projector pass on the system
+        (svd, z_tilde) from prepare_system; updates the memory in place.
+
+        From the second step on, the linear-pass precision and the iterate
+        x = g(r_tilde) are damped with DAMPING. The projector pass emits
+        precision gamma_hat - gamma_tilde, gamma_hat = <g'>/gamma_tilde, with
+        the extrinsic mean built from the damped iterate; a nonpositive
+        precision is clamped to GAMMA_FLOOR and the mean falls back to the
+        iterate itself (the closed-form mean divided by the clamped precision
+        would blow up). The unclamped mean is multiplied by 1/gamma_out,
+        which for a positive finite gamma_out gives the bits of the division.
+        The iterate and g' come from one projector.g(r_tilde,
+        with_prime=True) call, which takes |r_tilde - center| once. Returns
+        (gamma_tilde, gamma_hat).
+        """
+        diag = self.diagnostics
+        tilde = lmmse_extrinsic(svd, z_tilde, self.msg, diag)
+        gamma_tilde = tilde.gamma
+        x_hat, g_prime = self.projector.g(tilde.r, with_prime=True)
+        if self.gamma_tilde_prev is not None:
+            gamma_tilde = max(DAMPING * gamma_tilde + (1.0 - DAMPING) * self.gamma_tilde_prev,
+                              GAMMA_FLOOR)
+            x_hat = DAMPING * x_hat + (1.0 - DAMPING) * self.x_damped
+        gamma_hat = float(np.add.reduce(g_prime) / g_prime.size) / gamma_tilde
+        gamma_out = gamma_hat - gamma_tilde
+        if not 0.0 < gamma_out < np.inf:
+            gamma_out = GAMMA_FLOOR
+            r_out = x_hat.copy()
+            diag.projector_clamps += 1
+        else:
+            r_out = (gamma_hat * x_hat - gamma_tilde * tilde.r) * (1.0 / gamma_out)
+        self.msg = ExtrinsicMessage(r_out, gamma_out)
+        self.x_damped = x_hat
+        self.gamma_tilde_prev = gamma_tilde
+        return gamma_tilde, gamma_hat
 
 
 def run_vamp(a: np.ndarray, b: np.ndarray, z: np.ndarray, cfg: OptimizerConfig | None = None,
@@ -234,18 +237,17 @@ def run_vamp(a: np.ndarray, b: np.ndarray, z: np.ndarray, cfg: OptimizerConfig |
     projector = get_projector(cfg.constraint)
     a = np.asarray(a, dtype=complex)
     svd, z_tilde = prepare_system(economy_svd(a), economy_svd(np.asarray(b, dtype=complex)), z)
-    state = VampState.start(projector.initial_point(a.shape[1], rng or np.random.default_rng()))
-    diag = VampDiagnostics()
+    step = VampStep(projector, projector.initial_point(a.shape[1], rng or np.random.default_rng()))
     trace: list = []
     converged = False
     for t in range(1, cfg.t_max_outer + 1):
-        x_before = state.x_damped
-        gamma_tilde, gamma_hat = vamp_step(svd, z_tilde, state, projector, diag)
+        x_before = step.x_damped
+        gamma_tilde, gamma_hat = step(svd, z_tilde)
         if cfg.collect_trace:
-            trace.append((t, state.x_damped, gamma_tilde, gamma_hat, diag.clamped))
-        delta = float(np.linalg.norm(state.x_damped - x_before) ** 2)
+            trace.append((t, step.x_damped, gamma_tilde, gamma_hat, step.diagnostics.clamped))
+        delta = float(np.linalg.norm(step.x_damped - x_before) ** 2)
         if t > 1 and delta <= cfg.epsilon_outer * float(np.linalg.norm(x_before) ** 2):
             converged = True
             break
-    x_out = np.asarray(projector.g(state.x_damped))
-    return VampResult(x_out, t, converged, diag, trace)
+    x_out = np.asarray(projector.g(step.x_damped))
+    return VampResult(x_out, t, converged, step.diagnostics, trace)

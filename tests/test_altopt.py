@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from irsbeam import altopt, metrics, vamp
-from irsbeam.altopt import OptimizerConfig, joint_optimize, vamp_setup
+from irsbeam.altopt import OptimizerConfig, PhaseStep, joint_optimize
 from irsbeam.channel import ChannelSet, SystemDims, complex_normal, sample_channel_set
 from irsbeam.harness import desk_spec
-from irsbeam.linalg import KhatriRaoRows, economy_svd, qr_core_svd, rank_factor, use_factors
+from irsbeam.linalg import KhatriRaoRows, economy_svd, qr_core_svd
 from irsbeam.metrics import fit_error, nrmse
 from irsbeam.oracles import grid_phase_search, sum_mse_reference
 from irsbeam.precoding import effective_channel, mmse_precoder
+from irsbeam.projectors import UNIMODULAR
 from irsbeam.vamp import prepare_system
 
 
@@ -46,10 +47,20 @@ def test_objective_error_matches_per_user_expansion():
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
-def setup_dense(ch, f, alpha, bs_factor=None):
-    """vamp_setup from the once-per-solve SVD of H_su^H, with A and B rebuilt
+def phase_step(ch, factored=True):
+    """The phase step joint_optimize builds for ch, from all-ones phases;
+    with factored=False it drops the rank factor of H_bs, so that B is
+    factored directly."""
+    step = PhaseStep(ch, UNIMODULAR, np.ones(ch.dims[2], complex))
+    if not factored:
+        step.bs_factor = None
+    return step
+
+
+def setup_dense(ch, f, alpha, factored=True):
+    """The phase step's assembly (PhaseStep.system), with A and B rebuilt
     dense from the SVDs it returns."""
-    a, b, z = vamp_setup(ch, economy_svd(ch.H_su.conj().T), bs_factor, f, alpha)
+    a, b, z = phase_step(ch, factored).system(f, alpha)
     return a.reconstruct(), b.reconstruct(), z
 
 
@@ -75,16 +86,18 @@ def test_vamp_setup_objective_equality():
     # || A Diag(u) B^T - Z ||_F^2 must equal the full objective minus its
     # noise term for any phase vector
     rng = np.random.default_rng(2)
-    ch = toy_channel(rng, 5, 2, 8)
+    ch = toy_channel(rng, 5, 3, 8)
     sol = mmse_precoder(effective_channel(ch, np.ones(8, complex)), 2.0, 0.01)
-    # B factored directly, and B factored through the rank factor's core
-    for bs_factor in (None, rank_factor(ch.H_bs)):
-        a, b, z = setup_dense(ch, sol.F, sol.alpha, bs_factor)
+    # B factored directly, and B factored through the rank factor's core,
+    # which the step takes at three users
+    for factored in (False, True):
+        assert (phase_step(ch, factored).bs_factor is not None) == factored
+        a, b, z = setup_dense(ch, sol.F, sol.alpha, factored)
         for _ in range(100):
             ups = np.exp(2j * np.pi * rng.random(8))
             lhs = np.linalg.norm(a @ np.diag(ups) @ b.T - z) ** 2
             rhs = (fit_error(sol.alpha, effective_channel(ch, ups), sol.F, 0.01)
-                   - 2 * sol.alpha**2 * 0.01)
+                   - 3 * sol.alpha**2 * 0.01)
             np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
 
 
@@ -98,8 +111,7 @@ def test_rescaled_surface_svd_matches_fresh_svd():
         sol = mmse_precoder(effective_channel(ch, ups), 1.0, 1e-13)
         # B as joint_optimize hands it over: through the rank factor's core
         # from M = 3 on
-        bs_factor = rank_factor(ch.H_bs) if use_factors(dims.M, dims.M) else None
-        a, svd_b, z = vamp_setup(ch, economy_svd(ch.H_su.conj().T), bs_factor, sol.F, sol.alpha)
+        a, svd_b, z = phase_step(ch).system(sol.F, sol.alpha)
         fresh = economy_svd(sol.alpha * ch.H_su.conj().T)
         assert a.rank == fresh.rank == dims.M
         np.testing.assert_allclose(a.omega, fresh.omega, rtol=1e-12)
@@ -235,16 +247,17 @@ def test_traced_solve_builds_one_effective_channel_per_iteration(monkeypatch):
 
 
 def _count_paths(monkeypatch):
-    """Per phase step, whether vamp_setup was handed the rank factor of
-    H_bs, and the calls of the factored entry points: the factored assembly
-    as prepare_system calls it, and the factored linear pass."""
+    """Per phase step, whether the step assembled its subproblem through the
+    rank factor of H_bs, and the calls of the factored entry points: the
+    factored assembly as prepare_system calls it, and the factored linear
+    pass."""
     seen = {"factor": [], "assembly": 0, "linear": 0}
-    setup, assembly = altopt.vamp_setup, vamp.khatri_rao_svd
+    setup, assembly = PhaseStep.system, vamp.khatri_rao_svd
     adjoint = KhatriRaoRows.__rmatmul__
 
-    def counted_setup(ch, svd_su, bs_factor, f, alpha):
-        seen["factor"].append(bs_factor is not None)
-        return setup(ch, svd_su, bs_factor, f, alpha)
+    def counted_setup(self, f, alpha):
+        seen["factor"].append(self.bs_factor is not None)
+        return setup(self, f, alpha)
 
     def counted_assembly(*args):
         seen["assembly"] += 1
@@ -254,7 +267,7 @@ def _count_paths(monkeypatch):
         seen["linear"] += 1
         return adjoint(*args)
 
-    monkeypatch.setattr(altopt, "vamp_setup", counted_setup)
+    monkeypatch.setattr(PhaseStep, "system", counted_setup)
     monkeypatch.setattr(vamp, "khatri_rao_svd", counted_assembly)
     monkeypatch.setattr(KhatriRaoRows, "__rmatmul__", counted_adjoint)
     return seen
@@ -295,22 +308,21 @@ def _qr_core_cases():
 
 @pytest.mark.parametrize("h_bs, m, rank", _qr_core_cases())
 def test_qr_core_factors_b(h_bs, m, rank):
-    # the rank factor H_bs = Q_r R_r, as joint_optimize takes it, and the SVD
-    # of B = (H_bs F)^T through its core R_r F, as vamp_setup returns it,
-    # against economy_svd(B): the same singular values, a factorization of
-    # B, and orthonormal rows of Vh
+    # the rank factor H_bs = Q_r R_r, as the phase step takes it, and the SVD
+    # of B = (H_bs F)^T through its core R_r F, as the step's assembly
+    # returns it, against economy_svd(B): the same singular values, a
+    # factorization of B, and orthonormal rows of Vh
     k, n = h_bs.shape
     rng = np.random.default_rng(k + n + m)
     ch = ChannelSet(h_bs, complex_normal(rng, n, m), complex_normal(rng, k, m))
     f = complex_normal(rng, n, m)
-    svd_su = economy_svd(ch.H_su_H)
-    q, r = rank_factor(ch.H_bs)
+    q, r = phase_step(ch).bs_factor
     assert q.shape == (k, rank) and r.shape == (rank, n)
     assert np.abs(q.conj().T @ q - np.eye(rank)).max() <= 1e-12
     assert np.linalg.norm(q @ r - h_bs) <= 1e-12 * np.linalg.norm(h_bs)
     b_dense = (ch.H_bs @ f).T
-    _, b, _ = vamp_setup(ch, svd_su, (q, r), f, 0.7)
-    _, ref, _ = vamp_setup(ch, svd_su, None, f, 0.7)
+    _, b, _ = phase_step(ch).system(f, 0.7)
+    _, ref, _ = phase_step(ch, factored=False).system(f, 0.7)
     # through the core when handed the factor, directly otherwise
     for got, want in ((b, qr_core_svd(q, r @ f)), (ref, economy_svd(b_dense))):
         for name in ("U", "omega", "Vh"):
@@ -322,6 +334,28 @@ def test_qr_core_factors_b(h_bs, m, rank):
     eye = np.eye(b.rank)
     assert np.abs(b.Vh @ b.Vh.conj().T - eye).max() <= 1e-12
     assert np.abs(b.U.conj().T @ b.U - eye).max() <= 1e-12
+
+
+@pytest.mark.parametrize("seed", [3, 7, 11])
+def test_clamp_counts_reach_the_solution(monkeypatch, seed):
+    # eight users against nine antennas at noise 1e-3: the projector pass
+    # clamps its precision at every step; the solution's diagnostics must
+    # report the clamps the steps took, counted here from what each step
+    # returned (a clamp is a gamma_hat - gamma_tilde outside (0, inf))
+    steps = []
+    call = vamp.VampStep.__call__
+
+    def counted(self, svd, z_tilde):
+        steps.append(call(self, svd, z_tilde))
+        return steps[-1]
+
+    monkeypatch.setattr(vamp.VampStep, "__call__", counted)
+    rng = np.random.default_rng(seed)
+    sol = joint_optimize(toy_channel(rng, 9, 8, 12), 1.0, 1e-3, None, rng)
+    clamps = sum(not 0.0 < gamma_hat - gamma_tilde < np.inf for gamma_tilde, gamma_hat in steps)
+    assert len(steps) == sol.iterations > 0
+    assert sol.diagnostics.projector_clamps == clamps == sol.iterations
+    assert sol.diagnostics.lmmse_clamps == 0
 
 
 @pytest.mark.parametrize("constraint", ["unimodular", "reactive"])

@@ -3,14 +3,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from irsbeam.altopt import joint_optimize
+from irsbeam.altopt import PhaseStep, joint_optimize
 from irsbeam.channel import ChannelSet, SystemDims, complex_normal, perturb_csi, sample_channel_set
 from irsbeam.harness import fixed_phase_design
-from irsbeam.linalg import rank_factor
 from irsbeam.metrics import fit_error
 from irsbeam.oracles import (precoder_objective, precoder_reference,
                              random_precoder_search)
 from irsbeam.precoding import effective_channel, mmse_precoder
+from irsbeam.projectors import UNIMODULAR
 
 
 def toy_channel(rng, n, m, k):
@@ -44,17 +44,17 @@ def test_effective_channel_matches_per_user_rows():
 
 
 def test_effective_channel_through_the_rank_factor_matches_direct_form():
-    # through H_bs = Q_r R_r the product runs at width r: r = 10 paths on
-    # the sampled set, full rank on its kappa = 0.9 estimate; both match the
-    # direct form to rounding
+    # through the phase step's H_bs = Q_r R_r the product runs at width r:
+    # r = 10 paths on the sampled set, full rank on its kappa = 0.9 estimate;
+    # both match the direct form to rounding
     ch = sample_channel_set(np.random.default_rng(26), SystemDims(32, 4, 256))
     est = perturb_csi(ch, 0.9, np.random.default_rng(27))
     ups = np.exp(2j * np.pi * np.random.default_rng(28).random(256))
     for c, rank in ((ch, 10), (est, 32)):
-        bs_factor = rank_factor(c.H_bs)
-        assert bs_factor[0].shape[1] == rank
+        step = PhaseStep(c, UNIMODULAR, ups)
+        assert step.bs_factor[0].shape[1] == rank
         want = effective_channel(c, ups)
-        got = effective_channel(c, ups, bs_factor)
+        got = step.effective_channel(ups)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 

@@ -9,7 +9,7 @@ from irsbeam.linalg import economy_svd
 from irsbeam.metrics import fit_error
 from irsbeam.precoding import mmse_precoder
 from irsbeam.projectors import UNIMODULAR, get_projector
-from irsbeam.vamp import GAMMA_FLOOR, VampDiagnostics, VampState, prepare_system, vamp_step
+from irsbeam.vamp import GAMMA_FLOOR, VampStep, prepare_system
 
 SEEDS = st.integers(0, 2**32 - 1)
 # Dense samples of each constraint set: unit phases, and -1/(1 + j chi) over the
@@ -55,29 +55,26 @@ def test_vamp_step_invariants(seed, m, q, k, steps, constraint):
                                   economy_svd(complex_normal(rng, q, k)),
                                   complex_normal(rng, m, q))
     projector = get_projector(constraint)
-    x0 = projector.initial_point(k, rng)
-    state = VampState.start(x0)
-    diag = VampDiagnostics()
+    step = VampStep(projector, projector.initial_point(k, rng))
     for _ in range(steps):
-        gamma_tilde, gamma_hat = vamp_step(svd, z_tilde, state, projector, diag)
+        gamma_tilde, gamma_hat = step(svd, z_tilde)
         assert np.isfinite(gamma_tilde) and gamma_tilde >= GAMMA_FLOOR
-        assert state.gamma_tilde_prev == gamma_tilde
+        assert step.gamma_tilde_prev == gamma_tilde
         assert np.isfinite(gamma_hat)
-        assert np.isfinite(state.msg.gamma) and state.msg.gamma > 0
-        assert np.all(np.isfinite(state.msg.r)) and np.all(np.isfinite(state.x_damped))
-        assert on_set(constraint, projector.g(state.x_damped)) <= 1e-12
+        assert np.isfinite(step.msg.gamma) and step.msg.gamma > 0
+        assert np.all(np.isfinite(step.msg.r)) and np.all(np.isfinite(step.x_damped))
+        assert on_set(constraint, projector.g(step.x_damped)) <= 1e-12
 
 
 def step_history(a, b, z, projector, x0, steps):
     """(gamma_tilde, gamma_hat, message mean, message precision, damped iterate)
-    after each of `steps` vamp_steps on the system (A, B, Z) from x0."""
+    after each of `steps` VampSteps on the system (A, B, Z) from x0."""
     svd, z_tilde = prepare_system(economy_svd(a), economy_svd(b), z)
-    state = VampState.start(x0)
-    diag = VampDiagnostics()
+    step = VampStep(projector, x0)
     history = []
     for _ in range(steps):
-        gamma_tilde, gamma_hat = vamp_step(svd, z_tilde, state, projector, diag)
-        history.append((gamma_tilde, gamma_hat, state.msg.r, state.msg.gamma, state.x_damped))
+        gamma_tilde, gamma_hat = step(svd, z_tilde)
+        history.append((gamma_tilde, gamma_hat, step.msg.r, step.msg.gamma, step.x_damped))
     return history
 
 

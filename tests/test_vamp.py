@@ -10,23 +10,23 @@ from irsbeam.linalg import (RANK_CUTOFF, EconomySVD, KhatriRaoRows, KhatriRaoSVD
 from irsbeam.oracles import dense_lmmse
 from irsbeam.projectors import UNIMODULAR, Projector
 from irsbeam.vamp import (DAMPING, GAMMA_FLOOR, INITIAL_PRECISION, ExtrinsicMessage,
-                          OptimizerConfig, VampDiagnostics, VampState, lmmse_extrinsic,
-                          prepare_system, run_vamp, vamp_step)
+                          OptimizerConfig, VampDiagnostics, VampStep, lmmse_extrinsic,
+                          prepare_system, run_vamp)
 
 
-def first_step(z_tilde, gamma_tilde=1.0, diag=None):
-    """One vamp_step on D = sqrt(gamma_tilde) I from a random start. With
-    every singular value sqrt(gamma_tilde) the linear pass hands on
-    r_tilde = z_tilde with precision gamma_tilde, so the projector pass sees
-    (z_tilde, gamma_tilde) up to rounding."""
+def first_step(z_tilde, gamma_tilde=1.0):
+    """One VampStep on D = sqrt(gamma_tilde) I from a random start with
+    message precision 0.5. With every singular value sqrt(gamma_tilde) the
+    linear pass hands on r_tilde = z_tilde with precision gamma_tilde, so the
+    projector pass sees (z_tilde, gamma_tilde) up to rounding."""
     n = z_tilde.size
     svd = EconomySVD(np.eye(n, dtype=complex), np.full(n, np.sqrt(gamma_tilde)),
                      np.eye(n, dtype=complex))
     x0 = complex_normal(np.random.default_rng(11), n)
-    state = VampState(ExtrinsicMessage(x0, 0.5), x0.copy())
-    gamma_tilde, gamma_hat = vamp_step(svd, np.asarray(z_tilde, dtype=complex), state,
-                                       UNIMODULAR, diag or VampDiagnostics())
-    return state, gamma_tilde, gamma_hat
+    step = VampStep(UNIMODULAR, x0)
+    step.msg = ExtrinsicMessage(x0, 0.5)
+    gamma_tilde, gamma_hat = step(svd, np.asarray(z_tilde, dtype=complex))
+    return step, gamma_tilde, gamma_hat
 
 
 def test_lmmse_identity_hand_case():
@@ -99,47 +99,57 @@ def test_lmmse_shape_checks():
         lmmse_extrinsic(svd, np.zeros(3, complex), ExtrinsicMessage(np.zeros(4, complex), 1.0))
 
 
-def test_project_step_unimodular_fixed_point():
+def test_projector_pass_unimodular_fixed_point():
     # the projector pass of the first (undamped) step leaves a unit-modulus
     # observation where it is
     rng = np.random.default_rng(5)
     u = np.exp(2j * np.pi * rng.random(8))
-    state, gamma_tilde, _ = first_step(u, 0.3)
-    assert np.allclose(state.x_damped, u, atol=1e-14)
+    step, gamma_tilde, _ = first_step(u, 0.3)
+    assert np.allclose(step.x_damped, u, atol=1e-14)
     # the step records its precision, which marks the next step as damped
-    assert state.gamma_tilde_prev == gamma_tilde
+    assert step.gamma_tilde_prev == gamma_tilde
 
 
-def test_project_step_derived_values():
+def test_projector_pass_derived_values():
     # omega^2 = 0.3 sets gamma_tilde = 0.3; |r| = 2 gives <g'> = 1/4, so
     # gamma_hat = 0.25/0.3 > gamma_tilde and nothing clamps
     z_tilde = np.array([2.0, 2.0j])
-    diag = VampDiagnostics()
-    state, gamma_tilde, gamma_hat = first_step(z_tilde, 0.3, diag)
+    step, gamma_tilde, gamma_hat = first_step(z_tilde, 0.3)
     assert gamma_tilde == pytest.approx(0.3)
     assert gamma_hat == pytest.approx(0.25 / 0.3)
-    assert np.allclose(state.x_damped, [1.0, 1.0j])
-    assert state.msg.gamma == pytest.approx(gamma_hat - gamma_tilde)
-    want = (gamma_hat * state.x_damped - gamma_tilde * z_tilde) / (gamma_hat - gamma_tilde)
-    assert np.allclose(state.msg.r, want)
-    assert state.gamma_tilde_prev == gamma_tilde
-    assert diag.projector_clamps == 0
+    assert np.allclose(step.x_damped, [1.0, 1.0j])
+    assert step.msg.gamma == pytest.approx(gamma_hat - gamma_tilde)
+    want = (gamma_hat * step.x_damped - gamma_tilde * z_tilde) / (gamma_hat - gamma_tilde)
+    assert np.allclose(step.msg.r, want)
+    assert step.gamma_tilde_prev == gamma_tilde
+    assert step.diagnostics.projector_clamps == 0
 
 
-def test_project_step_clamp_path():
+def test_projector_pass_clamp_path():
     # unit-modulus inputs give <g'> = 1/2; omega^2 = 2 sets gamma_tilde = 2, which makes
     # gamma_hat = 1/4 < gamma_tilde, so the extrinsic precision clamps
-    diag = VampDiagnostics()
     u = np.array([1.0 + 0j, 1j])
-    state, gamma_tilde, gamma_hat = first_step(u, 2.0, diag)
+    step, gamma_tilde, gamma_hat = first_step(u, 2.0)
     assert gamma_tilde == pytest.approx(2.0)
     assert gamma_hat == pytest.approx(0.25)
-    assert state.msg.gamma == pytest.approx(1e-11)
-    assert np.array_equal(state.msg.r, state.x_damped)
-    assert diag.projector_clamps == 1
+    assert step.msg.gamma == pytest.approx(1e-11)
+    assert np.array_equal(step.msg.r, step.x_damped)
+    assert step.diagnostics.projector_clamps == 1
 
 
-def test_project_step_takes_g_and_g_prime_from_one_call(monkeypatch):
+def test_run_vamp_reports_its_clamps():
+    # D = B * A = sqrt(2) I for A = [1, 1] and B = sqrt(2) I, with the
+    # unit-modulus observation of test_projector_pass_clamp_path: both passes
+    # clamp, the damped second as the first, and the result reports both
+    a = np.ones((1, 2))
+    b = np.sqrt(2.0) * np.eye(2)
+    res = run_vamp(a, b, np.array([[1.0 + 0j, 1j]]), OptimizerConfig(), np.random.default_rng(0))
+    assert res.iterations == 2
+    assert res.diagnostics.projector_clamps == 2
+    assert res.diagnostics.lmmse_clamps == 0
+
+
+def test_projector_pass_takes_g_and_g_prime_from_one_call(monkeypatch):
     # the projector pass asks g for the pair instead of calling g_prime
     asked = []
     g = Projector.g
@@ -161,18 +171,17 @@ def test_steps_start_and_damp_with_the_module_constants():
     n = 6
     svd = EconomySVD(np.eye(n, dtype=complex), np.full(n, 1.5), np.eye(n, dtype=complex))
     x0 = UNIMODULAR.initial_point(n, rng)
-    state = VampState.start(x0)
-    assert (state.msg.gamma, state.gamma_tilde_prev) == (INITIAL_PRECISION, None)
-    assert np.array_equal(state.msg.r, x0) and np.array_equal(state.x_damped, x0)
-    assert state.msg.r is not x0 and state.x_damped is not x0
+    step = VampStep(UNIMODULAR, x0)
+    assert (step.msg.gamma, step.gamma_tilde_prev) == (INITIAL_PRECISION, None)
+    assert np.array_equal(step.msg.r, x0) and np.array_equal(step.x_damped, x0)
+    assert step.msg.r is not x0 and step.x_damped is not x0
     z_tilde = complex_normal(rng, n)
-    diag = VampDiagnostics()
-    vamp_step(svd, z_tilde, state, UNIMODULAR, diag)
-    tilde = lmmse_extrinsic(svd, z_tilde, state.msg)
-    prev_gamma, prev_x = state.gamma_tilde_prev, state.x_damped
-    gamma_tilde, _ = vamp_step(svd, z_tilde, state, UNIMODULAR, diag)
+    step(svd, z_tilde)
+    tilde = lmmse_extrinsic(svd, z_tilde, step.msg)
+    prev_gamma, prev_x = step.gamma_tilde_prev, step.x_damped
+    gamma_tilde, _ = step(svd, z_tilde)
     assert gamma_tilde == DAMPING * tilde.gamma + (1.0 - DAMPING) * prev_gamma
-    assert np.array_equal(state.x_damped,
+    assert np.array_equal(step.x_damped,
                           DAMPING * UNIMODULAR.g(tilde.r) + (1.0 - DAMPING) * prev_x)
 
 
