@@ -1,33 +1,18 @@
 """Alternating optimization of the transmit precoder and the phase shifts.
 
 The loop alternates two blocks. The phase block is a PhaseStep, built once
-per solve from the channel set, the projector and the initial phases. Each
-call refreshes the quadratic system the phase solver sees (the precoder and
-receiver scale enter its matrices), runs one message-passing step on it
-(vamp.VampStep), and returns the projector image of the damped iterate. The
-precoder block is the closed-form precoder, on the effective channel the
-step builds once per iteration (PhaseStep.effective_channel).
-
-The step keeps its per-solve factors. The surface-user factor
-A = alpha H_su^H changes only through the scalar alpha, so H_su^H is
-factored once per solve and each iteration rescales its singular values
-(linalg.EconomySVD.scaled, which hands over the |Vh|^2 the factored assembly
-reads). Where the phase system keeps its product form in the factor SVDs
-(linalg.use_factors), the station-surface link is factored once per solve
-by its rank, H_bs = Q_r R_r with r = rank(H_bs) (linalg.rank_factor): r is
-the number of paths at most, 10 at paper scale against N = 32. Each
-iteration then factors B = (H_bs F)^T through the small r x M core R_r F
-(linalg.qr_core_svd) instead of the M x K B, and builds the effective
-channel through the factor too (precoding.effective_channel). Elsewhere B
-is factored directly and the effective channel formed from H_bs: that is
-the faster way there, and it keeps the bits of the seeded sweeps.
-Nothing else fixed is rebuilt per iteration either: the conjugate links come
-from the channel set's cache (ChannelSet.H_su_H, H_bu_H), the identity from
-linalg.identity, and the projector pass takes g and g' from one call.
-The precoder returns the sum-MSE objective from its own M x M Gram matrix;
-the loop stops when that objective changes by less than a relative
-tolerance, or at the iteration cap. Like run_vamp, the loop takes a
-vamp.OptimizerConfig.
+per solve: each call refreshes the quadratic system the phase solver sees
+(the precoder and receiver scale enter its matrices), runs one
+message-passing step on it (vamp.VampStep), and returns the projector image
+of the damped iterate. The precoder block is the closed-form precoder, on
+the effective channel the step builds once per iteration. Nothing fixed is
+rebuilt per iteration: the step factors the links once per solve, the
+conjugate links come from the channel set's cache (ChannelSet.H_su_H,
+H_bu_H), the identity from linalg.identity, and the projector pass takes g
+and g' from one call. The precoder returns the sum-MSE objective from its
+own M x M Gram matrix; the loop stops when that objective changes by less
+than a relative tolerance, or at the iteration cap. Like run_vamp, the loop
+takes a vamp.OptimizerConfig.
 
 A traced solve runs the same loop and keeps each iteration's objective and
 design in a TraceRow; it computes no sum-rate or NRMSE. metrics.sum_rate and
@@ -41,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet
-from .linalg import economy_svd, identity, qr_core_svd, rank_factor, use_factors
+from .linalg import economy_svd, identity, qr_core_svd, use_factors
 from .precoding import effective_channel, mmse_precoder
 from .projectors import Projector, get_projector
 from .vamp import OptimizerConfig, VampDiagnostics, VampStep, prepare_system
@@ -75,33 +60,36 @@ class PhaseStep:
     channel set, the projector and the initial phases, and called once per
     outer iteration with the precoder and the receiver scale.
 
-    It holds the per-solve factors: the SVD of H_su^H and, where
-    linalg.use_factors keeps the product form in its factors, the rank
-    factor of H_bs (bs_factor, linalg.rank_factor; None otherwise). Its
-    VampStep (`vamp`) holds the message-passing memory and the clamp counts.
-    prepare_system and effective_channel are looked up as module names at
-    each call, never stored, so that a wrapper bound to those names sees
-    every call.
+    It keeps the per-solve factors. A = alpha H_su^H changes only through
+    alpha, so H_su^H is factored once and each call rescales its singular
+    values (EconomySVD.scaled, which hands over |Vh|^2). Where
+    linalg.use_factors holds, H_bs is factored once by its rank from its
+    truncated economy SVD, bs_factor = (Q_r, R_r) = (U, diag(omega) Vh),
+    with r = rank(H_bs) at most the path count, 10 at paper scale against
+    N = 32; B = (H_bs F)^T is then factored through its r x M core R_r F
+    (linalg.qr_core_svd), and the effective channel runs through the factor
+    too. Elsewhere bs_factor is None, B is factored directly and the
+    effective channel formed from H_bs: the faster way there, with the bits
+    of the seeded sweeps. The VampStep `vamp` holds the message-passing
+    memory and the clamp counts. prepare_system and effective_channel are
+    module names looked up at each call, never stored, so a wrapper bound
+    to those names sees every call.
     """
 
     def __init__(self, ch: ChannelSet, projector: Projector, upsilon0: np.ndarray):
         self.ch = ch
         self.projector = projector
         self.svd_su = economy_svd(ch.H_su_H)
-        self.bs_factor = rank_factor(ch.H_bs) if use_factors(self.svd_su.rank, ch.dims[1]) \
-            else None
+        self.bs_factor = None
+        if use_factors(self.svd_su.rank, ch.dims[1]):
+            svd_bs = economy_svd(ch.H_bs)
+            self.bs_factor = (svd_bs.U, svd_bs.omega[:, None] * svd_bs.Vh)
         self.vamp = VampStep(projector, upsilon0)
 
     def system(self, f: np.ndarray, alpha: float):
-        """The phase subproblem at the precoder f and scale alpha, as (SVD
-        of A, SVD of B, Z) for A = alpha H_su^H, B = (H_bs F)^T and
-        Z = I - alpha H_bu^H F, so that ||A Diag(upsilon) B^T - Z||_F^2
-        equals the phase part of the objective.
-
-        A's SVD is the per-solve SVD of H_su^H scaled by alpha
-        (EconomySVD.scaled). B is factored directly without a rank factor,
-        and otherwise, for bs_factor = (Q_r, R_r), through its core R_r F
-        (linalg.qr_core_svd). H_bu^H is the set's cached ChannelSet.H_bu_H."""
+        """The subproblem at (f, alpha) as (SVD of A, SVD of B, Z) for
+        A = alpha H_su^H, B = (H_bs F)^T and Z = I - alpha H_bu^H F, so that
+        ||A Diag(upsilon) B^T - Z||_F^2 is the phase part of the objective."""
         a = self.svd_su.scaled(alpha)
         if self.bs_factor is None:
             b = economy_svd((self.ch.H_bs @ f).T)

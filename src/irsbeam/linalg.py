@@ -12,23 +12,17 @@ that use them. `identity(m)` is one shared read-only identity per size for
 the per-iteration callers.
 
 The product form is held in one of two ways, and `use_factors` alone picks
-one. When it has no more components than its factors have rows,
-R_a*R_b <= R_a + R_b (two users or fewer), `structured_svd` builds it
-explicitly: the R x K Khatri-Rao Vh and the kron U, with a few whole-array
-numpy calls, each entry the same single product as in an entry-by-entry
-assembly. With more components (three users or more) those arrays grow as
-R = M^2 while the factors grow as M, so `khatri_rao_svd` keeps it in the two
-factor SVDs: a `KhatriRaoSVD` applies U^H through them, and its Vh, a
-`KhatriRaoRows`, multiplies from either side like the matrix it stands for.
-The explicit form is the faster one at two users, where it has at most four
-rows, and its bits are the ones the seeded sweeps pin. Either builder
-returns the full kron grid or nothing: when a component falls under the
-rank cutoff it returns None, and the caller takes the dense SVD of D
-instead. `qr_core_svd` factors a wide matrix whose left factor is fixed
-through its small core, and `rank_factor` gives that left factor at its
-rank, so that the core is no wider than the rank. An SVD rescaled by a
-scalar (`EconomySVD.scaled`) keeps |Vh|^2 (`EconomySVD.vh_modulus`), which
-`khatri_rao_svd` reads.
+one; its docstring gives the rule. `structured_svd` builds it explicitly:
+the R x K Khatri-Rao Vh and the kron U, with a few whole-array numpy calls,
+each entry the same single product as in an entry-by-entry assembly.
+`khatri_rao_svd` keeps it in the two factor SVDs: a `KhatriRaoSVD` applies
+U^H through them, and its Vh, a `KhatriRaoRows`, multiplies from either
+side like the matrix it stands for. Either builder returns the full kron
+grid or nothing: when a component falls under the rank cutoff it returns
+None, and the caller takes the dense SVD of D instead. `qr_core_svd`
+factors a wide matrix whose left factor is fixed through its small core.
+An SVD rescaled by a scalar (`EconomySVD.scaled`) keeps |Vh|^2
+(`EconomySVD.vh_modulus`), which `khatri_rao_svd` reads.
 """
 
 from __future__ import annotations
@@ -113,22 +107,6 @@ def qr_core_svd(q: np.ndarray, core: np.ndarray) -> EconomySVD:
     return EconomySVD(c.Vh.T, c.omega, c.U.T @ q.T)
 
 
-def rank_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """a = Q R with Q (K x r) of orthonormal columns and R (r x N), r the
-    rank of a at RANK_CUTOFF, for a K x N matrix whose rank may sit below
-    min(K, N), as a link that is a sum of a few paths does.
-
-    Built from a reduced QR, a = Q_0 R_0, and the economy SVD of its small
-    triangle, R_0 = U S Vh: Q = Q_0 U and R = S Vh. The QR and the small
-    SVD are faster than the SVD of a itself (0.42 against 0.53 ms at
-    256 x 32 with one BLAS thread on a 2-vCPU Xeon host), and give the same
-    rank, as Q_0 has orthonormal columns.
-    """
-    q0, r0 = np.linalg.qr(a)
-    core = economy_svd(r0)
-    return q0 @ core.U, core.omega[:, None] * core.Vh
-
-
 def khatri_rao_columns(b: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Column-wise Khatri-Rao product: column k of the result is b_k kron a_k.
 
@@ -183,7 +161,13 @@ def use_factors(rank_a: int, rank_b: int) -> bool:
     """Whether the product form of D = B * A is kept in its factor SVDs
     (khatri_rao_svd) rather than built (structured_svd), given the factor
     ranks: when it has more components than its factors have rows,
-    R_a*R_b > R_a + R_b. With equal ranks M that is M >= 3."""
+    R_a*R_b > R_a + R_b. With equal ranks M that is M >= 3.
+
+    This is the one rule for the factored path: prepare_system picks the
+    form by it, and altopt.PhaseStep factors H_bs by its rank where it
+    holds. Past it the explicit R x K Vh and R x R U grow as R = M^2 while
+    the factors grow as M; below it the explicit form, at most four rows,
+    is the faster one, and its bits are the ones the seeded sweeps pin."""
     return rank_a * rank_b > rank_a + rank_b
 
 

@@ -35,10 +35,10 @@ def effective_channel(ch: ChannelSet, upsilon: np.ndarray,
     Both conjugate transposes are the channel set's cached ChannelSet.H_su_H
     and H_bu_H, taken once per set rather than once per call; they have the
     layout of .conj().T, so the products keep their bits. A caller holding
-    the rank factor H_bs = Q_r R_r (linalg.rank_factor) passes it as
-    bs_factor, and the product runs at width r = rank(H_bs) instead of N:
-    ((H_su^H Diag(upsilon)) Q_r) R_r. That equals the direct form to
-    rounding, not bit for bit.
+    a rank factor H_bs = Q_r R_r (altopt.PhaseStep holds one where
+    linalg.use_factors says so) passes it as bs_factor, and the product runs
+    at width r = rank(H_bs) instead of N: ((H_su^H Diag(upsilon)) Q_r) R_r.
+    That equals the direct form to rounding, not bit for bit.
     """
     upsilon = np.asarray(upsilon)
     k = ch.H_bs.shape[0]

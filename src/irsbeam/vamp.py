@@ -20,13 +20,12 @@ same lines. With more components than unknowns, R_a*R_b > K, or with a
 component of the kron grid under the rank cutoff, it takes the SVD of the
 small dense D instead.
 
-One run's memory (message, damped iterate, last precision, clamp counts)
-is a VampStep, which run_vamp here and altopt.PhaseStep each build once
-and call once per pass. The step takes no settings: the linear pass is
+One run's memory is a VampStep, which run_vamp and altopt.PhaseStep each
+build once and call once per pass. It takes no settings: the linear pass is
 unweighted, and the damping factor, the initial message precision and the
 precision floor are the module constants below. OptimizerConfig, checked
 when built, holds the settings of one run of either driver: run_vamp or
-the alternating loop, altopt.joint_optimize.
+altopt.joint_optimize.
 """
 
 from __future__ import annotations
@@ -166,12 +165,10 @@ def lmmse_extrinsic(svd: EconomySVD | KhatriRaoSVD, z_tilde: np.ndarray, msg: Ex
 class VampStep:
     """The memory of one message-passing run, and its step: the message the
     next linear pass takes, the damped iterate, the last damped linear-pass
-    precision (None until the first step) and the clamp counts.
-
-    Built from the projector and the start x0, of which the message mean and
-    the damped iterate are copies; the first message has precision
-    INITIAL_PRECISION. The projector is held as the object, not its bound g,
-    so a caller that wraps the projector's methods reaches every step.
+    precision (None until the first step) and the clamp counts. The message
+    mean and the damped iterate start as copies of x0, the message precision
+    as INITIAL_PRECISION. The projector is held as the object, not its bound
+    g, so a wrapper of the projector's methods sees every step.
     """
 
     def __init__(self, projector: Projector, x0: np.ndarray):
