@@ -38,7 +38,8 @@ print(f"explicit form holds U {explicit.U.shape} and Vh {explicit.Vh.shape}; the
       f"form holds U {svd_a.U.shape} and {svd_b.U.shape}, Vh {svd_a.Vh.shape} and "
       f"{svd_b.Vh.shape}")
 x = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-gap = np.linalg.norm(factored.Vh @ x - explicit.Vh @ x) / np.linalg.norm(explicit.Vh @ x)
+want = explicit.vh_dot(x)
+gap = np.linalg.norm(factored.vh_dot(x) - want) / np.linalg.norm(want)
 print(f"Vh x, factored against explicit (relative):            {gap:.2e}")
 print(f"left-factor orthonormality defect ||U^H U - I||:       "
       f"{orthonormality_defect(explicit.U.conj().T):.2e}")

@@ -11,18 +11,19 @@ their layout picks the BLAS kernel, and so the rounding, of the products
 that use them. `identity(m)` is one shared read-only identity per size for
 the per-iteration callers.
 
-The product form is held in one of two ways, and `use_factors` alone picks
-one; its docstring gives the rule. `structured_svd` builds it explicitly:
-the R x K Khatri-Rao Vh and the kron U, with a few whole-array numpy calls,
-each entry the same single product as in an entry-by-entry assembly.
-`khatri_rao_svd` keeps it in the two factor SVDs: a `KhatriRaoSVD` applies
-U^H through them, and its Vh, a `KhatriRaoRows`, multiplies from either
-side like the matrix it stands for. Either builder returns the full kron
-grid or nothing: when a component falls under the rank cutoff it returns
-None, and the caller takes the dense SVD of D instead. `qr_core_svd`
-factors a wide matrix whose left factor is fixed through its small core.
-An SVD rescaled by a scalar (`EconomySVD.scaled`) keeps |Vh|^2
-(`EconomySVD.vh_modulus`), which `khatri_rao_svd` reads.
+`product_svd` is the one place that decides how D is held. The product form
+is built explicitly by `structured_svd` (the R x K Khatri-Rao Vh and the
+kron U, with a few whole-array numpy calls, each entry the same single
+product as in an entry-by-entry assembly), or kept in the two factor SVDs
+by `khatri_rao_svd` (a `KhatriRaoSVD`, which applies U^H, Vh and Vh^H
+through them); `use_factors` alone picks one, and its docstring gives the
+rule. Either builder returns the full kron grid or nothing: when a
+component falls under the rank cutoff it returns None, and `product_svd`
+takes the dense SVD of D instead. Every form answers the linear pass's
+three products, `uh_dot`, `vh_dot` and `v_dot`, and its column count
+`cols`. `qr_core_svd` factors a wide matrix whose left factor is fixed
+through its small core. An SVD rescaled by a scalar (`EconomySVD.scaled`)
+keeps |Vh|^2 (`EconomySVD.vh_modulus`), which `khatri_rao_svd` reads.
 """
 
 from __future__ import annotations
@@ -48,12 +49,27 @@ class EconomySVD:
     def rank(self) -> int:
         return int(self.omega.size)
 
+    @property
+    def cols(self) -> int:
+        """Column count of the matrix."""
+        return self.Vh.shape[1]
+
     def reconstruct(self) -> np.ndarray:
         return (self.U * self.omega) @ self.Vh
 
     def uh_dot(self, y: np.ndarray) -> np.ndarray:
         """U^H y."""
         return self.U.conj().T @ y
+
+    def vh_dot(self, x: np.ndarray) -> np.ndarray:
+        """Vh x."""
+        return self.Vh @ x
+
+    def v_dot(self, y: np.ndarray) -> np.ndarray:
+        """Vh^H y, formed as (y^H Vh)^H, which conjugates two vectors instead
+        of copying the R x K Vh; both forms run one BLAS matrix-vector
+        product and give the same bits."""
+        return (y.conj() @ self.Vh).conj()
 
     @cached_property
     def vh_modulus(self) -> np.ndarray:
@@ -163,43 +179,11 @@ def use_factors(rank_a: int, rank_b: int) -> bool:
     ranks: when it has more components than its factors have rows,
     R_a*R_b > R_a + R_b. With equal ranks M that is M >= 3.
 
-    This is the one rule for the factored path: prepare_system picks the
-    form by it, and altopt.PhaseStep factors H_bs by its rank where it
-    holds. Past it the explicit R x K Vh and R x R U grow as R = M^2 while
+    This is the one rule for the factored path, and product_svd is its one
+    reader. Past it the explicit R x K Vh and R x R U grow as R = M^2 while
     the factors grow as M; below it the explicit form, at most four rows,
     is the faster one, and its bits are the ones the seeded sweeps pin."""
     return rank_a * rank_b > rank_a + rank_b
-
-
-class KhatriRaoRows:
-    """The R x K right factor of the product form of D = B * A, kept in the
-    factors: Vh = the Khatri-Rao product of Vh_b and Vh_a with rows divided by
-    their norms v_n. Row p = i*R_a + j pairs row i of Vh_b with row j of Vh_a,
-    as in khatri_rao_columns, and inv_norms[i, j] is 1/v_n of row p.
-
-    It multiplies as the matrix it stands for, through the factors, with a
-    length-R vector held as the R_b x R_a matrix of its row-major entries:
-    vh @ x = ((Vh_b * x) Vh_a^T) * inv_norms, and
-    w @ vh = sum over i of Vh_b[i] * ((W * inv_norms) Vh_a)[i].
-    numpy hands `w @ vh` to __rmatmul__ because __array_ufunc__ is None.
-    """
-
-    __array_ufunc__ = None
-
-    def __init__(self, vh_a: np.ndarray, vh_b: np.ndarray, inv_norms: np.ndarray):
-        self.vh_a, self.vh_b, self.inv_norms = vh_a, vh_b, inv_norms
-        self.shape = (inv_norms.size, vh_a.shape[1])
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        return (((self.vh_b * x) @ self.vh_a.T) * self.inv_norms).ravel()
-
-    def __rmatmul__(self, w: np.ndarray) -> np.ndarray:
-        t = (w.reshape(self.inv_norms.shape) * self.inv_norms) @ self.vh_a
-        return np.add.reduce(self.vh_b * t, axis=0)
-
-    def dense(self) -> np.ndarray:
-        """The R x K matrix itself."""
-        return khatri_rao_columns(self.vh_b, self.vh_a) * self.inv_norms.reshape(-1, 1)
 
 
 @dataclass
@@ -209,26 +193,45 @@ class KhatriRaoSVD:
     It stands for structured_svd's triple, U = kron(U_b, U_a),
     omega = (omega_b kron omega_a) * v_n and the row-normalized Khatri-Rao
     Vh, and forms neither U nor Vh: omega is in khatri_rao_columns' order,
-    Vh is a KhatriRaoRows, and U^H vec(Z) = vec(U_a^H Z conj(U_b)), with vec
-    stacking columns. Memory is O(K (R_a + R_b)) instead of O(K R_a R_b).
+    and inv_norms[i, j] is 1/v_n of row p = i*R_a + j, which pairs row i of
+    Vh_b with row j of Vh_a. A length-R vector is held as the R_b x R_a
+    matrix of its row-major entries. Memory is O(K (R_a + R_b)) instead of
+    O(K R_a R_b).
     """
 
     a: EconomySVD
     b: EconomySVD
     omega: np.ndarray
-    Vh: KhatriRaoRows
+    inv_norms: np.ndarray
 
     @property
     def rank(self) -> int:
         return int(self.omega.size)
 
+    @property
+    def cols(self) -> int:
+        """Column count of D."""
+        return self.a.Vh.shape[1]
+
     def reconstruct(self) -> np.ndarray:
-        return (np.kron(self.b.U, self.a.U) * self.omega) @ self.Vh.dense()
+        vh = khatri_rao_columns(self.b.Vh, self.a.Vh) * self.inv_norms.reshape(-1, 1)
+        return (np.kron(self.b.U, self.a.U) * self.omega) @ vh
 
     def uh_dot(self, y: np.ndarray) -> np.ndarray:
-        """U^H y; the row-major reshape of y = vec(Z) is Z^T."""
+        """U^H y = vec(U_a^H Z conj(U_b)) for y = vec(Z), vec stacking
+        columns; the row-major reshape of y is Z^T."""
         z_t = y.reshape(self.b.U.shape[0], self.a.U.shape[0])
         return (self.b.U.conj().T @ z_t @ self.a.U.conj()).ravel()
+
+    def vh_dot(self, x: np.ndarray) -> np.ndarray:
+        """Vh x = ((Vh_b * x) Vh_a^T) * inv_norms."""
+        return (((self.b.Vh * x) @ self.a.Vh.T) * self.inv_norms).ravel()
+
+    def v_dot(self, y: np.ndarray) -> np.ndarray:
+        """Vh^H y = (y^H Vh)^H, with y^H Vh the sum over i of
+        Vh_b[i] * ((conj(Y) * inv_norms) Vh_a)[i]."""
+        t = (y.conj().reshape(self.inv_norms.shape) * self.inv_norms) @ self.a.Vh
+        return np.add.reduce(self.b.Vh * t, axis=0).conj()
 
 
 def khatri_rao_svd(svd_a: EconomySVD, svd_b: EconomySVD) -> KhatriRaoSVD | None:
@@ -245,7 +248,28 @@ def khatri_rao_svd(svd_a: EconomySVD, svd_b: EconomySVD) -> KhatriRaoSVD | None:
     omega = (svd_b.omega[:, None] * svd_a.omega * v_n).ravel()
     if not _full_grid(omega):
         return None
-    return KhatriRaoSVD(svd_a, svd_b, omega, KhatriRaoRows(svd_a.Vh, svd_b.Vh, 1.0 / v_n))
+    return KhatriRaoSVD(svd_a, svd_b, omega, 1.0 / v_n)
+
+
+def product_svd(svd_a: EconomySVD, svd_b: EconomySVD) -> EconomySVD | KhatriRaoSVD:
+    """The SVD-form triple of D = B * A from the economy SVDs of A and B.
+
+    It is the product form, explicit (structured_svd) or kept in the factors
+    (khatri_rao_svd) as use_factors picks, except in two cases, where it is
+    the SVD of the small dense D with A and B rebuilt from their factors.
+    One is a component count R_a*R_b above the unknown count K: there the
+    product form stops being a usable surrogate for an SVD (the linear
+    pass's precision update needs K/R >= 1) and the dense SVD is cheaper
+    anyway. The other is a kron grid with a component under the rank
+    cutoff, which the builders decline; the dense SVD is exact there.
+    """
+    rank_a, rank_b = svd_a.rank, svd_b.rank
+    svd = None
+    if rank_a * rank_b <= svd_a.cols:
+        svd = (khatri_rao_svd if use_factors(rank_a, rank_b) else structured_svd)(svd_a, svd_b)
+    if svd is None:
+        svd = economy_svd(khatri_rao_columns(svd_b.reconstruct(), svd_a.reconstruct()))
+    return svd
 
 
 @cache

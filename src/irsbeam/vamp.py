@@ -13,12 +13,10 @@ B has a fixed, low-rank left factor factors B through its small core
 
 The linear pass needs only omega, z_tilde, Vh r and Vh^H y of the SVD form
 (Rangan, Schniter & Fletcher, Vector Approximate Message Passing, IEEE T-IT
-2019). It takes the product form, built explicitly or kept in its factor
-SVDs as linalg.use_factors decides; the factored form's Vh multiplies like
-the matrix, so lmmse_extrinsic and VampStep run either form through the
-same lines. With more components than unknowns, R_a*R_b > K, or with a
-component of the kron grid under the rank cutoff, it takes the SVD of the
-small dense D instead.
+2019). How D is held, as the product form built explicitly or kept in its
+factor SVDs, or as the SVD of the small dense D, is linalg.product_svd's
+choice alone; every form answers the same products (vh_dot, v_dot), so
+lmmse_extrinsic and VampStep run each through the same lines.
 
 One run's memory is a VampStep, which run_vamp and altopt.PhaseStep each
 build once and call once per pass. It takes no settings: the linear pass is
@@ -34,8 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import (EconomySVD, KhatriRaoSVD, economy_svd, khatri_rao_columns, khatri_rao_svd,
-                     structured_svd, use_factors)
+from .linalg import EconomySVD, KhatriRaoSVD, economy_svd, product_svd
 from .projectors import Projector, get_projector
 
 # Floor for the emitted precisions; a nonpositive or smaller one is clamped to it.
@@ -101,27 +98,14 @@ def prepare_system(svd_a: EconomySVD, svd_b: EconomySVD, z: np.ndarray):
     """SVD-form triple and weighted observation z_tilde = U^H vec(Z) / omega
     for D = B * A against vec(Z), given the economy SVDs of A and B.
 
-    The triple is the product form assembled from the factor SVDs, explicit
-    (structured_svd) or kept in the factors (khatri_rao_svd) as
-    linalg.use_factors picks, except in two cases, where it is the SVD of
-    the small dense D with A and B rebuilt from their factors. One is a
-    component count R_a*R_b above the unknown count K: there the product
-    form stops being a usable surrogate for an SVD (the precision update
-    needs K/R >= 1) and the dense SVD is cheaper anyway. The other is a kron
-    grid with a component under the rank cutoff, which the builders decline;
-    the dense SVD is exact there. The division by omega is a multiply by
-    1/omega, which gives the same bits for the positive kept values.
+    The triple is linalg.product_svd's. The division by omega is a multiply
+    by 1/omega, which gives the same bits for the positive kept values.
     """
     z = np.asarray(z, dtype=complex)
     shape = (svd_a.U.shape[0], svd_b.U.shape[0])
     if z.shape != shape:
         raise ValueError(f"prepare_system: Z is {z.shape}, expected {shape}")
-    rank_a, rank_b = svd_a.rank, svd_b.rank
-    svd = None
-    if rank_a * rank_b <= svd_a.Vh.shape[1]:
-        svd = (khatri_rao_svd if use_factors(rank_a, rank_b) else structured_svd)(svd_a, svd_b)
-    if svd is None:
-        svd = economy_svd(khatri_rao_columns(svd_b.reconstruct(), svd_a.reconstruct()))
+    svd = product_svd(svd_a, svd_b)
     if svd.rank == 0:
         raise ValueError("prepare_system: zero system (A or B vanishes)")
     return svd, svd.uh_dot(z.flatten(order="F")) * (1.0 / svd.omega)
@@ -131,18 +115,16 @@ def lmmse_extrinsic(svd: EconomySVD | KhatriRaoSVD, z_tilde: np.ndarray, msg: Ex
                     diag: VampDiagnostics | None = None) -> ExtrinsicMessage:
     """Extrinsic output of the linear pass, computed in SVD form.
 
-    With K = svd.Vh.shape[1] unknowns and R components:
+    With K = svd.cols unknowns and R components:
     d = omega^2 / (omega^2 + gamma);
     r_out = r + (K/R) V Diag(d/<d>) (z_tilde - V^H r);
     gamma_out = gamma*<d> / (K/R - <d>), clamped to GAMMA_FLOOR when the
     denominator vanishes or goes negative (possible when R > K).
-    The product V y = Vh^H y is formed as (y^H Vh)^H, which conjugates two
-    vectors instead of copying the R x K Vh; both forms run one BLAS
-    matrix-vector product and give the same bits. A factored triple's Vh is
-    a linalg.KhatriRaoRows, which takes both products through its factors.
+    V^H r and V y are the triple's vh_dot and v_dot, which a factored triple
+    takes through its factors.
     """
-    omega, vh = svd.omega, svd.Vh
-    rank, k = vh.shape
+    omega = svd.omega
+    rank, k = svd.rank, svd.cols
     if z_tilde.shape != (rank,):
         raise ValueError(f"lmmse_extrinsic: z_tilde has length {z_tilde.size}, rank is {rank}")
     if msg.r.shape != (k,):
@@ -151,7 +133,7 @@ def lmmse_extrinsic(svd: EconomySVD | KhatriRaoSVD, z_tilde: np.ndarray, msg: Ex
     d = omega2 / (omega2 + msg.gamma)
     d_mean = float(np.add.reduce(d) / d.size)
     ratio = k / rank
-    r_out = msg.r + ratio * (((d / d_mean) * (z_tilde - vh @ msg.r)).conj() @ vh).conj()
+    r_out = msg.r + ratio * svd.v_dot((d / d_mean) * (z_tilde - svd.vh_dot(msg.r)))
     denom = ratio - d_mean
     # a vanishing, negative or non-finite denominator clamps once, like a small precision
     gamma_out = msg.gamma * d_mean / denom if 0 < denom < np.inf else 0.0

@@ -3,11 +3,11 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
-from irsbeam import altopt, metrics, vamp
+from irsbeam import altopt, linalg, metrics, vamp
 from irsbeam.altopt import OptimizerConfig, PhaseStep, joint_optimize
 from irsbeam.channel import ChannelSet, SystemDims, complex_normal, sample_channel_set
 from irsbeam.harness import desk_spec
-from irsbeam.linalg import KhatriRaoRows, economy_svd, qr_core_svd
+from irsbeam.linalg import KhatriRaoSVD, economy_svd, qr_core_svd
 from irsbeam.metrics import fit_error, nrmse
 from irsbeam.oracles import grid_phase_search, sum_mse_reference
 from irsbeam.precoding import effective_channel, mmse_precoder
@@ -249,11 +249,11 @@ def test_traced_solve_builds_one_effective_channel_per_iteration(monkeypatch):
 def _count_paths(monkeypatch):
     """Per phase step, whether the step assembled its subproblem through the
     rank factor of H_bs, and the calls of the factored entry points: the
-    factored assembly as prepare_system calls it, and the factored linear
-    pass."""
+    factored assembly as linalg.product_svd calls it, and the factored
+    linear pass's V y."""
     seen = {"factor": [], "assembly": 0, "linear": 0}
-    setup, assembly = PhaseStep.system, vamp.khatri_rao_svd
-    adjoint = KhatriRaoRows.__rmatmul__
+    setup, assembly = PhaseStep.system, linalg.khatri_rao_svd
+    adjoint = KhatriRaoSVD.v_dot
 
     def counted_setup(self, f, alpha):
         seen["factor"].append(self.bs_factor is not None)
@@ -268,8 +268,8 @@ def _count_paths(monkeypatch):
         return adjoint(*args)
 
     monkeypatch.setattr(PhaseStep, "system", counted_setup)
-    monkeypatch.setattr(vamp, "khatri_rao_svd", counted_assembly)
-    monkeypatch.setattr(KhatriRaoRows, "__rmatmul__", counted_adjoint)
+    monkeypatch.setattr(linalg, "khatri_rao_svd", counted_assembly)
+    monkeypatch.setattr(KhatriRaoSVD, "v_dot", counted_adjoint)
     return seen
 
 

@@ -197,7 +197,7 @@ def test_scaled_svd_hands_over_its_vh_modulus():
     got = khatri_rao_svd(scaled, svd_b)
     want = khatri_rao_svd(EconomySVD(svd.U, 0.3 * svd.omega, svd.Vh), svd_b)
     assert got.omega.tobytes() == want.omega.tobytes()
-    assert got.Vh.inv_norms.tobytes() == want.Vh.inv_norms.tobytes()
+    assert got.inv_norms.tobytes() == want.inv_norms.tobytes()
 
 
 def test_orthonormality_defect_zero_for_true_svd():

@@ -86,10 +86,10 @@ def test_import_guard_sees_plain_dotted_and_aliased_imports(tmp_path):
     mod = tmp_path / "mod.py"
     mod.write_text("from __future__ import annotations\nimport os\nimport os.path\n"
                    "import numpy as np\nfrom . import vamp\n"
-                   "from .linalg import EconomySVD, KhatriRaoRows as Rows, economy_svd\n\n"
+                   "from .linalg import EconomySVD, KhatriRaoSVD as Product, economy_svd\n\n"
                    "def f(x: EconomySVD) -> None:\n"
                    "    return np.asarray(vamp.run(economy_svd(x)))\n")
-    assert [u.split(": ", 1)[1] for u in _unused_imports(mod)] == ["os", "os", "Rows"]
+    assert [u.split(": ", 1)[1] for u in _unused_imports(mod)] == ["os", "os", "Product"]
 
 
 def _public_definitions(path: Path) -> list[tuple[str, int, int]]:

@@ -3,10 +3,10 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from irsbeam import vamp
+from irsbeam import linalg
 from irsbeam.channel import complex_normal
-from irsbeam.linalg import (RANK_CUTOFF, EconomySVD, KhatriRaoRows, KhatriRaoSVD,
-                            economy_svd, khatri_rao_columns, khatri_rao_svd, structured_svd)
+from irsbeam.linalg import (RANK_CUTOFF, EconomySVD, KhatriRaoSVD, economy_svd,
+                            khatri_rao_columns, khatri_rao_svd, structured_svd)
 from irsbeam.oracles import dense_lmmse
 from irsbeam.projectors import UNIMODULAR, Projector
 from irsbeam.vamp import (DAMPING, GAMMA_FLOOR, INITIAL_PRECISION, ExtrinsicMessage,
@@ -381,8 +381,8 @@ def test_rank_dropped_grid_takes_the_dense_branch(a, b):
 
 def _count_factored(monkeypatch):
     """Count the calls of the factored entry points: the factored assembly
-    as prepare_system calls it, and the two products of the factored Vh."""
-    calls = {"assembly": 0, "vh_dot": 0, "vh_adjoint_dot": 0}
+    as linalg.product_svd calls it, and the factored triple's two products."""
+    calls = {"assembly": 0, "vh_dot": 0, "v_dot": 0}
 
     def counted(name, fn):
         def wrapper(*args):
@@ -390,9 +390,9 @@ def _count_factored(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(vamp, "khatri_rao_svd", counted("assembly", vamp.khatri_rao_svd))
-    for name, method in (("vh_dot", "__matmul__"), ("vh_adjoint_dot", "__rmatmul__")):
-        monkeypatch.setattr(KhatriRaoRows, method, counted(name, getattr(KhatriRaoRows, method)))
+    monkeypatch.setattr(linalg, "khatri_rao_svd", counted("assembly", linalg.khatri_rao_svd))
+    for name in ("vh_dot", "v_dot"):
+        monkeypatch.setattr(KhatriRaoSVD, name, counted(name, getattr(KhatriRaoSVD, name)))
     return calls
 
 
@@ -411,7 +411,7 @@ def test_run_vamp_takes_the_factored_path_only_past_its_rule(monkeypatch):
         got = {name: calls[name] - before[name] for name in calls}
         passes = 4 if factored else 0
         assert got == {"assembly": int(factored), "vh_dot": passes,
-                       "vh_adjoint_dot": passes}, (m_a, m_b)
+                       "v_dot": passes}, (m_a, m_b)
 
 
 def test_run_vamp_scalar_identity():
