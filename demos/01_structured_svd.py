@@ -10,13 +10,13 @@ exactly, that they agree, and measures how far the right factor is from
 orthonormal. The left factor U has orthonormal columns, rank(A)*rank(B) of
 them; the right factor is row-normalized, not orthonormal. With more
 components than the factors have rows, as here, the solver keeps the
-factored form (linalg.use_factors). A grid with a component under the rank
+factored form (linalg.product_svd). A grid with a component under the rank
 cutoff is built by neither: the solver takes the dense SVD of D there.
 """
 import numpy as np
 
-from irsbeam.linalg import (economy_svd, khatri_rao_columns, khatri_rao_svd,
-                            orthonormality_defect, structured_svd, use_factors)
+from irsbeam.linalg import (KhatriRaoSVD, economy_svd, khatri_rao_columns, khatri_rao_svd,
+                            orthonormality_defect, product_svd, structured_svd)
 
 rng = np.random.default_rng(0)
 m, q, k = 2, 3, 24
@@ -30,7 +30,8 @@ svd_a, svd_b = economy_svd(a), economy_svd(b)
 explicit = structured_svd(svd_a, svd_b)
 factored = khatri_rao_svd(svd_a, svd_b)
 print(f"components kept: {explicit.rank} (of {m * q} in the kron grid); "
-      f"the solver keeps the factored form: {use_factors(svd_a.rank, svd_b.rank)}")
+      f"the solver keeps the factored form: "
+      f"{isinstance(product_svd(svd_a, svd_b), KhatriRaoSVD)}")
 for name, svd in (("explicit", explicit), ("factored", factored)):
     rel = np.linalg.norm(svd.reconstruct() - d) / np.linalg.norm(d)
     print(f"{name} form reconstruction error (relative Frobenius): {rel:.2e}")

@@ -5,14 +5,15 @@ per solve: each call refreshes the quadratic system the phase solver sees
 (the precoder and receiver scale enter its matrices), runs one
 message-passing step on it (vamp.VampStep), and returns the projector image
 of the damped iterate. The precoder block is the closed-form precoder, on
-the effective channel the step builds once per iteration. Nothing fixed is
-rebuilt per iteration: the step factors the links once per solve, the
-conjugate links come from the channel set's cache (ChannelSet.H_su_H,
-H_bu_H), the identity from linalg.identity, and the projector pass takes g
-and g' from one call. The precoder returns the sum-MSE objective from its
-own M x M Gram matrix; the loop stops when that objective changes by less
-than a relative tolerance, or at the iteration cap. Like run_vamp, the loop
-takes a vamp.OptimizerConfig.
+the effective channel (precoding.effective_channel), built once per
+iteration. Nothing fixed is rebuilt per iteration: the step factors H_su^H
+once per solve, the conjugate links and the rank factor of H_bs come from
+the channel set's cache (ChannelSet.H_su_H, H_bu_H, H_bs_factor), the
+identity from linalg.identity, and the projector pass takes g and g' from
+one call. The precoder returns the sum-MSE objective from its own M x M
+Gram matrix; the loop stops when that objective changes by less than a
+relative tolerance, or at the iteration cap. Like run_vamp, the loop takes
+a vamp.OptimizerConfig.
 
 A traced solve runs the same loop and keeps each iteration's objective and
 design in a TraceRow; it computes no sum-rate or NRMSE. metrics.sum_rate and
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet
-from .linalg import economy_svd, identity, qr_core_svd, use_factors
+from .linalg import economy_svd, identity, qr_core_svd
 from .precoding import effective_channel, mmse_precoder
 from .projectors import Projector, get_projector
 from .vamp import OptimizerConfig, VampDiagnostics, VampStep, prepare_system
@@ -60,55 +61,35 @@ class PhaseStep:
     channel set, the projector and the initial phases, and called once per
     outer iteration with the precoder and the receiver scale.
 
-    It keeps the per-solve factors. A = alpha H_su^H changes only through
-    alpha, so H_su^H is factored once and each call rescales its singular
-    values (EconomySVD.scaled, which hands over |Vh|^2). Where
-    linalg.use_factors holds, H_bs is factored once by its rank from its
-    truncated economy SVD, bs_factor = (Q_r, R_r) = (U, diag(omega) Vh),
-    with r = rank(H_bs) at most the path count, 10 at paper scale against
-    N = 32; B = (H_bs F)^T is then factored through its r x M core R_r F
-    (linalg.qr_core_svd), and the effective channel runs through the factor
-    too. Elsewhere bs_factor is None, B is factored directly and the
-    effective channel formed from H_bs: the faster way there, with the bits
-    of the seeded sweeps. The VampStep `vamp` holds the message-passing
-    memory and the clamp counts. prepare_system and effective_channel are
-    module names looked up at each call, never stored, so a wrapper bound
-    to those names sees every call.
+    A = alpha H_su^H changes only through alpha, so H_su^H is factored once
+    and each call rescales its singular values (EconomySVD.scaled, which
+    hands over |Vh|^2). B = (H_bs F)^T is factored through its r x M core
+    R_r F (linalg.qr_core_svd), with H_bs = Q_r R_r the channel set's rank
+    factor (ChannelSet.H_bs_factor). The VampStep `vamp` holds the
+    message-passing memory and the clamp counts. prepare_system is a module
+    name looked up at each call, never stored, so a wrapper bound to that
+    name sees every call.
     """
 
     def __init__(self, ch: ChannelSet, projector: Projector, upsilon0: np.ndarray):
         self.ch = ch
         self.projector = projector
         self.svd_su = economy_svd(ch.H_su_H)
-        self.bs_factor = None
-        if use_factors(self.svd_su.rank, ch.dims[1]):
-            svd_bs = economy_svd(ch.H_bs)
-            self.bs_factor = (svd_bs.U, svd_bs.omega[:, None] * svd_bs.Vh)
         self.vamp = VampStep(projector, upsilon0)
 
     def system(self, f: np.ndarray, alpha: float):
         """The subproblem at (f, alpha) as (SVD of A, SVD of B, Z) for
         A = alpha H_su^H, B = (H_bs F)^T and Z = I - alpha H_bu^H F, so that
         ||A Diag(upsilon) B^T - Z||_F^2 is the phase part of the objective."""
-        a = self.svd_su.scaled(alpha)
-        if self.bs_factor is None:
-            b = economy_svd((self.ch.H_bs @ f).T)
-        else:
-            q, r = self.bs_factor
-            b = qr_core_svd(q, r @ f)
+        q, r = self.ch.H_bs_factor
         z = identity(f.shape[1]) - alpha * self.ch.H_bu_H @ f
-        return a, b, z
+        return self.svd_su.scaled(alpha), qr_core_svd(q, r @ f), z
 
     def __call__(self, f: np.ndarray, alpha: float) -> np.ndarray:
         """One VampStep on the subproblem at (f, alpha); returns the
         projector image of the damped iterate, the new feasible phases."""
         self.vamp(*prepare_system(*self.system(f, alpha)))
         return np.asarray(self.projector.g(self.vamp.x_damped))
-
-    def effective_channel(self, upsilon: np.ndarray) -> np.ndarray:
-        """The effective channel of the phases upsilon, through the rank
-        factor of H_bs when the step holds one."""
-        return effective_channel(self.ch, upsilon, self.bs_factor)
 
 
 def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
@@ -131,7 +112,7 @@ def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
     for t in range(cfg.t_max_outer + 1):
         if t > 0:
             upsilon = step(sol.F, sol.alpha)
-        sol = mmse_precoder(step.effective_channel(upsilon), power, noise_var)
+        sol = mmse_precoder(effective_channel(ch, upsilon), power, noise_var)
         err = sol.error
         if cfg.collect_trace:
             trace.append(TraceRow(t, err, upsilon, sol.F, sol.alpha))

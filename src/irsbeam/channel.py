@@ -16,6 +16,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .linalg import economy_svd
+
 
 @dataclass(frozen=True)
 class SystemDims:
@@ -95,9 +97,9 @@ class ChannelSet:
     The set is frozen and checked when built: the links must agree in size
     and hold finite entries. A changed channel is a new set
     (dataclasses.replace), checked again, so the conjugate transposes H_su_H
-    and H_bu_H, taken on first use and kept, always belong to the set's own
-    links. Write into a link's array in place and they go stale, and the
-    build-time check no longer holds.
+    and H_bu_H and the rank factor H_bs_factor, taken on first use and kept,
+    always belong to the set's own links. Write into a link's array in place
+    and they go stale, and the build-time check no longer holds.
     """
 
     H_bs: np.ndarray
@@ -129,6 +131,17 @@ class ChannelSet:
     def H_bu_H(self) -> np.ndarray:
         """H_bu^H, M x N, read-only; the layout of H_bu.conj().T."""
         return _read_only(self.H_bu.conj().T)
+
+    @cached_property
+    def H_bs_factor(self) -> tuple[np.ndarray, np.ndarray]:
+        """(Q_r, R_r) with H_bs = Q_r R_r, both read-only: (U, diag(omega) Vh)
+        of H_bs's truncated economy SVD. Q_r is K x r with orthonormal
+        columns, r = rank(H_bs) is at most min(paths, N, K), 10 at paper
+        scale against N = 32, and a zero H_bs gives r = 0. It is the one way
+        H_bs enters the solver: precoding.effective_channel and
+        altopt.PhaseStep's B = (H_bs F)^T both run at width r through it."""
+        svd = economy_svd(self.H_bs)
+        return _read_only(svd.U), _read_only(svd.omega[:, None] * svd.Vh)
 
     def without_direct_link(self) -> "ChannelSet":
         """Copy with the base-station-to-user block zeroed."""

@@ -1,7 +1,8 @@
 """Evaluation metrics: per-user SINR sum-rate and the normalized root-MSE.
 
 per_user_sinr and fit_error take the N x M effective channel h of
-precoding.effective_channel; sum_rate and nrmse build it from the channels.
+precoding.effective_channel; sum_rate and nrmse build it from the channels,
+through the channel set's rank factor of H_bs as the solver does.
 """
 
 from __future__ import annotations

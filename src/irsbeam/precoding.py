@@ -27,30 +27,24 @@ class PrecodingSolution:
     error: float        # sum-MSE objective at (F, alpha) on the channel it was built for
 
 
-def effective_channel(ch: ChannelSet, upsilon: np.ndarray,
-                      bs_factor: tuple | None = None) -> np.ndarray:
+def effective_channel(ch: ChannelSet, upsilon: np.ndarray) -> np.ndarray:
     """N x M effective channel H with H^H = H_su^H Diag(upsilon) H_bs + H_bu^H.
 
-    The phases scale the M x K factor H_su^H rather than the K x N H_bs.
-    Both conjugate transposes are the channel set's cached ChannelSet.H_su_H
-    and H_bu_H, taken once per set rather than once per call; they have the
-    layout of .conj().T, so the products keep their bits. A caller holding
-    a rank factor H_bs = Q_r R_r (altopt.PhaseStep holds one where
-    linalg.use_factors says so) passes it as bs_factor, and the product runs
-    at width r = rank(H_bs) instead of N: ((H_su^H Diag(upsilon)) Q_r) R_r.
-    That equals the direct form to rounding, not bit for bit.
+    H_bs enters through the channel set's rank factor H_bs = Q_r R_r
+    (ChannelSet.H_bs_factor), so the product runs at width r = rank(H_bs)
+    instead of N: ((H_su^H Diag(upsilon)) Q_r) R_r, equal to the direct
+    form to rounding. The phases scale the M x K factor H_su^H rather than
+    the K x N H_bs. The conjugate transposes are the channel set's cached
+    ChannelSet.H_su_H and H_bu_H, and every factor is taken once per set
+    rather than once per call. All-zero phases leave exactly H_bu: the
+    reflector term is a product of zeros.
     """
     upsilon = np.asarray(upsilon)
     k = ch.H_bs.shape[0]
     if upsilon.shape != (k,):
         raise ValueError(f"effective_channel: phase vector has shape {upsilon.shape}, expected ({k},)")
-    su = ch.H_su_H * upsilon
-    if bs_factor is None:
-        h_h = su @ ch.H_bs + ch.H_bu_H
-    else:
-        q, r = bs_factor
-        h_h = (su @ q) @ r + ch.H_bu_H
-    return h_h.conj().T
+    q, r = ch.H_bs_factor
+    return (((ch.H_su_H * upsilon) @ q) @ r + ch.H_bu_H).conj().T
 
 
 def _frobenius(a: np.ndarray) -> float:

@@ -47,20 +47,15 @@ def test_objective_error_matches_per_user_expansion():
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
-def phase_step(ch, factored=True):
-    """The phase step joint_optimize builds for ch, from all-ones phases;
-    with factored=False it drops the rank factor of H_bs, so that B is
-    factored directly."""
-    step = PhaseStep(ch, UNIMODULAR, np.ones(ch.dims[2], complex))
-    if not factored:
-        step.bs_factor = None
-    return step
+def phase_step(ch):
+    """The phase step joint_optimize builds for ch, from all-ones phases."""
+    return PhaseStep(ch, UNIMODULAR, np.ones(ch.dims[2], complex))
 
 
-def setup_dense(ch, f, alpha, factored=True):
+def setup_dense(ch, f, alpha):
     """The phase step's assembly (PhaseStep.system), with A and B rebuilt
     dense from the SVDs it returns."""
-    a, b, z = phase_step(ch, factored).system(f, alpha)
+    a, b, z = phase_step(ch).system(f, alpha)
     return a.reconstruct(), b.reconstruct(), z
 
 
@@ -88,17 +83,15 @@ def test_vamp_setup_objective_equality():
     rng = np.random.default_rng(2)
     ch = toy_channel(rng, 5, 3, 8)
     sol = mmse_precoder(effective_channel(ch, np.ones(8, complex)), 2.0, 0.01)
-    # B factored directly, and B factored through the rank factor's core,
-    # which the step takes at three users
-    for factored in (False, True):
-        assert (phase_step(ch, factored).bs_factor is not None) == factored
-        a, b, z = setup_dense(ch, sol.F, sol.alpha, factored)
-        for _ in range(100):
-            ups = np.exp(2j * np.pi * rng.random(8))
-            lhs = np.linalg.norm(a @ np.diag(ups) @ b.T - z) ** 2
-            rhs = (fit_error(sol.alpha, effective_channel(ch, ups), sol.F, 0.01)
-                   - 3 * sol.alpha**2 * 0.01)
-            np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
+    # B through the core of the channel set's rank factor, against the
+    # objective on the literal effective channel of the direct H_bs
+    a, b, z = setup_dense(ch, sol.F, sol.alpha)
+    for _ in range(100):
+        ups = np.exp(2j * np.pi * rng.random(8))
+        lhs = np.linalg.norm(a @ np.diag(ups) @ b.T - z) ** 2
+        h = (ch.H_su.conj().T @ np.diag(ups) @ ch.H_bs + ch.H_bu.conj().T).conj().T
+        rhs = fit_error(sol.alpha, h, sol.F, 0.01) - 3 * sol.alpha**2 * 0.01
+        np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
 
 
 def test_rescaled_surface_svd_matches_fresh_svd():
@@ -110,7 +103,6 @@ def test_rescaled_surface_svd_matches_fresh_svd():
         ups = np.exp(2j * np.pi * np.random.default_rng(seed + 100).random(dims.K))
         sol = mmse_precoder(effective_channel(ch, ups), 1.0, 1e-13)
         # B as joint_optimize hands it over: through the rank factor's core
-        # from M = 3 on
         a, svd_b, z = phase_step(ch).system(sol.F, sol.alpha)
         fresh = economy_svd(sol.alpha * ch.H_su.conj().T)
         assert a.rank == fresh.rank == dims.M
@@ -247,37 +239,28 @@ def test_traced_solve_builds_one_effective_channel_per_iteration(monkeypatch):
 
 
 def _count_paths(monkeypatch):
-    """Per phase step, whether the step assembled its subproblem through the
-    rank factor of H_bs, and the calls of the factored entry points: the
-    factored assembly as linalg.product_svd calls it, and the factored
-    linear pass's V y."""
-    seen = {"factor": [], "assembly": 0, "linear": 0}
-    setup, assembly = PhaseStep.system, linalg.khatri_rao_svd
-    adjoint = KhatriRaoSVD.v_dot
+    """The calls of the phase step's entry points: the factoring of B through
+    the rank factor's core, the factored assembly as linalg.product_svd
+    calls it, and the factored linear pass's V y."""
+    seen = {"core": 0, "assembly": 0, "linear": 0}
 
-    def counted_setup(self, f, alpha):
-        seen["factor"].append(self.bs_factor is not None)
-        return setup(self, f, alpha)
+    def counted(name, fn):
+        def wrapper(*args):
+            seen[name] += 1
+            return fn(*args)
+        return wrapper
 
-    def counted_assembly(*args):
-        seen["assembly"] += 1
-        return assembly(*args)
-
-    def counted_adjoint(*args):
-        seen["linear"] += 1
-        return adjoint(*args)
-
-    monkeypatch.setattr(PhaseStep, "system", counted_setup)
-    monkeypatch.setattr(linalg, "khatri_rao_svd", counted_assembly)
-    monkeypatch.setattr(KhatriRaoSVD, "v_dot", counted_adjoint)
+    monkeypatch.setattr(altopt, "qr_core_svd", counted("core", altopt.qr_core_svd))
+    monkeypatch.setattr(linalg, "khatri_rao_svd", counted("assembly", linalg.khatri_rao_svd))
+    monkeypatch.setattr(KhatriRaoSVD, "v_dot", counted("linear", KhatriRaoSVD.v_dot))
     return seen
 
 
 @pytest.mark.parametrize("constraint", ["unimodular", "reactive"])
 def test_joint_optimize_takes_the_factored_path_from_three_users(monkeypatch, constraint):
-    # counts, not timings or bits: at the desk shapes (two users) no phase
-    # step enters the rank factor's core or the factored path; from three
-    # users every one enters both
+    # counts, not timings or bits: every phase step factors B through the
+    # rank factor's core; at the desk shapes (two users) none enters the
+    # factored product form, and from three users every one does
     spec = desk_spec()
     shapes = [(SystemDims(n, m, k), False)
               for n in spec.n_bs for m in spec.n_users for k in spec.n_irs]
@@ -289,8 +272,8 @@ def test_joint_optimize_takes_the_factored_path_from_three_users(monkeypatch, co
         ch = sample_channel_set(np.random.default_rng(dims.K), dims)
         sol = joint_optimize(ch, 1.0, 1e-13, cfg, np.random.default_rng(16))
         steps = sol.iterations
-        assert seen["factor"] == [factored] * steps, dims
-        assert (seen["assembly"], seen["linear"]) == ((steps, steps) if factored else (0, 0)), dims
+        assert seen == {"core": steps, "assembly": steps if factored else 0,
+                        "linear": steps if factored else 0}, dims
         monkeypatch.undo()
 
 
@@ -308,25 +291,24 @@ def _qr_core_cases():
 
 @pytest.mark.parametrize("h_bs, m, rank", _qr_core_cases())
 def test_qr_core_factors_b(h_bs, m, rank):
-    # the rank factor H_bs = Q_r R_r, as the phase step takes it, and the SVD
-    # of B = (H_bs F)^T through its core R_r F, as the step's assembly
-    # returns it, against economy_svd(B): the same singular values, a
-    # factorization of B, and orthonormal rows of Vh
+    # the rank factor H_bs = Q_r R_r, as the channel set holds it, and the
+    # SVD of B = (H_bs F)^T through its core R_r F, as the step's assembly
+    # returns it, against economy_svd(B) of the direct B: the same singular
+    # values, a factorization of B, and orthonormal rows of Vh
     k, n = h_bs.shape
     rng = np.random.default_rng(k + n + m)
     ch = ChannelSet(h_bs, complex_normal(rng, n, m), complex_normal(rng, k, m))
     f = complex_normal(rng, n, m)
-    q, r = phase_step(ch).bs_factor
+    q, r = ch.H_bs_factor
     assert q.shape == (k, rank) and r.shape == (rank, n)
     assert np.abs(q.conj().T @ q - np.eye(rank)).max() <= 1e-12
     assert np.linalg.norm(q @ r - h_bs) <= 1e-12 * np.linalg.norm(h_bs)
     b_dense = (ch.H_bs @ f).T
     _, b, _ = phase_step(ch).system(f, 0.7)
-    _, ref, _ = phase_step(ch, factored=False).system(f, 0.7)
-    # through the core when handed the factor, directly otherwise
-    for got, want in ((b, qr_core_svd(q, r @ f)), (ref, economy_svd(b_dense))):
-        for name in ("U", "omega", "Vh"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    ref = economy_svd(b_dense)
+    want = qr_core_svd(q, r @ f)
+    for name in ("U", "omega", "Vh"):
+        assert getattr(b, name).tobytes() == getattr(want, name).tobytes()
     assert b.rank == ref.rank
     assert b.U.shape == (m, b.rank) and b.Vh.shape == (b.rank, k)
     np.testing.assert_allclose(b.omega, ref.omega, rtol=0, atol=1e-12 * ref.omega[0])

@@ -3,8 +3,13 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
+from irsbeam import channel
+from irsbeam.altopt import joint_optimize
 from irsbeam.channel import (ChannelParams, ChannelSet, SystemDims, boost_los, complex_normal,
                              irs_response, perturb_csi, sample_channel_set, ula_response)
+from irsbeam.harness import fixed_phase_design
+from irsbeam.metrics import nrmse, sum_rate
+from irsbeam.precoding import effective_channel, mmse_precoder
 
 
 def test_dims_validation():
@@ -417,3 +422,73 @@ def test_derived_sets_carry_their_own_conjugates():
         assert out.H_bu_H is not ch.H_bu_H, name
         assert not np.array_equal(out.H_bu_H, ch.H_bu_H), name
     assert not np.any(derived["without_direct_link"].H_bu_H)
+
+
+@pytest.mark.parametrize("dims, params, rank", [
+    (SystemDims(32, 4, 256), None, 10),               # paper scale: 10 paths < N
+    (SystemDims(8, 2, 16), None, 8),                  # N < 10 paths
+    (SystemDims(16, 2, 9), None, 9),                  # K < 10 paths < N
+    (SystemDims(8, 2, 16), ChannelParams(q_irs=1), 1)])
+def test_rank_factor_of_the_station_surface_link(dims, params, rank):
+    # H_bs = Q_r R_r with orthonormal columns of Q_r, r = min(paths, N, K),
+    # both read-only and taken once per set
+    ch = sample_channel_set(np.random.default_rng(dims.N + dims.K), dims, params)
+    q, r = ch.H_bs_factor
+    assert ch.H_bs_factor[0] is q and ch.H_bs_factor[1] is r
+    assert q.shape == (dims.K, rank) and r.shape == (rank, dims.N)
+    assert np.abs(q.conj().T @ q - np.eye(rank)).max() <= 1e-12
+    assert np.linalg.norm(q @ r - ch.H_bs) <= 1e-12 * np.linalg.norm(ch.H_bs)
+    assert not q.flags.writeable and not r.flags.writeable
+
+
+def test_rank_factor_is_taken_once_per_set(monkeypatch):
+    # a solve, its scores and the fixed-phase baselines share one factor
+    taken = []
+    svd = channel.economy_svd
+
+    def counted(a):
+        taken.append(a)
+        return svd(a)
+
+    monkeypatch.setattr(channel, "economy_svd", counted)
+    ch = sample_channel_set(np.random.default_rng(23), SystemDims(8, 2, 16))
+    sol = joint_optimize(ch, 1.0, 1e-13, None, np.random.default_rng(24))
+    sum_rate(ch, sol.upsilon, sol.F, 1e-13)
+    nrmse(sol.alpha, sol.upsilon, sol.F, ch, 1e-13)
+    fixed_phase_design(ch, np.zeros(16, complex), 1.0, 1e-13)
+    assert len(taken) == 1 and taken[0] is ch.H_bs
+
+
+def test_derived_sets_take_their_own_rank_factor():
+    ch = sample_channel_set(np.random.default_rng(25), SystemDims(4, 2, 9))
+    parent = ch.H_bs_factor
+    rng = np.random.default_rng(26)
+    derived = {
+        "replace": replace(ch, H_bs=complex_normal(rng, 9, 4)),
+        "perturb_csi": perturb_csi(ch, 0.9, rng),
+        "without_direct_link": ch.without_direct_link(),
+    }
+    for name, out in derived.items():
+        q, r = out.H_bs_factor
+        assert q is not parent[0] and r is not parent[1], name
+        assert np.linalg.norm(q @ r - out.H_bs) <= 1e-12 * np.linalg.norm(out.H_bs), name
+    # the direct link's removal keeps H_bs, and so the factor's values
+    q, r = derived["without_direct_link"].H_bs_factor
+    assert np.array_equal(q, parent[0]) and np.array_equal(r, parent[1])
+
+
+def test_zero_station_surface_link_has_an_empty_factor():
+    # r = 0: the effective channel is exactly the direct link, so the
+    # no-IRS baseline is the precoder on H_bu; the phase solver refuses
+    rng = np.random.default_rng(27)
+    ch = ChannelSet(np.zeros((9, 4), complex), complex_normal(rng, 4, 2),
+                    complex_normal(rng, 9, 2))
+    q, r = ch.H_bs_factor
+    assert q.shape == (9, 0) and r.shape == (0, 4)
+    for ups in (np.zeros(9, complex), np.exp(2j * np.pi * rng.random(9))):
+        assert np.array_equal(effective_channel(ch, ups), ch.H_bu)
+    design = fixed_phase_design(ch, np.zeros(9, complex), 1.0, 0.1)
+    want = mmse_precoder(ch.H_bu, 1.0, 0.1)
+    assert np.array_equal(design.F, want.F) and design.alpha == want.alpha
+    with pytest.raises(ValueError, match="^prepare_system: zero system"):
+        joint_optimize(ch, 1.0, 0.1, None, rng)

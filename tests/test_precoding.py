@@ -3,14 +3,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from irsbeam.altopt import PhaseStep, joint_optimize
+from irsbeam.altopt import joint_optimize
 from irsbeam.channel import ChannelSet, SystemDims, complex_normal, perturb_csi, sample_channel_set
 from irsbeam.harness import fixed_phase_design
 from irsbeam.metrics import fit_error
 from irsbeam.oracles import (precoder_objective, precoder_reference,
                              random_precoder_search)
 from irsbeam.precoding import effective_channel, mmse_precoder
-from irsbeam.projectors import UNIMODULAR
 
 
 def toy_channel(rng, n, m, k):
@@ -43,18 +42,19 @@ def test_effective_channel_matches_per_user_rows():
         assert np.allclose(h.conj().T[m], row, atol=1e-13)
 
 
-def test_effective_channel_through_the_rank_factor_matches_direct_form():
-    # through the phase step's H_bs = Q_r R_r the product runs at width r:
-    # r = 10 paths on the sampled set, full rank on its kappa = 0.9 estimate;
-    # both match the direct form to rounding
-    ch = sample_channel_set(np.random.default_rng(26), SystemDims(32, 4, 256))
+@pytest.mark.parametrize("dims, ranks", [(SystemDims(8, 2, 16), (8, 8)),
+                                         (SystemDims(32, 4, 256), (10, 32))])
+def test_effective_channel_through_the_rank_factor_matches_direct_form(dims, ranks):
+    # through the channel set's H_bs = Q_r R_r the product runs at width r:
+    # min(10 paths, N) on the sampled set, full rank on its kappa = 0.9
+    # estimate; both match the literal direct form to rounding
+    ch = sample_channel_set(np.random.default_rng(26), dims)
     est = perturb_csi(ch, 0.9, np.random.default_rng(27))
-    ups = np.exp(2j * np.pi * np.random.default_rng(28).random(256))
-    for c, rank in ((ch, 10), (est, 32)):
-        step = PhaseStep(c, UNIMODULAR, ups)
-        assert step.bs_factor[0].shape[1] == rank
-        want = effective_channel(c, ups)
-        got = step.effective_channel(ups)
+    ups = np.exp(2j * np.pi * np.random.default_rng(28).random(dims.K))
+    for c, rank in zip((ch, est), ranks):
+        assert c.H_bs_factor[0].shape[1] == rank
+        want = (c.H_su.conj().T @ np.diag(ups) @ c.H_bs + c.H_bu.conj().T).conj().T
+        got = effective_channel(c, ups)
         assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -169,15 +169,16 @@ def test_precoder_and_fixed_phase_baselines_refuse_a_nan_channel():
     h_bs[1, 2] = np.nan
     with pytest.raises(ValueError, match="^ChannelSet: non-finite entries$"):
         replace(ch, H_bs=h_bs)
-    # a set written in place after building reaches the precoder's check
+    # a set whose H_bs is written in place after building reaches the
+    # finiteness check of the rank factor's SVD, taken on first use,
     # instead of returning a NaN design, in the fixed-phase baselines and
     # in the alternating loop alike
     stale = replace(ch, H_bs=ch.H_bs.copy())
     stale.H_bs[1, 2] = np.nan
     for upsilon in (np.ones(4, dtype=complex), np.zeros(4, dtype=complex)):
-        with pytest.raises(ValueError, match="^precoder: receiver scale"):
+        with pytest.raises(ValueError, match="^economy_svd: input contains non-finite entries$"):
             fixed_phase_design(stale, upsilon, 1.0, 1e-13)
-    with pytest.raises(ValueError, match="^precoder: receiver scale"):
+    with pytest.raises(ValueError, match="^economy_svd: input contains non-finite entries$"):
         joint_optimize(stale, 1.0, 1e-13)
 
 
