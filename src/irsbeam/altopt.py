@@ -12,8 +12,11 @@ the channel set's cache (ChannelSet.H_su_H, H_bu_H, H_bs_factor), the
 identity from linalg.identity, and the projector pass takes g and g' from
 one call. The precoder returns the sum-MSE objective from its own M x M
 Gram matrix; the loop stops when that objective changes by less than a
-relative tolerance, or at the iteration cap. Like run_vamp, the loop takes
-a vamp.OptimizerConfig.
+relative tolerance, or at the iteration cap. The tolerance is taken
+relative to the last objective, but never to less than M times the machine
+epsilon: a noise-free design with N > M equalizes exactly at every phase
+vector, and its objective, zero up to rounding, moves by rounding alone.
+Like run_vamp, the loop takes a vamp.OptimizerConfig.
 
 A traced solve runs the same loop and keeps each iteration's objective and
 design in a TraceRow; it computes no sum-rate or NRMSE. metrics.sum_rate and
@@ -106,6 +109,7 @@ def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
     projector = get_projector(cfg.constraint)
     upsilon = projector.initial_point(ch.dims[2], rng)
     step = PhaseStep(ch, projector, upsilon)
+    err_floor = ch.dims[1] * float(np.finfo(float).eps)
     trace: list[TraceRow] = []
     converged = False
     # iteration 0 evaluates the initial phases; each later one first updates them
@@ -116,7 +120,7 @@ def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
         err = sol.error
         if cfg.collect_trace:
             trace.append(TraceRow(t, err, upsilon, sol.F, sol.alpha))
-        if t > 0 and abs(err - err_prev) < cfg.epsilon_outer * err_prev:
+        if t > 0 and abs(err - err_prev) < cfg.epsilon_outer * max(err_prev, err_floor):
             converged = True
             break
         err_prev = err

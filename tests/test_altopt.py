@@ -195,6 +195,20 @@ def test_stopping_rule_relative_change():
             assert abs(b - a) >= 1e-3 * a
 
 
+@pytest.mark.parametrize("dims", [SystemDims(8, 2, 16), SystemDims(32, 4, 256)])
+def test_stopping_rule_fires_at_a_zero_objective(dims):
+    # noise-free with N > M the precoder equalizes exactly at every phase
+    # vector, so the objective is zero up to rounding and its relative change
+    # is rounding noise; the floor of M times the machine epsilon under the
+    # reference stops the loop at its first comparison instead of the cap
+    for s in range(4):
+        ch = sample_channel_set(np.random.default_rng([s, 11]), dims)
+        sol = joint_optimize(ch, 1.0, 0.0, OptimizerConfig(collect_trace=True),
+                             np.random.default_rng([s, 17]))
+        assert (sol.iterations, sol.converged) == (1, True), s
+        assert all(row.error < dims.M * np.finfo(float).eps for row in sol.trace), s
+
+
 def test_trace_nrmse_consistency():
     # each row holds the design its objective was taken at: the objective is
     # that design's sum-MSE, metrics.nrmse scores it as sqrt(error / M), and
