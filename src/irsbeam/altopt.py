@@ -12,11 +12,10 @@ the channel set's cache (ChannelSet.H_su_H, H_bu_H, H_bs_factor), the
 identity from linalg.identity, and the projector pass takes g and g' from
 one call. The precoder returns the sum-MSE objective from its own M x M
 Gram matrix; the loop stops when that objective changes by less than a
-relative tolerance, or at the iteration cap. The tolerance is taken
-relative to the last objective, but never to less than M times the machine
-epsilon: a noise-free design with N > M equalizes exactly at every phase
-vector, and its objective, zero up to rounding, moves by rounding alone.
-Like run_vamp, the loop takes a vamp.OptimizerConfig.
+relative tolerance of the last objective or of M machine epsilons, the
+larger (a noise-free design with N > M has an objective of zero up to
+rounding), or at the iteration cap. Like run_vamp, the loop takes a
+vamp.OptimizerConfig.
 
 A traced solve runs the same loop and keeps each iteration's objective and
 design in a TraceRow; it computes no sum-rate or NRMSE. metrics.sum_rate and

@@ -34,10 +34,10 @@ def effective_channel(ch: ChannelSet, upsilon: np.ndarray) -> np.ndarray:
     (ChannelSet.H_bs_factor), so the product runs at width r = rank(H_bs)
     instead of N: ((H_su^H Diag(upsilon)) Q_r) R_r, equal to the direct
     form to rounding. The phases scale the M x K factor H_su^H rather than
-    the K x N H_bs. The conjugate transposes are the channel set's cached
-    ChannelSet.H_su_H and H_bu_H, and every factor is taken once per set
-    rather than once per call. All-zero phases leave exactly H_bu: the
-    reflector term is a product of zeros.
+    the K x N H_bs. The conjugate transposes ChannelSet.H_su_H and H_bu_H
+    are cached on the set like the factor, taken once per set rather than
+    once per call. All-zero phases leave exactly H_bu: the reflector term is
+    a product of zeros.
     """
     upsilon = np.asarray(upsilon)
     k = ch.H_bs.shape[0]
