@@ -409,11 +409,14 @@ def assert_own_conjugates(ch):
 
 def test_derived_sets_carry_their_own_conjugates():
     ch = sample_channel_set(np.random.default_rng(21), SystemDims(4, 2, 9))
-    # fill the parent's cache first, so a set that inherited it would show
+    # fill the parent's cache first, so a set that inherited it would show;
+    # the rank factor of H_bs is cached the same way
     assert_own_conjugates(ch)
+    factor = ch.H_bs_factor
     rng = np.random.default_rng(22)
     derived = {
-        "replace": replace(ch, H_su=complex_normal(rng, 9, 2), H_bu=complex_normal(rng, 4, 2)),
+        "replace": replace(ch, H_su=complex_normal(rng, 9, 2), H_bu=complex_normal(rng, 4, 2),
+                           H_bs=complex_normal(rng, 9, 4)),
         "perturb_csi": perturb_csi(ch, 0.9, rng),
         "without_direct_link": ch.without_direct_link(),
     }
@@ -421,7 +424,13 @@ def test_derived_sets_carry_their_own_conjugates():
         assert_own_conjugates(out)
         assert out.H_bu_H is not ch.H_bu_H, name
         assert not np.array_equal(out.H_bu_H, ch.H_bu_H), name
+        q, r = out.H_bs_factor
+        assert q is not factor[0] and r is not factor[1], name
+        assert np.linalg.norm(q @ r - out.H_bs) <= 1e-12 * np.linalg.norm(out.H_bs), name
     assert not np.any(derived["without_direct_link"].H_bu_H)
+    # the direct link's removal keeps H_bs, and so the factor's values
+    q, r = derived["without_direct_link"].H_bs_factor
+    assert np.array_equal(q, factor[0]) and np.array_equal(r, factor[1])
 
 
 @pytest.mark.parametrize("dims, params, rank", [
@@ -457,24 +466,6 @@ def test_rank_factor_is_taken_once_per_set(monkeypatch):
     nrmse(sol.alpha, sol.upsilon, sol.F, ch, 1e-13)
     fixed_phase_design(ch, np.zeros(16, complex), 1.0, 1e-13)
     assert len(taken) == 1 and taken[0] is ch.H_bs
-
-
-def test_derived_sets_take_their_own_rank_factor():
-    ch = sample_channel_set(np.random.default_rng(25), SystemDims(4, 2, 9))
-    parent = ch.H_bs_factor
-    rng = np.random.default_rng(26)
-    derived = {
-        "replace": replace(ch, H_bs=complex_normal(rng, 9, 4)),
-        "perturb_csi": perturb_csi(ch, 0.9, rng),
-        "without_direct_link": ch.without_direct_link(),
-    }
-    for name, out in derived.items():
-        q, r = out.H_bs_factor
-        assert q is not parent[0] and r is not parent[1], name
-        assert np.linalg.norm(q @ r - out.H_bs) <= 1e-12 * np.linalg.norm(out.H_bs), name
-    # the direct link's removal keeps H_bs, and so the factor's values
-    q, r = derived["without_direct_link"].H_bs_factor
-    assert np.array_equal(q, parent[0]) and np.array_equal(r, parent[1])
 
 
 def test_zero_station_surface_link_has_an_empty_factor():

@@ -42,20 +42,19 @@ def test_effective_channel_matches_per_user_rows():
         assert np.allclose(h.conj().T[m], row, atol=1e-13)
 
 
-@pytest.mark.parametrize("dims, ranks", [(SystemDims(8, 2, 16), (8, 8)),
-                                         (SystemDims(32, 4, 256), (10, 32))])
-def test_effective_channel_through_the_rank_factor_matches_direct_form(dims, ranks):
+def test_effective_channel_through_the_rank_factor_matches_direct_form():
     # through the channel set's H_bs = Q_r R_r the product runs at width r:
     # min(10 paths, N) on the sampled set, full rank on its kappa = 0.9
     # estimate; both match the literal direct form to rounding
-    ch = sample_channel_set(np.random.default_rng(26), dims)
-    est = perturb_csi(ch, 0.9, np.random.default_rng(27))
-    ups = np.exp(2j * np.pi * np.random.default_rng(28).random(dims.K))
-    for c, rank in zip((ch, est), ranks):
-        assert c.H_bs_factor[0].shape[1] == rank
-        want = (c.H_su.conj().T @ np.diag(ups) @ c.H_bs + c.H_bu.conj().T).conj().T
-        got = effective_channel(c, ups)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+    for dims, ranks in ((SystemDims(8, 2, 16), (8, 8)), (SystemDims(32, 4, 256), (10, 32))):
+        ch = sample_channel_set(np.random.default_rng(26), dims)
+        est = perturb_csi(ch, 0.9, np.random.default_rng(27))
+        ups = np.exp(2j * np.pi * np.random.default_rng(28).random(dims.K))
+        for c, rank in zip((ch, est), ranks):
+            assert c.H_bs_factor[0].shape[1] == rank, dims
+            want = (c.H_su.conj().T @ np.diag(ups) @ c.H_bs + c.H_bu.conj().T).conj().T
+            got = effective_channel(c, ups)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), dims
 
 
 def test_effective_channel_shape_check():
