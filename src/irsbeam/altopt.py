@@ -17,9 +17,26 @@ larger (a noise-free design with N > M has an objective of zero up to
 rounding), or at the iteration cap. Like run_vamp, the loop takes a
 vamp.OptimizerConfig.
 
+Every solve runs one power schedule, a continuation in the power (Allgower
+& Georg, Introduction to Numerical Continuation Methods, 2003). The gate
+takes the least eigenvalue of H^H H on the effective channel of the initial
+phases. With noise, when it exceeds GATE_RATIO times the precoder's
+regulariser M s^2 / P, the weakest eigenmode is in the slow zero-forcing
+regime, and the loop first solves at P / START_POWER_DIVISOR, where the
+precoder is more regularised. When that stage's stop rule fires, or the
+budget ends, the loop switches once to P on the same phases (and the same
+effective channel, which does not depend on the power) with a fresh
+PhaseStep, and goes on. Otherwise it solves at P from the start. One loop
+runs both stages: t_max_outer bounds their phase updates together, the
+gate's effective channel serves iteration 0, and each iteration builds one
+effective channel, the switch none.
+
 A traced solve runs the same loop and keeps each iteration's objective and
-design in a TraceRow; it computes no sum-rate or NRMSE. metrics.sum_rate and
-metrics.nrmse score a row's design, as they score the returned one.
+design in a TraceRow; it computes no sum-rate or NRMSE. A gated solve's
+rows hold the precoder at P / START_POWER_DIVISOR up to the switch; the
+switch's row and every later one hold it at P, so the last row is always the
+returned design. metrics.sum_rate and metrics.nrmse score a row's design, as
+they score the returned one.
 """
 
 from __future__ import annotations
@@ -34,11 +51,20 @@ from .precoding import effective_channel, mmse_precoder
 from .projectors import Projector, get_projector
 from .vamp import OptimizerConfig, VampDiagnostics, VampStep, prepare_system
 
+# The continuation gate: a solve whose weakest eigenmode at the initial
+# phases, the least eigenvalue of H^H H, exceeds GATE_RATIO times the
+# precoder's regulariser M s^2 / P (5 dB) starts at a lower power.
+GATE_RATIO = 10 ** 0.5
+# The first stage of a gated solve runs at power / START_POWER_DIVISOR (10 dB).
+START_POWER_DIVISOR = 10.0
+
 
 @dataclass
 class TraceRow:
     """One outer iteration: the objective the stopping rule compared, and
-    the design (phases, precoder, receiver scale) it was compared at."""
+    the design (phases, precoder, receiver scale) it was compared at. The
+    switch's row holds the design at the target power, the reference of the
+    next comparison, in place of the first stage's last one."""
 
     iteration: int
     error: float
@@ -99,6 +125,15 @@ def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
                    rng: np.random.Generator | None = None) -> BeamformingSolution:
     """Run the alternating loop and return phases, precoder and scale.
 
+    The loop runs the schedule in the module docstring: when the gate
+    fires on the initial phases, it solves at power / START_POWER_DIVISOR
+    until the stop rule fires or the budget ends, then switches once to the
+    target power on the same phases, with a fresh PhaseStep. cfg.t_max_outer
+    bounds the phase updates of both stages together, and `iterations`
+    counts them; `converged` says the stop rule fired at the target power;
+    the clamp counts run on over both stages. The returned precoder is the
+    precoder at `power` on the returned phases.
+
     The phase vector used for the precoder refresh, the trace, and the return
     value is always the projector image of the damped iterate, so feasibility
     is exact at every outer iteration.
@@ -108,21 +143,35 @@ def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
     projector = get_projector(cfg.constraint)
     upsilon = projector.initial_point(ch.dims[2], rng)
     step = PhaseStep(ch, projector, upsilon)
-    err_floor = ch.dims[1] * float(np.finfo(float).eps)
+    m = ch.dims[1]
+    err_floor = m * float(np.finfo(float).eps)
+    h = effective_channel(ch, upsilon)
+    stage_power = power
+    if noise_var > 0 and np.linalg.eigvalsh(h.conj().T @ h)[0] > GATE_RATIO * m * noise_var / power:
+        stage_power = power / START_POWER_DIVISOR
     trace: list[TraceRow] = []
     converged = False
     # iteration 0 evaluates the initial phases; each later one first updates them
     for t in range(cfg.t_max_outer + 1):
         if t > 0:
             upsilon = step(sol.F, sol.alpha)
-        sol = mmse_precoder(effective_channel(ch, upsilon), power, noise_var)
-        err = sol.error
+            h = effective_channel(ch, upsilon)
+        sol = mmse_precoder(h, stage_power, noise_var)
+        stop = t > 0 and abs(sol.error - err_prev) < cfg.epsilon_outer * max(err_prev, err_floor)
+        if stage_power != power and (stop or t == cfg.t_max_outer):
+            # the switch: the same phases and channel at the target power,
+            # and fresh message-passing memory that keeps the clamp counts
+            stage_power, stop = power, False
+            sol = mmse_precoder(h, power, noise_var)
+            clamps = step.vamp.diagnostics
+            step = PhaseStep(ch, projector, upsilon)
+            step.vamp.diagnostics = clamps
         if cfg.collect_trace:
-            trace.append(TraceRow(t, err, upsilon, sol.F, sol.alpha))
-        if t > 0 and abs(err - err_prev) < cfg.epsilon_outer * max(err_prev, err_floor):
+            trace.append(TraceRow(t, sol.error, upsilon, sol.F, sol.alpha))
+        if stop:
             converged = True
             break
-        err_prev = err
+        err_prev = sol.error
 
     return BeamformingSolution(upsilon, sol.F, sol.alpha, t, converged, trace,
                                step.vamp.diagnostics)

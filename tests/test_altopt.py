@@ -379,3 +379,99 @@ def test_optimizer_config_validation():
             OptimizerConfig(**{key: bad})
     with pytest.raises(FrozenInstanceError):
         OptimizerConfig().epsilon_outer = 0.5
+
+
+def row_powers(sol):
+    """||F||_F^2 of each trace row."""
+    return [float(np.linalg.norm(row.F) ** 2) for row in sol.trace]
+
+
+def weakest_eigenmode_snr(ch, power, noise, seed):
+    """The gate's ratio: the least eigenvalue of H^H H at the initial phases
+    joint_optimize draws from default_rng(seed), over the precoder's
+    regulariser M noise / P."""
+    h = effective_channel(ch, UNIMODULAR.initial_point(ch.dims[2], np.random.default_rng(seed)))
+    return np.linalg.eigvalsh(h.conj().T @ h)[0] / (ch.dims[1] * noise / power)
+
+
+def test_gate_stays_off_without_noise_and_at_low_snr():
+    # at noise 0 there is no regulariser to compare with; at 10 dBm the
+    # weakest eigenmode of this channel is below the gate: every row is at P
+    ch = sample_channel_set(np.random.default_rng(7), SystemDims(8, 2, 16))
+    assert weakest_eigenmode_snr(ch, 1e-2, 1e-13, 8) < altopt.GATE_RATIO
+    for power, noise in ((1.0, 0.0), (1e-2, 1e-13)):
+        sol = joint_optimize(ch, power, noise, OptimizerConfig(collect_trace=True),
+                             np.random.default_rng(8))
+        assert sol.converged
+        np.testing.assert_allclose(row_powers(sol), power, rtol=1e-12)
+
+
+def test_gated_solve_starts_at_a_tenth_of_the_power(monkeypatch):
+    # at 30 dBm the gate fires: the rows up to the switch hold the precoder at
+    # P / 10, the row of the switch and every later one the precoder at P, and
+    # the switch rebuilds no effective channel
+    ch = sample_channel_set(np.random.default_rng(7), SystemDims(8, 2, 16))
+    assert weakest_eigenmode_snr(ch, 1.0, 1e-13, 8) > altopt.GATE_RATIO
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return effective_channel(*args)
+
+    monkeypatch.setattr(altopt, "effective_channel", counted)
+    sol = joint_optimize(ch, 1.0, 1e-13, OptimizerConfig(collect_trace=True),
+                         np.random.default_rng(8))
+    powers = np.array(row_powers(sol))
+    low = np.isclose(powers, 1.0 / altopt.START_POWER_DIVISOR, rtol=1e-12)
+    switch = int(np.argmin(low))
+    assert 1 < switch < sol.iterations and low[:switch].all()
+    np.testing.assert_allclose(powers[switch:], 1.0, rtol=1e-12)
+    assert sol.converged and len(calls) == sol.iterations + 1 == len(sol.trace)
+    # the stop rule of the target power compared the last two rows
+    errs = [row.error for row in sol.trace]
+    assert abs(errs[-1] - errs[-2]) < 1e-3 * errs[-2]
+
+
+@pytest.mark.parametrize("t_max_outer", [1, 3, 7, 8])
+def test_budget_covers_both_stages(t_max_outer):
+    # unbounded, this solve switches at iteration 7 and stops at 10: every
+    # budget below that ends cut off, after exactly t_max_outer phase updates
+    # of both stages together, with the precoder at the target power on the
+    # returned phases, also when it ends in the first stage
+    ch = sample_channel_set(np.random.default_rng(7), SystemDims(8, 2, 16))
+    power, noise = 1.0, 1e-13
+    sol = joint_optimize(ch, power, noise,
+                         OptimizerConfig(t_max_outer=t_max_outer, collect_trace=True),
+                         np.random.default_rng(8))
+    assert (sol.iterations, sol.converged) == (t_max_outer, False)
+    want = mmse_precoder(effective_channel(ch, sol.upsilon), power, noise)
+    assert sol.F.tobytes() == want.F.tobytes() and sol.alpha == want.alpha
+    powers = row_powers(sol)
+    np.testing.assert_allclose(powers[:min(t_max_outer, 7)], 0.1, rtol=1e-12)
+    assert powers[-1] == pytest.approx(power, rel=1e-12)
+    assert sol.trace[-1].F.tobytes() == sol.F.tobytes()
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_clamp_counts_of_both_stages_reach_the_solution(monkeypatch, seed):
+    # eight users against nine antennas at noise 3e-2: a gated solve whose
+    # steps clamp in both stages; the solution reports the sum, counted here
+    # from what each step of either stage's VampStep returned
+    steps = []
+    call = vamp.VampStep.__call__
+
+    def counted(self, svd, z_tilde):
+        steps.append(call(self, svd, z_tilde))
+        return steps[-1]
+
+    monkeypatch.setattr(vamp.VampStep, "__call__", counted)
+    rng = np.random.default_rng(seed)
+    sol = joint_optimize(toy_channel(rng, 9, 8, 12), 1.0, 3e-2,
+                         OptimizerConfig(collect_trace=True), rng)
+    clamped = [not 0.0 < gamma_hat - gamma_tilde < np.inf for gamma_tilde, gamma_hat in steps]
+    # row t is taken after step t - 1; the first row at P is the switch's
+    switch = int(np.argmax(np.isclose(row_powers(sol), 1.0, rtol=1e-12)))
+    assert 0 < switch < sol.iterations == len(steps)
+    assert any(clamped[:switch]) and any(clamped[switch:])
+    assert sol.diagnostics.projector_clamps == sum(clamped)
+    assert sol.diagnostics.lmmse_clamps == 0
