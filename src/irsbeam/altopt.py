@@ -147,7 +147,9 @@ def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
     err_floor = m * float(np.finfo(float).eps)
     h = effective_channel(ch, upsilon)
     stage_power = power
-    if noise_var > 0 and np.linalg.eigvalsh(h.conj().T @ h)[0] > GATE_RATIO * m * noise_var / power:
+    # the gate, without a division, so that a degenerate power or noise
+    # reaches the precoder's own refusal
+    if noise_var > 0 and np.linalg.eigvalsh(h.conj().T @ h)[0] * power > GATE_RATIO * m * noise_var:
         stage_power = power / START_POWER_DIVISOR
     trace: list[TraceRow] = []
     converged = False

@@ -149,10 +149,14 @@ def test_precoder_refuses_degenerate_power_and_noise():
                                    (1.0, nan, "noise_var"), (1.0, inf, "noise_var")):
         with pytest.raises(ValueError, match=f"^precoder: {name} must be"):
             mmse_precoder(h, power, noise_var)
-    # the alternating loop refuses a negative noise variance before its first step
+    # the alternating loop refuses a negative noise variance before its first
+    # step, and a degenerate power with its value, past the power schedule's gate
     ch = sample_channel_set(np.random.default_rng(12), SystemDims(4, 2, 9))
     with pytest.raises(ValueError, match="^precoder: noise_var must be"):
         joint_optimize(ch, 1.0, -1e-13)
+    for power in (0.0, -1.0, nan, inf):
+        with pytest.raises(ValueError, match=f"^precoder: power must be .*, got {power}$"):
+            joint_optimize(ch, power, 1e-13)
 
 
 def test_precoder_and_fixed_phase_baselines_refuse_a_nan_channel():
