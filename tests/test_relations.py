@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
-from irsbeam.altopt import OptimizerConfig, START_POWER_DIVISOR, joint_optimize
+from irsbeam.altopt import START_POWER_DIVISOR, OptimizerConfig, joint_optimize
 from irsbeam.channel import SystemDims, complex_normal, sample_channel_set
 from irsbeam.metrics import sum_rate
 
@@ -39,8 +39,9 @@ def channel(c):
     return sample_channel_set(np.random.default_rng([7, 11, c]), DIMS, scenario="B")
 
 
-def solve(ch, constraint, c, noise=NOISE):
-    return joint_optimize(ch, POWER, noise, OptimizerConfig(constraint=constraint),
+def solve(ch, constraint, c, noise=NOISE, trace=False):
+    return joint_optimize(ch, POWER, noise,
+                          OptimizerConfig(constraint=constraint, collect_trace=trace),
                           np.random.default_rng([7, 17, c]))
 
 
@@ -49,10 +50,7 @@ def reference(constraint, c, gated):
     """The solve of channel c, after checking that the gate takes the
     decision the case names: a gated solve's first row is at a tenth of the
     power."""
-    ch = channel(c)
-    traced = joint_optimize(ch, POWER, NOISE,
-                            OptimizerConfig(constraint=constraint, collect_trace=True),
-                            np.random.default_rng([7, 17, c]))
+    traced = solve(channel(c), constraint, c, trace=True)
     first = float(np.linalg.norm(traced.trace[0].F) ** 2)
     assert first == pytest.approx(POWER / START_POWER_DIVISOR if gated else POWER, rel=1e-12)
     return traced
