@@ -2,7 +2,8 @@
 
 Verbs, each declaring only the flags it reads:
   run    - execute a Monte Carlo sweep, write trial CSV, aggregate CSV, charts
-  trace  - per-iteration convergence dump for one seeded optimization
+  trace  - per-iteration convergence dump for one seeded optimization, with
+           why it stopped and which row's design it returned
   oracle - quick self-verification against the built-in reference oracles
   chart  - re-render SVG charts from a previously written aggregate CSV
 """
@@ -88,7 +89,14 @@ def cmd_trace(args) -> int:
     write_csv(path, ["iter", "error", "nrmse", "sum_rate"],
               ([row.iteration, row.error, nrmse(row.alpha, row.upsilon, row.F, ch, noise_var),
                 sum_rate(ch, row.upsilon, row.F, noise_var)] for row in sol.trace))
-    print(f"{len(sol.trace)} rows -> {path} (converged={sol.converged})")
+    if sol.converged:
+        stopped = "tolerance"
+    else:
+        stopped = "cap" if sol.iterations == cfg.t_max_outer else "stall"
+    # the returned design is one of the rows: the same arrays, not a copy
+    returned = next(row.iteration for row in sol.trace if row.F is sol.F)
+    print(f"{len(sol.trace)} rows -> {path} (converged={sol.converged}; stopped: {stopped}; "
+          f"returned row: {returned})")
     return 0
 
 

@@ -212,7 +212,7 @@ def test_stopping_rule_fires_at_a_zero_objective(dims):
 def test_trace_nrmse_consistency():
     # each row holds the design its objective was taken at: the objective is
     # that design's sum-MSE, metrics.nrmse scores it as sqrt(error / M), and
-    # the last row's design is the one returned
+    # the solve converged, so the last row's design is the one returned
     dims = SystemDims(4, 2, 9)
     ch = sample_channel_set(np.random.default_rng(11), dims)
     sol = joint_optimize(ch, 1.0, 1e-13, OptimizerConfig(collect_trace=True),
@@ -225,6 +225,7 @@ def test_trace_nrmse_consistency():
         np.testing.assert_allclose(nrmse(row.alpha, row.upsilon, row.F, ch, 1e-13) ** 2 * 2,
                                    row.error, rtol=1e-12)
     last = sol.trace[-1]
+    assert sol.converged
     assert np.array_equal(last.upsilon, sol.upsilon) and np.array_equal(last.F, sol.F)
     assert last.alpha == sol.alpha
 
@@ -475,3 +476,74 @@ def test_clamp_counts_of_both_stages_reach_the_solution(monkeypatch, seed):
     assert any(clamped[:switch]) and any(clamped[switch:])
     assert sol.diagnostics.projector_clamps == sum(clamped)
     assert sol.diagnostics.lmmse_clamps == 0
+
+
+def new_minima(errs, epsilon, m):
+    """The rows at which a stage made a new minimum: below the stage's last
+    one by the stop rule's relative tolerance and floor of M epsilons."""
+    floor = m * np.finfo(float).eps
+    rows = [0]
+    for t in range(1, len(errs)):
+        if errs[t] < errs[rows[-1]] - epsilon * max(errs[rows[-1]], floor):
+            rows.append(t)
+    return rows
+
+
+def test_stalled_solve_returns_its_lowest_objective_row(monkeypatch):
+    # reactive loads at K = 256 and 20 dBm: the loop never settles (to the
+    # cap its objective wanders between 0.33 and 0.56), so it stalls
+    # STALL_ITERATIONS after its last new minimum, unconverged, and returns
+    # that row's design, not the last one; with the stall rule off the same
+    # trajectory runs to the cap and returns the same row
+    ch = sample_channel_set(np.random.default_rng(2), SystemDims(8, 2, 256), scenario="B")
+    cfg = OptimizerConfig(constraint="reactive", collect_trace=True)
+    sol = joint_optimize(ch, 0.1, 1e-13, cfg, np.random.default_rng(1002))
+    errs = [row.error for row in sol.trace]
+    np.testing.assert_allclose(row_powers(sol), 0.1, rtol=1e-12)
+    best = int(np.argmin(errs))
+    assert new_minima(errs, cfg.epsilon_outer, 2)[-1] == best
+    assert (sol.iterations, sol.converged) == (best + altopt.STALL_ITERATIONS, False)
+    assert errs[best] < 0.75 * errs[-1]
+    row = sol.trace[best]
+    assert sol.F.tobytes() == row.F.tobytes() and sol.upsilon.tobytes() == row.upsilon.tobytes()
+    assert sol.alpha == row.alpha
+    monkeypatch.setattr(altopt, "STALL_ITERATIONS", cfg.t_max_outer + 1)
+    capped = joint_optimize(ch, 0.1, 1e-13, cfg, np.random.default_rng(1002))
+    assert (capped.iterations, capped.converged) == (cfg.t_max_outer, False)
+    assert min(row.error for row in capped.trace) == errs[best]
+    assert capped.F.tobytes() == sol.F.tobytes()
+
+
+def test_descent_to_the_cap_makes_a_new_minimum_at_every_iteration():
+    # the paper-solve reference block's cold unimodular solve of channel 2
+    # descends slowly: every iteration is a new minimum, so it never stalls,
+    # runs to the cap and returns its last row, the lowest
+    ch = sample_channel_set(np.random.default_rng([7, 11, 2]), SystemDims(32, 4, 256),
+                            scenario="B")
+    cfg = OptimizerConfig(collect_trace=True)
+    sol = joint_optimize(ch, 1.0, 1e-13, cfg, np.random.default_rng([7, 17, 2]))
+    errs = [row.error for row in sol.trace]
+    np.testing.assert_allclose(row_powers(sol), 1.0, rtol=1e-12)
+    assert (sol.iterations, sol.converged) == (cfg.t_max_outer, False)
+    assert new_minima(errs, cfg.epsilon_outer, 4) == list(range(len(errs)))
+    assert sol.F.tobytes() == sol.trace[-1].F.tobytes()
+
+
+def test_first_stage_stall_switches_to_the_target_power(monkeypatch):
+    # a gated unimodular solve at K = 256 whose first stage stalls: it
+    # switches STALL_ITERATIONS after that stage's last new minimum, before
+    # the stop rule would have (the switch with the stall rule off)
+    ch = sample_channel_set(np.random.default_rng(2), SystemDims(8, 2, 256), scenario="B")
+    cfg = OptimizerConfig(collect_trace=True)
+
+    def solve():
+        sol = joint_optimize(ch, 1.0, 1e-13, cfg, np.random.default_rng(1002))
+        return sol, int(np.argmax(np.isclose(row_powers(sol), 1.0, rtol=1e-12)))
+
+    sol, switch = solve()
+    first = [row.error for row in sol.trace[:switch]]
+    assert switch > 0 and sol.converged
+    assert switch == new_minima(first, cfg.epsilon_outer, 2)[-1] + altopt.STALL_ITERATIONS
+    monkeypatch.setattr(altopt, "STALL_ITERATIONS", cfg.t_max_outer + 1)
+    _, later = solve()
+    assert later > switch

@@ -150,3 +150,24 @@ def test_negative_seed_is_refused_by_name(verb, tmp_path, capsys):
     assert exc.value.code == 2
     assert "argument --seed: must be a non-negative integer, got -1" in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_trace_says_why_it_stopped(spec_file, tmp_path, capsys):
+    # the tolerance stop returns the last row; a stall (the paper preset's
+    # M = 8 reactive solve at seed 11) and the cap return the row with the
+    # lowest objective
+    capped = tmp_path / "capped.txt"
+    capped.write_text(TINY_SPEC + "t_max_outer = 2\n")
+    for argv, stopped in ((["--spec", str(spec_file)], "tolerance"),
+                          (["--preset", "paper", "--constraint", "reactive", "--seed", "11"],
+                           "stall"),
+                          (["--spec", str(capped)], "cap")):
+        out = tmp_path / stopped
+        assert main(["trace", "--out", str(out)] + argv) == 0
+        lines = (out / "trace.csv").read_text().splitlines()[1:]
+        errs = [float(line.split(",")[1]) for line in lines]
+        returned = len(errs) - 1 if stopped == "tolerance" else int(np.argmin(errs))
+        # only the stall returns a row before the last
+        assert (returned < len(errs) - 1) == (stopped == "stall")
+        assert (f"(converged={stopped == 'tolerance'}; stopped: {stopped}; "
+                f"returned row: {returned})") in capsys.readouterr().out
