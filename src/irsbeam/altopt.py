@@ -37,8 +37,8 @@ regime, and the loop first solves at P / START_POWER_DIVISOR, where the
 precoder is more regularised. When that stage's stop rule fires, it
 stalls, or the budget ends, the loop switches once to P on the same phases
 (and the same effective channel, which does not depend on the power) with a
-fresh PhaseStep, and goes on. Otherwise it solves at P from the start. One loop
-runs both stages: t_max_outer bounds their phase updates together, the
+fresh PhaseStep, and goes on. Otherwise it solves at P from the start. One
+loop runs both stages: t_max_outer bounds their phase updates together, the
 gate's effective channel serves iteration 0, and each iteration builds one
 effective channel, the switch none.
 
