@@ -489,28 +489,31 @@ def new_minima(errs, epsilon, m):
     return rows
 
 
-def test_stalled_solve_returns_its_lowest_objective_row(monkeypatch):
-    # reactive loads at K = 256 and 20 dBm: the loop never settles (to the
-    # cap its objective wanders between 0.33 and 0.56), so it stalls
+@pytest.mark.parametrize("seed, last_minimum, lowest", [(2, 6, 6), (167, 38, 40)])
+def test_stalled_solve_returns_its_lowest_objective_row(monkeypatch, seed, last_minimum, lowest):
+    # reactive loads at K = 256 and 20 dBm: the loop never settles. Seed 2
+    # wanders between objectives 0.33 and 0.56; seed 167 alternates between
+    # two levels whose lower one creeps down by about the margin per period,
+    # so its lowest row, 40, lies below the last new minimum by less than
+    # the margin and does not restart the count. The solve stalls
     # STALL_ITERATIONS after its last new minimum, unconverged, and returns
-    # that row's design, not the last one; with the stall rule off the same
+    # its lowest row, not the last one; with the stall rule off the same
     # trajectory runs to the cap and returns the same row
-    ch = sample_channel_set(np.random.default_rng(2), SystemDims(8, 2, 256), scenario="B")
+    ch = sample_channel_set(np.random.default_rng(seed), SystemDims(8, 2, 256), scenario="B")
     cfg = OptimizerConfig(constraint="reactive", collect_trace=True)
-    sol = joint_optimize(ch, 0.1, 1e-13, cfg, np.random.default_rng(1002))
+    sol = joint_optimize(ch, 0.1, 1e-13, cfg, np.random.default_rng(1000 + seed))
     errs = [row.error for row in sol.trace]
     np.testing.assert_allclose(row_powers(sol), 0.1, rtol=1e-12)
-    best = int(np.argmin(errs))
-    assert new_minima(errs, cfg.epsilon_outer, 2)[-1] == best
-    assert (sol.iterations, sol.converged) == (best + altopt.STALL_ITERATIONS, False)
-    assert errs[best] < 0.75 * errs[-1]
-    row = sol.trace[best]
+    assert new_minima(errs, cfg.epsilon_outer, 2)[-1] == last_minimum
+    assert int(np.argmin(errs)) == lowest and errs[lowest] < errs[-1]
+    assert (sol.iterations, sol.converged) == (last_minimum + altopt.STALL_ITERATIONS, False)
+    row = sol.trace[lowest]
     assert sol.F.tobytes() == row.F.tobytes() and sol.upsilon.tobytes() == row.upsilon.tobytes()
     assert sol.alpha == row.alpha
     monkeypatch.setattr(altopt, "STALL_ITERATIONS", cfg.t_max_outer + 1)
-    capped = joint_optimize(ch, 0.1, 1e-13, cfg, np.random.default_rng(1002))
+    capped = joint_optimize(ch, 0.1, 1e-13, cfg, np.random.default_rng(1000 + seed))
     assert (capped.iterations, capped.converged) == (cfg.t_max_outer, False)
-    assert min(row.error for row in capped.trace) == errs[best]
+    assert min(row.error for row in capped.trace) == errs[lowest]
     assert capped.F.tobytes() == sol.F.tobytes()
 
 
