@@ -9,7 +9,7 @@ from .channel import (ChannelParams, ChannelSet, SystemDims, boost_los, irs_resp
                       perturb_csi, sample_channel_set, ula_response)
 from .harness import (ExperimentSpec, TrialRecord, desk_spec, load_spec,
                       paper_spec, parse_spec, run_sweep)
-from .linalg import EconomySVD, economy_svd, khatri_rao_columns, structured_svd
+from .linalg import EconomySVD, economy_svd, khatri_rao_columns
 from .metrics import fit_error, nrmse, per_user_sinr, sum_rate
 from .precoding import PrecodingSolution, effective_channel, mmse_precoder
 from .projectors import REACTIVE, UNIMODULAR, Projector, get_projector

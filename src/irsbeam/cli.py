@@ -23,10 +23,10 @@ from .channel import SystemDims, complex_normal, sample_channel_set
 from .charts import emit_chart
 from .harness import (dbm_to_watts, desk_spec, emit_aggregate_csv, emit_csv,
                       load_aggregate_csv, load_spec, paper_spec, run_sweep, write_csv)
-from .linalg import KhatriRaoSVD, economy_svd, khatri_rao_columns, structured_svd
+from .linalg import KhatriRaoSVD, economy_svd, khatri_rao_columns
 from .metrics import nrmse, sum_rate
-from .oracles import (dense_lmmse, grid_reactance, precoder_objective, precoder_reference,
-                      random_precoder_search)
+from .oracles import (dense_lmmse, explicit_product_form, grid_reactance, precoder_objective,
+                      precoder_reference, random_precoder_search)
 from .projectors import REACTIVE, UNIMODULAR
 from .precoding import mmse_precoder
 from .vamp import ExtrinsicMessage, lmmse_extrinsic, prepare_system
@@ -110,16 +110,24 @@ def cmd_oracle(args) -> int:
     rng = np.random.default_rng(0 if args.seed is None else args.seed)
     ok = True
 
-    # the triple prepare_system itself builds: factored at three users,
-    # explicit at two
-    for m, factored in ((3, True), (2, False)):
+    # the triple prepare_system itself builds, factored at every user count:
+    # it reconstructs D, and its omega, U^H y and Vh x are those of the
+    # product form written out
+    for m in (2, 3):
         a, b = complex_normal(rng, m, 7), complex_normal(rng, 2, 7)
-        svd, _ = prepare_system(economy_svd(a), economy_svd(b), np.zeros((m, 2)))
+        svd_a, svd_b = economy_svd(a), economy_svd(b)
+        svd, _ = prepare_system(svd_a, svd_b, np.zeros((m, 2)))
         d = khatri_rao_columns(b, a)
         rel = np.linalg.norm(svd.reconstruct() - d) / np.linalg.norm(d)
-        form = "factored" if factored else "explicit"
-        ok &= _check(f"{form} product-form SVD reconstructs ({m} x 7 and 2 x 7)",
-                     isinstance(svd, KhatriRaoSVD) == factored and rel < 1e-9, f"rel {rel:.2e}")
+        ok &= _check(f"factored product-form SVD reconstructs ({m} x 7 and 2 x 7)",
+                     isinstance(svd, KhatriRaoSVD) and rel < 1e-9, f"rel {rel:.2e}")
+        ref = explicit_product_form(svd_a, svd_b)
+        y, x = complex_normal(rng, 2 * m), complex_normal(rng, 7)
+        rel = max(float(np.linalg.norm(got - want) / np.linalg.norm(want))
+                  for got, want in ((svd.omega, ref.omega), (svd.uh_dot(y), ref.U.conj().T @ y),
+                                    (svd.vh_dot(x), ref.Vh @ x)))
+        ok &= _check(f"factored product form matches the explicit one ({m} x 7 and 2 x 7)",
+                     rel < 1e-12, f"rel {rel:.2e}")
 
     # rank(A) rank(B) = 6 > K = 5: prepare_system takes its exact dense branch
     a, b, z = complex_normal(rng, 3, 5), complex_normal(rng, 2, 5), complex_normal(rng, 3, 2)
@@ -156,12 +164,12 @@ def cmd_oracle(args) -> int:
     ok &= _check("random precoder search never beats the closed form",
                  search >= precoder_objective(h, sol.F, 0.05) - 1e-6)
 
-    # four users: prepare_system keeps the product form in its factors, and
-    # its linear pass must be that of the explicit product form
+    # four users: the factored linear pass must be that of the product form
+    # written out
     a, b, z = complex_normal(rng, 4, 64), complex_normal(rng, 4, 64), complex_normal(rng, 4, 4)
     svd_a, svd_b = economy_svd(a), economy_svd(b)
     svd, z_tilde = prepare_system(svd_a, svd_b, z)
-    explicit = structured_svd(svd_a, svd_b)
+    explicit = explicit_product_form(svd_a, svd_b)
     msg = ExtrinsicMessage(complex_normal(rng, 64), 0.7)
     got = lmmse_extrinsic(svd, z_tilde, msg)
     want = lmmse_extrinsic(explicit, explicit.uh_dot(z.flatten(order="F")) / explicit.omega, msg)

@@ -1,25 +1,20 @@
 """Dense complex linear-algebra kernels.
 
 Economy SVD with rank truncation, column-wise Khatri-Rao products, and the
-product-form SVD of D = B * A built from the factor SVDs without factoring
-D itself. The product form is exact as a factorization and its left factor
+product-form SVD of D = B * A kept in the factor SVDs, without factoring D
+itself. The product form is exact as a factorization and its left factor
 has orthonormal columns; its right factor is row-normalized but not
-orthonormal in general, so `orthonormality_defect` is provided as a
-diagnostic. A wide matrix is factored through its transpose, because
-LAPACK's tall reduction is the faster one. U is Fortran- and Vh C-ordered:
-their layout picks the BLAS kernel, and so the rounding, of the products
-that use them. `identity(m)` is one shared read-only identity per size for
-the per-iteration callers.
+orthonormal in general. A wide matrix is factored through its transpose,
+because LAPACK's tall reduction is the faster one. U is Fortran- and Vh
+C-ordered: their layout picks the BLAS kernel, and so the rounding, of the
+products that use them. `identity(m)` is one shared read-only identity per
+size for the per-iteration callers.
 
-`product_svd` is the one place that decides how D is held. The product form
-is built explicitly by `structured_svd` (the R x K Khatri-Rao Vh and the
-kron U, with a few whole-array numpy calls, each entry the same single
-product as in an entry-by-entry assembly), or kept in the two factor SVDs
-by `khatri_rao_svd` (a `KhatriRaoSVD`, which applies U^H, Vh and Vh^H
-through them); `use_factors` alone picks one, and its docstring gives the
-rule. Either builder returns the full kron grid or nothing: when a
-component falls under the rank cutoff it returns None, and `product_svd`
-takes the dense SVD of D instead. Every form answers the linear pass's
+`product_svd` is the one place that decides how D is held, with two
+outcomes. Where the product form can hold, it is `khatri_rao_svd`'s
+`KhatriRaoSVD`, which applies U^H, Vh and Vh^H through the factor SVDs and
+forms neither U nor Vh (oracles.explicit_product_form writes both out). Where
+it cannot, it is the dense SVD of D. Every form answers the linear pass's
 three products, `uh_dot`, `vh_dot` and `v_dot`, and its column count
 `cols`. `qr_core_svd` factors a wide matrix whose left factor is fixed
 through its small core. An SVD rescaled by a scalar (`EconomySVD.scaled`)
@@ -139,64 +134,18 @@ def khatri_rao_columns(b: np.ndarray, a: np.ndarray) -> np.ndarray:
     return (b[:, None, :] * a[None, :, :]).reshape(b.shape[0] * a.shape[0], a.shape[1])
 
 
-def _full_grid(omega: np.ndarray) -> bool:
-    """Whether every component of a kron grid's omega clears the rank cutoff:
-    one min and one max decide it, and an empty grid is full."""
-    return np.minimum.reduce(omega, initial=np.inf) > \
-        RANK_CUTOFF * np.maximum.reduce(omega, initial=0.0)
-
-
-def structured_svd(svd_a: EconomySVD, svd_b: EconomySVD) -> EconomySVD | None:
-    """Assemble the SVD-form triple of D = B * A from the factor SVDs, or
-    None when a component of the kron grid falls under the rank cutoff.
-
-    U = kron(U_b, U_a), omega = (omega_b kron omega_a) * v_n and Vh = the
-    row-normalized Khatri-Rao product of the factor Vh's, where v_n holds the
-    row norms being normalized away. The cutoff test comes before any 1/v_n,
-    so a vanishing row norm is never inverted. U is the full kron from one
-    broadcast of the transposed factors, so it is bit-equal to
-    np.kron(U_b, U_a) and Fortran-ordered. Vh's rows are multiplied by 1/v_n,
-    not divided by v_n: the two differ only in the sign of a zero part whose
-    input is -0 (each adds the other part times zero to it, on different
-    sides of the scaling), and the sign of a zero in Vh does not reach the
-    linear pass's output bits. Reconstruction is exact.
-    """
-    vh_kr = khatri_rao_columns(svd_b.Vh, svd_a.Vh)
-    # np.linalg.norm(vh_kr, axis=1) without its dispatch
-    v_n = np.sqrt(np.add.reduce((vh_kr.conj() * vh_kr).real, axis=1))
-    omega = (svd_b.omega[:, None] * svd_a.omega).ravel() * v_n
-    if not _full_grid(omega):
-        return None
-    vh_kr *= (1.0 / v_n)[:, None]
-    # U's C-ordered transpose, transposed back: Fortran-ordered without a copy
-    u_t = svd_b.U.T[:, None, :, None] * svd_a.U.T[None, :, None, :]
-    return EconomySVD(u_t.reshape(omega.size, u_t.shape[2] * u_t.shape[3]).T, omega, vh_kr)
-
-
-def use_factors(rank_a: int, rank_b: int) -> bool:
-    """Whether the product form of D = B * A is kept in its factor SVDs
-    (khatri_rao_svd) rather than built (structured_svd), given the factor
-    ranks: when it has more components than its factors have rows,
-    R_a*R_b > R_a + R_b. With equal ranks M that is M >= 3.
-
-    This is the one rule for the factored path, and product_svd is its one
-    reader. Past it the explicit R x K Vh and R x R U grow as R = M^2 while
-    the factors grow as M; below it the explicit form, at most four rows,
-    is the faster one, and its bits are the ones the seeded sweeps pin."""
-    return rank_a * rank_b > rank_a + rank_b
-
-
 @dataclass
 class KhatriRaoSVD:
     """The product-form SVD of D = B * A kept in its factor SVDs.
 
-    It stands for structured_svd's triple, U = kron(U_b, U_a),
-    omega = (omega_b kron omega_a) * v_n and the row-normalized Khatri-Rao
-    Vh, and forms neither U nor Vh: omega is in khatri_rao_columns' order,
-    and inv_norms[i, j] is 1/v_n of row p = i*R_a + j, which pairs row i of
-    Vh_b with row j of Vh_a. A length-R vector is held as the R_b x R_a
-    matrix of its row-major entries. Memory is O(K (R_a + R_b)) instead of
-    O(K R_a R_b).
+    It stands for the triple U = kron(U_b, U_a),
+    omega = (omega_b kron omega_a) * v_n and Vh the Khatri-Rao product of
+    the factor Vh's with its rows divided by their norms v_n
+    (oracles.explicit_product_form), and forms neither U nor Vh: omega is in
+    khatri_rao_columns' order, and inv_norms[i, j] is 1/v_n of row
+    p = i*R_a + j, which pairs row i of Vh_b with row j of Vh_a. A length-R
+    vector is held as the R_b x R_a matrix of its row-major entries. Memory
+    is O(K (R_a + R_b)) instead of O(K R_a R_b).
     """
 
     a: EconomySVD
@@ -236,8 +185,10 @@ class KhatriRaoSVD:
 
 def khatri_rao_svd(svd_a: EconomySVD, svd_b: EconomySVD) -> KhatriRaoSVD | None:
     """The product-form SVD of D = B * A from the factor SVDs, kept in them,
-    or None when a component falls under the rank cutoff, as in
-    structured_svd.
+    or None when a component of the kron grid falls under the rank cutoff:
+    the grid is declined whole, never truncated, and the cutoff test comes
+    before any 1/v_n, so a vanishing row norm is never inverted. One min and
+    one max decide it, and an empty grid is full.
 
     The squared row norms of the Khatri-Rao Vh are one real product of the
     factors' squared moduli, v_n^2 = |Vh_b|^2 (|Vh_a|^2)^T; each factor
@@ -246,7 +197,8 @@ def khatri_rao_svd(svd_a: EconomySVD, svd_b: EconomySVD) -> KhatriRaoSVD | None:
     """
     v_n = np.sqrt(svd_b.vh_modulus @ svd_a.vh_modulus.T)
     omega = (svd_b.omega[:, None] * svd_a.omega * v_n).ravel()
-    if not _full_grid(omega):
+    if not np.minimum.reduce(omega, initial=np.inf) > \
+            RANK_CUTOFF * np.maximum.reduce(omega, initial=0.0):
         return None
     return KhatriRaoSVD(svd_a, svd_b, omega, 1.0 / v_n)
 
@@ -254,19 +206,18 @@ def khatri_rao_svd(svd_a: EconomySVD, svd_b: EconomySVD) -> KhatriRaoSVD | None:
 def product_svd(svd_a: EconomySVD, svd_b: EconomySVD) -> EconomySVD | KhatriRaoSVD:
     """The SVD-form triple of D = B * A from the economy SVDs of A and B.
 
-    It is the product form, explicit (structured_svd) or kept in the factors
-    (khatri_rao_svd) as use_factors picks, except in two cases, where it is
-    the SVD of the small dense D with A and B rebuilt from their factors.
-    One is a component count R_a*R_b above the unknown count K: there the
-    product form stops being a usable surrogate for an SVD (the linear
-    pass's precision update needs K/R >= 1) and the dense SVD is cheaper
-    anyway. The other is a kron grid with a component under the rank
-    cutoff, which the builders decline; the dense SVD is exact there.
+    It is the product form kept in the factors (khatri_rao_svd) at every
+    user count, except in two cases, where it is the SVD of the small dense
+    D with A and B rebuilt from their factors. One is a component count
+    R_a*R_b above the unknown count K: there the product form stops being a
+    usable surrogate for an SVD (the linear pass's precision update needs
+    K/R >= 1) and the dense SVD is cheaper anyway. The other is a kron grid
+    with a component under the rank cutoff, which khatri_rao_svd declines;
+    the dense SVD is exact there.
     """
-    rank_a, rank_b = svd_a.rank, svd_b.rank
     svd = None
-    if rank_a * rank_b <= svd_a.cols:
-        svd = (khatri_rao_svd if use_factors(rank_a, rank_b) else structured_svd)(svd_a, svd_b)
+    if svd_a.rank * svd_b.rank <= svd_a.cols:
+        svd = khatri_rao_svd(svd_a, svd_b)
     if svd is None:
         svd = economy_svd(khatri_rao_columns(svd_b.reconstruct(), svd_a.reconstruct()))
     return svd
@@ -281,9 +232,3 @@ def identity(m: int) -> np.ndarray:
     eye.flags.writeable = False
     return eye
 
-
-def orthonormality_defect(vh: np.ndarray) -> float:
-    """||Vh Vh^H - I||_F, a diagnostic for how far a row set is from orthonormal."""
-    vh = np.asarray(vh)
-    r = vh.shape[0]
-    return float(np.linalg.norm(vh @ vh.conj().T - np.eye(r)))

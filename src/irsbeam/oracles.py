@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channel import ChannelSet
+from .linalg import EconomySVD
 
 ORACLE_DIM_CAP = 64
 GRID_MAX_K = 3
@@ -36,6 +37,22 @@ def dense_lmmse(d: np.ndarray, z: np.ndarray, r: np.ndarray, gamma: float):
     gamma_ext = gamma_bar - gamma
     r_ext = (gamma_bar * x_bar - gamma * r) / gamma_ext
     return x_bar, gamma_bar, r_ext, gamma_ext
+
+
+def explicit_product_form(svd_a: EconomySVD, svd_b: EconomySVD) -> EconomySVD:
+    """The product-form SVD of D = B * A written out from the factor SVDs:
+    U = kron(U_b, U_a), omega = kron(omega_b, omega_a) * v_n, and Vh the
+    column-wise Khatri-Rao product of Vh_b and Vh_a, row p = i*R_a + j being
+    row i of Vh_b times row j of Vh_a, with each row divided by its norm v_n.
+
+    Exact as a factorization of D when no v_n vanishes; U has orthonormal
+    columns, Vh unit-norm rows that are not orthonormal in general. The
+    EconomySVD only holds the three arrays.
+    """
+    vh_kr = np.einsum("ik,jk->ijk", svd_b.Vh, svd_a.Vh).reshape(-1, svd_a.Vh.shape[1])
+    v_n = np.linalg.norm(vh_kr, axis=1)
+    return EconomySVD(np.kron(svd_b.U, svd_a.U), np.kron(svd_b.omega, svd_a.omega) * v_n,
+                      vh_kr / v_n[:, None])
 
 
 def precoder_reference(h: np.ndarray, power: float, noise_var: float):

@@ -13,10 +13,10 @@ B has a fixed, low-rank left factor factors B through its small core
 
 The linear pass needs only omega, z_tilde, Vh r and Vh^H y of the SVD form
 (Rangan, Schniter & Fletcher, Vector Approximate Message Passing, IEEE T-IT
-2019). How D is held, as the product form built explicitly or kept in its
-factor SVDs, or as the SVD of the small dense D, is linalg.product_svd's
-choice alone; every form answers the same products (vh_dot, v_dot), so
-lmmse_extrinsic and VampStep run each through the same lines.
+2019). How D is held, as the product form kept in its factor SVDs or as
+the SVD of the small dense D, is linalg.product_svd's choice alone; both
+forms answer the same products (vh_dot, v_dot), so lmmse_extrinsic and
+VampStep run each through the same lines.
 
 One run's memory is a VampStep, which run_vamp and altopt.PhaseStep each
 build once and call once per pass. It takes no settings: the linear pass is

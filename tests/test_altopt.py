@@ -272,23 +272,20 @@ def _count_paths(monkeypatch):
 
 
 @pytest.mark.parametrize("constraint", ["unimodular", "reactive"])
-def test_joint_optimize_takes_the_factored_path_from_three_users(monkeypatch, constraint):
+def test_joint_optimize_takes_the_factored_path_at_every_user_count(monkeypatch, constraint):
     # counts, not timings or bits: every phase step factors B through the
-    # rank factor's core; at the desk shapes (two users) none enters the
-    # factored product form, and from three users every one does
+    # rank factor's core and enters the factored product form, at the desk
+    # shapes (two users) as from three users on
     spec = desk_spec()
-    shapes = [(SystemDims(n, m, k), False)
-              for n in spec.n_bs for m in spec.n_users for k in spec.n_irs]
-    shapes += [(SystemDims(8, 3, 16), True), (SystemDims(32, 4, 256), True),
-               (SystemDims(32, 8, 256), True)]
+    shapes = [SystemDims(n, m, k) for n in spec.n_bs for m in spec.n_users for k in spec.n_irs]
+    shapes += [SystemDims(8, 3, 16), SystemDims(32, 4, 256), SystemDims(32, 8, 256)]
     cfg = OptimizerConfig(constraint=constraint)
-    for dims, factored in shapes:
+    for dims in shapes:
         seen = _count_paths(monkeypatch)
         ch = sample_channel_set(np.random.default_rng(dims.K), dims)
         sol = joint_optimize(ch, 1.0, 1e-13, cfg, np.random.default_rng(16))
         steps = sol.iterations
-        assert seen == {"core": steps, "assembly": steps if factored else 0,
-                        "linear": steps if factored else 0}, dims
+        assert seen == {"core": steps, "assembly": steps, "linear": steps}, dims
         monkeypatch.undo()
 
 

@@ -7,13 +7,12 @@ when a tie exists, forms Vh^H y as (y^H Vh)^H, takes the precoder's
 Frobenius norms as two dot products, calls the ufunc reductions in place of
 the array methods that wrap them, takes the projector and its derivative
 (the literal radius/(2|r - center|), capped) from one |r - center|, decides
-"every component kept" in the product builders from one min and one max,
-builds structured_svd's U Fortran-ordered from the transposed factors, and
-takes the precoder's square roots with math.sqrt. Each is bit-equal to the
-form it replaced only through the identities checked here, on numpy's SIMD
-kernels and on OpenBLAS's, so if a numpy or CPU change ever moves the golden
-CSVs, these name the cause. CI runs this file again under other SIMD and
-BLAS kernels.
+"every component kept" in the product builder from one min and one max,
+and takes the precoder's square roots with math.sqrt. Each is bit-equal to
+the form it replaced only through the identities checked here, on numpy's
+SIMD kernels and on OpenBLAS's, so if a numpy or CPU change ever moves the
+golden CSVs, these name the cause. CI runs this file again under other SIMD
+and BLAS kernels.
 """
 
 import math
@@ -21,11 +20,9 @@ import math
 import numpy as np
 import pytest
 
-from irsbeam.linalg import (RANK_CUTOFF, EconomySVD, economy_svd, khatri_rao_columns,
-                            structured_svd)
+from irsbeam.linalg import RANK_CUTOFF
 from irsbeam.precoding import _frobenius
 from irsbeam.projectors import DERIVATIVE_CAP, REACTIVE, UNIMODULAR
-from irsbeam.vamp import ExtrinsicMessage, lmmse_extrinsic
 
 TINY = np.finfo(float).tiny
 
@@ -133,44 +130,6 @@ def test_conjugated_vector_product_equals_conjugate_transpose_product(r, k):
         assert np.array_equal(bits((y.conj() @ vh).conj()), bits(vh.conj().T @ y))
 
 
-def flip_zero_signs(a):
-    out = a.copy()
-    parts = out.view(float)
-    parts[parts == 0] *= -1.0
-    return out
-
-
-@pytest.mark.parametrize("m, k", [(2, 16), (4, 256)])
-def test_zero_signs_in_vh_leave_linear_pass_bits(m, k):
-    # real factors give the Khatri-Rao rows of Vh -0 parts. For a part a and
-    # the other part b of an entry, numpy's division forms (a +- b*0) * (1/c)
-    # and the reciprocal multiply a * (1/c) -+ b*0; an exact-zero a takes its
-    # sign from that sum, so the two forms of Vh differ only in the sign of a
-    # zero part whose input is -0
-    # the explicit product form, which prepare_system builds for two users
-    rng = np.random.default_rng(m * k)
-    a = rng.standard_normal((m, k)).astype(complex)
-    b = rng.standard_normal((m, k)).astype(complex)
-    svd = structured_svd(economy_svd(a), economy_svd(b))
-    z_tilde = svd.uh_dot(random_complex(rng, m * m, 1.0)) * (1.0 / svd.omega)
-    vh_kr = khatri_rao_columns(economy_svd(b).Vh, economy_svd(a).Vh)
-    v_n = np.linalg.norm(vh_kr, axis=1)[:, None]
-    assert np.array_equal(bits(svd.Vh), bits(vh_kr * (1.0 / v_n)))
-    divided = vh_kr / v_n
-    differ = bits(divided) != bits(svd.Vh)
-    negative_zero = (vh_kr.view(float) == 0) & np.signbit(vh_kr.view(float))
-    assert differ.any() and not (differ & ~negative_zero).any()
-    # with a message mean that has no zero part, no zero sign of Vh reaches the output
-    flipped = EconomySVD(svd.U, svd.omega, flip_zero_signs(svd.Vh))
-    for gamma in (1e-6, 0.1, 1e3):
-        msg = ExtrinsicMessage(random_complex(rng, k, 1.0), gamma)
-        want = lmmse_extrinsic(svd, z_tilde, msg)
-        for vh_form in (flipped, EconomySVD(svd.U, svd.omega, divided)):
-            got = lmmse_extrinsic(vh_form, z_tilde, msg)
-            assert np.array_equal(bits(got.r), bits(want.r))
-            assert got.gamma == want.gamma
-
-
 def same_scalar(a, b):
     """Equal value, bits and type (np.float64, np.bool_)."""
     return type(a) is type(b) and np.array([a]).tobytes() == np.array([b]).tobytes()
@@ -194,7 +153,7 @@ def test_ufunc_reductions_equal_their_method_forms(k, m):
                     a[rng.integers(a.shape[0]), rng.integers(a.shape[1])] = bad
                 finite = np.isfinite(a)
                 assert same_scalar(np.logical_and.reduce(finite, axis=None), finite.all())
-        # the product builders' largest omega and their all-kept test
+        # the product builder's largest omega and its all-kept test
         omega = 10.0 ** rng.uniform(-20, 2, m * m) * scale
         assert same_scalar(np.maximum.reduce(omega, initial=0.0), omega.max(initial=0.0))
         for kept in (omega > 1e-12 * omega.max(), np.ones(m * m, bool)):
@@ -247,62 +206,8 @@ def test_one_distance_pass_equals_separate_g_and_g_prime(projector, k):
                 assert np.isnan(got) if np.isnan(want) else same_scalar(got, want)
 
 
-def masked_structured_svd(svd_a, svd_b):
-    """structured_svd with the kept-mask built every time, None unless it
-    keeps every component, and U broadcast in C order, then copied to
-    Fortran order."""
-    vh_kr = khatri_rao_columns(svd_b.Vh, svd_a.Vh)
-    v_n = np.sqrt(np.add.reduce((vh_kr.conj() * vh_kr).real, axis=1))
-    omega_full = (svd_b.omega[:, None] * svd_a.omega).ravel() * v_n
-    kept = omega_full > RANK_CUTOFF * np.maximum.reduce(omega_full, initial=0.0)
-    if not np.logical_and.reduce(kept):
-        return None
-    u = svd_b.U[:, None, :, None] * svd_a.U[None, :, None, :]
-    u = u.reshape(u.shape[0] * u.shape[1], omega_full.size)
-    vh_kr *= (1.0 / v_n)[:, None]
-    return EconomySVD(np.asfortranarray(u), omega_full, vh_kr)
-
-
-def structured_cases():
-    rng = np.random.default_rng(21)
-    cases = [(random_complex(rng, (m, k), 1.0), random_complex(rng, (m, k), 1.0))
-             for m, k in [(2, 16), (2, 256), (4, 256), (3, 5)]]
-    # real factors give -0 parts in the Khatri-Rao rows
-    cases.append((rng.standard_normal((4, 64)).astype(complex),
-                  rng.standard_normal((2, 64)).astype(complex)))
-    # disjoint row supports drop the grid components (0, 1) and (1, 0)
-    cases.append((np.diag([2.0, 1.0]).astype(complex), np.diag([3.0, 1.0]).astype(complex)))
-    cases.append((random_complex(rng, (2, 8), 1.0), np.zeros((2, 8), dtype=complex)))
-    pairs = [(economy_svd(a), economy_svd(b)) for a, b in cases]
-    # unit-norm Khatri-Rao rows and omega = (1, RANK_CUTOFF): the second
-    # component sits exactly at the cutoff and is dropped
-    eye = np.eye(2, dtype=complex)
-    pairs.append((EconomySVD(eye, np.array([1.0, RANK_CUTOFF]), eye),
-                  EconomySVD(np.ones((1, 1), dtype=complex), np.ones(1), np.ones((1, 2), complex))))
-    names = ["2x16", "2x256", "4x256", "3x5", "real-4x64-2x64", "dropped", "zero-b", "at-cutoff"]
-    return [pytest.param(a, b, id=name) for name, (a, b) in zip(names, pairs)]
-
-
-@pytest.mark.parametrize("svd_a, svd_b", structured_cases())
-def test_structured_svd_equals_its_mask_path(svd_a, svd_b):
-    # one min and one max decide "every component kept", and U is the
-    # transpose of a C-ordered broadcast of the transposed factors: omega,
-    # Vh and U keep the bits and layout of the masked assembly, and a grid
-    # the mask does not keep whole is declined, not truncated
-    got, want = structured_svd(svd_a, svd_b), masked_structured_svd(svd_a, svd_b)
-    assert (got is None) == (want is None)
-    if want is None:
-        return
-    for x, y in ((got.U, want.U), (got.omega, want.omega), (got.Vh, want.Vh)):
-        assert x.shape == y.shape and x.dtype == y.dtype
-        assert x.tobytes(order="A") == y.tobytes(order="A")
-        if x.size:
-            assert x.strides == y.strides
-    assert got.U.flags.f_contiguous and got.Vh.flags.c_contiguous
-
-
 def test_min_max_decision_equals_the_kept_mask():
-    # the product builders' "every component kept", on values at the floor,
+    # the product builder's "every component kept", on values at the floor,
     # zeros, an empty omega and NaN
     rng = np.random.default_rng(22)
     top = 10.0 ** rng.uniform(-3, 3)

@@ -3,7 +3,7 @@ import pytest
 
 from irsbeam.channel import complex_normal
 from irsbeam.linalg import (RANK_CUTOFF, EconomySVD, economy_svd, identity, khatri_rao_columns,
-                            khatri_rao_svd, orthonormality_defect, structured_svd)
+                            khatri_rao_svd)
 from irsbeam.vamp import prepare_system
 
 
@@ -131,16 +131,17 @@ def test_khatri_rao_column_mismatch():
 
 
 def test_structured_svd_scalars():
-    svd = structured_svd(economy_svd(np.array([[1.0]])), economy_svd(np.array([[1.0]])))
+    svd = khatri_rao_svd(economy_svd(np.array([[1.0]])), economy_svd(np.array([[1.0]])))
     assert np.allclose(svd.omega, [1.0])
-    assert np.allclose(svd.Vh, [[1.0]])
+    assert np.allclose(svd.inv_norms, [[1.0]])
+    assert np.allclose(svd.reconstruct(), [[1.0]])
 
 
 def test_structured_svd_reconstructs_against_dense():
     rng = np.random.default_rng(4)
     a, b = complex_normal(rng, 2, 3), complex_normal(rng, 2, 3)
     d = khatri_rao_columns(b, a)
-    svd = structured_svd(economy_svd(a), economy_svd(b))
+    svd = khatri_rao_svd(economy_svd(a), economy_svd(b))
     err = np.linalg.norm(svd.reconstruct() - d) / np.linalg.norm(d)
     assert err < 1e-9
     # dense SVD of the explicitly formed product as the independent oracle
@@ -154,7 +155,7 @@ def test_structured_svd_reconstruction_sweep():
         m, q, n = rng.integers(1, 9, size=3)
         a, b = complex_normal(rng, m, n), complex_normal(rng, q, n)
         d = khatri_rao_columns(b, a)
-        svd = structured_svd(economy_svd(a), economy_svd(b))
+        svd = khatri_rao_svd(economy_svd(a), economy_svd(b))
         assert np.all(svd.omega >= 0)
         err = np.linalg.norm(svd.reconstruct() - d) / np.linalg.norm(d)
         assert err < 1e-9
@@ -163,8 +164,8 @@ def test_structured_svd_reconstruction_sweep():
 def test_structured_svd_zero_column_drops_component():
     # A is zero on columns 2 and 3, and one row of B lives on exactly those
     # columns, so that row's Khatri-Rao rows with every row of A vanish: two
-    # of the four grid components fall under the cutoff. Both builders
-    # decline the grid, and prepare_system takes the exact SVD of D
+    # of the four grid components fall under the cutoff. The product
+    # builder declines the grid, and prepare_system takes the exact SVD of D
     rng = np.random.default_rng(6)
     a = complex_normal(rng, 3, 4)
     a[:, 2:] = 0.0
@@ -173,13 +174,12 @@ def test_structured_svd_zero_column_drops_component():
     b[1, 2:] = 2.0 * complex_normal(rng, 2)
     svd_a, svd_b = economy_svd(a), economy_svd(b)
     assert svd_a.rank * svd_b.rank == 4 <= a.shape[1]
-    assert structured_svd(svd_a, svd_b) is None
     assert khatri_rao_svd(svd_a, svd_b) is None
     d = khatri_rao_columns(b, a)
     dense_rank = economy_svd(d).rank
     svd, _ = prepare_system(svd_a, svd_b, complex_normal(rng, 3, 2))
     assert isinstance(svd, EconomySVD) and svd.rank == dense_rank == 2
-    assert orthonormality_defect(svd.Vh) < 1e-12
+    assert np.linalg.norm(svd.Vh @ svd.Vh.conj().T - np.eye(svd.rank)) < 1e-12
     err = np.linalg.norm(svd.reconstruct() - d) / np.linalg.norm(d)
     assert err < 1e-9
 
@@ -198,31 +198,6 @@ def test_scaled_svd_hands_over_its_vh_modulus():
     want = khatri_rao_svd(EconomySVD(svd.U, 0.3 * svd.omega, svd.Vh), svd_b)
     assert got.omega.tobytes() == want.omega.tobytes()
     assert got.inv_norms.tobytes() == want.inv_norms.tobytes()
-
-
-def test_orthonormality_defect_zero_for_true_svd():
-    rng = np.random.default_rng(8)
-    svd = economy_svd(complex_normal(rng, 4, 6))
-    assert orthonormality_defect(svd.Vh) < 1e-12
-    # the product form is generally not orthonormal; just confirm it is finite
-    a, b = complex_normal(rng, 2, 3), complex_normal(rng, 2, 3)
-    assert np.isfinite(orthonormality_defect(structured_svd(economy_svd(a), economy_svd(b)).Vh))
-
-
-def test_structured_svd_materialized_u_is_orthonormal():
-    rng = np.random.default_rng(11)
-    for m, q, k in [(2, 3, 6), (3, 2, 4), (1, 4, 5)]:
-        svd_a = economy_svd(complex_normal(rng, m, k))
-        svd_b = economy_svd(complex_normal(rng, q, k))
-        svd = structured_svd(svd_a, svd_b)
-        assert isinstance(svd, EconomySVD)
-        assert np.allclose(svd.U.conj().T @ svd.U, np.eye(svd.rank), atol=1e-12)
-        assert np.array_equal(svd.U, np.kron(svd_b.U, svd_a.U))
-    # disjoint row supports make the Khatri-Rao rows (0, 1) and (1, 0) of the
-    # right factors vanish: the grid is declined whole, no U is built from
-    # the surviving columns (prepare_system takes the SVD of D instead)
-    assert structured_svd(economy_svd(np.diag([2.0, 1.0])), economy_svd(np.diag([3.0, 1.0]))) \
-        is None
 
 
 @pytest.mark.parametrize("m", [1, 2, 4, 8])

@@ -6,8 +6,8 @@ import pytest
 from irsbeam import linalg
 from irsbeam.channel import complex_normal
 from irsbeam.linalg import (RANK_CUTOFF, EconomySVD, KhatriRaoSVD, economy_svd,
-                            khatri_rao_columns, khatri_rao_svd, structured_svd)
-from irsbeam.oracles import dense_lmmse
+                            khatri_rao_columns, khatri_rao_svd)
+from irsbeam.oracles import dense_lmmse, explicit_product_form
 from irsbeam.projectors import UNIMODULAR, Projector
 from irsbeam.vamp import (DAMPING, GAMMA_FLOOR, INITIAL_PRECISION, ExtrinsicMessage,
                           OptimizerConfig, VampDiagnostics, VampStep, lmmse_extrinsic,
@@ -187,13 +187,22 @@ def test_steps_start_and_damp_with_the_module_constants():
 
 def test_prepare_system_structured_vs_dense_paths():
     rng = np.random.default_rng(6)
-    # K = 8 >= R_a*R_b = 4: product form; K = 3 < R_a*R_b = 4: dense SVD of D
-    for k in (8, 3):
+    # K = 8 >= R_a*R_b = 4: the product form, kept in its factors;
+    # K = 3 < R_a*R_b = 4: the dense SVD of D
+    for k, form in ((8, KhatriRaoSVD), (3, EconomySVD)):
         a, b, z = complex_normal(rng, 2, k), complex_normal(rng, 2, k), complex_normal(rng, 2, 2)
-        svd, z_tilde = prepare_system(economy_svd(a), economy_svd(b), z)
-        assert isinstance(svd, EconomySVD)
-        assert np.allclose(svd.U.conj().T @ svd.U, np.eye(svd.rank), atol=1e-12)
-        assert np.array_equal(z_tilde, (svd.U.conj().T @ z.flatten(order="F")) / svd.omega)
+        svd_a, svd_b = economy_svd(a), economy_svd(b)
+        svd, z_tilde = prepare_system(svd_a, svd_b, z)
+        assert type(svd) is form
+        y = z.flatten(order="F")
+        if form is EconomySVD:
+            assert np.allclose(svd.U.conj().T @ svd.U, np.eye(svd.rank), atol=1e-12)
+            assert np.array_equal(z_tilde, (svd.U.conj().T @ y) / svd.omega)
+        else:
+            ref = explicit_product_form(svd_a, svd_b)
+            z_ref = (ref.U.conj().T @ y) / ref.omega
+            assert np.linalg.norm(svd.omega - ref.omega) <= 1e-12 * np.linalg.norm(ref.omega)
+            assert np.linalg.norm(z_tilde - z_ref) <= 1e-12 * np.linalg.norm(z_ref)
         d = khatri_rao_columns(b, a)
         assert np.linalg.norm(svd.reconstruct() - d) < 1e-9 * np.linalg.norm(d)
     with pytest.raises(ValueError):
@@ -204,12 +213,10 @@ def test_prepare_system_structured_vs_dense_paths():
                        economy_svd(complex_normal(rng, 2, 4)), np.zeros((2, 3)))
 
 
-# Column-by-column reference for the bit-identity test below: a wide matrix is
-# factored through its transpose, the columns of kron(U_b, U_a) are gathered
-# from their grid indices, the row norms and the kron of the omegas are
-# numpy's own, and Vh's rows are scaled by the reciprocals of their norms. A
-# grid with a component under the cutoff, or with more components than
-# unknowns, takes the SVD of D rebuilt from both factor SVDs.
+# Reference for the bit-identity test below, on the systems prepare_system
+# takes to its dense branch (a grid with a component under the cutoff, or
+# with more components than unknowns): the SVD of D rebuilt from both factor
+# SVDs, a wide matrix factored through its transpose.
 def _reference_economy_svd(a):
     if a.shape[0] < a.shape[1]:
         # a^T = U S Vh gives a = Vh^T S U^T
@@ -225,25 +232,10 @@ def _reference_economy_svd(a):
     return EconomySVD(u, omega, vh)
 
 
-def _reference_structured_svd(svd_a, svd_b):
-    vh_kr = khatri_rao_columns(svd_b.Vh, svd_a.Vh)
-    v_n = np.linalg.norm(vh_kr, axis=1)
-    omega_full = np.kron(svd_b.omega, svd_a.omega) * v_n
-    if omega_full.size and not np.all(omega_full > RANK_CUTOFF * omega_full.max()):
-        return None
-    i, j = np.divmod(np.arange(omega_full.size), svd_a.rank)
-    u = khatri_rao_columns(svd_b.U[:, i], svd_a.U[:, j])
-    return EconomySVD(u, omega_full, vh_kr * (1.0 / v_n[:, None]))
-
-
 def _reference_prepare_system(svd_a, svd_b, z):
-    svd = None
-    if svd_a.rank * svd_b.rank <= svd_a.Vh.shape[1]:
-        svd = _reference_structured_svd(svd_a, svd_b)
-    if svd is None:
-        a = (svd_a.U * svd_a.omega) @ svd_a.Vh
-        b = (svd_b.U * svd_b.omega) @ svd_b.Vh
-        svd = _reference_economy_svd(khatri_rao_columns(b, a))
+    a = (svd_a.U * svd_a.omega) @ svd_a.Vh
+    b = (svd_b.U * svd_b.omega) @ svd_b.Vh
+    svd = _reference_economy_svd(khatri_rao_columns(b, a))
     return svd, (svd.U.conj().T @ z.flatten(order="F")) / svd.omega
 
 
@@ -255,20 +247,13 @@ def test_prepare_system_bits_match_reference_assembly():
     def factor(m, k):  # M x K and Fortran-ordered, like B and H_su^H in altopt
         return complex_normal(rng, k, m).T
 
-    def real_factor(m, k):  # its factor SVDs give Vh's Khatri-Rao rows -0 parts
-        return factor(m, k).real.astype(complex, order="F")
-
     # disjoint row supports: Khatri-Rao rows (0, 1) and (1, 0) of the right
     # factors vanish, so the grid is dropped to the SVD of the rank-2 D
     blocks = np.zeros((2, 4), dtype=complex)
     blocks[0, :2], blocks[1, 2:] = complex_normal(rng, 2), complex_normal(rng, 2)
-    # two users at most: from three on the product form stays in its factors,
-    # checked against this explicit one in test_factored_linear_pass_matches_explicit_form
-    cases = [("structured", factor(2, 16), factor(2, 16), complex_normal(rng, 2, 2)),
-             ("structured", factor(2, 256), factor(2, 256), complex_normal(rng, 2, 2)),
-             # -0 parts, to which a division and the reciprocal multiply give different signs
-             ("structured", real_factor(2, 16), real_factor(2, 16), complex_normal(rng, 2, 2)),
-             ("dense", factor(4, 9), factor(4, 9), complex_normal(rng, 4, 4)),
+    # the product form stays in its factors, checked against the one written
+    # out in test_factored_linear_pass_matches_explicit_form
+    cases = [("dense", factor(4, 9), factor(4, 9), complex_normal(rng, 4, 4)),
              ("dropped", blocks.copy(order="F"),
               (blocks * complex_normal(rng, 1, 4)).copy(order="F"), complex_normal(rng, 2, 2))]
     for branch, a, b, z in cases:
@@ -277,9 +262,8 @@ def test_prepare_system_bits_match_reference_assembly():
         svd, z_tilde = prepare_system(svd_a, svd_b, z)
         ref, ref_z = _reference_prepare_system(svd_a, ref_b, z)
         n_components = a.shape[0] * b.shape[0]
-        assert {"structured": svd.rank == n_components <= a.shape[1],
-                "dense": n_components > a.shape[1],
-                "dropped": svd.rank == 2 and structured_svd(svd_a, svd_b) is None}[branch]
+        assert {"dense": n_components > a.shape[1],
+                "dropped": svd.rank == 2 and khatri_rao_svd(svd_a, svd_b) is None}[branch]
         for name, got, want in (("B's U", svd_b.U, ref_b.U), ("B's Vh", svd_b.Vh, ref_b.Vh),
                                 ("B's omega", svd_b.omega, ref_b.omega),
                                 ("U", svd.U, ref.U), ("omega", svd.omega, ref.omega),
@@ -292,35 +276,27 @@ def test_prepare_system_bits_match_reference_assembly():
         assert svd.U.flags.f_contiguous, branch
 
 
-def _explicit_product_form(svd_a, svd_b):
-    """U, omega and Vh of the product form built as written: the rows of the
-    Khatri-Rao product of the factor Vh's divided by their norms, np.kron of
-    the factor U's, and the kron of the omegas times the row norms."""
-    vh_kr = khatri_rao_columns(svd_b.Vh, svd_a.Vh)
-    v_n = np.linalg.norm(vh_kr, axis=1)
-    return (np.kron(svd_b.U, svd_a.U), np.kron(svd_b.omega, svd_a.omega) * v_n,
-            vh_kr / v_n[:, None])
-
-
 def _factored_cases():
     rng = np.random.default_rng(31)
     cases = [(f"{m_a}x{m_b}x{k}", complex_normal(rng, m_a, k), complex_normal(rng, m_b, k),
               m_a * m_b)
              for m_a, m_b, k in [(3, 3, 16), (4, 4, 64), (8, 8, 256), (4, 2, 64),
-                                 (4, 4, 16)]]  # the last has R = K
+                                 (4, 4, 16),  # R = K
+                                 (1, 1, 4), (2, 1, 9), (2, 2, 16), (2, 2, 256)]]
     return [pytest.param(a, b, rank, id=name) for name, a, b, rank in cases]
 
 
 @pytest.mark.parametrize("a, b, rank", _factored_cases())
 def test_factored_linear_pass_matches_explicit_form(a, b, rank):
-    # from three users on prepare_system keeps the product form in its
-    # factors; its omega, z_tilde and linear pass must be those of the
-    # explicit form
+    # at every user count prepare_system keeps the product form in its
+    # factors; its omega, z_tilde and linear pass must be those of the form
+    # written out
     rng = np.random.default_rng(a.shape[1])
     z = complex_normal(rng, a.shape[0], b.shape[0])
     svd_a, svd_b = economy_svd(a), economy_svd(b)
     svd, z_tilde = prepare_system(svd_a, svd_b, z)
-    u, omega, vh = _explicit_product_form(svd_a, svd_b)
+    explicit = explicit_product_form(svd_a, svd_b)
+    u, omega, vh = explicit.U, explicit.omega, explicit.Vh
     k = a.shape[1]
     assert svd.rank == omega.size == rank
     assert isinstance(svd, KhatriRaoSVD)
@@ -357,12 +333,11 @@ def _dropped_cases():
 
 @pytest.mark.parametrize("a, b", _dropped_cases())
 def test_rank_dropped_grid_takes_the_dense_branch(a, b):
-    # a kron grid with components under the rank cutoff is declined by
-    # either product builder, never truncated, and prepare_system takes the
-    # exact SVD of D, whose linear pass is the dense estimator's
+    # a kron grid with components under the rank cutoff is declined by the
+    # product builder, never truncated, and prepare_system takes the exact
+    # SVD of D, whose linear pass is the dense estimator's
     svd_a, svd_b = economy_svd(a), economy_svd(b)
     assert svd_a.rank * svd_b.rank <= a.shape[1]
-    assert structured_svd(svd_a, svd_b) is None
     assert khatri_rao_svd(svd_a, svd_b) is None
     rng = np.random.default_rng(a.size)
     z = complex_normal(rng, a.shape[0], b.shape[0])
@@ -396,14 +371,15 @@ def _count_factored(monkeypatch):
     return calls
 
 
-def test_run_vamp_takes_the_factored_path_only_past_its_rule(monkeypatch):
-    # R_a*R_b <= R_a + R_b never enters the factored path, R_a*R_b > R_a + R_b
-    # always does, once per system and once per linear pass
+def test_run_vamp_takes_the_factored_path_whenever_the_grid_fits(monkeypatch):
+    # every R_a*R_b <= K enters the factored path, once per system and once
+    # per linear pass, at any user count; R_a*R_b > K never does
     calls = _count_factored(monkeypatch)
     rng = np.random.default_rng(14)
     cfg = OptimizerConfig(epsilon_outer=1e-300, t_max_outer=4)
-    for m_a, m_b, factored in [(1, 1, False), (1, 4, False), (2, 2, False), (2, 1, False),
-                               (2, 3, True), (3, 3, True), (4, 4, True)]:
+    for m_a, m_b, factored in [(1, 1, True), (1, 4, True), (2, 2, True), (2, 1, True),
+                               (2, 3, True), (3, 3, True), (4, 4, True), (4, 5, True),
+                               (3, 7, False)]:
         a, b = complex_normal(rng, m_a, 20), complex_normal(rng, m_b, 20)
         before = dict(calls)
         res = run_vamp(a, b, complex_normal(rng, m_a, m_b), cfg, np.random.default_rng(1))
