@@ -14,7 +14,7 @@ size for the per-iteration callers.
 outcomes. Where the product form can hold, it is `khatri_rao_svd`'s
 `KhatriRaoSVD`, which applies U^H, Vh and Vh^H through the factor SVDs and
 forms neither U nor Vh (oracles.explicit_product_form writes both out). Where
-it cannot, it is the dense SVD of D. Every form answers the linear pass's
+it cannot, it is the dense SVD of D. Both forms answer the linear pass's
 three products, `uh_dot`, `vh_dot` and `v_dot`, and its column count
 `cols`. `qr_core_svd` factors a wide matrix whose left factor is fixed
 through its small core. An SVD rescaled by a scalar (`EconomySVD.scaled`)
