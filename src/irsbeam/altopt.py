@@ -58,7 +58,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelSet
-from .linalg import economy_svd, identity, qr_core_svd
+from .linalg import identity, qr_core_svd
 from .precoding import effective_channel, mmse_precoder
 from .projectors import Projector, get_projector
 from .vamp import OptimizerConfig, VampDiagnostics, VampStep, prepare_system
@@ -119,7 +119,7 @@ class PhaseStep:
     def __init__(self, ch: ChannelSet, projector: Projector, upsilon0: np.ndarray):
         self.ch = ch
         self.projector = projector
-        self.svd_su = economy_svd(ch.H_su_H)
+        self.svd_su = ch.H_su_H_svd
         self.vamp = VampStep(projector, upsilon0)
 
     def system(self, f: np.ndarray, alpha: float):

@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import economy_svd
+from .linalg import EconomySVD, economy_svd
 
 
 @dataclass(frozen=True)
@@ -96,10 +96,11 @@ class ChannelSet:
 
     The set is frozen and checked when built: the links must agree in size
     and hold finite entries. A changed channel is a new set
-    (dataclasses.replace), checked again, so the conjugate transposes H_su_H
-    and H_bu_H and the rank factor H_bs_factor, taken on first use and kept,
-    always belong to the set's own links. Write into a link's array in place
-    and they go stale, and the build-time check no longer holds.
+    (dataclasses.replace), checked again, so its caches, taken on first use
+    and kept with read-only arrays, always belong to the set's own links: the
+    conjugate transposes H_su_H and H_bu_H, the rank factor H_bs_factor and
+    the SVD H_su_H_svd. Write into a link's array in place and they go
+    stale, and the build-time check no longer holds.
     """
 
     H_bs: np.ndarray
@@ -142,6 +143,17 @@ class ChannelSet:
         altopt.PhaseStep's B = (H_bs F)^T both run at width r through it."""
         svd = economy_svd(self.H_bs)
         return _read_only(svd.U), _read_only(svd.omega[:, None] * svd.Vh)
+
+    @cached_property
+    def H_su_H_svd(self) -> EconomySVD:
+        """economy_svd(H_su_H), with U, omega, Vh and |Vh|^2 (vh_modulus)
+        read-only. altopt.PhaseStep's A = alpha H_su^H changes only through
+        alpha, so every phase step on the set rescales this one SVD
+        (EconomySVD.scaled) rather than factoring H_su^H again."""
+        svd = economy_svd(self.H_su_H)
+        for a in (svd.U, svd.omega, svd.Vh, svd.vh_modulus):
+            _read_only(a)
+        return svd
 
     def without_direct_link(self) -> "ChannelSet":
         """Copy with the base-station-to-user block zeroed."""

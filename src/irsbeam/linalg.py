@@ -87,11 +87,18 @@ def economy_svd(a: np.ndarray) -> EconomySVD:
     A wide matrix is factored through its transpose: LAPACK reduces a wide
     input by an LQ and a tall one by a QR factorization, and the tall call is
     the faster one, by a third at 4 x 256. From a^T = U S Vh, a = Vh^T S U^T,
-    and Vh^T is already Fortran-ordered.
+    and Vh^T is already Fortran-ordered. A non-finite entry is refused here,
+    before LAPACK sees it; the factoring itself is _truncated_svd, which
+    qr_core_svd shares, so there is one rank rule.
     """
     a = np.asarray(a)
     if not np.logical_and.reduce(np.isfinite(a), axis=None):
         raise ValueError("economy_svd: input contains non-finite entries")
+    return EconomySVD(*_truncated_svd(a))
+
+
+def _truncated_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U, omega, Vh) of economy_svd for a finite a, unchecked."""
     wide = a.shape[0] < a.shape[1]
     u, omega, vh = np.linalg.svd(a.T if wide else a, full_matrices=False)
     # omega is sorted in descending order, so the kept components lead, and
@@ -100,8 +107,8 @@ def economy_svd(a: np.ndarray) -> EconomySVD:
         rank = np.count_nonzero(omega > RANK_CUTOFF * omega[0]) if omega.size else 0
         u, omega, vh = u[:, :rank], omega[:rank], vh[:rank]
     if wide:
-        return EconomySVD(vh.T, omega, np.ascontiguousarray(u.T))
-    return EconomySVD(np.asfortranarray(u), omega, vh)
+        return vh.T, omega, np.ascontiguousarray(u.T)
+    return np.asfortranarray(u), omega, vh
 
 
 def qr_core_svd(q: np.ndarray, core: np.ndarray) -> EconomySVD:
@@ -112,10 +119,15 @@ def qr_core_svd(q: np.ndarray, core: np.ndarray) -> EconomySVD:
     From C = U_c S Vh_c, Q C = (Q U_c) S Vh_c, so B has U = Vh_c^T,
     omega = S and Vh = (Q U_c)^T, formed as U_c^T Q^T so that it is
     C-ordered. Q has orthonormal columns, so S and the rank cutoff are those
-    of B itself.
+    of B itself. The core is factored as economy_svd factors it, with the
+    same truncation, but without its finiteness check: the caller hands over
+    a finite core. In the alternating loop C = R_r F is finite by
+    construction, since R_r comes from the channel set's rank factor, whose
+    SVD checked H_bs, and the precoder refuses a non-finite F through its
+    receiver-scale check.
     """
-    c = economy_svd(core)
-    return EconomySVD(c.Vh.T, c.omega, c.U.T @ q.T)
+    u, omega, vh = _truncated_svd(core)
+    return EconomySVD(vh.T, omega, u.T @ q.T)
 
 
 def khatri_rao_columns(b: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -193,9 +205,12 @@ def khatri_rao_svd(svd_a: EconomySVD, svd_b: EconomySVD) -> KhatriRaoSVD | None:
     The squared row norms of the Khatri-Rao Vh are one real product of the
     factors' squared moduli, v_n^2 = |Vh_b|^2 (|Vh_a|^2)^T; each factor
     keeps its own (EconomySVD.vh_modulus), so an A rescaled per call
-    (EconomySVD.scaled) takes it once.
+    (EconomySVD.scaled) takes it once. B arrives freshly factored on every
+    call of the alternating loop, so its |Vh|^2 is taken here with the
+    expression of vh_modulus, not through that cache, whose first access
+    takes a lock under Python 3.11.
     """
-    v_n = np.sqrt(svd_b.vh_modulus @ svd_a.vh_modulus.T)
+    v_n = np.sqrt((svd_b.Vh.conj() * svd_b.Vh).real @ svd_a.vh_modulus.T)
     omega = (svd_b.omega[:, None] * svd_a.omega * v_n).ravel()
     if not np.minimum.reduce(omega, initial=np.inf) > \
             RANK_CUTOFF * np.maximum.reduce(omega, initial=0.0):

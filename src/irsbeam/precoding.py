@@ -71,8 +71,6 @@ def mmse_precoder(h: np.ndarray, power: float, noise_var: float) -> PrecodingSol
     """
     h = np.asarray(h, dtype=complex)
     m = h.shape[1]
-    if not np.logical_or.reduce(h, axis=None):
-        raise ValueError("precoder: all-zero channel, no signal path")
     # each rule is written so that NaN fails it
     if not 0.0 < power < np.inf:
         raise ValueError(f"precoder: power must be positive and finite, got {power}")
@@ -94,8 +92,12 @@ def mmse_precoder(h: np.ndarray, power: float, noise_var: float) -> PrecodingSol
         x = np.linalg.pinv(gram)
     f = h @ x
     alpha = _frobenius(f) / math.sqrt(power)
-    # a non-finite channel entry reaches alpha as NaN or inf; NaN fails this too
+    # a non-finite channel entry reaches alpha as NaN or inf, NaN fails this
+    # too, and an all-zero channel gives alpha = 0 on either branch, so the
+    # scan that names it runs only on a refusal
     if not 0.0 < alpha < np.inf:
+        if not np.logical_or.reduce(h, axis=None):
+            raise ValueError("precoder: all-zero channel, no signal path")
         raise ValueError(f"precoder: receiver scale must be positive and finite, got {alpha}")
     error = float(_frobenius(hh @ x - eye) ** 2 + m * alpha**2 * noise_var)
     return PrecodingSolution(f * (1.0 / alpha), alpha, error)

@@ -3,11 +3,12 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from irsbeam import channel
+from irsbeam import altopt, channel, harness, linalg, metrics, precoding, vamp
 from irsbeam.altopt import joint_optimize
 from irsbeam.channel import (ChannelParams, ChannelSet, SystemDims, boost_los, complex_normal,
                              irs_response, perturb_csi, sample_channel_set, ula_response)
 from irsbeam.harness import fixed_phase_design
+from irsbeam.linalg import economy_svd
 from irsbeam.metrics import nrmse, sum_rate
 from irsbeam.precoding import effective_channel, mmse_precoder
 
@@ -433,6 +434,29 @@ def test_derived_sets_carry_their_own_conjugates():
     assert np.array_equal(q, factor[0]) and np.array_equal(r, factor[1])
 
 
+def test_derived_sets_take_their_own_surface_svd():
+    ch = sample_channel_set(np.random.default_rng(21), SystemDims(4, 2, 9))
+    # fill the parent's cache first, so a set that inherited it would show
+    parent = ch.H_su_H_svd
+    rng = np.random.default_rng(22)
+    derived = {
+        "replace": replace(ch, H_su=complex_normal(rng, 9, 2)),
+        "perturb_csi": perturb_csi(ch, 0.9, rng),
+        "without_direct_link": ch.without_direct_link(),
+    }
+    for name, out in derived.items():
+        svd = out.H_su_H_svd
+        assert svd is not parent and svd.Vh is not parent.Vh, name
+        assert all(not a.flags.writeable for a in (svd.U, svd.omega, svd.Vh, svd.vh_modulus))
+        assert np.linalg.norm(svd.reconstruct() - out.H_su_H) <= \
+            1e-12 * np.linalg.norm(out.H_su_H), name
+    assert not np.array_equal(derived["replace"].H_su_H_svd.omega, parent.omega)
+    # the direct link's removal keeps H_su, and so the SVD's values
+    kept = derived["without_direct_link"].H_su_H_svd
+    for name in ("U", "omega", "Vh"):
+        assert np.array_equal(bits(getattr(kept, name)), bits(getattr(parent, name))), name
+
+
 @pytest.mark.parametrize("dims, params, rank", [
     (SystemDims(32, 4, 256), None, 10),               # paper scale: 10 paths < N
     (SystemDims(8, 2, 16), None, 8),                  # N < 10 paths
@@ -451,21 +475,60 @@ def test_rank_factor_of_the_station_surface_link(dims, params, rank):
 
 
 def test_rank_factor_is_taken_once_per_set(monkeypatch):
-    # a solve, its scores and the fixed-phase baselines share one factor
-    taken = []
-    svd = channel.economy_svd
+    # a gated solve through its switch, a second solve on the same set, both
+    # scores and both fixed-phase baselines share one SVD of H_bs and one of
+    # H_su^H; with both taken, a warm solve's iterations factor nothing
+    taken, steps = [], []
+    svd = linalg.economy_svd
 
     def counted(a):
         taken.append(a)
         return svd(a)
 
-    monkeypatch.setattr(channel, "economy_svd", counted)
+    class CountedStep(altopt.PhaseStep):
+        def __init__(self, *args):
+            steps.append(self)
+            super().__init__(*args)
+
+    # every module a solve, a score or a baseline runs through, bound or not
+    for module in (altopt, channel, harness, linalg, metrics, precoding, vamp):
+        monkeypatch.setattr(module, "economy_svd", counted, raising=False)
+    monkeypatch.setattr(altopt, "PhaseStep", CountedStep)
     ch = sample_channel_set(np.random.default_rng(23), SystemDims(8, 2, 16))
     sol = joint_optimize(ch, 1.0, 1e-13, None, np.random.default_rng(24))
-    sum_rate(ch, sol.upsilon, sol.F, 1e-13)
-    nrmse(sol.alpha, sol.upsilon, sol.F, ch, 1e-13)
+    # the gate fired, and the switch built the second phase step
+    assert len(steps) == 2 and sol.iterations > 1
+    assert len(taken) == 2 and taken[0] is ch.H_su_H and taken[1] is ch.H_bs
+    warm = joint_optimize(ch, 1.0, 1e-13, None, np.random.default_rng(25))
+    assert len(steps) == 4 and warm.iterations > 1
+    for design in (sol, warm):
+        sum_rate(ch, design.upsilon, design.F, 1e-13)
+        nrmse(design.alpha, design.upsilon, design.F, ch, 1e-13)
     fixed_phase_design(ch, np.zeros(16, complex), 1.0, 1e-13)
-    assert len(taken) == 1 and taken[0] is ch.H_bs
+    fixed_phase_design(ch, np.exp(2j * np.pi * np.random.default_rng(26).random(16)),
+                       1.0, 1e-13)
+    assert len(taken) == 2
+
+
+@pytest.mark.parametrize("dims", [SystemDims(8, 2, 16), SystemDims(32, 4, 256),
+                                  SystemDims(4, 3, 4)])
+def test_surface_svd_is_the_read_only_svd_of_its_conjugate(dims):
+    # the cached SVD of H_su^H holds the bits and layout of economy_svd on
+    # the cached conjugate, is taken once, and every array of it is read-only
+    ch = sample_channel_set(np.random.default_rng(dims.K + 1), dims)
+    got = ch.H_su_H_svd
+    assert ch.H_su_H_svd is got
+    want = economy_svd(ch.H_su_H)
+    for name in ("U", "omega", "Vh", "vh_modulus"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.strides == b.strides, name
+        assert np.array_equal(bits(a), bits(b)), name
+        assert not a.flags.writeable, name
+        with pytest.raises(ValueError):
+            a[0] = 0.0
+    # a rescaled copy shares the read-only arrays and the modulus
+    scaled = got.scaled(0.5)
+    assert scaled.U is got.U and scaled.Vh is got.Vh and scaled.vh_modulus is got.vh_modulus
 
 
 def test_zero_station_surface_link_has_an_empty_factor():

@@ -138,6 +138,16 @@ def test_precoder_rejects_zero_channel():
         mmse_precoder(np.ones((3, 2), dtype=complex), 0.0, 0.1)
 
 
+@pytest.mark.parametrize("noise_var", [0.1, 0.0], ids=["inverse", "pseudo-inverse"])
+def test_precoder_names_an_all_zero_channel_on_both_branches(noise_var):
+    # the all-zero scan runs only once the receiver scale is refused: an
+    # all-zero channel gives alpha = 0 through the inverse of the
+    # regularised Gram matrix and through the pseudo-inverse of a zero one
+    for m in (1, 2, 4):
+        with pytest.raises(ValueError, match="^precoder: all-zero channel, no signal path$"):
+            mmse_precoder(np.zeros((5, m), dtype=complex), 1.0, noise_var)
+
+
 def test_precoder_refuses_degenerate_power_and_noise():
     # a NaN or infinite power, or a negative or non-finite noise variance,
     # would otherwise give a NaN precoder, alpha = 0, a negative sum-MSE or

@@ -6,6 +6,10 @@ symmetries, and the solve must keep them on any kernel:
   the path by a power of two, so the phases and the precoder keep their
   bits and the receiver scale halves exactly (the continuation gate compares
   two sides that both scale by 4);
+- quadrupling the power and the noise keeps the precoder's regulariser,
+  doubles the precoder and halves the receiver scale exactly, so the phase
+  system, and with it the phases, keep their bits (the gate's two sides
+  again both scale by 4);
 - a unitary rotation of the station antennas, H_bs Q and Q^H H_bu, rotates
   the effective channel and the precoder and leaves the sum-rate;
 - a permutation of the users permutes the columns of H_su and H_bu and
@@ -83,6 +87,16 @@ def test_power_of_two_scaling_keeps_every_bit(constraint, c, power, gated, stop)
     assert_same_run(got, want)
     assert got.upsilon.tobytes() == want.upsilon.tobytes()
     assert got.F.tobytes() == want.F.tobytes()
+    assert got.alpha == want.alpha / 2
+
+
+@pytest.mark.parametrize("constraint, c, power, gated, stop", CASES)
+def test_power_and_noise_scaling_keeps_the_phases(constraint, c, power, gated, stop):
+    want = reference(constraint, c, power, gated, stop)
+    got = solve(channel(c), constraint, c, 4 * power, noise=4 * NOISE)
+    assert_same_run(got, want)
+    assert got.upsilon.tobytes() == want.upsilon.tobytes()
+    assert got.F.tobytes() == (2 * want.F).tobytes()
     assert got.alpha == want.alpha / 2
 
 
