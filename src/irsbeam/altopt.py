@@ -1,14 +1,15 @@
 """Alternating optimization of the transmit precoder and the phase shifts.
 
 The loop alternates two blocks. The phase block is a PhaseStep, built once
-per solve: each call refreshes the quadratic system the phase solver sees
-(the precoder and receiver scale enter its matrices), runs one
+per stage of a solve: each call refreshes the quadratic system the phase
+solver sees (the precoder and receiver scale enter its matrices), runs one
 message-passing step on it (vamp.VampStep), and returns the projector image
 of the damped iterate. The precoder block is the closed-form precoder, on
 the effective channel (precoding.effective_channel), built once per
-iteration. Nothing fixed is rebuilt per iteration: the step factors H_su^H
-once per solve, the conjugate links and the rank factor of H_bs come from
-the channel set's cache (ChannelSet.H_su_H, H_bu_H, H_bs_factor), the
+iteration. Nothing fixed is rebuilt per iteration, nor per solve: the
+conjugate links, the rank factor of H_bs and the SVD of H_su^H come from
+the channel set's cache (ChannelSet.H_su_H, H_bu_H, H_bs_factor,
+H_su_H_svd), taken once per set however many solves share it, the
 identity from linalg.identity, and the projector pass takes g and g' from
 one call. The precoder returns the sum-MSE objective from its own M x M
 Gram matrix; the loop stops when that objective changes by less than a
@@ -102,24 +103,25 @@ class BeamformingSolution:
 
 
 class PhaseStep:
-    """The phase half of the alternating loop, built once per solve from the
-    channel set, the projector and the initial phases, and called once per
-    outer iteration with the precoder and the receiver scale.
+    """The phase half of the alternating loop, built at the start of a solve
+    and again at the power schedule's switch from the channel set, the
+    projector and the current phases, and called once per outer iteration
+    with the precoder and the receiver scale.
 
-    A = alpha H_su^H changes only through alpha, so H_su^H is factored once
-    and each call rescales its singular values (EconomySVD.scaled, which
-    hands over |Vh|^2). B = (H_bs F)^T is factored through its r x M core
-    R_r F (linalg.qr_core_svd), with H_bs = Q_r R_r the channel set's rank
-    factor (ChannelSet.H_bs_factor). The VampStep `vamp` holds the
-    message-passing memory and the clamp counts. prepare_system is a module
-    name looked up at each call, never stored, so a wrapper bound to that
-    name sees every call.
+    A = alpha H_su^H changes only through alpha, so each call rescales the
+    singular values of the channel set's SVD of H_su^H
+    (ChannelSet.H_su_H_svd, factored once per set; EconomySVD.scaled, which
+    hands over |Vh|^2), and building a step factors nothing. B = (H_bs F)^T
+    is factored through its r x M core R_r F (linalg.qr_core_svd), with
+    H_bs = Q_r R_r the channel set's rank factor (ChannelSet.H_bs_factor).
+    The VampStep `vamp` holds the message-passing memory and the clamp
+    counts. prepare_system is a module name looked up at each call, never
+    stored, so a wrapper bound to that name sees every call.
     """
 
     def __init__(self, ch: ChannelSet, projector: Projector, upsilon0: np.ndarray):
         self.ch = ch
         self.projector = projector
-        self.svd_su = ch.H_su_H_svd
         self.vamp = VampStep(projector, upsilon0)
 
     def system(self, f: np.ndarray, alpha: float):
@@ -128,7 +130,7 @@ class PhaseStep:
         ||A Diag(upsilon) B^T - Z||_F^2 is the phase part of the objective."""
         q, r = self.ch.H_bs_factor
         z = identity(f.shape[1]) - alpha * self.ch.H_bu_H @ f
-        return self.svd_su.scaled(alpha), qr_core_svd(q, r @ f), z
+        return self.ch.H_su_H_svd.scaled(alpha), qr_core_svd(q, r @ f), z
 
     def __call__(self, f: np.ndarray, alpha: float) -> np.ndarray:
         """One VampStep on the subproblem at (f, alpha); returns the

@@ -17,8 +17,11 @@ forms neither U nor Vh (oracles.explicit_product_form writes both out). Where
 it cannot, it is the dense SVD of D. Both forms answer the linear pass's
 three products, `uh_dot`, `vh_dot` and `v_dot`, and its column count
 `cols`. `qr_core_svd` factors a wide matrix whose left factor is fixed
-through its small core. An SVD rescaled by a scalar (`EconomySVD.scaled`)
-keeps |Vh|^2 (`EconomySVD.vh_modulus`), which `khatri_rao_svd` reads.
+through its small core, with economy_svd's truncation but without its
+finiteness scan, for a caller whose core is finite by construction. An
+SVD rescaled by a scalar (`EconomySVD.scaled`) keeps |Vh|^2
+(`EconomySVD.vh_modulus`), which `khatri_rao_svd` reads for A; it takes
+B's afresh.
 """
 
 from __future__ import annotations
@@ -87,9 +90,9 @@ def economy_svd(a: np.ndarray) -> EconomySVD:
     A wide matrix is factored through its transpose: LAPACK reduces a wide
     input by an LQ and a tall one by a QR factorization, and the tall call is
     the faster one, by a third at 4 x 256. From a^T = U S Vh, a = Vh^T S U^T,
-    and Vh^T is already Fortran-ordered. A non-finite entry is refused here,
-    before LAPACK sees it; the factoring itself is _truncated_svd, which
-    qr_core_svd shares, so there is one rank rule.
+    and Vh^T is already Fortran-ordered. The factoring, without the
+    finiteness check, is _truncated_svd, which qr_core_svd shares, so there
+    is one rank rule.
     """
     a = np.asarray(a)
     if not np.logical_and.reduce(np.isfinite(a), axis=None):
@@ -205,10 +208,10 @@ def khatri_rao_svd(svd_a: EconomySVD, svd_b: EconomySVD) -> KhatriRaoSVD | None:
     The squared row norms of the Khatri-Rao Vh are one real product of the
     factors' squared moduli, v_n^2 = |Vh_b|^2 (|Vh_a|^2)^T; each factor
     keeps its own (EconomySVD.vh_modulus), so an A rescaled per call
-    (EconomySVD.scaled) takes it once. B arrives freshly factored on every
-    call of the alternating loop, so its |Vh|^2 is taken here with the
-    expression of vh_modulus, not through that cache, whose first access
-    takes a lock under Python 3.11.
+    (EconomySVD.scaled) takes it once. B is factored afresh for every call
+    in the alternating loop, so its |Vh|^2 is formed here as vh_modulus
+    forms it, without that cache, whose first access takes a lock under
+    Python 3.11.
     """
     v_n = np.sqrt((svd_b.Vh.conj() * svd_b.Vh).real @ svd_a.vh_modulus.T)
     omega = (svd_b.omega[:, None] * svd_a.omega * v_n).ravel()

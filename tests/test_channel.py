@@ -411,9 +411,10 @@ def assert_own_conjugates(ch):
 def test_derived_sets_carry_their_own_conjugates():
     ch = sample_channel_set(np.random.default_rng(21), SystemDims(4, 2, 9))
     # fill the parent's cache first, so a set that inherited it would show;
-    # the rank factor of H_bs is cached the same way
+    # the rank factor of H_bs and the SVD of H_su^H are cached the same way
     assert_own_conjugates(ch)
     factor = ch.H_bs_factor
+    svd_su = ch.H_su_H_svd
     rng = np.random.default_rng(22)
     derived = {
         "replace": replace(ch, H_su=complex_normal(rng, 9, 2), H_bu=complex_normal(rng, 4, 2),
@@ -428,33 +429,18 @@ def test_derived_sets_carry_their_own_conjugates():
         q, r = out.H_bs_factor
         assert q is not factor[0] and r is not factor[1], name
         assert np.linalg.norm(q @ r - out.H_bs) <= 1e-12 * np.linalg.norm(out.H_bs), name
-    assert not np.any(derived["without_direct_link"].H_bu_H)
-    # the direct link's removal keeps H_bs, and so the factor's values
-    q, r = derived["without_direct_link"].H_bs_factor
-    assert np.array_equal(q, factor[0]) and np.array_equal(r, factor[1])
-
-
-def test_derived_sets_take_their_own_surface_svd():
-    ch = sample_channel_set(np.random.default_rng(21), SystemDims(4, 2, 9))
-    # fill the parent's cache first, so a set that inherited it would show
-    parent = ch.H_su_H_svd
-    rng = np.random.default_rng(22)
-    derived = {
-        "replace": replace(ch, H_su=complex_normal(rng, 9, 2)),
-        "perturb_csi": perturb_csi(ch, 0.9, rng),
-        "without_direct_link": ch.without_direct_link(),
-    }
-    for name, out in derived.items():
         svd = out.H_su_H_svd
-        assert svd is not parent and svd.Vh is not parent.Vh, name
-        assert all(not a.flags.writeable for a in (svd.U, svd.omega, svd.Vh, svd.vh_modulus))
+        assert svd is not svd_su and svd.Vh is not svd_su.Vh, name
+        assert not any(a.flags.writeable for a in (svd.U, svd.omega, svd.Vh, svd.vh_modulus))
         assert np.linalg.norm(svd.reconstruct() - out.H_su_H) <= \
             1e-12 * np.linalg.norm(out.H_su_H), name
-    assert not np.array_equal(derived["replace"].H_su_H_svd.omega, parent.omega)
-    # the direct link's removal keeps H_su, and so the SVD's values
+    assert not np.any(derived["without_direct_link"].H_bu_H)
+    # the direct link's removal keeps H_bs and H_su, and so their SVDs' values
+    q, r = derived["without_direct_link"].H_bs_factor
+    assert np.array_equal(q, factor[0]) and np.array_equal(r, factor[1])
     kept = derived["without_direct_link"].H_su_H_svd
     for name in ("U", "omega", "Vh"):
-        assert np.array_equal(bits(getattr(kept, name)), bits(getattr(parent, name))), name
+        assert np.array_equal(bits(getattr(kept, name)), bits(getattr(svd_su, name))), name
 
 
 @pytest.mark.parametrize("dims, params, rank", [
@@ -498,7 +484,7 @@ def test_rank_factor_is_taken_once_per_set(monkeypatch):
     sol = joint_optimize(ch, 1.0, 1e-13, None, np.random.default_rng(24))
     # the gate fired, and the switch built the second phase step
     assert len(steps) == 2 and sol.iterations > 1
-    assert len(taken) == 2 and taken[0] is ch.H_su_H and taken[1] is ch.H_bs
+    assert sorted(map(id, taken)) == sorted(map(id, (ch.H_bs, ch.H_su_H)))
     warm = joint_optimize(ch, 1.0, 1e-13, None, np.random.default_rng(25))
     assert len(steps) == 4 and warm.iterations > 1
     for design in (sol, warm):
@@ -526,9 +512,6 @@ def test_surface_svd_is_the_read_only_svd_of_its_conjugate(dims):
         assert not a.flags.writeable, name
         with pytest.raises(ValueError):
             a[0] = 0.0
-    # a rescaled copy shares the read-only arrays and the modulus
-    scaled = got.scaled(0.5)
-    assert scaled.U is got.U and scaled.Vh is got.Vh and scaled.vh_modulus is got.vh_modulus
 
 
 def test_zero_station_surface_link_has_an_empty_factor():
