@@ -4,7 +4,7 @@ closed-form sum-MMSE precoding, and a seeded Monte Carlo harness."""
 
 __version__ = "0.1.0"
 
-from .altopt import BeamformingSolution, PhaseStep, joint_optimize
+from .altopt import BeamformingSolution, joint_optimize
 from .channel import (ChannelParams, ChannelSet, SystemDims, boost_los, irs_response,
                       perturb_csi, sample_channel_set, ula_response)
 from .harness import (ExperimentSpec, TrialRecord, desk_spec, load_spec,

@@ -1,22 +1,22 @@
 """Alternating optimization of the transmit precoder and the phase shifts.
 
-The loop alternates two blocks. The phase block is a PhaseStep, built once
-per stage of a solve: each call refreshes the quadratic system the phase
-solver sees (the precoder and receiver scale enter its matrices), runs one
-message-passing step on it (vamp.VampStep), and returns the projector image
-of the damped iterate. The precoder block is the closed-form precoder, on
-the effective channel (precoding.effective_channel), built once per
-iteration. Nothing fixed is rebuilt per iteration, nor per solve: the
-conjugate links, the rank factor of H_bs and the SVD of H_su^H come from
-the channel set's cache (ChannelSet.H_su_H, H_bu_H, H_bs_factor,
-H_su_H_svd), taken once per set however many solves share it, the
-identity from linalg.identity, and the projector pass takes g and g' from
-one call. The precoder returns the sum-MSE objective from its own M x M
-Gram matrix; the loop stops when that objective changes by less than a
-relative tolerance of the last objective or of M machine epsilons, the
-larger (a noise-free design with N > M has an objective of zero up to
-rounding), or at the iteration cap. Like run_vamp, the loop takes a
-vamp.OptimizerConfig.
+The loop alternates two blocks. The phase block assembles the quadratic
+system the phase solver sees at the current precoder and receiver scale
+(phase_system, then vamp.prepare_system), runs one message-passing step on
+it (a vamp.VampStep, built once per stage of a solve), and takes the
+projector image of the damped iterate. The precoder block is the
+closed-form precoder, on the effective channel
+(precoding.effective_channel), built once per iteration. Nothing fixed is
+rebuilt per iteration, nor per solve: the conjugate links, the rank factor
+of H_bs and the SVD of H_su^H come from the channel set's cache
+(ChannelSet.H_su_H, H_bu_H, H_bs_factor, H_su_H_svd), taken once per set
+however many solves share it, the identity from linalg.identity, and the
+projector pass takes g and g' from one call. The precoder returns the
+sum-MSE objective from its own M x M Gram matrix; the loop stops when that
+objective changes by less than a relative tolerance of the last objective
+or of M machine epsilons, the larger (a noise-free design with N > M has
+an objective of zero up to rounding), or at the iteration cap. Like
+run_vamp, the loop takes a vamp.OptimizerConfig.
 
 The loop also stops when it stalls: when the objective has made no new
 minimum for STALL_ITERATIONS iterations, a new minimum being an objective
@@ -38,7 +38,7 @@ regime, and the loop first solves at P / START_POWER_DIVISOR, where the
 precoder is more regularised. When that stage's stop rule fires, it
 stalls, or the budget ends, the loop switches once to P on the same phases
 (and the same effective channel, which does not depend on the power) with a
-fresh PhaseStep, and goes on. Otherwise it solves at P from the start. One
+fresh VampStep, and goes on. Otherwise it solves at P from the start. One
 loop runs both stages: t_max_outer bounds their phase updates together, the
 gate's effective channel serves iteration 0, and each iteration builds one
 effective channel, the switch none.
@@ -61,7 +61,7 @@ import numpy as np
 from .channel import ChannelSet
 from .linalg import identity, qr_core_svd
 from .precoding import effective_channel, mmse_precoder
-from .projectors import Projector, get_projector
+from .projectors import get_projector
 from .vamp import OptimizerConfig, VampDiagnostics, VampStep, prepare_system
 
 # The continuation gate: a solve whose weakest eigenmode at the initial
@@ -102,41 +102,16 @@ class BeamformingSolution:
     diagnostics: VampDiagnostics
 
 
-class PhaseStep:
-    """The phase half of the alternating loop, built at the start of a solve
-    and again at the power schedule's switch from the channel set, the
-    projector and the current phases, and called once per outer iteration
-    with the precoder and the receiver scale.
-
-    A = alpha H_su^H changes only through alpha, so each call rescales the
-    singular values of the channel set's SVD of H_su^H
-    (ChannelSet.H_su_H_svd, factored once per set; EconomySVD.scaled, which
-    hands over |Vh|^2), and building a step factors nothing. B = (H_bs F)^T
-    is factored through its r x M core R_r F (linalg.qr_core_svd), with
-    H_bs = Q_r R_r the channel set's rank factor (ChannelSet.H_bs_factor).
-    The VampStep `vamp` holds the message-passing memory and the clamp
-    counts. prepare_system is a module name looked up at each call, never
-    stored, so a wrapper bound to that name sees every call.
-    """
-
-    def __init__(self, ch: ChannelSet, projector: Projector, upsilon0: np.ndarray):
-        self.ch = ch
-        self.projector = projector
-        self.vamp = VampStep(projector, upsilon0)
-
-    def system(self, f: np.ndarray, alpha: float):
-        """The subproblem at (f, alpha) as (SVD of A, SVD of B, Z) for
-        A = alpha H_su^H, B = (H_bs F)^T and Z = I - alpha H_bu^H F, so that
-        ||A Diag(upsilon) B^T - Z||_F^2 is the phase part of the objective."""
-        q, r = self.ch.H_bs_factor
-        z = identity(f.shape[1]) - alpha * self.ch.H_bu_H @ f
-        return self.ch.H_su_H_svd.scaled(alpha), qr_core_svd(q, r @ f), z
-
-    def __call__(self, f: np.ndarray, alpha: float) -> np.ndarray:
-        """One VampStep on the subproblem at (f, alpha); returns the
-        projector image of the damped iterate, the new feasible phases."""
-        self.vamp(*prepare_system(*self.system(f, alpha)))
-        return np.asarray(self.projector.g(self.vamp.x_damped))
+def phase_system(ch: ChannelSet, f: np.ndarray, alpha: float):
+    """The phase subproblem at (f, alpha) as (SVD of A, SVD of B, Z) for
+    A = alpha H_su^H, B = (H_bs F)^T and Z = I - alpha H_bu^H F, so that
+    ||A Diag(upsilon) B^T - Z||_F^2 is the phase part of the objective.
+    A rescales the channel set's SVD of H_su^H (EconomySVD.scaled), so it
+    factors nothing; B is factored through its r x M core R_r F
+    (linalg.qr_core_svd), with H_bs = Q_r R_r the set's rank factor."""
+    q, r = ch.H_bs_factor
+    z = identity(f.shape[1]) - alpha * ch.H_bu_H @ f
+    return ch.H_su_H_svd.scaled(alpha), qr_core_svd(q, r @ f), z
 
 
 def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
@@ -148,7 +123,7 @@ def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
     fires on the initial phases, it solves at power / START_POWER_DIVISOR
     until the stop rule fires, the stage stalls or the budget ends, then
     switches once to the target power on the same phases, with a fresh
-    PhaseStep. cfg.t_max_outer bounds the phase updates of both stages
+    VampStep. cfg.t_max_outer bounds the phase updates of both stages
     together, and `iterations` counts them; `converged` says the stop rule
     fired at the target power; the clamp counts run on over both stages.
     A converged solve returns its last design. A solve that stalled at the
@@ -159,13 +134,15 @@ def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
 
     The phase vector used for the precoder refresh, the trace, and the return
     value is always the projector image of the damped iterate, so feasibility
-    is exact at every outer iteration.
+    is exact at every outer iteration. phase_system and prepare_system are
+    module names looked up at each call, never stored, so a wrapper bound to
+    either name sees every call.
     """
     cfg = cfg or OptimizerConfig()
     rng = rng or np.random.default_rng()
     projector = get_projector(cfg.constraint)
     upsilon = projector.initial_point(ch.dims[2], rng)
-    step = PhaseStep(ch, projector, upsilon)
+    step = VampStep(projector, upsilon)
     m = ch.dims[1]
     err_floor = m * float(np.finfo(float).eps)
     h = effective_channel(ch, upsilon)
@@ -180,7 +157,8 @@ def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
     # iteration 0 evaluates the initial phases; each later one first updates them
     for t in range(cfg.t_max_outer + 1):
         if t > 0:
-            upsilon = step(sol.F, sol.alpha)
+            step(*prepare_system(*phase_system(ch, sol.F, sol.alpha)))
+            upsilon = projector.g(step.x_damped)
             h = effective_channel(ch, upsilon)
         sol = mmse_precoder(h, stage_power, noise_var)
         stop = t > 0 and abs(sol.error - err_prev) < cfg.epsilon_outer * max(err_prev, err_floor)
@@ -196,9 +174,9 @@ def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
             stage_power, stop, stall = power, False, False
             sol = mmse_precoder(h, power, noise_var)
             stage_min, since_min = sol.error, 0
-            clamps = step.vamp.diagnostics
-            step = PhaseStep(ch, projector, upsilon)
-            step.vamp.diagnostics = clamps
+            clamps = step.diagnostics
+            step = VampStep(projector, upsilon)
+            step.diagnostics = clamps
         # the incumbent: the lowest-objective design at the target power
         if stage_power == power and (best is None or sol.error < best[0].error):
             best = sol, upsilon
@@ -213,4 +191,4 @@ def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
     if not converged:
         sol, upsilon = best
     return BeamformingSolution(upsilon, sol.F, sol.alpha, t, converged, trace,
-                               step.vamp.diagnostics)
+                               step.diagnostics)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from numbers import Integral
 
 import numpy as np
 
@@ -28,6 +29,11 @@ class SystemDims:
     K: int
 
     def __post_init__(self):
+        # numpy integers pass; a float fails, however whole
+        for name in ("N", "M", "K"):
+            if not isinstance(getattr(self, name), Integral):
+                raise ValueError(f"SystemDims: need an integer {name}, "
+                                 f"got {getattr(self, name)!r}")
         if not (0 < self.M < self.N):
             raise ValueError(f"SystemDims: need 0 < M < N, got M={self.M}, N={self.N}")
         if self.K <= self.M:
@@ -65,7 +71,8 @@ class ChannelParams:
             (("user_max",), lambda v: self.user_min <= v < np.inf, ">= user_min and finite"),
             (("eta_irs", "eta_direct"), lambda v: 0.0 <= v < np.inf, "non-negative and finite"),
             (("los_margin_db",), lambda v: -np.inf < v < np.inf, "finite"),
-            (("q_irs", "q_direct", "q_irs_user"), lambda v: v >= 1, ">= 1"),
+            (("q_irs", "q_direct", "q_irs_user"), lambda v: isinstance(v, Integral) and v >= 1,
+             "an integer >= 1"),
         )
         for names, ok, rule in rules:
             for name in names:
@@ -140,15 +147,15 @@ class ChannelSet:
         columns, r = rank(H_bs) is at most min(paths, N, K), 10 at paper
         scale against N = 32, and a zero H_bs gives r = 0. It is the one way
         H_bs enters the solver: precoding.effective_channel and
-        altopt.PhaseStep's B = (H_bs F)^T both run at width r through it."""
+        altopt.phase_system's B = (H_bs F)^T both run at width r through it."""
         svd = economy_svd(self.H_bs)
         return _read_only(svd.U), _read_only(svd.omega[:, None] * svd.Vh)
 
     @cached_property
     def H_su_H_svd(self) -> EconomySVD:
         """economy_svd(H_su_H), with U, omega, Vh and |Vh|^2 (vh_modulus)
-        read-only. altopt.PhaseStep's A = alpha H_su^H changes only through
-        alpha, so every phase step on the set rescales this one SVD
+        read-only. altopt.phase_system's A = alpha H_su^H changes only
+        through alpha, so every phase system on the set rescales this one SVD
         (EconomySVD.scaled) rather than factoring H_su^H again."""
         svd = economy_svd(self.H_su_H)
         for a in (svd.U, svd.omega, svd.Vh, svd.vh_modulus):

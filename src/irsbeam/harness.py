@@ -21,6 +21,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field, fields, replace
 from itertools import product
+from numbers import Integral
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -36,7 +37,11 @@ from .vamp import OptimizerConfig, VampDiagnostics
 
 
 def dbm_to_watts(dbm: float) -> float:
-    return 10.0 ** ((dbm - 30.0) / 10.0)
+    """The power in watts; inf where a Python float overflows."""
+    try:
+        return 10.0 ** ((dbm - 30.0) / 10.0)
+    except OverflowError:
+        return np.inf
 
 
 @dataclass(frozen=True)
@@ -74,10 +79,16 @@ class ExperimentSpec:
                 ("scenario", self.scenario in ("A", "B"), "A or B"),
                 ("schemes", all(s in SCHEMES for s in self.schemes), f"among {SCHEMES}"),
                 ("kappa", all(0.0 <= k <= 1.0 for k in self.kappa), "values in [0, 1]"),
-                ("power_dbm", all(np.isfinite(self.power_dbm)), "finite values"),
-                ("noise_dbm", np.isfinite(self.noise_dbm), "finite"),
-                ("trials", self.trials >= 1, ">= 1"),
-                ("base_seed", self.base_seed >= 0, "non-negative"),
+                ("power_dbm", all(0.0 < dbm_to_watts(float(p)) < np.inf for p in self.power_dbm),
+                 "values whose power in watts is positive and finite"),
+                ("noise_dbm", np.isfinite(self.noise_dbm)
+                 and dbm_to_watts(float(self.noise_dbm)) < np.inf,
+                 "finite, with a finite noise power in watts"),
+                # numpy integers pass; a float fails, however whole
+                ("trials", isinstance(self.trials, Integral) and self.trials >= 1,
+                 "an integer >= 1"),
+                ("base_seed", isinstance(self.base_seed, Integral) and self.base_seed >= 0,
+                 "a non-negative integer"),
                 ("n_irs", "grid_oracle_tiny" not in self.schemes or max(self.n_irs) <= GRID_MAX_K,
                  f"<= {GRID_MAX_K} with grid_oracle_tiny")):
             if not ok:

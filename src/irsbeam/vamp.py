@@ -9,7 +9,7 @@ the fixed-point iteration from oscillating. The system is set up from the
 SVDs of A and B rather than the matrices, so a caller whose A changes only
 by a scalar factors it once (linalg.EconomySVD.scaled), and a caller whose
 B has a fixed, low-rank left factor factors B through its small core
-(linalg.qr_core_svd); altopt.PhaseStep does both.
+(linalg.qr_core_svd); altopt.phase_system does both.
 
 The linear pass needs only omega, z_tilde, Vh r and Vh^H y of the SVD form
 (Rangan, Schniter & Fletcher, Vector Approximate Message Passing, IEEE T-IT
@@ -18,17 +18,18 @@ the SVD of the small dense D, is linalg.product_svd's choice alone; both
 forms answer the same products (vh_dot, v_dot), so lmmse_extrinsic and
 VampStep run each through the same lines.
 
-One run's memory is a VampStep, which run_vamp and altopt.PhaseStep each
-build once and call once per pass. It takes no settings: the linear pass is
-unweighted, and the damping factor, the initial message precision and the
-precision floor are the module constants below. OptimizerConfig, checked
-when built, holds the settings of one run of either driver: run_vamp or
-altopt.joint_optimize.
+One run's memory is a VampStep, which run_vamp builds once per run and
+altopt.joint_optimize once per stage of a solve, each calling it once per
+pass. It takes no settings: the linear pass is unweighted, and the damping
+factor, the initial message precision and the precision floor are the
+module constants below. OptimizerConfig, checked when built, holds the
+settings of one run of either driver: run_vamp or altopt.joint_optimize.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -64,7 +65,8 @@ class OptimizerConfig:
         # each rule is written so that NaN fails it
         for name, ok, rule in (
                 ("epsilon_outer", 0.0 < self.epsilon_outer < np.inf, "positive and finite"),
-                ("t_max_outer", self.t_max_outer >= 1, ">= 1")):
+                ("t_max_outer", isinstance(self.t_max_outer, Integral) and self.t_max_outer >= 1,
+                 "an integer >= 1")):
             if not ok:
                 raise ValueError(f"{name}: must be {rule}, got {getattr(self, name)!r}")
         try:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from irsbeam import altopt, linalg, metrics, vamp
-from irsbeam.altopt import OptimizerConfig, PhaseStep, joint_optimize
+from irsbeam.altopt import OptimizerConfig, joint_optimize, phase_system
 from irsbeam.channel import ChannelSet, SystemDims, complex_normal, sample_channel_set
 from irsbeam.harness import desk_spec
 from irsbeam.linalg import KhatriRaoSVD, economy_svd, qr_core_svd
@@ -47,15 +47,10 @@ def test_objective_error_matches_per_user_expansion():
     np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
-def phase_step(ch):
-    """The phase step joint_optimize builds for ch, from all-ones phases."""
-    return PhaseStep(ch, UNIMODULAR, np.ones(ch.dims[2], complex))
-
-
 def setup_dense(ch, f, alpha):
-    """The phase step's assembly (PhaseStep.system), with A and B rebuilt
-    dense from the SVDs it returns."""
-    a, b, z = phase_step(ch).system(f, alpha)
+    """The phase system joint_optimize assembles (phase_system), with A and
+    B rebuilt dense from the SVDs it returns."""
+    a, b, z = phase_system(ch, f, alpha)
     return a.reconstruct(), b.reconstruct(), z
 
 
@@ -103,7 +98,7 @@ def test_rescaled_surface_svd_matches_fresh_svd():
         ups = np.exp(2j * np.pi * np.random.default_rng(seed + 100).random(dims.K))
         sol = mmse_precoder(effective_channel(ch, ups), 1.0, 1e-13)
         # B as joint_optimize hands it over: through the rank factor's core
-        a, svd_b, z = phase_step(ch).system(sol.F, sol.alpha)
+        a, svd_b, z = phase_system(ch, sol.F, sol.alpha)
         fresh = economy_svd(sol.alpha * ch.H_su.conj().T)
         assert a.rank == fresh.rank == dims.M
         np.testing.assert_allclose(a.omega, fresh.omega, rtol=1e-12)
@@ -253,6 +248,41 @@ def test_traced_solve_builds_one_effective_channel_per_iteration(monkeypatch):
     assert len(calls) == sol.iterations + 1 == len(sol.trace)
 
 
+@pytest.mark.parametrize("constraint", ["unimodular", "reactive"])
+def test_wrappers_of_the_layer_names_see_every_call(monkeypatch, constraint):
+    # bench/tracer.py times a layer by rebinding its module name: the loop
+    # must look each name up when it calls it, never hold a reference of its
+    # own, so that wrappers bound to the names count one phase system, one
+    # set-up and one linear pass per outer iteration, and one effective
+    # channel more (iteration 0); the unimodular solve is gated, so the
+    # count runs through the switch
+    seen = {}
+
+    def counted(module, name):
+        fn = getattr(module, name)
+        seen[name] = 0
+
+        def wrapper(*args):
+            seen[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in ((altopt, "phase_system"), (altopt, "prepare_system"),
+                         (vamp, "lmmse_extrinsic"), (altopt, "effective_channel")):
+        counted(module, name)
+    ch = sample_channel_set(np.random.default_rng(7), SystemDims(8, 2, 16))
+    sol = joint_optimize(ch, 1.0, 1e-13,
+                         OptimizerConfig(constraint=constraint, collect_trace=True),
+                         np.random.default_rng(8))
+    steps = sol.iterations
+    assert steps > 1
+    if constraint == "unimodular":
+        powers = row_powers(sol)
+        np.testing.assert_allclose([powers[0], powers[-1]], [0.1, 1.0], rtol=1e-12)
+    assert seen == {"phase_system": steps, "prepare_system": steps, "lmmse_extrinsic": steps,
+                    "effective_channel": steps + 1}
+
+
 def _count_paths(monkeypatch):
     """The calls of the phase step's entry points: the factoring of B through
     the rank factor's core, the factored assembly as linalg.product_svd
@@ -304,7 +334,7 @@ def _qr_core_cases():
 @pytest.mark.parametrize("h_bs, m, rank", _qr_core_cases())
 def test_qr_core_factors_b(h_bs, m, rank):
     # the rank factor H_bs = Q_r R_r, as the channel set holds it, and the
-    # SVD of B = (H_bs F)^T through its core R_r F, as the step's assembly
+    # SVD of B = (H_bs F)^T through its core R_r F, as phase_system
     # returns it, against economy_svd(B) of the direct B: the same singular
     # values, a factorization of B, and orthonormal rows of Vh
     k, n = h_bs.shape
@@ -316,7 +346,7 @@ def test_qr_core_factors_b(h_bs, m, rank):
     assert np.abs(q.conj().T @ q - np.eye(rank)).max() <= 1e-12
     assert np.linalg.norm(q @ r - h_bs) <= 1e-12 * np.linalg.norm(h_bs)
     b_dense = (ch.H_bs @ f).T
-    _, b, _ = phase_step(ch).system(f, 0.7)
+    _, b, _ = phase_system(ch, f, 0.7)
     ref = economy_svd(b_dense)
     want = qr_core_svd(q, r @ f)
     for name in ("U", "omega", "Vh"):
@@ -371,12 +401,13 @@ def test_optimizer_config_validation():
     # the constraint is looked up among the projectors when the object is built
     nan, inf = float("nan"), float("inf")
     for key, bad in (("epsilon_outer", 0.0), ("epsilon_outer", -1.0), ("epsilon_outer", nan),
-                     ("epsilon_outer", inf), ("t_max_outer", 0),
-                     ("constraint", "ideal")):
+                     ("epsilon_outer", inf), ("t_max_outer", 0), ("t_max_outer", 2.5),
+                     ("t_max_outer", 3.0), ("t_max_outer", nan), ("constraint", "ideal")):
         with pytest.raises(ValueError, match=f"^{key}: "):
             OptimizerConfig(**{key: bad})
     with pytest.raises(FrozenInstanceError):
         OptimizerConfig().epsilon_outer = 0.5
+    assert OptimizerConfig(t_max_outer=np.int64(3)).t_max_outer == 3
 
 
 def row_powers(sol):
@@ -473,6 +504,38 @@ def test_clamp_counts_of_both_stages_reach_the_solution(monkeypatch, seed):
     assert any(clamped[:switch]) and any(clamped[switch:])
     assert sol.diagnostics.projector_clamps == sum(clamped)
     assert sol.diagnostics.lmmse_clamps == 0
+
+
+def test_switch_starts_a_fresh_step_on_the_switch_phases(monkeypatch):
+    # the gated solve of the test above: the switch's VampStep starts from
+    # the switch row's phases, as message mean and damped iterate, at
+    # INITIAL_PRECISION, and the clamp counts of the first stage carry over
+    built = []
+
+    class Recorded(vamp.VampStep):
+        def __init__(self, projector, x0):
+            super().__init__(projector, x0)
+            self.start = (self.msg.r.copy(), self.msg.gamma, self.x_damped.copy())
+            self.clamps = 0
+            built.append(self)
+
+        def __call__(self, svd, z_tilde):
+            gamma_tilde, gamma_hat = super().__call__(svd, z_tilde)
+            self.clamps += not 0.0 < gamma_hat - gamma_tilde < np.inf
+            return gamma_tilde, gamma_hat
+
+    monkeypatch.setattr(altopt, "VampStep", Recorded)
+    rng = np.random.default_rng(7)
+    sol = joint_optimize(toy_channel(rng, 9, 8, 12), 1.0, 3e-2,
+                         OptimizerConfig(collect_trace=True), rng)
+    switch = int(np.argmax(np.isclose(row_powers(sol), 1.0, rtol=1e-12)))
+    assert 0 < switch < sol.iterations and len(built) == 2
+    first, second = built
+    r0, gamma0, x0 = second.start
+    assert r0.tobytes() == x0.tobytes() == sol.trace[switch].upsilon.tobytes()
+    assert gamma0 == vamp.INITIAL_PRECISION
+    assert first.clamps > 0 and second.clamps > 0
+    assert sol.diagnostics.projector_clamps == first.clamps + second.clamps
 
 
 def new_minima(errs, epsilon, m):

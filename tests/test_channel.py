@@ -19,6 +19,11 @@ def test_dims_validation():
         SystemDims(2, 2, 16)  # M < N violated
     with pytest.raises(ValueError):
         SystemDims(8, 4, 3)  # K > M violated
+    # a float fails, however whole; numpy integers pass
+    for args, name in (((8.0, 2, 16), "N"), ((8, 2.5, 16), "M"), ((8, 2, 16.0), "K")):
+        with pytest.raises(ValueError, match=f"^SystemDims: need an integer {name}, "):
+            SystemDims(*args)
+    SystemDims(np.int64(8), np.int32(2), np.int64(16))
 
 
 def test_ula_broadside_is_all_ones():
@@ -471,7 +476,7 @@ def test_rank_factor_is_taken_once_per_set(monkeypatch):
         taken.append(a)
         return svd(a)
 
-    class CountedStep(altopt.PhaseStep):
+    class CountedStep(altopt.VampStep):
         def __init__(self, *args):
             steps.append(self)
             super().__init__(*args)
@@ -479,10 +484,10 @@ def test_rank_factor_is_taken_once_per_set(monkeypatch):
     # every module a solve, a score or a baseline runs through, bound or not
     for module in (altopt, channel, harness, linalg, metrics, precoding, vamp):
         monkeypatch.setattr(module, "economy_svd", counted, raising=False)
-    monkeypatch.setattr(altopt, "PhaseStep", CountedStep)
+    monkeypatch.setattr(altopt, "VampStep", CountedStep)
     ch = sample_channel_set(np.random.default_rng(23), SystemDims(8, 2, 16))
     sol = joint_optimize(ch, 1.0, 1e-13, None, np.random.default_rng(24))
-    # the gate fired, and the switch built the second phase step
+    # the gate fired, and the switch built the second message-passing step
     assert len(steps) == 2 and sol.iterations > 1
     assert sorted(map(id, taken)) == sorted(map(id, (ch.H_bs, ch.H_su_H)))
     warm = joint_optimize(ch, 1.0, 1e-13, None, np.random.default_rng(25))

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from irsbeam.charts import _ticks, emit_chart, render_chart
-from irsbeam.channel import SystemDims, complex_normal, perturb_csi, sample_channel_set
+from irsbeam.channel import (ChannelParams, SystemDims, complex_normal, perturb_csi,
+                             sample_channel_set)
 from irsbeam.harness import (AGGREGATE_COLUMNS, CSV_HEADER, ExperimentSpec, TrialRecord,
                              aggregate, dbm_to_watts, desk_spec, emit_aggregate_csv, emit_csv,
                              load_aggregate_csv, paper_spec, parse_spec,
@@ -28,6 +29,7 @@ def tiny_spec(**overrides) -> ExperimentSpec:
 def test_dbm_conversion():
     assert dbm_to_watts(30.0) == pytest.approx(1.0)
     assert dbm_to_watts(-100.0) == pytest.approx(1e-13)
+    assert dbm_to_watts(4000.0) == np.inf and dbm_to_watts(-4000.0) == 0.0
 
 
 def test_parse_spec_full():
@@ -332,6 +334,35 @@ def test_spec_validation_paths():
         replace(desk_spec(), base_seed=-1)
     with pytest.raises(ValueError, match="spec.epsilon_outer"):
         replace(desk_spec(), epsilon_outer=float("nan"))
+    # an integer key refuses a float, however whole, when the spec is built,
+    # not deep in the run
+    for key, bad in (("trials", 2.5), ("trials", 3.0), ("base_seed", 1.5), ("t_max_outer", 2.5)):
+        with pytest.raises(ValueError, match=f"^spec.{key}: must be .*integer"):
+            replace(desk_spec(), **{key: bad})
+    for key, bad, dim in (("n_bs", (8.5,), "N"), ("n_users", (2.0,), "M"),
+                          ("n_irs", (16, 36.0), "K")):
+        with pytest.raises(ValueError, match="^spec.n_bs/n_users/n_irs: SystemDims: need an "
+                                             f"integer {dim}"):
+            replace(desk_spec(), **{key: bad})
+    for key in ("q_irs", "q_direct", "q_irs_user"):
+        with pytest.raises(ValueError, match=f"^{key}: must be an integer >= 1"):
+            ChannelParams(**{key: 1.5})
+    # a power that overflows or underflows in watts, and a noise that
+    # overflows; a noise that underflows to 0 W is valid
+    for key, bad in (("power_dbm", (4000.0,)), ("power_dbm", (30.0, -4000.0)),
+                     ("power_dbm", (np.float64(4000.0),)), ("noise_dbm", 4000.0)):
+        with pytest.raises(ValueError, match=f"^spec.{key}: must be .*in watts"):
+            replace(desk_spec(), **{key: bad})
+    assert dbm_to_watts(replace(desk_spec(), noise_dbm=-4000.0).noise_dbm) == 0.0
+
+
+def test_spec_takes_numpy_integers():
+    i = np.int64
+    spec = tiny_spec(n_bs=[i(4)], n_users=[np.int32(1)], n_irs=[i(4)], trials=i(2),
+                     base_seed=i(5), t_max_outer=i(20), channel=ChannelParams(q_irs=i(3)))
+    records, _ = run_sweep(spec)
+    assert records == run_sweep(tiny_spec(trials=2, t_max_outer=20,
+                                          channel=ChannelParams(q_irs=3)))[0]
 
 
 def test_spec_refuses_assignment():
