@@ -12,44 +12,45 @@ of H_bs and the SVD of H_su^H come from the channel set's cache
 (ChannelSet.H_su_H, H_bu_H, H_bs_factor, H_su_H_svd), taken once per set
 however many solves share it, the identity from linalg.identity, and the
 projector pass takes g and g' from one call. The precoder returns the
-sum-MSE objective from its own M x M Gram matrix; the loop stops when that
+sum-MSE objective from its own M x M Gram matrix; a stage ends when that
 objective changes by less than a relative tolerance of the last objective
 or of M machine epsilons, the larger (a noise-free design with N > M has
 an objective of zero up to rounding), or at the iteration cap. Like
 run_vamp, the loop takes a vamp.OptimizerConfig.
 
-The loop also stops when it stalls: when the objective has made no new
+A stage also ends when it stalls: when the objective has made no new
 minimum for STALL_ITERATIONS iterations, a new minimum being an objective
 below the stage's last one by the same relative tolerance and floor. Outside
 its assumptions a VAMP-type iteration need not converge (Rangan, Schniter &
 Fletcher, Vector Approximate Message Passing, IEEE T-IT 2019); with reactive
 loads the loop can settle into a cycle whose objective alternates between
-two levels, which the relative-change test never stops. A solve that
-stalls, or reaches the cap, returns its lowest-objective design at the target
-power, not its last one (Prechelt, Early Stopping - But When?, 1998); a solve
+two levels, which the relative-change test never stops. A solve whose
+last stage stalls, or reaches the cap, returns that stage's lowest-objective
+design, not its last one (Prechelt, Early Stopping - But When?, 1998); a solve
 that stops by the tolerance returns its last design.
 
-Every solve runs one power schedule, a continuation in the power (Allgower
-& Georg, Introduction to Numerical Continuation Methods, 2003). The gate
-takes the least eigenvalue of H^H H on the effective channel of the initial
-phases. With noise, when it exceeds GATE_RATIO times the precoder's
-regulariser M s^2 / P, the weakest eigenmode is in the slow zero-forcing
-regime, and the loop first solves at P / START_POWER_DIVISOR, where the
-precoder is more regularised. When that stage's stop rule fires, it
-stalls, or the budget ends, the loop switches once to P on the same phases
-(and the same effective channel, which does not depend on the power) with a
-fresh VampStep, and goes on. Otherwise it solves at P from the start. One
-loop runs both stages: t_max_outer bounds their phase updates together, the
-gate's effective channel serves iteration 0, and each iteration builds one
-effective channel, the switch none.
+Every solve runs a power schedule of one or two stages, a continuation in
+the power (Allgower & Georg, Introduction to Numerical Continuation
+Methods, 2003). The gate takes the least eigenvalue of H^H H on the
+effective channel of the initial phases. With noise, when it exceeds
+GATE_RATIO times the precoder's regulariser M s^2 / P, the weakest eigenmode
+is in the slow zero-forcing regime, and the schedule is (P /
+START_POWER_DIVISOR, P), the first stage more regularised; otherwise it is
+(P,). Each stage starts a fresh VampStep on the current phases and
+effective channel, evaluates the precoder there and then runs the loop
+until its stop rule fires, it stalls, or t_max_outer, which bounds the
+phase updates of all stages together, is reached. The gate's effective
+channel serves iteration 0, each phase update builds one, and a stage
+change none, since the effective channel does not depend on the power.
 
 A traced solve runs the same loop and keeps each iteration's objective and
-design in a TraceRow; it computes no sum-rate or NRMSE. A gated solve's
-rows hold the precoder at P / START_POWER_DIVISOR up to the switch; the
-switch's row and every later one hold it at P. The returned design is always
-one of the rows: the last one when the solve converged, else the
-lowest-objective row at P. metrics.sum_rate and metrics.nrmse score a row's
-design, as they score the returned one.
+design in a TraceRow; it computes no sum-rate or NRMSE. A stage's first row
+replaces the previous stage's last one, so a gated solve's rows hold the
+precoder at P / START_POWER_DIVISOR up to the second stage's first row and
+at P from there on. The returned design is always one of the rows: the last
+one when the solve converged, else the last stage's lowest-objective row.
+metrics.sum_rate and metrics.nrmse score a row's design, as they score the
+returned one.
 """
 
 from __future__ import annotations
@@ -78,11 +79,11 @@ STALL_ITERATIONS = 10
 @dataclass
 class TraceRow:
     """One outer iteration: the objective the stopping rule compared, and
-    the design (phases, precoder, receiver scale) it was compared at. The
-    switch's row holds the design at the target power, the reference of the
-    next comparison, in place of the first stage's last one. The returned
-    design is the last row's when the solve converged, else that of the
-    lowest-objective row at the target power."""
+    the design (phases, precoder, receiver scale) it was compared at. A
+    stage's first row, the reference of its first comparison, replaces the
+    previous stage's last one. The returned design is the last row's when
+    the solve converged, else that of the last stage's lowest-objective
+    row."""
 
     iteration: int
     error: float
@@ -119,76 +120,68 @@ def joint_optimize(ch: ChannelSet, power: float, noise_var: float,
                    rng: np.random.Generator | None = None) -> BeamformingSolution:
     """Run the alternating loop and return phases, precoder and scale.
 
-    The loop runs the schedule in the module docstring: when the gate
-    fires on the initial phases, it solves at power / START_POWER_DIVISOR
-    until the stop rule fires, the stage stalls or the budget ends, then
-    switches once to the target power on the same phases, with a fresh
-    VampStep. cfg.t_max_outer bounds the phase updates of both stages
-    together, and `iterations` counts them; `converged` says the stop rule
-    fired at the target power; the clamp counts run on over both stages.
-    A converged solve returns its last design. A solve that stalled at the
-    target power (converged false, iterations below cfg.t_max_outer) or
-    reached the cap returns the design with the lowest objective among those
-    evaluated at the target power. Either way the returned precoder is the
-    precoder at `power` on the returned phases.
+    The loop runs the schedule in the module docstring: a gated solve runs
+    a stage at power / START_POWER_DIVISOR, then one at the target power on
+    the phases the first ended at; any other solve runs the target-power
+    stage alone. Each stage ends when its stop rule fires, it stalls or
+    cfg.t_max_outer phase updates of all stages together have run;
+    `iterations` counts them, `converged` says the last stage's stop rule
+    fired, and the clamp counts run on over all stages. A converged solve
+    returns its last design. A solve that stalled in its last stage
+    (converged false, iterations below cfg.t_max_outer) or reached the cap
+    returns that stage's lowest-objective design. Either way the returned
+    precoder is the precoder at `power` on the returned phases.
 
     The phase vector used for the precoder refresh, the trace, and the return
     value is always the projector image of the damped iterate, so feasibility
-    is exact at every outer iteration. phase_system and prepare_system are
-    module names looked up at each call, never stored, so a wrapper bound to
-    either name sees every call.
+    is exact at every outer iteration. phase_system, prepare_system,
+    effective_channel and VampStep are module names looked up at each call,
+    never stored, so a wrapper bound to any of them sees every call.
     """
     cfg = cfg or OptimizerConfig()
     rng = rng or np.random.default_rng()
     projector = get_projector(cfg.constraint)
     upsilon = projector.initial_point(ch.dims[2], rng)
-    step = VampStep(projector, upsilon)
     m = ch.dims[1]
     err_floor = m * float(np.finfo(float).eps)
     h = effective_channel(ch, upsilon)
-    stage_power = power
+    schedule = (power,)
     # the gate, without a division, so that a degenerate power or noise
     # reaches the precoder's own refusal
     if noise_var > 0 and np.linalg.eigvalsh(h.conj().T @ h)[0] * power > GATE_RATIO * m * noise_var:
-        stage_power = power / START_POWER_DIVISOR
+        schedule = (power / START_POWER_DIVISOR, power)
+    diagnostics = VampDiagnostics()
     trace: list[TraceRow] = []
-    converged = False
-    best = None
-    # iteration 0 evaluates the initial phases; each later one first updates them
-    for t in range(cfg.t_max_outer + 1):
-        if t > 0:
+    t = 0   # phase updates of all stages so far, the index of the current row
+    for stage_power in schedule:
+        # the stage's first row, its first minimum and its incumbent, takes
+        # the place of the previous stage's last row
+        step = VampStep(projector, upsilon)
+        step.diagnostics = diagnostics
+        sol = mmse_precoder(h, stage_power, noise_var)
+        best, stage_min, since_min, stop = (sol, upsilon), sol.error, 0, False
+        if cfg.collect_trace:
+            trace[t:] = [TraceRow(t, sol.error, upsilon, sol.F, sol.alpha)]
+        for t in range(t + 1, cfg.t_max_outer + 1):
+            err_prev = sol.error
             step(*prepare_system(*phase_system(ch, sol.F, sol.alpha)))
             upsilon = projector.g(step.x_damped)
             h = effective_channel(ch, upsilon)
-        sol = mmse_precoder(h, stage_power, noise_var)
-        stop = t > 0 and abs(sol.error - err_prev) < cfg.epsilon_outer * max(err_prev, err_floor)
-        # a new minimum of the stage: below its last one by the stop rule's margin
-        if t == 0 or sol.error < stage_min - cfg.epsilon_outer * max(stage_min, err_floor):
-            stage_min, since_min = sol.error, 0
-        else:
-            since_min += 1
-        stall = since_min == STALL_ITERATIONS
-        if stage_power != power and (stop or stall or t == cfg.t_max_outer):
-            # the switch: the same phases and channel at the target power,
-            # and fresh message-passing memory that keeps the clamp counts
-            stage_power, stop, stall = power, False, False
-            sol = mmse_precoder(h, power, noise_var)
-            stage_min, since_min = sol.error, 0
-            clamps = step.diagnostics
-            step = VampStep(projector, upsilon)
-            step.diagnostics = clamps
-        # the incumbent: the lowest-objective design at the target power
-        if stage_power == power and (best is None or sol.error < best[0].error):
-            best = sol, upsilon
-        if cfg.collect_trace:
-            trace.append(TraceRow(t, sol.error, upsilon, sol.F, sol.alpha))
-        if stop or stall:
-            converged = stop
-            break
-        err_prev = sol.error
+            sol = mmse_precoder(h, stage_power, noise_var)
+            stop = abs(sol.error - err_prev) < cfg.epsilon_outer * max(err_prev, err_floor)
+            # a new minimum of the stage: below its last one by the stop rule's margin
+            if sol.error < stage_min - cfg.epsilon_outer * max(stage_min, err_floor):
+                stage_min, since_min = sol.error, 0
+            else:
+                since_min += 1
+            if sol.error < best[0].error:
+                best = sol, upsilon
+            if cfg.collect_trace:
+                trace[t:] = [TraceRow(t, sol.error, upsilon, sol.F, sol.alpha)]
+            if stop or since_min == STALL_ITERATIONS:
+                break
 
-    # a solve that stalled or reached the cap returns its incumbent
-    if not converged:
+    # a last stage that stalled or reached the cap returns its incumbent
+    if not stop:
         sol, upsilon = best
-    return BeamformingSolution(upsilon, sol.F, sol.alpha, t, converged, trace,
-                               step.diagnostics)
+    return BeamformingSolution(upsilon, sol.F, sol.alpha, t, stop, trace, diagnostics)

@@ -9,6 +9,8 @@ from __future__ import annotations
 import math
 import os
 
+from .harness import CELL_KEY
+
 PALETTE = ("#1c6bba", "#c23b22", "#2e8b57", "#8b5cb8", "#b8860b", "#444444")
 WIDTH, HEIGHT = 640, 420
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 160, 40, 55
@@ -52,18 +54,29 @@ def _labels(ticks: list[float]) -> list[str]:
 
 def render_chart(aggregates: list[dict], x_key: str, y_stat: str = "sum_rate",
                  title: str = "") -> str:
-    """SVG text for median lines with p10-p90 bands, one series per scheme."""
+    """SVG text for median lines with p10-p90 bands, one series per cell of
+    the cell-key columns (harness.CELL_KEY) other than x_key that the rows
+    carry. A series is coloured by its scheme, dashed by its values of the
+    other columns that vary, and labelled by both."""
     if not aggregates:
         raise ValueError("render_chart: no aggregate rows")
-    for col in (x_key, f"{y_stat}_median", f"{y_stat}_p10", f"{y_stat}_p90"):
+    for col in ("scheme", x_key, f"{y_stat}_median", f"{y_stat}_p10", f"{y_stat}_p90"):
         if col not in aggregates[0]:
             raise ValueError(f"render_chart: aggregate rows lack column {col!r}")
 
-    groups: dict[str, list[dict]] = {}
+    keys = [c for c in CELL_KEY if c != x_key and c in aggregates[0]]
+    varying = [c for c in keys if c != "scheme" and len({r[c] for r in aggregates}) > 1]
+    groups: dict[tuple, list[dict]] = {}
     for row in aggregates:
-        groups.setdefault(str(row["scheme"]), []).append(row)
+        groups.setdefault(tuple(row[c] for c in keys), []).append(row)
     for rows in groups.values():
         rows.sort(key=lambda r: r[x_key])
+    schemes = sorted({str(r["scheme"]) for r in aggregates})
+    variants = sorted({tuple(r[c] for c in varying) for r in aggregates})
+    names = {key: ", ".join([str(rows[0]["scheme"])] + [f"{c}={rows[0][c]:g}" for c in varying])
+             for key, rows in groups.items()}
+    # the legend's margin grows to its longest label
+    width = WIDTH - MARGIN_R + max(MARGIN_R, 48 + 7 * max(map(len, names.values())))
 
     xs = sorted({float(r[x_key]) for r in aggregates})
     ys = [float(r[f"{y_stat}_{s}"]) for r in aggregates for s in ("p10", "median", "p90")]
@@ -85,9 +98,9 @@ def render_chart(aggregates: list[dict], x_key: str, y_stat: str = "sum_rate",
         return MARGIN_T + plot_h * (1.0 - (y - y_lo) / (y_hi - y_lo))
 
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}">',
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{HEIGHT}" '
+        f'viewBox="0 0 {width} {HEIGHT}">',
+        f'<rect width="{width}" height="{HEIGHT}" fill="white"/>',
         f'<text x="{MARGIN_L}" y="24" font-family="sans-serif" font-size="15">{title}</text>',
     ]
     x_ticks = _ticks(x_lo, x_hi)
@@ -112,23 +125,27 @@ def render_chart(aggregates: list[dict], x_key: str, y_stat: str = "sum_rate",
                  f'font-family="sans-serif" font-size="13" '
                  f'transform="rotate(-90 18 {MARGIN_T + plot_h / 2:.1f})">{y_stat}</text>')
 
-    for i, (name, rows) in enumerate(sorted(groups.items())):
-        color = PALETTE[i % len(PALETTE)]
+    dashes = ("", "6 3", "2 3", "8 3 2 3", "1 2")
+    for i, (key, rows) in enumerate(sorted(groups.items())):
+        color = PALETTE[schemes.index(str(rows[0]["scheme"])) % len(PALETTE)]
+        dash = dashes[variants.index(tuple(rows[0][c] for c in varying)) % len(dashes)]
+        stroke = f'stroke="{color}" stroke-width="2"'
+        if dash:
+            stroke += f' stroke-dasharray="{dash}"'
         band = [(px(r[x_key]), py(r[f"{y_stat}_p90"])) for r in rows]
         band += [(px(r[x_key]), py(r[f"{y_stat}_p10"])) for r in reversed(rows)]
         pts = " ".join(f"{x:.1f},{y:.1f}" for x, y in band)
         parts.append(f'<polygon points="{pts}" fill="{color}" fill-opacity="0.15" stroke="none"/>')
         line = " ".join(f'{px(r[x_key]):.1f},{py(r[f"{y_stat}_median"]):.1f}' for r in rows)
-        parts.append(f'<polyline points="{line}" fill="none" stroke="{color}" stroke-width="2"/>')
+        parts.append(f'<polyline points="{line}" fill="none" {stroke}/>')
         for r in rows:
             parts.append(f'<circle cx="{px(r[x_key]):.1f}" cy="{py(r[f"{y_stat}_median"]):.1f}" '
                          f'r="3" fill="{color}"/>')
         ly = MARGIN_T + 16 + 18 * i
         lx = MARGIN_L + plot_w + 12
-        parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
-                     f'stroke="{color}" stroke-width="2"/>')
+        parts.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" {stroke}/>')
         parts.append(f'<text x="{lx + 28}" y="{ly}" font-family="sans-serif" '
-                     f'font-size="11">{name}</text>')
+                     f'font-size="11">{names[key]}</text>')
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 

@@ -76,6 +76,11 @@ def cmd_run(args) -> int:
 
 
 def cmd_trace(args) -> int:
+    """Solve one channel of the spec's first sizes at its first power and
+    write its trace. The channel and then the start are drawn from one
+    default_rng(base_seed), not from run_sweep's per-trial streams, and the
+    design is on the true channel even when kappa[0] < 1, so the solve is
+    not trial 0 of `irsbeam run` with the same spec and seed."""
     spec = _load(args)
     dims = SystemDims(spec.n_bs[0], spec.n_users[0], spec.n_irs[0])
     rng = np.random.default_rng(spec.base_seed)

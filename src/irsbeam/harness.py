@@ -81,9 +81,9 @@ class ExperimentSpec:
                 ("kappa", all(0.0 <= k <= 1.0 for k in self.kappa), "values in [0, 1]"),
                 ("power_dbm", all(0.0 < dbm_to_watts(float(p)) < np.inf for p in self.power_dbm),
                  "values whose power in watts is positive and finite"),
-                ("noise_dbm", np.isfinite(self.noise_dbm)
-                 and dbm_to_watts(float(self.noise_dbm)) < np.inf,
-                 "finite, with a finite noise power in watts"),
+                # the metrics divide by the noise, so one that underflows fails too
+                ("noise_dbm", 0.0 < dbm_to_watts(float(self.noise_dbm)) < np.inf,
+                 "a value whose power in watts is positive and finite"),
                 # numpy integers pass; a float fails, however whole
                 ("trials", isinstance(self.trials, Integral) and self.trials >= 1,
                  "an integer >= 1"),
@@ -128,13 +128,13 @@ CSV_HEADER = ",".join(f.name for f in fields(TrialRecord))
 # The aggregate columns in order, with their types: the cell key, typed as in
 # TrialRecord, the trial count, then each statistic of each metric.
 # aggregate() builds its rows from this and load_aggregate_csv() parses with it.
-_CELL_KEY = ("scheme", "N", "M", "K", "power_dbm", "kappa")
+CELL_KEY = ("scheme", "N", "M", "K", "power_dbm", "kappa")
 _METRICS = ("sum_rate", "nrmse")
 # Each statistic reduces a (cells x trials) array along its rows.
 _STATS = {"mean": lambda x: np.mean(x, axis=1), "median": lambda x: np.median(x, axis=1),
           "p10": lambda x: np.percentile(x, 10, axis=1),
           "p90": lambda x: np.percentile(x, 90, axis=1)}
-AGGREGATE_COLUMNS = {**{c: get_type_hints(TrialRecord)[c] for c in _CELL_KEY}, "trials": int,
+AGGREGATE_COLUMNS = {**{c: get_type_hints(TrialRecord)[c] for c in CELL_KEY}, "trials": int,
                      **{f"{m}_{s}": float for m in _METRICS for s in _STATS}}
 
 
@@ -314,7 +314,7 @@ def aggregate(records: list) -> list[dict]:
     stacks."""
     cells: dict[tuple, list[TrialRecord]] = {}
     for rec in records:
-        cells.setdefault(tuple(getattr(rec, c) for c in _CELL_KEY), []).append(rec)
+        cells.setdefault(tuple(getattr(rec, c) for c in CELL_KEY), []).append(rec)
     by_size: dict[int, list[tuple]] = {}
     for key in cells:
         by_size.setdefault(len(cells[key]), []).append(key)

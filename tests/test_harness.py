@@ -1,6 +1,7 @@
 import re
 from collections import Counter
 from dataclasses import FrozenInstanceError, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -286,6 +287,23 @@ def test_render_chart_structure(tmp_path):
     assert _ticks(2.0, 2.0) == [2.0, 2.2, 2.4, 2.6, 2.8, 3.0]
 
 
+def test_render_chart_draws_one_series_per_cell():
+    # a sweep over K and two powers: a chart along either draws one line per
+    # scheme and value of the other, each line's x values strictly increase,
+    # and the legend names the power or K of each line
+    spec = tiny_spec(n_irs=[4, 9, 16], power_dbm=[10.0, 30.0], trials=2)
+    _, aggs = run_sweep(spec)
+    for x_key, other, values in (("K", "power_dbm", (10, 30)), ("power_dbm", "K", (4, 9, 16))):
+        svg = render_chart(aggs, x_key)
+        lines = re.findall(r'<polyline points="([^"]*)"', svg)
+        assert len(lines) == len(spec.schemes) * len(values)
+        for line in lines:
+            xs = [float(p.split(",")[0]) for p in line.split()]
+            assert len(xs) == len(aggs) // len(lines) and all(a < b for a, b in zip(xs, xs[1:]))
+        for scheme, value in product(spec.schemes, values):
+            assert f">{scheme}, {other}={value}</text>" in svg
+
+
 @pytest.mark.parametrize("value", [2.0**53, -(2.0**60), 1e300])
 def test_render_chart_widens_a_single_value_past_rounding(value):
     # at this magnitude x +- 0.5, the 5% pad and lo + 1 all round back to
@@ -347,13 +365,13 @@ def test_spec_validation_paths():
     for key in ("q_irs", "q_direct", "q_irs_user"):
         with pytest.raises(ValueError, match=f"^{key}: must be an integer >= 1"):
             ChannelParams(**{key: 1.5})
-    # a power that overflows or underflows in watts, and a noise that
-    # overflows; a noise that underflows to 0 W is valid
+    # a power or a noise that overflows or underflows in watts: the metrics
+    # divide by the noise, so a noise of 0 W is refused like a power of 0 W
     for key, bad in (("power_dbm", (4000.0,)), ("power_dbm", (30.0, -4000.0)),
-                     ("power_dbm", (np.float64(4000.0),)), ("noise_dbm", 4000.0)):
+                     ("power_dbm", (np.float64(4000.0),)), ("noise_dbm", 4000.0),
+                     ("noise_dbm", -4000.0)):
         with pytest.raises(ValueError, match=f"^spec.{key}: must be .*in watts"):
             replace(desk_spec(), **{key: bad})
-    assert dbm_to_watts(replace(desk_spec(), noise_dbm=-4000.0).noise_dbm) == 0.0
 
 
 def test_spec_takes_numpy_integers():
