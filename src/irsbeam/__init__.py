@@ -4,7 +4,7 @@ closed-form sum-MMSE precoding, and a seeded Monte Carlo harness."""
 
 __version__ = "0.1.0"
 
-from .altopt import BeamformingSolution, joint_optimize
+from .altopt import BeamformingSolution, OptimizerConfig, joint_optimize
 from .channel import (ChannelParams, ChannelSet, SystemDims, boost_los, irs_response,
                       perturb_csi, sample_channel_set, ula_response)
 from .harness import (ExperimentSpec, TrialRecord, desk_spec, load_spec,
@@ -13,7 +13,6 @@ from .linalg import EconomySVD, economy_svd, khatri_rao_columns
 from .metrics import fit_error, nrmse, per_user_sinr, sum_rate
 from .precoding import PrecodingSolution, effective_channel, mmse_precoder
 from .projectors import REACTIVE, UNIMODULAR, Projector, get_projector
-from .vamp import (ExtrinsicMessage, OptimizerConfig, VampResult, VampStep, lmmse_extrinsic,
-                   run_vamp)
+from .vamp import ExtrinsicMessage, VampStep, lmmse_extrinsic
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -15,8 +15,9 @@ projector pass takes g and g' from one call. The precoder returns the
 sum-MSE objective from its own M x M Gram matrix; a stage ends when that
 objective changes by less than a relative tolerance of the last objective
 or of M machine epsilons, the larger (a noise-free design with N > M has
-an objective of zero up to rounding), or at the iteration cap. Like
-run_vamp, the loop takes a vamp.OptimizerConfig.
+an objective of zero up to rounding), or at the iteration cap. The
+tolerance, the cap, the constraint and whether to keep a trace are the
+settings of OptimizerConfig, checked when built.
 
 A stage also ends when it stalls: when the objective has made no new
 minimum for STALL_ITERATIONS iterations, a new minimum being an objective
@@ -56,6 +57,7 @@ returned one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -63,7 +65,7 @@ from .channel import ChannelSet
 from .linalg import identity, qr_core_svd
 from .precoding import effective_channel, mmse_precoder
 from .projectors import get_projector
-from .vamp import OptimizerConfig, VampDiagnostics, VampStep, prepare_system
+from .vamp import VampDiagnostics, VampStep, prepare_system
 
 # The continuation gate: a solve whose weakest eigenmode at the initial
 # phases, the least eigenvalue of H^H H, exceeds GATE_RATIO times the
@@ -74,6 +76,29 @@ START_POWER_DIVISOR = 10.0
 # A stage stalls, and ends, when its objective has made no new minimum for
 # STALL_ITERATIONS iterations.
 STALL_ITERATIONS = 10
+
+
+@dataclass(frozen=True)
+class OptimizerConfig:
+    """Settings of one solve of joint_optimize."""
+
+    epsilon_outer: float = 1e-3     # relative objective change that ends a stage
+    t_max_outer: int = 100          # cap on the phase updates of all stages
+    constraint: str = "unimodular"  # projector name, see projectors.get_projector
+    collect_trace: bool = False     # record one trace row per iteration
+
+    def __post_init__(self):
+        # each rule is written so that NaN fails it
+        for name, ok, rule in (
+                ("epsilon_outer", 0.0 < self.epsilon_outer < np.inf, "positive and finite"),
+                ("t_max_outer", isinstance(self.t_max_outer, Integral) and self.t_max_outer >= 1,
+                 "an integer >= 1")):
+            if not ok:
+                raise ValueError(f"{name}: must be {rule}, got {getattr(self, name)!r}")
+        try:
+            get_projector(self.constraint)
+        except ValueError as exc:
+            raise ValueError(f"constraint: {exc}") from None
 
 
 @dataclass

@@ -64,11 +64,16 @@ class ChannelParams:
     los_margin_db: float = 5.0
 
     def __post_init__(self):
-        # each rule is written so that NaN fails it
+        # each rule is written so that NaN fails it; a user's squared distance
+        # from the station is at most (d_irs + user_max)**2, which must not
+        # overflow, and d_irs is checked first, so the sum itself cannot
+        root_max = np.sqrt(np.finfo(float).max)
         rules = (
-            (("c0", "d0", "spacing", "d_irs", "user_min"),
+            (("c0", "d0", "spacing", "user_min"),
              lambda v: 0.0 < v < np.inf, "positive and finite"),
-            (("user_max",), lambda v: self.user_min <= v < np.inf, ">= user_min and finite"),
+            (("d_irs",), lambda v: 0.0 < v < root_max, "positive with a finite square"),
+            (("user_max",), lambda v: self.user_min <= v and self.d_irs + v < root_max,
+             ">= user_min with (d_irs + user_max)**2 finite"),
             (("eta_irs", "eta_direct"), lambda v: 0.0 <= v < np.inf, "non-negative and finite"),
             (("los_margin_db",), lambda v: -np.inf < v < np.inf, "finite"),
             (("q_irs", "q_direct", "q_irs_user"), lambda v: isinstance(v, Integral) and v >= 1,

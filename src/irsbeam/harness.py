@@ -19,6 +19,7 @@ or the best point of the exhaustive phase grid.
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass, field, fields, replace
 from itertools import product
 from numbers import Integral
@@ -26,14 +27,14 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .altopt import BeamformingSolution, joint_optimize
+from .altopt import BeamformingSolution, OptimizerConfig, joint_optimize
 from .channel import (ChannelParams, ChannelSet, SystemDims, perturb_csi,
                       sample_channel_set)
 from .metrics import nrmse, sum_rate
 from .oracles import GRID_MAX_K, grid_phase_search
 from .precoding import effective_channel, mmse_precoder
 from .projectors import UNIMODULAR
-from .vamp import OptimizerConfig, VampDiagnostics
+from .vamp import VampDiagnostics
 
 
 def dbm_to_watts(dbm: float) -> float:
@@ -209,9 +210,8 @@ def desk_spec() -> ExperimentSpec:
 
 
 def paper_spec() -> ExperimentSpec:
-    """Full-size sweep (N=32, M=8, K=256, 1000 trials): 12,000 trials, about
-    a minute of wall time (51, 66 and 53 s in three runs) with one BLAS
-    thread on a 2-vCPU Xeon host."""
+    """Full-size sweep (N=32, M=8, K=256, 1000 trials): 12,000 trials; the
+    README's command-line section states its wall time."""
     return replace(desk_spec(), n_bs=(32,), n_users=(8,), n_irs=(256,), trials=1000)
 
 
@@ -247,15 +247,15 @@ SCHEMES = tuple(_DESIGNS)
 
 
 def run_trial(spec: ExperimentSpec, scheme: str, ch: ChannelSet, ch_known: ChannelSet,
-              power_dbm: float, kappa: float, cell_idx: tuple, trial: int) -> TrialRecord:
+              power_dbm: float, kappa: float, dims_idx: tuple, trial: int) -> TrialRecord:
     """One seeded trial of one scheme in one sweep cell.
 
     The scheme designs on ch_known (the estimated channels, or ch itself when
     kappa = 1); sum-rate and NRMSE are evaluated on the true channels ch.
+    dims_idx, the cell's indices into n_bs, n_users and n_irs, seeds the
+    optimizer stream with the scheme and the trial.
     """
-    import time
-
-    i_n, i_m, i_k = cell_idx[:3]
+    i_n, i_m, i_k = dims_idx
     n, m, k = ch.dims
     power = dbm_to_watts(power_dbm)
     noise_var = dbm_to_watts(spec.noise_dbm)
@@ -295,7 +295,7 @@ def run_sweep(spec: ExperimentSpec, progress=None):
                 for (i_p, power_dbm), (i_s, scheme) in product(
                         enumerate(spec.power_dbm), enumerate(spec.schemes)):
                     rec = run_trial(spec, scheme, ch, known, power_dbm, kappa,
-                                    (i_n, i_m, i_k, i_p, i_q), trial)
+                                    (i_n, i_m, i_k), trial)
                     records[i_n, i_m, i_k, i_p, i_q, i_s, trial] = rec
                     if progress is not None:
                         progress(rec)

@@ -1,7 +1,7 @@
-"""Message-passing solver for separably constrained quadratic matrix fitting.
+"""Message-passing step for separably constrained quadratic matrix fitting.
 
-Minimizes ||A Diag(x) B^T - Z||_F^2 over x subject to a per-entry constraint,
-by alternating an SVD-form linear estimator pass on the equivalent system
+Repeated, it minimizes ||A Diag(x) B^T - Z||_F^2 over x subject to a
+per-entry constraint, by alternating an SVD-form linear estimator pass on the equivalent system
 D x = vec(Z), D = B * A (column-wise Khatri-Rao), with a separable projector
 pass. The two passes exchange extrinsic messages (mean vector, scalar
 precision). Damping blends successive precision and iterate values to keep
@@ -18,23 +18,22 @@ the SVD of the small dense D, is linalg.product_svd's choice alone; both
 forms answer the same products (vh_dot, v_dot), so lmmse_extrinsic and
 VampStep run each through the same lines.
 
-One run's memory is a VampStep, which run_vamp builds once per run and
-altopt.joint_optimize once per stage of a solve, each calling it once per
-pass. It takes no settings: the linear pass is unweighted, and the damping
+One run's memory is a VampStep, which altopt.joint_optimize, its one
+driver, builds once per stage of a solve and calls once per iteration; a
+fixed system is solved by calling it on prepare_system's output in a plain
+loop. It takes no settings: the linear pass is unweighted, and the damping
 factor, the initial message precision and the precision floor are the
-module constants below. OptimizerConfig, checked when built, holds the
-settings of one run of either driver: run_vamp or altopt.joint_optimize.
+module constants below. The loop's settings are altopt.OptimizerConfig.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from numbers import Integral
+from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EconomySVD, KhatriRaoSVD, economy_svd, product_svd
-from .projectors import Projector, get_projector
+from .linalg import EconomySVD, KhatriRaoSVD, product_svd
+from .projectors import Projector
 
 # Floor for the emitted precisions; a nonpositive or smaller one is clamped to it.
 GAMMA_FLOOR = 1e-11
@@ -52,48 +51,12 @@ class ExtrinsicMessage:
     gamma: float
 
 
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Settings of one solver run, for run_vamp and altopt.joint_optimize alike."""
-
-    epsilon_outer: float = 1e-3     # relative change that stops the iteration
-    t_max_outer: int = 100          # iteration cap
-    constraint: str = "unimodular"  # projector name, see projectors.get_projector
-    collect_trace: bool = False     # record one trace row per iteration
-
-    def __post_init__(self):
-        # each rule is written so that NaN fails it
-        for name, ok, rule in (
-                ("epsilon_outer", 0.0 < self.epsilon_outer < np.inf, "positive and finite"),
-                ("t_max_outer", isinstance(self.t_max_outer, Integral) and self.t_max_outer >= 1,
-                 "an integer >= 1")):
-            if not ok:
-                raise ValueError(f"{name}: must be {rule}, got {getattr(self, name)!r}")
-        try:
-            get_projector(self.constraint)
-        except ValueError as exc:
-            raise ValueError(f"constraint: {exc}") from None
-
-
 @dataclass
 class VampDiagnostics:
     """Counts of precision clamps taken during a run; never fatal."""
 
     lmmse_clamps: int = 0
     projector_clamps: int = 0
-
-    @property
-    def clamped(self) -> bool:
-        return self.lmmse_clamps > 0 or self.projector_clamps > 0
-
-
-@dataclass
-class VampResult:
-    x: np.ndarray
-    iterations: int
-    converged: bool
-    diagnostics: VampDiagnostics
-    trace: list = field(default_factory=list)
 
 
 def prepare_system(svd_a: EconomySVD, svd_b: EconomySVD, z: np.ndarray):
@@ -198,37 +161,3 @@ class VampStep:
         self.x_damped = x_hat
         self.gamma_tilde_prev = gamma_tilde
         return gamma_tilde, gamma_hat
-
-
-def run_vamp(a: np.ndarray, b: np.ndarray, z: np.ndarray, cfg: OptimizerConfig | None = None,
-             rng: np.random.Generator | None = None) -> VampResult:
-    """Solve min ||A Diag(x) B^T - Z||_F^2 under the constraint cfg.constraint.
-
-    Iterates until the squared change of the damped iterate falls under
-    cfg.epsilon_outer times its squared norm (the rule compares iterates,
-    where joint_optimize compares objectives), or cfg.t_max_outer passes.
-    With cfg.collect_trace each pass appends (t, x_damped, gamma_tilde,
-    gamma_hat, clamped) to the trace: x_damped is the iterate the stopping
-    rule compared, and a caller that wants the pass's objective evaluates
-    ||A Diag(x_damped) B^T - Z||_F^2 itself. The returned x is
-    re-projected through g, so every entry lies exactly in the constraint set
-    even though damped intermediate iterates need not.
-    """
-    cfg = cfg or OptimizerConfig()
-    projector = get_projector(cfg.constraint)
-    a = np.asarray(a, dtype=complex)
-    svd, z_tilde = prepare_system(economy_svd(a), economy_svd(np.asarray(b, dtype=complex)), z)
-    step = VampStep(projector, projector.initial_point(a.shape[1], rng or np.random.default_rng()))
-    trace: list = []
-    converged = False
-    for t in range(1, cfg.t_max_outer + 1):
-        x_before = step.x_damped
-        gamma_tilde, gamma_hat = step(svd, z_tilde)
-        if cfg.collect_trace:
-            trace.append((t, step.x_damped, gamma_tilde, gamma_hat, step.diagnostics.clamped))
-        delta = float(np.linalg.norm(step.x_damped - x_before) ** 2)
-        if t > 1 and delta <= cfg.epsilon_outer * float(np.linalg.norm(x_before) ** 2):
-            converged = True
-            break
-    x_out = np.asarray(projector.g(step.x_damped))
-    return VampResult(x_out, t, converged, step.diagnostics, trace)

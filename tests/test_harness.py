@@ -176,9 +176,8 @@ def test_no_irs_trial_ignores_reflector_links():
     for kappa in (1.0, 0.9):
         known = perturb_csi(ch, kappa, np.random.default_rng(5))
         known_other = replace(known, H_bs=other.H_bs, H_su=other.H_su)
-        want = run_trial(spec, "no_irs_mmse", ch, known, 30.0, kappa, (0, 0, 0, 0, 0), 1)
-        got = run_trial(spec, "no_irs_mmse", other, known_other, 30.0, kappa,
-                        (0, 0, 0, 0, 0), 1)
+        want = run_trial(spec, "no_irs_mmse", ch, known, 30.0, kappa, (0, 0, 0), 1)
+        got = run_trial(spec, "no_irs_mmse", other, known_other, 30.0, kappa, (0, 0, 0), 1)
         assert got == want
 
 
@@ -365,6 +364,12 @@ def test_spec_validation_paths():
     for key in ("q_irs", "q_direct", "q_irs_user"):
         with pytest.raises(ValueError, match=f"^{key}: must be an integer >= 1"):
             ChannelParams(**{key: 1.5})
+    # a geometry whose squared distances overflow is refused when the
+    # propagation constants are built, not deep in channel synthesis
+    for text, key in (("d_irs = 1e200", "d_irs"), ("user_min = 1e199\nuser_max = 1e200",
+                                                  "user_max")):
+        with pytest.raises(ValueError, match=rf"^spec.{key}: must be .*finite"):
+            parse_spec(text)
     # a power or a noise that overflows or underflows in watts: the metrics
     # divide by the noise, so a noise of 0 W is refused like a power of 0 W
     for key, bad in (("power_dbm", (4000.0,)), ("power_dbm", (30.0, -4000.0)),

@@ -289,7 +289,7 @@ def test_every_setting_is_passed_somewhere():
     harness = PACKAGE / "harness.py"
     first, last = next((first, last) for name, first, last in _public_definitions(harness)
                        if name == "ExperimentSpec.optimizer_config")
-    missing = _unset_fields(PACKAGE / "vamp.py", "OptimizerConfig", users,
+    missing = _unset_fields(PACKAGE / "altopt.py", "OptimizerConfig", users,
                             (harness, first, last))
     assert not missing, "settings no call passes:\n" + "\n".join(missing)
 

@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from irsbeam import linalg
+from irsbeam.altopt import OptimizerConfig
 from irsbeam.channel import complex_normal
 from irsbeam.linalg import (RANK_CUTOFF, EconomySVD, KhatriRaoSVD, economy_svd,
                             khatri_rao_columns, khatri_rao_svd)
 from irsbeam.oracles import dense_lmmse, explicit_product_form
 from irsbeam.projectors import UNIMODULAR, Projector
 from irsbeam.vamp import (DAMPING, GAMMA_FLOOR, INITIAL_PRECISION, ExtrinsicMessage,
-                          OptimizerConfig, VampDiagnostics, VampStep, lmmse_extrinsic,
-                          prepare_system, run_vamp)
+                          VampDiagnostics, VampStep, lmmse_extrinsic, prepare_system)
 
 
 def first_step(z_tilde, gamma_tilde=1.0):
@@ -27,6 +27,18 @@ def first_step(z_tilde, gamma_tilde=1.0):
     step.msg = ExtrinsicMessage(x0, 0.5)
     gamma_tilde, gamma_hat = step(svd, np.asarray(z_tilde, dtype=complex))
     return step, gamma_tilde, gamma_hat
+
+
+def run_steps(a, b, z, passes, seed):
+    """A VampStep after `passes` steps on the system (A, B, Z), from a
+    unit-modulus start drawn from default_rng(seed), and each step's
+    (gamma_tilde, gamma_hat, damped iterate)."""
+    svd, z_tilde = prepare_system(economy_svd(np.asarray(a, dtype=complex)),
+                                  economy_svd(np.asarray(b, dtype=complex)), z)
+    step = VampStep(UNIMODULAR, UNIMODULAR.initial_point(np.shape(a)[1],
+                                                         np.random.default_rng(seed)))
+    history = [(*step(svd, z_tilde), step.x_damped) for _ in range(passes)]
+    return step, history
 
 
 def test_lmmse_identity_hand_case():
@@ -137,16 +149,15 @@ def test_projector_pass_clamp_path():
     assert step.diagnostics.projector_clamps == 1
 
 
-def test_run_vamp_reports_its_clamps():
+def test_steps_count_their_clamps():
     # D = B * A = sqrt(2) I for A = [1, 1] and B = sqrt(2) I, with the
     # unit-modulus observation of test_projector_pass_clamp_path: both passes
-    # clamp, the damped second as the first, and the result reports both
+    # clamp, the damped second as the first, and the step counts both
     a = np.ones((1, 2))
     b = np.sqrt(2.0) * np.eye(2)
-    res = run_vamp(a, b, np.array([[1.0 + 0j, 1j]]), OptimizerConfig(), np.random.default_rng(0))
-    assert res.iterations == 2
-    assert res.diagnostics.projector_clamps == 2
-    assert res.diagnostics.lmmse_clamps == 0
+    step, _ = run_steps(a, b, np.array([[1.0 + 0j, 1j]]), 2, seed=0)
+    assert step.diagnostics.projector_clamps == 2
+    assert step.diagnostics.lmmse_clamps == 0
 
 
 def test_projector_pass_takes_g_and_g_prime_from_one_call(monkeypatch):
@@ -371,75 +382,44 @@ def _count_factored(monkeypatch):
     return calls
 
 
-def test_run_vamp_takes_the_factored_path_whenever_the_grid_fits(monkeypatch):
+def test_steps_take_the_factored_path_whenever_the_grid_fits(monkeypatch):
     # every R_a*R_b <= K enters the factored path, once per system and once
     # per linear pass, at any user count; R_a*R_b > K never does
     calls = _count_factored(monkeypatch)
     rng = np.random.default_rng(14)
-    cfg = OptimizerConfig(epsilon_outer=1e-300, t_max_outer=4)
     for m_a, m_b, factored in [(1, 1, True), (1, 4, True), (2, 2, True), (2, 1, True),
                                (2, 3, True), (3, 3, True), (4, 4, True), (4, 5, True),
                                (3, 7, False)]:
         a, b = complex_normal(rng, m_a, 20), complex_normal(rng, m_b, 20)
         before = dict(calls)
-        res = run_vamp(a, b, complex_normal(rng, m_a, m_b), cfg, np.random.default_rng(1))
-        assert res.iterations == 4
+        run_steps(a, b, complex_normal(rng, m_a, m_b), 4, seed=1)
         got = {name: calls[name] - before[name] for name in calls}
         passes = 4 if factored else 0
         assert got == {"assembly": int(factored), "vh_dot": passes,
                        "v_dot": passes}, (m_a, m_b)
 
 
-def test_run_vamp_scalar_identity():
-    res = run_vamp(np.eye(1), np.eye(1), np.eye(1), rng=np.random.default_rng(0))
-    assert np.allclose(res.x, [1.0 + 0j], atol=1e-9)
-    assert res.converged
+def test_steps_solve_the_scalar_identity():
+    step, _ = run_steps(np.eye(1), np.eye(1), np.eye(1), 2, seed=0)
+    assert np.allclose(step.x_damped, [1.0 + 0j], atol=1e-9)
 
 
-def test_run_vamp_diagonal_system_projects_phases():
+def test_steps_on_a_diagonal_system_project_phases():
     # A = B = I makes the objective separable; the minimizer is the
     # elementwise phase of diag(Z)
     rng = np.random.default_rng(7)
     diag_z = complex_normal(rng, 4) + np.array([1.5, -2.0, 0.5j, 1 - 1j])
     z = np.diag(diag_z)
-    cfg = OptimizerConfig(epsilon_outer=1e-10, t_max_outer=200, collect_trace=True)
-    res = run_vamp(np.eye(4), np.eye(4), z, cfg, np.random.default_rng(1))
-    assert np.abs(res.x - diag_z / np.abs(diag_z)).max() < 1e-6
-    # each row carries the damped iterate x; with A = B = I the objective is ||Diag(x) - Z||^2
-    objs = [np.linalg.norm(np.diag(x) - z) ** 2 for _, x, _, _, _ in res.trace]
+    step, history = run_steps(np.eye(4), np.eye(4), z, 200, seed=1)
+    assert np.abs(UNIMODULAR.g(step.x_damped) - diag_z / np.abs(diag_z)).max() < 1e-6
+    # with A = B = I the objective of a damped iterate x is ||Diag(x) - Z||^2
+    objs = [np.linalg.norm(np.diag(x) - z) ** 2 for _, _, x in history]
     assert all(b <= a + 1e-9 for a, b in zip(objs, objs[1:]))
-
-
-def test_run_vamp_output_feasible():
-    rng = np.random.default_rng(8)
-    a, b, z = complex_normal(rng, 2, 12), complex_normal(rng, 2, 12), complex_normal(rng, 2, 2)
-    res = run_vamp(a, b, z, rng=np.random.default_rng(2))
-    assert np.allclose(np.abs(res.x), 1.0, atol=1e-12)
-    res = run_vamp(a, b, z, OptimizerConfig(constraint="reactive"), np.random.default_rng(3))
-    assert np.allclose(np.abs(res.x + 0.5), 0.5, atol=1e-9)
-
-
-def test_run_vamp_follows_its_config():
-    # the constraint picks the projector, the cap stops the passes, and the
-    # trace is dropped by default and kept with collect_trace=True
-    rng = np.random.default_rng(10)
-    a, b, z = complex_normal(rng, 2, 12), complex_normal(rng, 2, 12), complex_normal(rng, 2, 2)
-    res = run_vamp(a, b, z, OptimizerConfig(constraint="reactive", collect_trace=True),
-                   np.random.default_rng(5))
-    assert np.abs(np.abs(res.x + 0.5) - 0.5).max() <= 1e-12
-    assert np.abs(np.abs(res.x) - 1.0).max() > 1e-3
-    assert len(res.trace) == res.iterations
-    capped = OptimizerConfig(epsilon_outer=1e-300, t_max_outer=3, collect_trace=True)
-    res = run_vamp(a, b, z, capped, np.random.default_rng(5))
-    assert (res.iterations, res.converged, len(res.trace)) == (3, False, 3)
-    quiet = OptimizerConfig(epsilon_outer=1e-300, t_max_outer=3)
-    res = run_vamp(a, b, z, quiet, np.random.default_rng(5))
-    assert (res.iterations, res.trace) == (3, [])
 
 
 def test_vamp_config_validation():
     # the message-passing step takes no settings: OptimizerConfig holds the
-    # drivers' four and refuses a former step setting by name
+    # loop's four and refuses a former step setting by name
     assert [f.name for f in fields(OptimizerConfig)] == [
         "epsilon_outer", "t_max_outer", "constraint", "collect_trace"]
     for key in ("gamma_w", "rho", "gamma_0"):
@@ -447,23 +427,22 @@ def test_vamp_config_validation():
             OptimizerConfig(**{key: 1.0})
 
 
-def test_run_vamp_emitted_precisions_respect_floor():
+def test_emitted_precisions_respect_floor():
     rng = np.random.default_rng(9)
     a, b, z = complex_normal(rng, 2, 10), complex_normal(rng, 2, 10), complex_normal(rng, 2, 2)
-    res = run_vamp(a, b, z, OptimizerConfig(t_max_outer=50, collect_trace=True),
-                   np.random.default_rng(4))
-    for _, _, gamma_tilde, gamma_hat, _ in res.trace:
+    _, history = run_steps(a, b, z, 50, seed=4)
+    for gamma_tilde, gamma_hat, _ in history:
         assert gamma_tilde >= GAMMA_FLOOR
         assert np.isfinite(gamma_hat)
 
 
-def test_run_vamp_near_grid_optimum_small_instance():
+def test_steps_reach_the_grid_optimum_on_a_small_instance():
     # frozen instance; the exhaustive 64^3 phase grid is the oracle
     rng = np.random.default_rng(103)
     a, b, z = complex_normal(rng, 2, 3), complex_normal(rng, 2, 3), complex_normal(rng, 2, 2)
-    res = run_vamp(a, b, z, OptimizerConfig(epsilon_outer=1e-6, t_max_outer=500),
-                   np.random.default_rng(0))
-    achieved = np.linalg.norm(a @ np.diag(res.x) @ b.T - z) ** 2
+    step, _ = run_steps(a, b, z, 200, seed=0)
+    x = UNIMODULAR.g(step.x_damped)
+    achieved = np.linalg.norm(a @ np.diag(x) @ b.T - z) ** 2
     theta = np.exp(2j * np.pi * np.arange(64) / 64)
     best = np.inf
     for u1 in theta:
